@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet analyzers build test-race bench-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check vet analyzers build test-race bench-smoke cold-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: static analysis (go vet plus the project
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
@@ -8,7 +8,10 @@ GO ?= go
 # full build, the race detector over the concurrency-sensitive packages
 # (recycling, scheduler, admission control, HTTP drain), a short
 # churn-benchmark smoke run (allocs/op regressions show up immediately in
-# its -benchmem output), an overload smoke run (admission at 2x capacity
+# its -benchmem output), a cold-deploy smoke run (one register / first
+# invoke / unregister cycle of the suite must allocate under 2 MiB: first
+# instantiations reuse retired linear memories through the slab recycler),
+# an overload smoke run (admission at 2x capacity
 # must shed cleanly: admitted error rate < 1%), a scheduler scale-out smoke
 # run (every workers x distribution cell completes its closed loop), a
 # metering smoke run (block-metered and per-instruction runs charge
@@ -21,7 +24,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: vet analyzers build test-race bench-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: vet analyzers build test-race bench-smoke cold-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -35,10 +38,16 @@ build:
 test-race:
 	$(GO) test -race ./internal/sandbox/... ./internal/sched/... ./internal/core/... \
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
-	$(GO) test -race -run 'TestPool' ./internal/engine/
+	$(GO) test -race -run 'TestPool|TestSlab' ./internal/engine/
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=Churn -benchtime=100x -benchmem .
+
+# cold-smoke gates the bytes one BenchmarkColdDeploy cycle allocates (a
+# count, so it repeats): 6.9 MB without the slab recycler, 1.3 MB with it,
+# limit 2 MiB.
+cold-smoke:
+	$(GO) test -run=TestColdDeploySmoke -count=1 -v .
 
 overload-smoke:
 	$(GO) test -run=TestOverloadSmoke -count=1 ./internal/experiments/

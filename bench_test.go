@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"testing"
 
 	"sledge"
@@ -249,6 +250,100 @@ func BenchmarkInstantiateReuse(b *testing.B) {
 			cm.Release(in)
 		}
 	})
+}
+
+// coldDeployer runs deploy/retire cycles of the whole suite: register the
+// ten binaries under fresh names, send the first request five of them ever
+// see (the light apps of the repository benchmark's coldstart workload),
+// unregister all ten.
+type coldDeployer struct {
+	rt    *sledge.Runtime
+	bins  map[string][]byte
+	first map[string][]byte
+}
+
+func newColdDeployer(tb testing.TB) *coldDeployer {
+	tb.Helper()
+	d := &coldDeployer{bins: make(map[string][]byte)}
+	suite := append([]apps.App{apps.FetchApp}, apps.Apps...)
+	for i := range suite {
+		a := &suite[i]
+		res, err := wcc.Compile(a.Source, wcc.Options{HeapBytes: a.HeapBytes, Data: a.Data})
+		if err != nil {
+			tb.Fatalf("wcc %s: %v", a.Name, err)
+		}
+		d.bins[a.Name] = res.Binary
+	}
+	d.first = map[string][]byte{
+		"ping":    nil,
+		"echo":    apps.EchoPayload(1024),
+		"gps-ekf": apps.EKFRequest(),
+		"fetch":   []byte("obj"),
+		"spin":    apps.SpinRequest(1000),
+	}
+	kv := sledge.NewMapKV()
+	kv.Set("obj", bytes.Repeat([]byte("v"), 256))
+	d.rt = sledge.New(sledge.Config{Workers: 1, KV: kv})
+	tb.Cleanup(func() { d.rt.Close() })
+	return d
+}
+
+func (d *coldDeployer) cycle(tb testing.TB, i int) {
+	suffix := fmt.Sprintf("-%d", i)
+	for name, bin := range d.bins {
+		if _, err := d.rt.RegisterWasm(name+suffix, bin, "main"); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for name, req := range d.first {
+		if _, err := d.rt.Invoke(name+suffix, req); err != nil {
+			tb.Fatalf("%s: %v", name, err)
+		}
+	}
+	for name := range d.bins {
+		if !d.rt.Unregister(name + suffix) {
+			tb.Fatalf("%s%s was not registered", name, suffix)
+		}
+	}
+}
+
+// BenchmarkColdDeploy is the repository benchmark's coldstart op,
+// in-process. B/op is the figure to watch: a cycle's first instantiations
+// build on the linear memories the previous cycle retired to the slab
+// recycler instead of allocating their own.
+func BenchmarkColdDeploy(b *testing.B) {
+	d := newColdDeployer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.cycle(b, i)
+	}
+}
+
+// TestColdDeploySmoke gates the bytes one deploy/retire cycle allocates
+// (make cold-smoke). Allocation volume is a count, not a timing: 6.9 MB
+// before the slab recycler, 1.3 MB with it, and nothing in between but a
+// regression that sends cold starts back to the allocator.
+func TestColdDeploySmoke(t *testing.T) {
+	const (
+		warm, cycles = 3, 30
+		limit        = 2 << 20
+	)
+	d := newColdDeployer(t)
+	for i := 0; i < warm; i++ {
+		d.cycle(t, i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		d.cycle(t, warm+i)
+	}
+	runtime.ReadMemStats(&after)
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	t.Logf("cold deploy: %d B/cycle", perCycle)
+	if perCycle > limit {
+		t.Errorf("cold deploy allocates %d B/cycle, limit %d", perCycle, limit)
+	}
 }
 
 func BenchmarkTable3ChurnForkExec(b *testing.B) {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"fmt"
-
-	"sledge/internal/wasm"
-)
+import "sledge/internal/wasm"
 
 // The memory-safety pass walks a structured function body once, mirroring
 // the validator's control-frame discipline, and decides per access whether
@@ -125,22 +121,39 @@ type mframe struct {
 // interner deduplicates symbolic expressions and records which locals each
 // one mentions (for loop-entry availability pruning).
 type interner struct {
-	ids    map[string]int32
+	ids    map[exprKey]int32
 	locals [][]int16 // expr id -> referenced local indices
 	nodes  []int16   // expr id -> tree size
 }
+
+// exprKey identifies one expression structurally: a versioned local
+// (a = local index, b = version), a 32-bit constant (a = value bits), or a
+// binary node (op over the expr ids a and b). Comparable, so a lookup
+// allocates nothing.
+type exprKey struct {
+	kind exprKind
+	op   wasm.Opcode
+	a, b int32
+}
+
+type exprKind uint8
+
+const (
+	exprLeaf exprKind = iota
+	exprConst
+	exprBin
+)
 
 const maxExprNodes = 32
 
 func newInterner() *interner {
 	// id 0 is reserved for "untracked".
-	return &interner{ids: map[string]int32{}, locals: [][]int16{nil}, nodes: []int16{0}}
+	return &interner{ids: map[exprKey]int32{}, locals: [][]int16{nil}, nodes: []int16{0}}
 }
 
-func (it *interner) intern(key string, locals []int16, nodes int16) int32 {
-	if id, ok := it.ids[key]; ok {
-		return id
-	}
+// add files a new expression under key; callers look the key up first, so
+// the locals slice is only built on a miss.
+func (it *interner) add(key exprKey, locals []int16, nodes int16) int32 {
 	id := int32(len(it.locals))
 	it.ids[key] = id
 	it.locals = append(it.locals, locals)
@@ -149,11 +162,19 @@ func (it *interner) intern(key string, locals []int16, nodes int16) int32 {
 }
 
 func (it *interner) leaf(local int, ver int32) int32 {
-	return it.intern(fmt.Sprintf("l%d.%d", local, ver), []int16{int16(local)}, 1)
+	key := exprKey{kind: exprLeaf, a: int32(local), b: ver}
+	if id, ok := it.ids[key]; ok {
+		return id
+	}
+	return it.add(key, []int16{int16(local)}, 1)
 }
 
 func (it *interner) constE(v uint64) int32 {
-	return it.intern(fmt.Sprintf("c%d", uint32(v)), nil, 1)
+	key := exprKey{kind: exprConst, a: int32(uint32(v))}
+	if id, ok := it.ids[key]; ok {
+		return id
+	}
+	return it.add(key, nil, 1)
 }
 
 func (it *interner) bin(op wasm.Opcode, a, b int32) int32 {
@@ -164,9 +185,14 @@ func (it *interner) bin(op wasm.Opcode, a, b int32) int32 {
 	if n > maxExprNodes {
 		return 0
 	}
-	var locals []int16
-	locals = append(locals, it.locals[a]...)
-	for _, l := range it.locals[b] {
+	key := exprKey{kind: exprBin, op: op, a: a, b: b}
+	if id, ok := it.ids[key]; ok {
+		return id
+	}
+	la, lb := it.locals[a], it.locals[b]
+	locals := make([]int16, len(la), len(la)+len(lb))
+	copy(locals, la)
+	for _, l := range lb {
 		seen := false
 		for _, e := range locals {
 			if e == l {
@@ -178,7 +204,7 @@ func (it *interner) bin(op wasm.Opcode, a, b int32) int32 {
 			locals = append(locals, l)
 		}
 	}
-	return it.intern(fmt.Sprintf("(%d %d %d)", op, a, b), locals, n)
+	return it.add(key, locals, n)
 }
 
 func (it *interner) mentionsAny(id int32, set map[int]bool) bool {
@@ -319,7 +345,7 @@ func (w *mwalker) dirtyHeader() {
 	}
 }
 
-func (w *mwalker) push(v aval)  { w.cur.stack = append(w.cur.stack, v) }
+func (w *mwalker) push(v aval) { w.cur.stack = append(w.cur.stack, v) }
 func (w *mwalker) pop() aval {
 	s := w.cur.stack
 	v := s[len(s)-1]

@@ -10,6 +10,8 @@ package core
 // over per-module resident bytes, and reclaims in demotion rungs so a
 // module sheds its cheapest-to-rebuild state first:
 //
+//	rung 0: shed the engine's recycled linear-memory slabs (process-wide,
+//	        no module pays: the next cold start allocates instead)
 //	rung 1: purge idle pooled instances   (rebuilt by the next Acquire)
 //	rung 2: drop the post-init snapshot   (re-captured on recompile)
 //	rung 3: drop the compiled body        ("registered-but-cold": the next
@@ -39,6 +41,8 @@ import (
 	"container/list"
 	"sync"
 	"time"
+
+	"sledge/internal/engine"
 )
 
 // cacheWhere is a cache entry's list membership.
@@ -88,6 +92,7 @@ type CacheSnapshot struct {
 	ColdModules      int    `json:"cold_modules"`
 	T1Bytes          int64  `json:"t1_bytes"`
 	T2Bytes          int64  `json:"t2_bytes"`
+	SlabBytes        int64  `json:"slab_bytes"`
 	TargetT1Bytes    int64  `json:"target_t1_bytes"`
 	PurgedIdle       uint64 `json:"evictions_idle_pool"`
 	DroppedSnapshots uint64 `json:"evictions_snapshot"`
@@ -172,6 +177,15 @@ func (c *cacheController) loop(interval time.Duration) {
 	}
 }
 
+// resident is what the budget is held against: the modules' measured
+// footprints plus the retired linear memories the engine's slab recycler
+// retains for the next cold start. The recycler is process-wide, so a
+// budgeted runtime charges itself for (and sheds) slabs another runtime in
+// the same process donated. Caller holds mu.
+func (c *cacheController) resident() int64 {
+	return c.t1Bytes + c.t2Bytes + engine.SlabRecyclerStats().HeldBytes
+}
+
 // onRegister admits a freshly registered module into T1 (ARC: first
 // sighting is recency, not frequency).
 func (c *cacheController) onRegister(m *Module) {
@@ -188,7 +202,7 @@ func (c *cacheController) onRegister(m *Module) {
 	e.elem = c.t1.PushFront(e)
 	c.t1Bytes += e.bytes
 	c.entries[m.Name] = e
-	over := c.t1Bytes+c.t2Bytes > c.budget
+	over := c.resident() > c.budget
 	c.mu.Unlock()
 	if over {
 		c.poke()
@@ -255,7 +269,7 @@ func (c *cacheController) onRevive(m *Module) {
 	e.where = cacheT2
 	e.elem = c.t2.PushFront(e)
 	c.t2Bytes += e.bytes
-	over := c.t1Bytes+c.t2Bytes > c.budget
+	over := c.resident() > c.budget
 	c.mu.Unlock()
 	if over {
 		c.poke()
@@ -304,11 +318,25 @@ func (c *cacheController) scan() {
 		}
 	}
 
-	// Reclaim phase: demote LRU victims rung by rung until resident bytes
-	// fit the budget. A victim that released something but is still the
-	// right choice gets picked again next iteration and escalates.
+	// Reclaim phase: shed recycled slabs, then demote LRU victims rung by
+	// rung, until resident bytes fit the budget. Slabs go first, and again
+	// whenever a rung-3 eviction has just donated more: giving one up costs
+	// a future cold start an allocation, no module anything. A victim that
+	// released something but is still the right choice gets picked again
+	// next iteration and escalates.
 	guard := 4 * (c.t1.Len() + c.t2.Len())
-	for c.t1Bytes+c.t2Bytes > c.budget && guard > 0 {
+	for {
+		over := c.resident() - c.budget
+		if over <= 0 {
+			break
+		}
+		if shed := engine.ShedSlabs(over); shed > 0 {
+			c.evictedBytes += shed
+			continue
+		}
+		if guard == 0 {
+			break
+		}
 		guard--
 		e := c.victim()
 		if e == nil {
@@ -427,8 +455,9 @@ func (c *cacheController) demote(e *cacheEntry) bool {
 // lock out the tiering controller (a scanModule CAS from tierCheap or
 // tierPending now fails, and promote() can only run after such a CAS).
 // In-flight invocations hold the compiled pointer they loaded at dispatch
-// and finish on it; ClosePool makes their Release tear down instead of
-// re-pooling so the slabs actually retire.
+// and finish on it; ClosePool makes their Release donate the linear memory
+// to the slab recycler instead of re-pooling — the reclaim loop sheds it
+// from there while the budget is still exceeded.
 func (c *cacheController) dropBody(e *cacheEntry) bool {
 	m := e.m
 	for {
@@ -462,9 +491,11 @@ func (c *cacheController) dropBody(e *cacheEntry) bool {
 func (c *cacheController) Stats() CacheSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	slab := engine.SlabRecyclerStats().HeldBytes
 	return CacheSnapshot{
 		BudgetBytes:      c.budget,
-		ResidentBytes:    c.t1Bytes + c.t2Bytes,
+		ResidentBytes:    c.t1Bytes + c.t2Bytes + slab,
+		SlabBytes:        slab,
 		ResidentModules:  c.t1.Len() + c.t2.Len(),
 		ColdModules:      c.b1.Len() + c.b2.Len(),
 		T1Bytes:          c.t1Bytes,

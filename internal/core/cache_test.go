@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -101,6 +102,8 @@ func waitPooled(t *testing.T, m *Module) {
 // invoke. The scan interval is effectively infinite so every transition is
 // driven (and asserted) synchronously via the controller's scan.
 func TestCacheDemotionRungs(t *testing.T) {
+	// Slabs earlier tests retired would be shed before any rung is taken.
+	engine.ShedSlabs(math.MaxInt64)
 	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
 	t.Cleanup(func() { rt.Close() })
 	if _, err := rt.RegisterWCC("hot", cacheEchoSrc, wcc.Options{}); err != nil {
@@ -293,10 +296,11 @@ func TestCachePinnedCompiledNeverCold(t *testing.T) {
 	}
 }
 
-// TestUnregisterReleasesPooledSlabs: Unregister must retire idle slabs
-// immediately, and an in-flight instance released afterwards must be torn
-// down, not re-pooled.
+// TestUnregisterReleasesPooledSlabs: Unregister must retire idle instances
+// immediately, and an in-flight instance released afterwards must not be
+// re-pooled; in both cases the linear memory goes to the slab recycler.
 func TestUnregisterReleasesPooledSlabs(t *testing.T) {
+	engine.ShedSlabs(math.MaxInt64)
 	rt := newTestRuntime(t)
 	if _, err := rt.RegisterWCC("gone", cacheEchoSrc, wcc.Options{}); err != nil {
 		t.Fatal(err)
@@ -310,8 +314,14 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 	waitPooled(t, m)
 	cm := m.Compiled()
 	inflight := cm.Acquire() // simulates a request still running at unregister
+	cm.Release(cm.Acquire()) // and one that just finished
+	idle := cm.PooledInstances()
+	before := engine.SlabRecyclerStats()
 	if !rt.Unregister("gone") {
 		t.Fatal("Unregister returned false")
+	}
+	if got := engine.SlabRecyclerStats().Donated - before.Donated; got != uint64(idle) || idle == 0 {
+		t.Fatalf("Unregister donated %d slabs for %d idle instances", got, idle)
 	}
 	if n := cm.PooledInstances(); n != 0 {
 		t.Fatalf("%d idle instances survived Unregister", n)
@@ -322,6 +332,62 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 	cm.Release(inflight)
 	if n := cm.PooledInstances(); n != 0 {
 		t.Fatalf("post-unregister Release re-pooled the instance (%d idle)", n)
+	}
+	if got := engine.SlabRecyclerStats().Donated - before.Donated; got != uint64(idle)+1 {
+		t.Fatalf("post-unregister Release did not donate its slab (%d donated, want %d)", got, idle+1)
+	}
+}
+
+// TestCacheBudgetShedsSlabsFirst: slabs the recycler holds count against
+// CacheBudgetBytes, and an over-budget scan gives them up before it touches
+// any module's pool, snapshot or body.
+func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
+	engine.ShedSlabs(math.MaxInt64)
+	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	t.Cleanup(func() { rt.Close() })
+	for _, name := range []string{"keep", "retire"} {
+		if _, err := rt.RegisterWCC(name, cacheEchoSrc, wcc.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Invoke(name, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := rt.Lookup(name)
+		waitPooled(t, m)
+	}
+	rt.Unregister("retire")
+	rt.cache.scan()
+	s0 := rt.cache.Stats()
+	if s0.SlabBytes == 0 || s0.SlabBytes != engine.SlabRecyclerStats().HeldBytes {
+		t.Fatalf("retired module's slab is not on the cache's books: %+v", s0)
+	}
+	if s0.ResidentBytes != s0.T1Bytes+s0.T2Bytes+s0.SlabBytes {
+		t.Fatalf("resident bytes do not include the recycler's: %+v", s0)
+	}
+
+	setCacheBudget(rt, s0.ResidentBytes-1)
+	rt.cache.scan()
+	s1 := rt.cache.Stats()
+	if s1.SlabBytes >= s0.SlabBytes {
+		t.Fatalf("over budget, but the recycler still holds %d of %d bytes", s1.SlabBytes, s0.SlabBytes)
+	}
+	if s1.PurgedIdle != 0 || s1.DroppedSnapshots != 0 || s1.DroppedBodies != 0 {
+		t.Fatalf("a module was demoted while recycled slabs could be shed: %+v", s1)
+	}
+	if s1.ResidentBytes > s1.BudgetBytes {
+		t.Fatalf("resident %d still over budget %d", s1.ResidentBytes, s1.BudgetBytes)
+	}
+	if s1.EvictedBytes != s0.SlabBytes-s1.SlabBytes {
+		t.Fatalf("evicted bytes %d, shed %d", s1.EvictedBytes, s0.SlabBytes-s1.SlabBytes)
+	}
+
+	// With nothing left to shed, the same squeeze reaches rung 1.
+	engine.ShedSlabs(math.MaxInt64)
+	rt.cache.scan()
+	setCacheBudget(rt, rt.cache.Stats().ResidentBytes-1)
+	rt.cache.scan()
+	if s2 := rt.cache.Stats(); s2.PurgedIdle != 1 {
+		t.Fatalf("empty recycler: expected the idle-pool rung, got %+v", s2)
 	}
 }
 

@@ -472,11 +472,12 @@ func (rt *Runtime) register(m *Module) (*Module, error) {
 // Unregister removes the module registered under name and clears its
 // admission state (breaker, service-time estimate). In-flight invocations
 // hold their own module reference and finish normally — but the module's
-// idle instance pool is closed and purged immediately, so pooled slabs
-// (linear memories, operand stacks) cannot outlive the registration:
-// without this, 64 idle instances per unregistered module would survive
-// until the last in-flight reference happened to be collected. It reports
-// whether a module was removed.
+// idle instance pool is closed and purged immediately, so pooled instances
+// cannot outlive the registration: without this, 64 idle instances per
+// unregistered module would survive until the last in-flight reference
+// happened to be collected. Their linear memories are cleared and handed
+// to the engine's slab recycler, where the next deployment's first
+// instantiation finds them. It reports whether a module was removed.
 func (rt *Runtime) Unregister(name string) bool {
 	rt.mu.Lock()
 	m, ok := rt.registry[name]
@@ -517,7 +518,8 @@ func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant
 	rt.mu.Unlock()
 	if old != nil {
 		// The replaced deployment is retired for good: close its pool so
-		// idle slabs die now instead of with the last in-flight request.
+		// idle instances retire now (linear memories to the slab recycler)
+		// instead of with the last in-flight request.
 		if ocm := old.Compiled(); ocm != nil {
 			ocm.ClosePool()
 		}
@@ -794,6 +796,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Admission   *admission.Snapshot      `json:"admission,omitempty"`
 		Tiering     *TieringSnapshot         `json:"tiering,omitempty"`
 		Cache       *CacheSnapshot           `json:"cache,omitempty"`
+		Slabs       engine.SlabStats         `json:"slabs"`
 	}{
 		Modules:     modules,
 		PerModule:   perModule,
@@ -814,6 +817,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 			Rejected: rt.server.Rejected.Load(),
 			TimedOut: rt.server.TimedOut.Load(),
 		},
+		Slabs: engine.SlabRecyclerStats(),
 	}
 	if rt.adm != nil {
 		snap := rt.adm.Stats()

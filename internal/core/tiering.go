@@ -275,8 +275,9 @@ func (rt *Runtime) promote(m *Module) {
 	rt.mu.RUnlock()
 	if old != nil {
 		// The cheap rung is retired for good; close its pool so the idle
-		// slabs die with the swap, not with the garbage collector's
-		// opinion of the last in-flight reference.
+		// instances retire with the swap (their linear memories to the slab
+		// recycler, for the full rung's first instantiations), not with the
+		// garbage collector's opinion of the last in-flight reference.
 		old.ClosePool()
 	}
 	m.recompileNanos.Store(int64(d))

@@ -121,11 +121,13 @@ var ErrNotDone = errors.New("engine: instance has not completed")
 var ErrAlreadyStarted = errors.New("engine: instance already started")
 
 // Instantiate creates a new sandbox for the module. This is the fast path
-// the paper decouples from compilation: its cost is one zeroed memory
-// allocation plus data-segment and global copies — or, when the module
-// carries a post-init snapshot, a single copy of the snapshot image, which
-// also buys out the start function's execution (Start credits its recorded
-// gas instead of replaying it).
+// the paper decouples from compilation: its cost is one zeroed linear
+// memory plus data-segment and global copies — or, when the module carries
+// a post-init snapshot, a single copy of the snapshot image, which also
+// buys out the start function's execution (Start credits its recorded gas
+// instead of replaying it). The memory comes from the slab recycler when a
+// retired module left one of the right size (already all-zero, so neither
+// the allocator nor the collector is involved), else from make.
 func (cm *CompiledModule) Instantiate() *Instance {
 	in := &Instance{
 		mod:              cm,
@@ -135,7 +137,7 @@ func (cm *CompiledModule) Instantiate() *Instance {
 	}
 	if snap := cm.snap.Load(); snap != nil {
 		in.snap = snap
-		in.mem = make([]byte, snap.memLen)
+		in.mem = takeSlab(snap.memLen)
 		copy(in.mem, snap.image)
 		// memDirty tracks divergence from the baseline, and this instance's
 		// baseline IS the snapshot: nothing differs yet.
@@ -154,7 +156,7 @@ func (cm *CompiledModule) Instantiate() *Instance {
 		return in
 	}
 	if cm.minMemBytes > 0 {
-		in.mem = make([]byte, cm.minMemBytes)
+		in.mem = takeSlab(cm.minMemBytes)
 		for _, seg := range cm.dataSegs {
 			copy(in.mem[seg.offset:], seg.bytes)
 		}
@@ -434,8 +436,12 @@ func (in *Instance) growMemory(delta uint32) int32 {
 		// zeroed the dirty prefix, so re-exposed bytes are already zero.
 		in.mem = in.mem[:newBytes]
 	} else {
-		nm := make([]byte, newBytes)
+		nm := takeSlab(newBytes)
 		copy(nm, in.mem)
+		// The outgrown slab retires to the recycler. The interpreter loops
+		// keep the store watermark in a local until they exit, so memDirty
+		// is stale here: the whole visible length counts as written.
+		retireSlab(in.mem, uint64(len(in.mem)))
 		in.mem = nm
 	}
 	in.mpxBounds[1] = uint64(len(in.mem))
@@ -443,8 +449,10 @@ func (in *Instance) growMemory(delta uint32) int32 {
 }
 
 // Teardown releases the sandbox's memory eagerly. The paper measures
-// sandbox teardown as part of churn; in Go this drops the references so the
-// allocator can reuse the pages.
+// sandbox teardown as part of churn; in Go this drops the references to the
+// collector. It deliberately bypasses the slab recycler: Teardown is the
+// NoRecycle path, the no-reuse baseline the recycling numbers are measured
+// against.
 func (in *Instance) Teardown() {
 	in.mem = nil
 	in.stack = nil

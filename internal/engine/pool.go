@@ -19,6 +19,10 @@ import (
 // the operand stack, so no bytes authored by one tenant are ever observable
 // by the next. The call_indirect inline caches survive recycling on purpose:
 // they are derived from the immutable table, not from tenant state.
+//
+// The pool dies with its module (ClosePool). What outlives it is the linear
+// memory alone, handed to the cross-module slab recycler in slab.go under
+// the stronger form of the same contract: all-zero over its full capacity.
 
 // maxFreeInstances bounds the per-module explicit free list. Overflow goes
 // to a sync.Pool, which the GC may reclaim under memory pressure.
@@ -42,10 +46,13 @@ type instancePool struct {
 	// Unregister/ClosePool may both purge the same module at once.
 	sp atomic.Pointer[sync.Pool]
 	// closed stops the pool from accepting or handing out instances:
-	// Unregister (and full cache eviction) must not let idle slabs outlive
-	// the module. Acquire falls back to Instantiate and Release tears the
-	// instance down, so slabs die with the last in-flight request.
-	closed bool
+	// Unregister (and full cache eviction) must not let idle instances
+	// outlive the module. Acquire falls back to Instantiate; Release does
+	// not reset the instance, it only donates its linear memory to the slab
+	// recycler (slab.go) and leaves the rest to the collector. Atomic so
+	// Release can test it before paying for a reset; the free-list push
+	// re-tests it under mu, which ClosePool takes after setting it.
+	closed atomic.Bool
 	// freeBytes is the retained footprint of the instances on the free
 	// list, maintained on every put/take so the cache controller can read
 	// it without walking the list.
@@ -91,9 +98,8 @@ func (cm *CompiledModule) Acquire() *Instance {
 		p.mu.Unlock()
 		return in
 	}
-	closed := p.closed
 	p.mu.Unlock()
-	if !closed {
+	if !p.closed.Load() {
 		if v := p.overflow().Get(); v != nil {
 			return v.(*Instance)
 		}
@@ -104,7 +110,9 @@ func (cm *CompiledModule) Acquire() *Instance {
 // Release resets in and returns it to the module's pool. It is a no-op for
 // instances of other modules and for instances still runnable or blocked
 // (releasing live state would let a scheduled sandbox be handed to a second
-// owner).
+// owner). On a closed pool nothing is reset: the instance is finished for
+// good, so its linear memory is cleared to its dirty extent and donated to
+// the slab recycler.
 //
 //sledge:noalloc
 func (cm *CompiledModule) Release(in *Instance) {
@@ -112,6 +120,11 @@ func (cm *CompiledModule) Release(in *Instance) {
 		return
 	}
 	if in.started && (in.status == StatusYielded || in.status == StatusBlocked) {
+		return
+	}
+	p := &cm.pool
+	if p.closed.Load() {
+		in.donateSlab() //sledge:coldpath
 		return
 	}
 	if in.snap != cm.snap.Load() {
@@ -122,9 +135,9 @@ func (cm *CompiledModule) Release(in *Instance) {
 		return
 	}
 	in.resetForReuse()
-	p := &cm.pool
 	p.mu.Lock()
-	if !p.closed && len(p.free) < maxFreeInstances {
+	closed := p.closed.Load()
+	if !closed && len(p.free) < maxFreeInstances {
 		// Amortized: the free list grows to its 64-entry cap once and then
 		// stays allocated for the module's lifetime.
 		p.free = append(p.free, in) //sledge:coldpath
@@ -132,11 +145,13 @@ func (cm *CompiledModule) Release(in *Instance) {
 		p.mu.Unlock()
 		return
 	}
-	closed := p.closed
 	p.mu.Unlock()
-	if !closed {
-		p.overflow().Put(in)
+	if closed {
+		// ClosePool ran between the test above and the push.
+		in.donateSlab() //sledge:coldpath
+		return
 	}
+	p.overflow().Put(in)
 }
 
 // PooledInstances reports how many instances sit in the bounded free list
@@ -156,9 +171,10 @@ func (cm *CompiledModule) PooledBytes() int64 {
 }
 
 // PurgeIdle drops every idle instance from the pool (free list and
-// sync.Pool overflow) and returns the bytes released from the bounded free
-// list. In-flight instances are unaffected; the pool keeps working. This is
-// the cache's first, cheapest demotion rung.
+// sync.Pool overflow) to the collector and returns the bytes released from
+// the bounded free list. In-flight instances are unaffected; the pool keeps
+// working. This is the cache's first, cheapest demotion rung, taken to free
+// memory — so nothing is donated to the slab recycler here.
 func (cm *CompiledModule) PurgeIdle() int64 {
 	p := &cm.pool
 	p.mu.Lock()
@@ -176,16 +192,24 @@ func (cm *CompiledModule) PurgeIdle() int64 {
 	return released
 }
 
-// ClosePool purges the idle pool and marks it closed: Acquire stops
-// handing out recycled instances and Release tears down instead of
-// pooling. Called by Unregister/Replace (and full cache eviction) so slabs
-// cannot outlive the module they belong to.
+// ClosePool marks the pool closed and purges it: Acquire stops handing out
+// recycled instances and Release stops pooling. Called by Unregister,
+// Replace, a tier swap and full cache eviction, so idle instances cannot
+// outlive the module they belong to. The linear memories — of the idle
+// instances now, of in-flight ones at their Release — are cleared to their
+// dirty extent and donated to the slab recycler for the next module's first
+// instantiation; everything else goes to the collector.
 func (cm *CompiledModule) ClosePool() {
 	p := &cm.pool
+	p.closed.Store(true)
 	p.mu.Lock()
-	p.closed = true
+	idle := p.free
+	p.free, p.freeBytes = nil, 0
 	p.mu.Unlock()
-	cm.PurgeIdle()
+	p.sp.Store(nil)
+	for _, in := range idle {
+		in.donateSlab()
+	}
 }
 
 // footprintBytes is the instance's retained slab footprint: linear memory

@@ -222,12 +222,15 @@ func TestPoolCompletesWork(t *testing.T) {
 					t.Errorf("sandbox %d response %q", sb.ID, sb.Response())
 				}
 			}
+			// OnComplete (what runBatch waits on) fires inside the last
+			// quantum, before the worker counts the completion: quiesce
+			// first, then read the counter.
+			if !p.Quiesce(time.Second) {
+				t.Error("pool did not quiesce")
+			}
 			st := p.Stats()
 			if st.Completed != 40 {
 				t.Errorf("Completed = %d, want 40", st.Completed)
-			}
-			if !p.Quiesce(time.Second) {
-				t.Error("pool did not quiesce")
 			}
 		})
 	}
@@ -407,6 +410,9 @@ func TestWorkConservation(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("batch did not complete: stats %+v", p.Stats())
+	}
+	if !p.Quiesce(time.Second) { // see TestPoolCompletesWork
+		t.Error("pool did not quiesce")
 	}
 	st := p.Stats()
 	if st.Completed != 16 {
