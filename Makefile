@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: check vet analyzers build test-race bench-smoke cold-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: static analysis (go vet plus the project
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (recycling, scheduler, admission control, HTTP drain), a short
-# churn-benchmark smoke run (allocs/op regressions show up immediately in
+# (recycling, scheduler — shuffled — admission control, HTTP drain), vet and
+# tests of the repo benchmark's own module (which compiles against the
+# scheduler, sandbox and runtime types and is outside `go test ./...`), a
+# short churn-benchmark smoke run (allocs/op regressions show up immediately in
 # its -benchmem output), a cold-deploy smoke run (one register / first
 # invoke / unregister cycle of the suite must allocate under 2 MiB: first
 # instantiations reuse retired linear memories through the slab recycler),
@@ -24,7 +26,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: vet analyzers build test-race bench-smoke cold-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,9 +38,16 @@ build:
 	$(GO) build ./...
 
 test-race:
-	$(GO) test -race ./internal/sandbox/... ./internal/sched/... ./internal/core/... \
+	$(GO) test -race ./internal/sandbox/... ./internal/core/... \
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
+	$(GO) test -race -shuffle=on ./internal/sched/...
 	$(GO) test -race -run 'TestPool|TestSlab' ./internal/engine/
+
+# benchmark-check: benchmark/ is a module of its own (BENCHMARK.json runs
+# it with benchmark/run.sh), so the root build and tests never compile it;
+# this is what notices when a change to Pool, Sandbox or Runtime breaks it.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=Churn -benchtime=100x -benchmem .

@@ -109,7 +109,7 @@ func (c *CostModel) MaxCharge() uint32 {
 // opcode weighs at least 1 so that any CFG cycle accumulates positive cost
 // (termination of fuel accounting); memory traffic, calls, and the
 // long-latency numerics weigh more, roughly tracking their interpretation
-// cost so the calibrated gas rate stays meaningful across workloads.
+// cost so one gas-per-millisecond rate stays meaningful across workloads.
 func Weight(op wasm.Opcode) uint64 {
 	if _, _, store, ok := wasm.MemOpShape(op); ok {
 		if store {

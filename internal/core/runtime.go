@@ -319,19 +319,14 @@ func New(cfg Config) *Runtime {
 		rt.tiering = cfg.Tiering.withDefaults()
 		rt.ladder = engine.NewLadder(cfg.Engine, rt.tiering.NaiveStart)
 	}
+	// The quantum needs no start-up calibration for cfg.Engine: each worker
+	// learns gas per millisecond from the slices it runs, whatever tier and
+	// IR form the modules it is handed were compiled to.
 	scfg := sched.Config{
 		Workers:      cfg.Workers,
 		Quantum:      cfg.Quantum,
 		Policy:       cfg.Policy,
 		Distribution: cfg.Distribution,
-	}
-	if scfg.Policy == 0 || scfg.Policy == sched.PolicyPreemptiveRR {
-		// Calibrate the quantum for the engine configuration modules are
-		// actually compiled with: the register-form and stack-form
-		// interpreters (and the naive tier) retire instructions at
-		// materially different rates, so a shared rate would turn the 5 ms
-		// time slice into a different wall-clock quantum per configuration.
-		scfg.FuelPerMS = engine.CalibrateFuelRateFor(cfg.Engine)
 	}
 	rt.pool = sched.NewPool(scfg)
 	if cfg.Admission != nil {
@@ -761,6 +756,7 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 // operators and the experiment harness.
 func (rt *Runtime) statsResponse() httpd.Response {
 	st := rt.pool.Stats()
+	gasLo, gasHi := rt.pool.GasPerMS()
 	// One critical section for both the name list and the per-module
 	// snapshots, so the two views are consistent with each other.
 	rt.mu.RLock()
@@ -792,6 +788,8 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Inflight    int                      `json:"inflight"`
 		QueueDepth  int                      `json:"queue_depth"`
 		Utilization float64                  `json:"utilization"`
+		FuelQuantum int64                    `json:"fuel_quantum"`
+		GasPerMS    gasRate                  `json:"gas_per_ms"`
 		Server      serverStats              `json:"server"`
 		Admission   *admission.Snapshot      `json:"admission,omitempty"`
 		Tiering     *TieringSnapshot         `json:"tiering,omitempty"`
@@ -811,6 +809,8 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Inflight:    rt.pool.Inflight(),
 		QueueDepth:  rt.pool.QueueDepth(),
 		Utilization: rt.pool.Utilization(),
+		FuelQuantum: rt.pool.FuelQuantum(),
+		GasPerMS:    gasRate{Min: gasLo, Max: gasHi},
 		Server: serverStats{
 			Accepted: rt.server.Accepted.Load(),
 			Served:   rt.server.Served.Load(),
@@ -834,6 +834,14 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		return httpd.Response{Status: 500, Body: []byte(err.Error())}
 	}
 	return httpd.Response{Status: 200, ContentType: "application/json", Body: body}
+}
+
+// gasRate is the range, over the workers, of the learned gas-per-millisecond
+// rate the scheduler converts its quantum with: fuel_quantum ÷ gas_per_ms is
+// how long a slice lasts on this machine right now.
+type gasRate struct {
+	Min int64 `json:"min"`
+	Max int64 `json:"max"`
 }
 
 // serverStats is the listener-side accounting exposed via /__stats.

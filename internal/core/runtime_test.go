@@ -234,16 +234,25 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	var payload struct {
-		Modules   []string               `json:"modules"`
-		Completed uint64                 `json:"completed"`
-		Inflight  int                    `json:"inflight"`
-		PerModule map[string]ModuleStats `json:"per_module"`
+		Modules   []string                 `json:"modules"`
+		Completed uint64                   `json:"completed"`
+		Inflight  int                      `json:"inflight"`
+		PerModule map[string]ModuleStats   `json:"per_module"`
+		Fuel      int64                    `json:"fuel_quantum"`
+		GasPerMS  struct{ Min, Max int64 } `json:"gas_per_ms"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if payload.Completed != 1 || len(payload.Modules) != 1 || payload.Modules[0] != "ping" {
 		t.Errorf("stats payload = %+v", payload)
+	}
+	// The scheduler block says how long a slice is right now: the live fuel
+	// quantum and the learned gas rate behind it (a ping is far under the
+	// sample floor, so both workers still convert with the same rate).
+	if g := payload.GasPerMS; g.Min <= 0 || g.Min != g.Max ||
+		payload.Fuel != rt.Pool().FuelQuantum() || payload.Fuel != g.Min*5 {
+		t.Errorf("fuel_quantum %d, gas_per_ms %+v: want the 5 ms quantum at one positive rate", payload.Fuel, g)
 	}
 	// The static-analysis summary rides along per module: any non-recursive
 	// module has at least its entry point stack-certified.

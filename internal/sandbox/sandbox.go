@@ -117,6 +117,17 @@ type Sandbox struct {
 	FirstRunAt time.Time
 	DoneAt     time.Time
 
+	// sliceStart, sliceEnd and sliceGas describe the most recent quantum:
+	// when it began, when it ended in a yield or a completion (zero after
+	// one that blocked or trapped), and the gas it burned. The first
+	// quantum starts at FirstRunAt and a completing one ends at DoneAt —
+	// the same clock reads — so a request that finishes inside its first
+	// quantum pays nothing for them; a resumed or preempted slice pays one
+	// read per end. See LastSlice.
+	sliceStart time.Time
+	sliceEnd   time.Time
+	sliceGas   uint64
+
 	// Preemptions counts involuntary context switches.
 	Preemptions uint64
 }
@@ -269,20 +280,26 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 	if State(sb.state.Load()) != StateRunnable {
 		return sb.State()
 	}
+	sb.sliceStart = time.Now()
 	if sb.FirstRunAt.IsZero() {
-		sb.FirstRunAt = time.Now()
+		sb.FirstRunAt = sb.sliceStart
 	}
+	sb.sliceEnd = time.Time{}
+	gas0 := sb.inst.Gas
 	sb.state.Store(int32(StateRunning))
 	st, err := sb.inst.Run(fuel)
+	sb.sliceGas = sb.inst.Gas - gas0
 	switch st {
 	case engine.StatusDone:
 		if v, rerr := sb.inst.Result(); rerr == nil {
 			sb.exitCode = int32(uint32(v))
 		}
 		sb.DoneAt = time.Now()
+		sb.sliceEnd = sb.DoneAt
 		sb.state.Store(int32(StateComplete))
 		sb.complete()
 	case engine.StatusYielded:
+		sb.sliceEnd = time.Now()
 		sb.Preemptions++
 		sb.state.Store(int32(StateRunnable))
 	case engine.StatusBlocked:
@@ -418,6 +435,18 @@ func (sb *Sandbox) CompletePending() error {
 	}
 	sb.state.Store(int32(StateRunnable))
 	return nil
+}
+
+// LastSlice reports the gas the most recent quantum burned and the wall time
+// it took, for a quantum that ended in a yield or in completion; after one
+// that blocked or trapped (whose span is not all execution) it reports zero
+// gas. Only the goroutine that called RunQuantum may call it, and only
+// before FinishNotify.
+func (sb *Sandbox) LastSlice() (gas uint64, d time.Duration) {
+	if sb.sliceEnd.IsZero() {
+		return 0, 0
+	}
+	return sb.sliceGas, sb.sliceEnd.Sub(sb.sliceStart)
 }
 
 // Latency returns the end-to-end sandbox latency (creation to completion).

@@ -62,6 +62,12 @@ func TestLifecycleComplete(t *testing.T) {
 	if sb.Gas() == 0 {
 		t.Error("instructions not accounted")
 	}
+	// A run that completes in its first quantum is one slice, bracketed by
+	// the two clock reads it already made.
+	if gas, d := sb.LastSlice(); gas != sb.Gas() || d != sb.DoneAt.Sub(sb.FirstRunAt) {
+		t.Errorf("LastSlice = %d gas over %v; the run burned %d over %v",
+			gas, d, sb.Gas(), sb.DoneAt.Sub(sb.FirstRunAt))
+	}
 	// Running again is a no-op.
 	if st := sb.RunQuantum(0); st != StateComplete {
 		t.Errorf("re-run state %s", st)
@@ -83,12 +89,21 @@ export i32 main() {
 		t.Fatalf("New: %v", err)
 	}
 	rounds := 0
+	var sliced uint64
 	for sb.State() == StateRunnable {
 		sb.RunQuantum(100_000)
 		rounds++
 		if rounds > 1000 {
 			t.Fatal("never completed")
 		}
+		gas, d := sb.LastSlice()
+		if d <= 0 || (sb.State() == StateRunnable && gas < 100_000) {
+			t.Fatalf("slice %d: %d gas over %v", rounds, gas, d)
+		}
+		sliced += gas
+	}
+	if sliced != sb.Gas() {
+		t.Errorf("slices burned %d gas, the run %d", sliced, sb.Gas())
 	}
 	if sb.State() != StateComplete {
 		t.Fatalf("final state %s (%v)", sb.State(), sb.Err)
@@ -129,6 +144,9 @@ export i32 main() {
 	if _, err := sb.ExitCode(); err == nil {
 		t.Error("ExitCode after trap should fail")
 	}
+	if gas, _ := sb.LastSlice(); gas != 0 {
+		t.Errorf("a trapped slice reported %d gas as a rate sample", gas)
+	}
 }
 
 func TestBlockedAndResume(t *testing.T) {
@@ -155,6 +173,9 @@ export i32 main() {
 	if !ok || time.Until(at) <= 0 {
 		t.Fatalf("PendingReadyAt = %v, %v", at, ok)
 	}
+	if gas, _ := sb.LastSlice(); gas != 0 {
+		t.Errorf("a slice that blocked reported %d gas as a rate sample", gas)
+	}
 	// Completing before running again is the event loop's job.
 	if err := sb.CompletePending(); err != nil {
 		t.Fatalf("CompletePending: %v", err)
@@ -164,6 +185,10 @@ export i32 main() {
 	}
 	if string(sb.Response()) != "async" {
 		t.Errorf("Response = %q", sb.Response())
+	}
+	// The slice after the resume is execution only, and reports itself.
+	if gas, d := sb.LastSlice(); gas == 0 || gas >= sb.Gas() || d <= 0 || d >= sb.DoneAt.Sub(sb.FirstRunAt) {
+		t.Errorf("resumed slice: %d gas over %v of a %d-gas, %v run", gas, d, sb.Gas(), sb.DoneAt.Sub(sb.FirstRunAt))
 	}
 	// CompletePending again must fail.
 	if err := sb.CompletePending(); err == nil {

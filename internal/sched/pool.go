@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sledge/internal/engine"
 	"sledge/internal/sandbox"
 )
 
@@ -79,11 +78,10 @@ func (p Policy) String() string {
 type Config struct {
 	// Workers is the number of worker cores. Default 1.
 	Workers int
-	// Quantum is the preemption time slice (paper default: 5 ms).
+	// Quantum is the preemption time slice (paper default: 5 ms). Each
+	// worker converts it to deterministic fuel at the gas rate it learns
+	// from the quanta it runs (see rateLearner).
 	Quantum time.Duration
-	// FuelPerMS is the calibrated gas rate used to convert the quantum to
-	// deterministic fuel (fuel and gas share units); 0 calibrates.
-	FuelPerMS int64
 	// Policy selects preemptive vs cooperative scheduling.
 	Policy Policy
 	// Distribution selects the work-distribution mechanism.
@@ -147,8 +145,11 @@ type pad [64]byte
 // worker cores), a work-distribution structure, and per-worker run queues
 // and event loops.
 type Pool struct {
-	cfg         Config
-	fuelQuantum int64
+	cfg Config
+	// fixedFuel, when positive, is the fuel of every slice and turns the
+	// rate learner off: counted tests need slices that do not depend on
+	// the clock. Set only through newPool.
+	fixedFuel int64
 
 	workers []*worker
 	// rr rotates Submit's tie-breaks and thieves' victim scans so neither
@@ -201,6 +202,17 @@ type worker struct {
 	inbox  inbox
 	timers timerHeap
 
+	// held is the sandbox the last quantum preempted, kept off the run
+	// queue until this round's arrivals are on it (see loop). While it is
+	// set the worker has work its run queue does not show.
+	held *sandbox.Sandbox
+
+	// fuel is what the next slice gets: the quantum at the rate learned so
+	// far (0 under the cooperative policy). Owner-only: no atomic sits on
+	// the quantum path.
+	rate rateLearner
+	fuel int64
+
 	// overflow holds admitted work that exceeded MaxLocalRunq when an
 	// inbox chain or a stolen batch was larger than the run queue's
 	// remaining room. Owner-only; drains into runq as room appears.
@@ -220,9 +232,10 @@ type worker struct {
 
 	_ pad
 
-	// qlen publishes runq + blocked + overflow once per loop iteration so
-	// QueueDepth and Submit's least-loaded scan read local backlogs
-	// without touching worker-owned structures.
+	// qlen publishes runq + blocked + overflow once per loop iteration,
+	// after the sandbox about to run has been popped (running counts that
+	// one), so QueueDepth and Submit's least-loaded scan read local
+	// backlogs without touching worker-owned structures.
 	qlen atomic.Int64
 	// running is 1 while the worker is mid-quantum — the per-worker shard
 	// of the old global busy counter (the utilization signal).
@@ -237,25 +250,22 @@ type worker struct {
 	steals       atomic.Uint64
 	stealBatches atomic.Uint64
 	blocked      atomic.Uint64
+	// gasPerMS publishes the learned rate (rounded) each time a sample
+	// moves it.
+	gasPerMS atomic.Int64
 }
 
 // NewPool starts the worker pool.
-func NewPool(cfg Config) *Pool {
+func NewPool(cfg Config) *Pool { return newPool(cfg, 0) }
+
+// newPool is NewPool with the fixed-slice test hook (see Pool.fixedFuel).
+func newPool(cfg Config, fixedFuel int64) *Pool {
 	cfg = cfg.withDefaults()
 	p := &Pool{
-		cfg:    cfg,
-		global: NewDeque[sandbox.Sandbox](256),
-		stopCh: make(chan struct{}),
-	}
-	if cfg.Policy == PolicyPreemptiveRR {
-		rate := cfg.FuelPerMS
-		if rate == 0 {
-			rate = engine.CalibrateFuelRate()
-		}
-		p.fuelQuantum = int64(float64(rate) * cfg.Quantum.Seconds() * 1000)
-		if p.fuelQuantum < 1000 {
-			p.fuelQuantum = 1000
-		}
+		cfg:       cfg,
+		fixedFuel: fixedFuel,
+		global:    NewDeque[sandbox.Sandbox](256),
+		stopCh:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
@@ -263,6 +273,15 @@ func NewPool(cfg Config) *Pool {
 			pool: p,
 			runq: NewRunq[sandbox.Sandbox](cfg.MaxLocalRunq),
 			park: newParker(),
+			rate: newRateLearner(),
+		}
+		w.gasPerMS.Store(int64(w.rate.rate))
+		switch {
+		case cfg.Policy != PolicyPreemptiveRR:
+		case fixedFuel > 0:
+			w.fuel = fixedFuel
+		default:
+			w.fuel = fuelFor(cfg.Quantum, w.rate.rate)
 		}
 		p.workers = append(p.workers, w)
 	}
@@ -390,7 +409,7 @@ func (p *Pool) pickWorker() *worker {
 }
 
 // load is the worker's published backlog: queued + blocked + inbox, plus
-// one if it is mid-quantum.
+// one for the sandbox it is running.
 func (w *worker) load() int64 {
 	return w.qlen.Load() + w.inbox.n.Load() + int64(w.running.Load())
 }
@@ -475,8 +494,9 @@ func (p *Pool) Utilization() float64 {
 }
 
 // QueueDepth approximates sandboxes waiting for a core: the global
-// distribution structures plus each worker's published local backlog. It
-// is lock-free — every term is an atomic published by its owner — so the
+// distribution structures plus each worker's published local backlog. A
+// sandbox that is mid-quantum is not waiting and is not counted. It is
+// lock-free — every term is an atomic published by its owner — so the
 // admission hot path can call it per request. The per-worker figures are
 // refreshed once per scheduling iteration, so the value is a load signal,
 // not an exact count.
@@ -491,8 +511,37 @@ func (p *Pool) QueueDepth() int {
 	return int(depth)
 }
 
-// FuelQuantum reports the per-slice fuel (0 in cooperative mode).
-func (p *Pool) FuelQuantum() int64 { return p.fuelQuantum }
+// FuelQuantum reports the fuel a slice gets right now — the quantum at the
+// learned gas rate, averaged over the workers — and 0 in cooperative mode.
+func (p *Pool) FuelQuantum() int64 {
+	if p.cfg.Policy != PolicyPreemptiveRR {
+		return 0
+	}
+	if p.fixedFuel > 0 {
+		return p.fixedFuel
+	}
+	var sum float64
+	for _, w := range p.workers {
+		sum += float64(w.gasPerMS.Load())
+	}
+	return fuelFor(p.cfg.Quantum, sum/float64(len(p.workers)))
+}
+
+// GasPerMS reports the lowest and the highest gas-per-millisecond rate the
+// workers currently convert the quantum with (the seed until a worker's
+// first sample).
+func (p *Pool) GasPerMS() (lo, hi int64) {
+	for i, w := range p.workers {
+		r := w.gasPerMS.Load()
+		if i == 0 || r < lo {
+			lo = r
+		}
+		if r > hi {
+			hi = r
+		}
+	}
+	return lo, hi
+}
 
 // Quiesce waits until no sandboxes are in flight or the timeout passes.
 // The wait is event-driven: the completion that takes inflight to zero
@@ -618,8 +667,16 @@ func (w *worker) loop() {
 		}
 		w.drainTimers()
 		w.admit()
-		w.qlen.Store(int64(w.runq.Len()+w.timers.len()) + w.overflowN)
+		if w.held != nil {
+			// Arrival-first: the sandbox the last quantum preempted goes
+			// to the tail behind everything this round made runnable, and
+			// so ahead of everything that arrives later. An arrival waits
+			// for the quantum it landed in, not for the next one as well.
+			w.runq.Push(w.held)
+			w.held = nil
+		}
 		sb, ok := w.runq.Pop()
+		w.qlen.Store(int64(w.runq.Len()+w.timers.len()) + w.overflowN)
 		if !ok {
 			w.idleWait()
 			continue
@@ -639,7 +696,7 @@ func (w *worker) loop() {
 		prevPre := sb.Preemptions
 		sb.LastWorker.Store(int32(w.id))
 		w.running.Store(1)
-		fuel := p.fuelQuantum
+		fuel := w.fuel
 		if fuel > 0 && !sb.Preemptible() {
 			// The naive rung traps on fuel exhaustion instead of yielding;
 			// run it unpreempted rather than killing long requests.
@@ -647,10 +704,17 @@ func (w *worker) loop() {
 		}
 		st := sb.RunQuantum(fuel)
 		w.running.Store(0)
+		if fuel > 0 && p.fixedFuel == 0 {
+			// Before the switch: a finished sandbox may be recycled there.
+			if gas, d := sb.LastSlice(); w.rate.observe(gas, d, w.fuel) {
+				w.fuel = fuelFor(p.cfg.Quantum, w.rate.rate)
+				w.gasPerMS.Store(int64(w.rate.rate))
+			}
+		}
 		switch st {
 		case sandbox.StateRunnable:
 			w.preemptions.Add(sb.Preemptions - prevPre)
-			w.runq.Push(sb)
+			w.held = sb
 		case sandbox.StateBlocked:
 			w.blocked.Add(1)
 			at, ok := sb.PendingReadyAt()
@@ -676,17 +740,23 @@ func (w *worker) loop() {
 // round-robin queue, bounded by MaxLocalRunq. The paper integrates request
 // dequeueing into the scheduling loop so newly arrived short functions
 // immediately share the core with long-running sandboxes (temporal
-// isolation across admission).
+// isolation across admission): the loop calls it while the sandbox it just
+// preempted is still off the queue (w.held), so an arrival runs ahead of
+// that sandbox's next quantum. The held sandbox keeps its slot in the
+// MaxLocalRunq bound, and a worker holding one has work and does not steal.
 func (w *worker) admit() {
 	p := w.pool
 	room := p.cfg.MaxLocalRunq - w.runq.Len()
+	if w.held != nil {
+		room--
+	}
 	if room <= 0 {
 		return
 	}
 	switch p.cfg.Distribution {
 	case DistWorkStealing:
 		w.drainInbox(room)
-		if w.runq.Len() == 0 {
+		if w.runq.Len() == 0 && w.held == nil {
 			w.steal()
 		}
 	case DistGlobalDeque:
@@ -911,6 +981,10 @@ func (w *worker) idleWait() {
 // would never finish (cooperative CPU hogs).
 func (w *worker) drainStop() {
 	p := w.pool
+	if w.held != nil {
+		p.finish(w.held, true)
+		w.held = nil
+	}
 	for {
 		sb, ok := w.runq.Pop()
 		if !ok {
