@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-regalloc bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: static analysis (go vet plus the project
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (recycling, scheduler — shuffled — admission control, HTTP drain), vet and
+# (the whole engine and the scheduler, both shuffled; admission control, HTTP
+# drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -26,7 +27,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke regalloc-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +42,7 @@ test-race:
 	$(GO) test -race ./internal/sandbox/... ./internal/core/... \
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
 	$(GO) test -race -shuffle=on ./internal/sched/...
-	$(GO) test -race -run 'TestPool|TestSlab' ./internal/engine/
+	$(GO) test -race -shuffle=on ./internal/engine/
 
 # benchmark-check: benchmark/ is a module of its own (BENCHMARK.json runs
 # it with benchmark/run.sh), so the root build and tests never compile it;
@@ -60,15 +61,6 @@ cold-smoke:
 
 overload-smoke:
 	$(GO) test -run=TestOverloadSmoke -count=1 ./internal/experiments/
-
-# regalloc-smoke runs the register-IR ablation end-to-end at quick sizes
-# (correctness + snapshot plumbing); the acceptance-grade numbers come from
-# `make bench-regalloc`, which regenerates BENCH_regalloc.json at full sizes.
-regalloc-smoke:
-	$(GO) test -run=TestRegallocAblationSmoke -count=1 ./internal/experiments/
-
-bench-regalloc:
-	$(GO) run ./cmd/sledge-bench -run regalloc -snapshot BENCH_regalloc.json
 
 # sched-smoke runs the scheduler scale-out sweep at quick sizes (all
 # distribution modes complete + snapshot plumbing); the acceptance-grade

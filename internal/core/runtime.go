@@ -106,7 +106,7 @@ type ModuleStats struct {
 	Analysis engine.AnalysisStats `json:"analysis"`
 	// Regalloc is the register-allocation summary for the module (register
 	// file size, three-address fusions, branch fusions); Enabled is false
-	// when the module runs on the stack-form or naive interpreter.
+	// only when the module runs on the naive interpreter.
 	Regalloc engine.RegallocStats `json:"regalloc"`
 	// ResidentBytes is the module's reclaimable footprint (compiled code +
 	// snapshot + idle pool slabs) — what the bounded cache charges against

@@ -65,9 +65,9 @@ type TieringConfig struct {
 	// cheap-forever ablation. Default TierAdaptive.
 	Mode TieringMode
 	// NaiveStart makes the cheap rung the naive tier (decode+validate
-	// only) instead of the optimized tier with analysis and regalloc
-	// disabled. Registration is cheapest this way; first requests run on
-	// the structured interpreter until promotion.
+	// only) instead of the optimized tier with analysis disabled.
+	// Registration is cheapest this way; first requests run on the
+	// structured interpreter until promotion.
 	NaiveStart bool
 	// HotInvocations promotes a module once its completed-invocation count
 	// reaches this threshold. Default 64.

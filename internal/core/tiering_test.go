@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -283,18 +284,27 @@ func TestSwapStressBitIdentical(t *testing.T) {
 		t.Fatalf("compile full rung: %v", err)
 	}
 
+	// Count-based, no timing assumption: the hammerers invoke until the
+	// swapper has finished wantSwaps swaps, and the swapper performs each
+	// swap only after an invocation has completed since the previous one, so
+	// every swap has requests in flight or freshly served on both sides.
 	const (
 		hammerers = 4
-		perWorker = 200
+		wantSwaps = 64
 	)
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		stop    atomic.Bool
+		invoked atomic.Uint64
+	)
 	errs := make(chan error, hammerers)
+	tick := make(chan struct{}, 1) // "an invocation completed", coalesced
 	for w := 0; w < hammerers; w++ {
 		wg.Add(1)
 		go func(seed byte) {
 			defer wg.Done()
 			payload := make([]byte, 16)
-			for i := 0; i < perWorker; i++ {
+			for i := 0; !stop.Load(); i++ {
 				for j := range payload {
 					payload[j] = seed + byte(i*j)
 				}
@@ -307,36 +317,42 @@ func TestSwapStressBitIdentical(t *testing.T) {
 					errs <- fmt.Errorf("worker %d iter %d: got %v want [%d]", seed, i, resp, sumExpect(payload))
 					return
 				}
+				invoked.Add(1)
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
 			}
 		}(byte(w))
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	// Swap continuously until the hammerers finish.
-	swaps := 0
-	for alive := true; alive; {
+swapping:
+	for swaps := 0; swaps < wantSwaps; swaps++ {
 		select {
-		case <-done:
-			alive = false
+		case <-tick:
+		case <-done: // every hammerer failed; errs says why
+			break swapping
+		}
+		if swaps%2 == 0 {
+			m.swapCompiled(full)
+		} else {
+			m.swapCompiled(cheap)
+		}
+		// Drop a tick sent before this swap: the next one must come from
+		// an invocation that finished after it.
+		select {
+		case <-tick:
 		default:
-			if swaps%2 == 0 {
-				m.swapCompiled(full)
-			} else {
-				m.swapCompiled(cheap)
-			}
-			swaps++
-			time.Sleep(100 * time.Microsecond)
 		}
 	}
+	stop.Store(true)
+	<-done
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if swaps < 2 {
-		t.Fatalf("only %d swaps raced against the hammerers", swaps)
-	}
-	want := uint64(hammerers * perWorker)
-	if got := m.Stats().Invocations; got != want && !t.Failed() {
+	if got, want := m.Stats().Invocations, invoked.Load(); got != want && !t.Failed() {
 		t.Errorf("invocations = %d, want %d (lost or duplicated completions)", got, want)
 	}
 }

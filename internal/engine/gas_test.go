@@ -7,16 +7,14 @@ import (
 	"sledge/internal/wasm"
 )
 
-// gasConfigs is the full determinism matrix: every tier and IR form, every
+// gasConfigs is the full determinism matrix: every tier and lowering, every
 // bounds strategy that changes the lowered stream, and both metering modes.
 // Gas must be bit-identical across all of them for the same source path.
 func gasConfigs() []Config {
 	var out []Config
 	for _, base := range []Config{
 		{Tier: TierOptimized},
-		{Tier: TierOptimized, NoRegalloc: true},
 		{Tier: TierOptimized, NoAnalysis: true},
-		{Tier: TierOptimized, NoAnalysis: true, NoRegalloc: true},
 		{Tier: TierOptimized, NoFusion: true},
 		{Tier: TierNaive},
 	} {
@@ -33,8 +31,8 @@ func gasConfigs() []Config {
 }
 
 func cfgLabel(c Config) string {
-	return fmt.Sprintf("%s/%s/noreg=%v/noan=%v/nofuse=%v/nbm=%v",
-		c.Tier, c.Bounds, c.NoRegalloc, c.NoAnalysis, c.NoFusion, c.NoBlockMeter)
+	return fmt.Sprintf("%s/%s/noan=%v/nofuse=%v/nbm=%v",
+		c.Tier, c.Bounds, c.NoAnalysis, c.NoFusion, c.NoBlockMeter)
 }
 
 // runGas invokes name(args) on a fresh instance and returns (gas, result,
@@ -257,7 +255,7 @@ func TestGasMaxUnchargedIsConfigurable(t *testing.T) {
 // f + MaxBlockCost gas; and slicing never changes the total gas charged.
 func TestGasPreemptionChargeGranularity(t *testing.T) {
 	m := buildModule(t, 0, sumLoopDef())
-	for _, cfg := range []Config{{}, {NoRegalloc: true}, {MaxUncharged: 8}} {
+	for _, cfg := range []Config{{}, {NoAnalysis: true}, {MaxUncharged: 8}} {
 		cm := mustCompile(t, m, cfg)
 		ref := cm.Instantiate()
 		want, err := ref.Invoke("sum", 500)

@@ -133,6 +133,8 @@ const (
 	// every entry into the region pays it. It has no stack effect and is
 	// never fused, deleted, or reordered by later passes.
 	iGasCharge
+	// iOpLimit is one past the last internal opcode.
+	iOpLimit
 )
 
 // cinstr is one lowered instruction. h is the static operand-stack height
@@ -164,7 +166,7 @@ type compiledFunc struct {
 	nLocals     int // includes params
 	numResults  int
 	maxStack    int          // max operand-stack height beyond locals
-	code        []cinstr     // TierOptimized
+	code        []cinstr     // TierOptimized, register form (see regalloc.go)
 	naiveBody   []wasm.Instr // TierNaive
 	naiveLabels []uint32     // TierNaive br_table label pool
 	// naiveCharges is the TierNaive charge table: dense, indexed by
@@ -232,9 +234,6 @@ type CompiledModule struct {
 	// analysisStats summarizes what the static analysis proved and what
 	// the lowerer did with it; exported via /__stats.
 	analysisStats AnalysisStats
-	// regForm is true when function bodies were rewritten to register form
-	// by the regalloc pass; such modules execute on runRegister.
-	regForm bool
 	// regallocStats summarizes the regalloc pass; exported via /__stats.
 	regallocStats RegallocStats
 	// typicalStack/typicalFrames are the pool-retention targets: the
@@ -299,9 +298,10 @@ type AnalysisStats struct {
 }
 
 // RegallocStats summarizes the register-allocation pass for one compiled
-// module. All zero when the pass is disabled (NoRegalloc or the naive tier).
+// module. All zero for the naive tier, which never lowers.
 type RegallocStats struct {
-	// Enabled reports whether the module runs in register form.
+	// Enabled reports whether the module runs in register form (every
+	// optimized-tier module does).
 	Enabled bool `json:"enabled"`
 	// Registers is the largest per-frame register file in the module:
 	// locals plus the maximum static operand height of any function.
@@ -584,18 +584,17 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 		cm.funcs[i] = cf
 	}
 
-	// Register allocation: rewrite the lowered bodies to register form.
-	// Runs after every function is lowered because the pass resolves call
-	// arities against cm.funcs/cm.hostFuncs when recomputing static stack
-	// heights.
-	if cfg.Tier == TierOptimized && !cfg.NoRegalloc {
+	// Register allocation: rewrite the lowered bodies to register form, the
+	// only form runRegister executes. Runs after every function is lowered
+	// because the pass resolves call arities against cm.funcs/cm.hostFuncs
+	// when recomputing static stack heights.
+	if cfg.Tier == TierOptimized {
 		fuse := !cfg.NoFusion && cfg.PerInstrNops == 0
 		for i := range cm.funcs {
 			if err := regallocFunc(cm, &cm.funcs[i], fuse); err != nil {
 				return nil, fmt.Errorf("engine: regalloc func %d (%s): %w", i, cm.funcs[i].name, err)
 			}
 		}
-		cm.regForm = true
 		cm.regallocStats.Enabled = true
 		for i := range cm.funcs {
 			if r := cm.funcs[i].nLocals + cm.funcs[i].maxStack; r > cm.regallocStats.Registers {

@@ -432,18 +432,21 @@ func TestFusionMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestFusionEmitsSuperinstructions pins the peephole: the default config
-// must actually produce the new fused opcodes for their source idioms.
+// TestFusionEmitsSuperinstructions pins the lowerer's peephole on the code
+// the module runs: the default config must produce the fused opcodes for
+// their source idioms. Where the regalloc pass rewrites a fused opcode
+// further (see TestRegallocRewrites) the case names that LL form, which
+// only the lowerer's fused form can become.
 func TestFusionEmitsSuperinstructions(t *testing.T) {
 	wantOps := map[string]uint16{
 		"const-load-i32":     iI32LoadC,
 		"const-store-i32":    iI32StoreC,
 		"local-store-i32":    iI32StoreL,
-		"sub-local-i32":      iI32SubSL,
-		"cmp-brif-direct":    iBrIfLtS,
-		"cmp-brif-inverted":  iBrIfLtS, // ge_s inverted
-		"cmp-brif-unsigned":  iBrIfLtU,
-		"cmp-brif-eq":        iBrIfEq,
+		"sub-local-i32":      iI32SubLL,  // via iI32SubSL
+		"cmp-brif-direct":    iBrIfLtSLL, // via iBrIfLtS
+		"cmp-brif-inverted":  iBrIfLtSLL, // via iBrIfLtS, ge_s inverted
+		"cmp-brif-unsigned":  iBrIfLtULL, // via iBrIfLtU
+		"cmp-brif-eq":        iBrIfEqLL,  // via iBrIfEq
 		"f64-store-load-sub": iF64SubSL,
 	}
 	for _, fc := range fusionCases() {
@@ -451,19 +454,8 @@ func TestFusionEmitsSuperinstructions(t *testing.T) {
 		if !ok {
 			continue
 		}
-		m := buildModule(t, 1, fc.fn)
-		// NoRegalloc: this test pins the stack-form lowering peephole; the
-		// regalloc pass legitimately rewrites several of these opcodes
-		// further into their LL register forms (see TestRegallocRewrites).
-		cm := mustCompile(t, m, Config{NoRegalloc: true})
-		found := false
-		for _, ci := range cm.funcs[0].code {
-			if ci.op == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		cm := mustCompile(t, buildModule(t, 1, fc.fn), Config{})
+		if !hasOp(cm, want) {
 			t.Errorf("%s: fused opcode %d not emitted", fc.name, want)
 		}
 	}

@@ -33,10 +33,14 @@ import (
 // targets; deleted/fused slots are healed by remapping every branch target
 // (and br_table entry) through an old->new pc map.
 //
-// Resumability is untouched: registers live in the same slab that save()
-// snapshots, and at every yield/block point the pass-computed height is
-// materialized back into Instance.sp, so preemption, host blocking, and
-// ResumeHost work identically in register form.
+// Resumability needs no operand stack pointer either: registers live in
+// the slab that save() snapshots, and at every yield/block point the
+// pass-computed height is materialized into Instance.sp for preemption,
+// host blocking, and ResumeHost.
+//
+// The pass is total by contract. Its input, the lowerer's stack-form
+// stream, exists only between lowerFunc and here; its output is the only
+// form runRegister executes, so an inconsistency is a Compile error.
 
 // stackEffect returns how many operands ci pops and pushes, and whether it
 // ends straight-line flow. Call arities are resolved against the compiled

@@ -23,9 +23,9 @@ func hasOp(cm *CompiledModule, op uint16) bool {
 // TestRegallocRewrites pins the register-form peephole: the default config
 // must actually produce the three-address opcodes for their source idioms
 // (the counterpart of TestFusionEmitsSuperinstructions, which pins the
-// stack-form lowering under NoRegalloc). Each case also executes and checks
-// the result, so a rewrite that emits the opcode but computes the wrong
-// value still fails.
+// lowerer's peephole). Each case also executes and checks the result, on
+// the register loop and on the naive per-instruction oracle, so a rewrite
+// that emits the opcode but computes the wrong value still fails.
 func TestRegallocRewrites(t *testing.T) {
 	i32 := wasm.ValI32
 	cases := []struct {
@@ -193,9 +193,6 @@ func TestRegallocRewrites(t *testing.T) {
 	for _, tc := range cases {
 		m := buildModule(t, 0, tc.fn)
 		cm := mustCompile(t, m, Config{})
-		if !cm.regForm {
-			t.Fatalf("%s: default config did not produce register form", tc.name)
-		}
 		if tc.wantNot {
 			if hasOp(cm, tc.wantOp) {
 				t.Errorf("%s: opcode %d should have been eliminated", tc.name, tc.wantOp)
@@ -204,18 +201,15 @@ func TestRegallocRewrites(t *testing.T) {
 			t.Errorf("%s: register opcode %d not emitted", tc.name, tc.wantOp)
 		}
 		if tc.gone != 0 && hasOp(cm, tc.gone) {
-			t.Errorf("%s: stack-form opcode %d survived regalloc", tc.name, tc.gone)
+			t.Errorf("%s: unfused opcode %d survived regalloc", tc.name, tc.gone)
 		}
 		if got := invoke(t, cm, "f", tc.args...); got != tc.want {
 			t.Errorf("%s: got %#x, want %#x", tc.name, got, tc.want)
 		}
-		// The same program must also agree under NoRegalloc (stack form).
-		sm := mustCompile(t, buildModule(t, 0, tc.fn), Config{NoRegalloc: true})
-		if sm.regForm {
-			t.Fatalf("%s: NoRegalloc still produced register form", tc.name)
-		}
-		if got := invoke(t, sm, "f", tc.args...); got != tc.want {
-			t.Errorf("%s [stack form]: got %#x, want %#x", tc.name, got, tc.want)
+		// The oracle must agree on the same program.
+		om := mustCompile(t, buildModule(t, 0, tc.fn), Config{Tier: TierNaive, NoBlockMeter: true})
+		if got := invoke(t, om, "f", tc.args...); got != tc.want {
+			t.Errorf("%s [naive oracle]: got %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }
@@ -300,9 +294,6 @@ func TestRegisterSingleStepConformance(t *testing.T) {
 		m.Funcs = []wasm.Func{{TypeIdx: 0, Body: body, Name: "op"}}
 		m.Exports = []wasm.Export{{Name: "op", Kind: wasm.ExternFunc, Index: 0}}
 		cm := mustCompile(t, m, Config{NoFusion: true})
-		if !cm.regForm {
-			t.Fatal("expected register form for the single-step sweep")
-		}
 
 		runCase := func(args []uint64) {
 			t.Helper()
@@ -510,9 +501,6 @@ func preemptModule(t *testing.T, cfg Config) *CompiledModule {
 func TestRegisterPreemptEveryBoundaryProperty(t *testing.T) {
 	for _, cfg := range []Config{{}, {Bounds: BoundsSoftware}} {
 		cm := preemptModule(t, cfg)
-		if !cm.regForm {
-			t.Fatal("expected register form")
-		}
 		check := func(n uint32, quantum uint8) bool {
 			// Uninterrupted reference run.
 			ref := cm.Instantiate()

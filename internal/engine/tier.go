@@ -3,11 +3,12 @@ package engine
 // Adaptive-tiering support: the two-rung compile ladder and the tier label.
 //
 // Registration under adaptive tiering compiles only the cheap rung — the
-// optimized tier with its expensive passes (static analysis, register
-// allocation) disabled, or the naive tier behind a knob — so a new module
-// can serve its first request without paying the full analysis/lowering
-// cost. A background promotion controller (internal/core) later recompiles
-// hot modules at the full rung and atomically swaps the CompiledModule.
+// optimized tier without static analysis (its expensive pass), or the naive
+// tier behind a knob — so a new module can serve its first request without
+// paying the analysis cost. Both optimized rungs are register form and run
+// on the same loop. A background promotion controller (internal/core) later
+// recompiles hot modules at the full rung and atomically swaps the
+// CompiledModule.
 
 // Ladder is the two-rung adaptive-tiering compile ladder derived from one
 // engine configuration: Cheap is the registration rung, Full the promotion
@@ -23,7 +24,7 @@ type Ladder struct {
 // NewLadder derives the ladder from the full-tier configuration. naiveStart
 // selects TierNaive as the registration rung (decode+validate only, no
 // lowering at all) instead of the default: the optimized tier with
-// NoAnalysis and NoRegalloc set.
+// NoAnalysis set.
 //
 // A configuration that is already naive-tier has nothing to promote to; its
 // ladder has Cheap == Full and the promotion controller leaves such modules
@@ -36,7 +37,6 @@ func NewLadder(full Config, naiveStart bool) Ladder {
 			cheap.Tier = TierNaive
 		} else {
 			cheap.NoAnalysis = true
-			cheap.NoRegalloc = true
 		}
 	}
 	return Ladder{Cheap: cheap, Full: full}
@@ -60,16 +60,16 @@ const (
 func (cm *CompiledModule) Preemptible() bool { return cm.cfg.Tier != TierNaive }
 
 // TierLabel names the rung of the tier ladder this module was compiled at:
-// "naive" (structured interpreter), "cheap" (optimized lowering without
-// analysis or register allocation), or "full" (the fused + check-elided +
-// register-allocated form).
+// "naive" (structured interpreter), "cheap" (register form lowered without
+// static analysis), or "full" (register form with check elision,
+// devirtualization and stack certificates).
 func (cm *CompiledModule) TierLabel() string {
 	switch {
 	case cm.cfg.Tier == TierNaive:
 		return TierLabelNaive
-	case cm.regForm && !cm.cfg.NoAnalysis:
-		return TierLabelFull
-	default:
+	case cm.cfg.NoAnalysis:
 		return TierLabelCheap
+	default:
+		return TierLabelFull
 	}
 }

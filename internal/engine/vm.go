@@ -1,1206 +1,14 @@
 package engine
 
-import (
-	"encoding/binary"
-	"errors"
-	"math"
-	"math/bits"
-	"runtime"
+import "math"
 
-	"sledge/internal/wasm"
-)
-
+// run resumes the instance on its module's interpreter loop: the structured
+// naive interpreter, or the register-form loop every lowered module uses.
 func (in *Instance) run(fuel int64) (Status, error) {
 	if in.mod.cfg.Tier == TierNaive {
 		return in.runNaive(fuel)
 	}
-	if in.mod.regForm {
-		return in.runRegister(fuel)
-	}
-	return in.runOptimized(fuel)
-}
-
-// runOptimized is the hot loop of the optimized tier: a flat, pre-resolved
-// instruction stream executed against a raw uint64 operand stack. The loop
-// is resumable at every instruction boundary, which is what enables the
-// scheduler's user-level preemption.
-func (in *Instance) runOptimized(fuel int64) (st Status, err error) {
-	frames := in.frames
-	fr := &frames[len(frames)-1]
-	stack := in.stack
-	sp := in.sp
-	pc := int(fr.pc)
-	code := fr.fn.code
-	mem := in.mem
-	memLen := uint64(len(mem))
-	explicit := in.mod.explicitChecks
-	globals := in.globals
-	maxDepth := in.mod.cfg.MaxCallDepth
-	// certified is set when this run entered through a stack-certified
-	// entry point: the worst-case frame count and operand-stack size were
-	// proven at compile time and reserved up front, so the per-call growth
-	// and depth probes below are skipped.
-	certified := in.certified
-
-	// dirty is the store high-water mark feeding the recycling reset; kept
-	// in a register-friendly local and folded back in save().
-	dirty := in.memDirty
-
-	steps := fuel
-	if fuel <= 0 {
-		steps = int64(1) << 62
-	}
-	// perInstr selects the ablation/oracle metering mode: a fuel check on
-	// every dispatch. In the default block-metered mode fuel is consumed
-	// only at iGasCharge, so the loop top carries no check at all — every
-	// CFG cycle passes a loop-header charge and MaxUncharged bounds
-	// straight-line runs, which together bound the work between checks.
-	perInstr := in.mod.cfg.NoBlockMeter
-	// gasRun accumulates charge-point gas for this run slice; folded into
-	// in.Gas by save() so it is identical in both metering modes.
-	var gasRun uint64
-
-	save := func() {
-		in.frames = frames
-		in.stack = stack
-		in.sp = sp
-		if dirty > in.memDirty {
-			in.memDirty = dirty
-		}
-		in.Gas += gasRun
-		gasRun = 0
-	}
-
-	// The guard strategy relies on the backing array's implicit bound:
-	// an out-of-range access faults here and is converted to a trap,
-	// exactly as the paper's virtual-memory scheme converts a page fault.
-	defer func() {
-		if r := recover(); r != nil {
-			rte, ok := r.(runtime.Error)
-			if !ok {
-				panic(r)
-			}
-			fr.pc = int32(pc)
-			save()
-			in.trap = &Trap{Code: TrapMemOutOfBounds, Detail: rte.Error()}
-			in.status = StatusTrapped
-			st, err = StatusTrapped, in.trap
-		}
-	}()
-
-	fail := func(c TrapCode) (Status, error) {
-		fr.pc = int32(pc)
-		save()
-		in.trap = newTrap(c)
-		in.status = StatusTrapped
-		return StatusTrapped, in.trap
-	}
-
-	for {
-		if perInstr {
-			if steps <= 0 {
-				fr.pc = int32(pc)
-				save()
-				in.status = StatusYielded
-				return StatusYielded, nil
-			}
-			steps--
-		}
-		ci := &code[pc]
-		pc++
-
-		switch ci.op {
-		case iNop:
-		case iGasCharge:
-			// pc already points past the charge, so a yield here resumes
-			// after it: each charge is applied exactly once per entry no
-			// matter how many times the run slice is preempted.
-			gasRun += ci.imm
-			if !perInstr {
-				steps -= int64(ci.imm)
-				if steps <= 0 {
-					fr.pc = int32(pc)
-					save()
-					in.status = StatusYielded
-					return StatusYielded, nil
-				}
-			}
-		case iUnreachable:
-			return fail(TrapUnreachable)
-
-		case iBr:
-			target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-			arity := int(ci.imm)
-			copy(stack[target:target+arity], stack[sp-arity:sp])
-			sp = target + arity
-			pc = int(ci.a)
-		case iBrIf:
-			c := stack[sp-1]
-			sp--
-			if c != 0 {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfNot:
-			c := stack[sp-1]
-			sp--
-			if c == 0 {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrTable:
-			idx := int(uint32(stack[sp-1]))
-			sp--
-			tbl := fr.fn.brTables[ci.a]
-			if idx >= len(tbl)-1 {
-				idx = len(tbl) - 1
-			}
-			e := tbl[idx]
-			target := int(fr.base) + fr.fn.nLocals + int(e.height)
-			arity := int(e.arity)
-			copy(stack[target:target+arity], stack[sp-arity:sp])
-			sp = target + arity
-			pc = int(e.pc)
-
-		case iReturn:
-			arity := int(ci.imm)
-			base := int(fr.base)
-			copy(stack[base:base+arity], stack[sp-arity:sp])
-			sp = base + arity
-			frames = frames[:len(frames)-1]
-			if len(frames) == 0 {
-				save()
-				in.status = StatusDone
-				return StatusDone, nil
-			}
-			fr = &frames[len(frames)-1]
-			code = fr.fn.code
-			pc = int(fr.pc)
-
-		case iCall:
-			callee := &in.mod.funcs[ci.a]
-			base := sp - callee.nParams
-			if !certified {
-				if need := base + callee.nLocals + callee.maxStack + 1; need > len(stack) {
-					in.stack = stack
-					in.ensureStack(need)
-					stack = in.stack
-				}
-				if len(frames) >= maxDepth {
-					return fail(TrapStackOverflow)
-				}
-			}
-			for i := base + callee.nParams; i < base+callee.nLocals; i++ {
-				stack[i] = 0
-			}
-			fr.pc = int32(pc)
-			frames = append(frames, frame{fn: callee, base: int32(base)})
-			fr = &frames[len(frames)-1]
-			code = callee.code
-			pc = 0
-			sp = base + callee.nLocals
-
-		case iCallHost:
-			hb := &in.mod.hostFuncs[ci.a]
-			n := len(hb.ft.Params)
-			fr.pc = int32(pc)
-			in.sp = sp
-			in.mem = mem
-			if dirty > in.memDirty {
-				in.memDirty = dirty
-			}
-			val, herr := hb.fn(in, stack[sp-n:sp])
-			sp -= n
-			mem = in.mem
-			memLen = uint64(len(mem))
-			if in.memDirty > dirty {
-				dirty = in.memDirty
-			}
-			if herr != nil {
-				if errors.Is(herr, ErrHostBlock) {
-					in.pendingHostArity = int(ci.b)
-					save()
-					in.status = StatusBlocked
-					return StatusBlocked, nil
-				}
-				save()
-				in.trap = &Trap{Code: TrapHostError, Detail: hb.module + "." + hb.name, Wrapped: herr}
-				in.status = StatusTrapped
-				return StatusTrapped, in.trap
-			}
-			if ci.b > 0 {
-				stack[sp] = val
-				sp++
-			}
-
-		case iCallIndirect:
-			idx := uint64(uint32(stack[sp-1]))
-			sp--
-			// Monomorphic inline-cache fast path (imm>>16 is the site's IC
-			// slot): dispatching the same table index as last time implies
-			// the bounds, null, and CFI type checks all pass — the table is
-			// immutable — so jump straight to the resolved callee.
-			if e := &in.ic[ci.imm>>16]; e.callee != nil && e.key == int32(idx) {
-				callee := e.callee
-				base := sp - callee.nParams
-				if !certified {
-					if need := base + callee.nLocals + callee.maxStack + 1; need > len(stack) {
-						in.stack = stack
-						in.ensureStack(need)
-						stack = in.stack
-					}
-					if len(frames) >= maxDepth {
-						return fail(TrapStackOverflow)
-					}
-				}
-				for i := base + callee.nParams; i < base+callee.nLocals; i++ {
-					stack[i] = 0
-				}
-				fr.pc = int32(pc)
-				frames = append(frames, frame{fn: callee, base: int32(base)})
-				fr = &frames[len(frames)-1]
-				code = callee.code
-				pc = 0
-				sp = base + callee.nLocals
-				break
-			}
-			if idx >= uint64(len(in.table)) {
-				return fail(TrapIndirectCallOOB)
-			}
-			ent := in.table[idx]
-			if ent.funcIdx < 0 {
-				return fail(TrapIndirectCallNull)
-			}
-			if ent.canonType != ci.a {
-				return fail(TrapIndirectCallType)
-			}
-			nImp := in.mod.numImports
-			if int(ent.funcIdx) < nImp {
-				hb := &in.mod.hostFuncs[ent.funcIdx]
-				n := len(hb.ft.Params)
-				fr.pc = int32(pc)
-				in.sp = sp
-				in.mem = mem
-				if dirty > in.memDirty {
-					in.memDirty = dirty
-				}
-				val, herr := hb.fn(in, stack[sp-n:sp])
-				sp -= n
-				mem = in.mem
-				memLen = uint64(len(mem))
-				if in.memDirty > dirty {
-					dirty = in.memDirty
-				}
-				if herr != nil {
-					if errors.Is(herr, ErrHostBlock) {
-						in.pendingHostArity = int(ci.imm & 0xFFFF)
-						save()
-						in.status = StatusBlocked
-						return StatusBlocked, nil
-					}
-					save()
-					in.trap = &Trap{Code: TrapHostError, Detail: hb.module + "." + hb.name, Wrapped: herr}
-					in.status = StatusTrapped
-					return StatusTrapped, in.trap
-				}
-				if ci.imm&0xFFFF > 0 {
-					stack[sp] = val
-					sp++
-				}
-				break
-			}
-			callee := &in.mod.funcs[int(ent.funcIdx)-nImp]
-			in.ic[ci.imm>>16] = icEntry{key: int32(idx), callee: callee}
-			base := sp - callee.nParams
-			if !certified {
-				if need := base + callee.nLocals + callee.maxStack + 1; need > len(stack) {
-					in.stack = stack
-					in.ensureStack(need)
-					stack = in.stack
-				}
-				if len(frames) >= maxDepth {
-					return fail(TrapStackOverflow)
-				}
-			}
-			for i := base + callee.nParams; i < base+callee.nLocals; i++ {
-				stack[i] = 0
-			}
-			fr.pc = int32(pc)
-			frames = append(frames, frame{fn: callee, base: int32(base)})
-			fr = &frames[len(frames)-1]
-			code = callee.code
-			pc = 0
-			sp = base + callee.nLocals
-
-		case iCallDevirt:
-			// Statically devirtualized call_indirect: the analysis proved
-			// exactly one table slot (ci.b) carries this site's signature.
-			// Any other runtime index fails the CFI chain, so the mismatch
-			// path only reproduces the precise trap.
-			idx := uint32(stack[sp-1])
-			sp--
-			if idx != uint32(ci.b) {
-				if uint64(idx) >= uint64(len(in.table)) {
-					return fail(TrapIndirectCallOOB)
-				}
-				if in.table[idx].funcIdx < 0 {
-					return fail(TrapIndirectCallNull)
-				}
-				return fail(TrapIndirectCallType)
-			}
-			callee := &in.mod.funcs[ci.a]
-			base := sp - callee.nParams
-			if !certified {
-				if need := base + callee.nLocals + callee.maxStack + 1; need > len(stack) {
-					in.stack = stack
-					in.ensureStack(need)
-					stack = in.stack
-				}
-				if len(frames) >= maxDepth {
-					return fail(TrapStackOverflow)
-				}
-			}
-			for i := base + callee.nParams; i < base+callee.nLocals; i++ {
-				stack[i] = 0
-			}
-			fr.pc = int32(pc)
-			frames = append(frames, frame{fn: callee, base: int32(base)})
-			fr = &frames[len(frames)-1]
-			code = callee.code
-			pc = 0
-			sp = base + callee.nLocals
-
-		case iConst:
-			stack[sp] = ci.imm
-			sp++
-		case iDrop:
-			sp--
-		case iSelect:
-			c := stack[sp-1]
-			if c == 0 {
-				stack[sp-3] = stack[sp-2]
-			}
-			sp -= 2
-		case iLocalGet:
-			stack[sp] = stack[int(fr.base)+int(ci.a)]
-			sp++
-		case iLocalSet:
-			sp--
-			stack[int(fr.base)+int(ci.a)] = stack[sp]
-		case iLocalTee:
-			stack[int(fr.base)+int(ci.a)] = stack[sp-1]
-		case iGlobalGet:
-			stack[sp] = globals[ci.a]
-			sp++
-		case iGlobalSet:
-			sp--
-			globals[ci.a] = stack[sp]
-
-		case iBoundsCheck:
-			a := uint64(uint32(stack[sp-int(ci.b)])) + ci.imm
-			if a+uint64(ci.a) > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-		case iMPXCheck:
-			a := uint64(uint32(stack[sp-int(ci.b)])) + ci.imm
-			// Simulated bndmov + bndcl/bndcu: descriptor loads, two
-			// compares, and a scratch bounds-register store.
-			lo, hi := in.mpxBounds[0], in.mpxBounds[1]
-			in.mpxScratch = a
-			if a < lo || a+uint64(ci.a) > hi {
-				return fail(TrapMemOutOfBounds)
-			}
-
-		case iI32AddLC:
-			stack[sp] = uint64(uint32(stack[int(fr.base)+int(ci.a)]) + uint32(ci.imm))
-			sp++
-		case iI32MulLC:
-			stack[sp] = uint64(uint32(stack[int(fr.base)+int(ci.a)]) * uint32(ci.imm))
-			sp++
-		case iI32AddSL:
-			stack[sp-1] = uint64(uint32(stack[sp-1]) + uint32(stack[int(fr.base)+int(ci.a)]))
-		case iI32MulSL:
-			stack[sp-1] = uint64(uint32(stack[sp-1]) * uint32(stack[int(fr.base)+int(ci.a)]))
-		case iI32AddSC:
-			stack[sp-1] = uint64(uint32(stack[sp-1]) + uint32(ci.imm))
-		case iF64AddSL:
-			stack[sp-1] = uf64(f64(stack[sp-1]) + f64(stack[int(fr.base)+int(ci.a)]))
-		case iF64MulSL:
-			stack[sp-1] = uf64(f64(stack[sp-1]) * f64(stack[int(fr.base)+int(ci.a)]))
-		case iIncLocal:
-			idx := int(fr.base) + int(ci.a)
-			stack[idx] = uint64(uint32(stack[idx]) + uint32(ci.imm))
-		case iI32LoadL:
-			a := uint64(uint32(stack[int(fr.base)+int(ci.a)])) + ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp] = uint64(binary.LittleEndian.Uint32(mem[a:]))
-			sp++
-		case iF64LoadL:
-			a := uint64(uint32(stack[int(fr.base)+int(ci.a)])) + ci.imm
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp] = binary.LittleEndian.Uint64(mem[a:])
-			sp++
-		case iI32LoadC:
-			a := ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp] = uint64(binary.LittleEndian.Uint32(mem[a:]))
-			sp++
-		case iF64LoadC:
-			a := ci.imm
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp] = binary.LittleEndian.Uint64(mem[a:])
-			sp++
-		case iI32StoreC:
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			sp--
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+4 > dirty {
-				dirty = a + 4
-			}
-			binary.LittleEndian.PutUint32(mem[a:], uint32(ci.a))
-		case iI32StoreL:
-			v := uint32(stack[int(fr.base)+int(ci.a)])
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			sp--
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+4 > dirty {
-				dirty = a + 4
-			}
-			binary.LittleEndian.PutUint32(mem[a:], v)
-		case iF64StoreL:
-			v := stack[int(fr.base)+int(ci.a)]
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			sp--
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+8 > dirty {
-				dirty = a + 8
-			}
-			binary.LittleEndian.PutUint64(mem[a:], v)
-		case iI32SubSL:
-			stack[sp-1] = uint64(uint32(stack[sp-1]) - uint32(stack[int(fr.base)+int(ci.a)]))
-		case iF64SubSL:
-			stack[sp-1] = uf64(f64(stack[sp-1]) - f64(stack[int(fr.base)+int(ci.a)]))
-
-		case iBrIfEq:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x == y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfNe:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x != y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfLtS:
-			y, x := int32(stack[sp-1]), int32(stack[sp-2])
-			sp -= 2
-			if x < y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfLtU:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x < y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfGtS:
-			y, x := int32(stack[sp-1]), int32(stack[sp-2])
-			sp -= 2
-			if x > y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfGtU:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x > y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfLeS:
-			y, x := int32(stack[sp-1]), int32(stack[sp-2])
-			sp -= 2
-			if x <= y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfLeU:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x <= y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfGeS:
-			y, x := int32(stack[sp-1]), int32(stack[sp-2])
-			sp -= 2
-			if x >= y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-		case iBrIfGeU:
-			y, x := uint32(stack[sp-1]), uint32(stack[sp-2])
-			sp -= 2
-			if x >= y {
-				target := int(fr.base) + fr.fn.nLocals + int(ci.b)
-				arity := int(ci.imm)
-				copy(stack[target:target+arity], stack[sp-arity:sp])
-				sp = target + arity
-				pc = int(ci.a)
-			}
-
-		case iMemorySize:
-			stack[sp] = uint64(uint32(len(mem) / wasm.PageSize))
-			sp++
-		case iMemoryGrow:
-			delta := uint32(stack[sp-1])
-			in.mem = mem
-			res := in.growMemory(delta)
-			mem = in.mem
-			memLen = uint64(len(mem))
-			stack[sp-1] = uint64(uint32(res))
-
-		// ------ memory access (low-byte wasm opcodes) ------
-		case uint16(wasm.OpI32Load):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(binary.LittleEndian.Uint32(mem[a:]))
-		case uint16(wasm.OpI64Load):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = binary.LittleEndian.Uint64(mem[a:])
-		case uint16(wasm.OpF32Load):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(binary.LittleEndian.Uint32(mem[a:]))
-		case uint16(wasm.OpF64Load):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = binary.LittleEndian.Uint64(mem[a:])
-		case uint16(wasm.OpI32Load8S):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+1 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(uint32(int32(int8(mem[a]))))
-		case uint16(wasm.OpI32Load8U):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+1 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(mem[a])
-		case uint16(wasm.OpI32Load16S):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+2 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(uint32(int32(int16(binary.LittleEndian.Uint16(mem[a:])))))
-		case uint16(wasm.OpI32Load16U):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+2 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(binary.LittleEndian.Uint16(mem[a:]))
-		case uint16(wasm.OpI64Load8S):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+1 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(int64(int8(mem[a])))
-		case uint16(wasm.OpI64Load8U):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+1 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(mem[a])
-		case uint16(wasm.OpI64Load16S):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+2 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(int64(int16(binary.LittleEndian.Uint16(mem[a:]))))
-		case uint16(wasm.OpI64Load16U):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+2 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(binary.LittleEndian.Uint16(mem[a:]))
-		case uint16(wasm.OpI64Load32S):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-		case uint16(wasm.OpI64Load32U):
-			a := uint64(uint32(stack[sp-1])) + ci.imm
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			stack[sp-1] = uint64(binary.LittleEndian.Uint32(mem[a:]))
-
-		case uint16(wasm.OpI32Store):
-			v := uint32(stack[sp-1])
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+4 > dirty {
-				dirty = a + 4
-			}
-			binary.LittleEndian.PutUint32(mem[a:], v)
-		case uint16(wasm.OpI64Store):
-			v := stack[sp-1]
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+8 > dirty {
-				dirty = a + 8
-			}
-			binary.LittleEndian.PutUint64(mem[a:], v)
-		case uint16(wasm.OpF32Store):
-			v := uint32(stack[sp-1])
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+4 > dirty {
-				dirty = a + 4
-			}
-			binary.LittleEndian.PutUint32(mem[a:], v)
-		case uint16(wasm.OpF64Store):
-			v := stack[sp-1]
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+8 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+8 > dirty {
-				dirty = a + 8
-			}
-			binary.LittleEndian.PutUint64(mem[a:], v)
-		case uint16(wasm.OpI32Store8), uint16(wasm.OpI64Store8):
-			v := byte(stack[sp-1])
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+1 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+1 > dirty {
-				dirty = a + 1
-			}
-			mem[a] = v
-		case uint16(wasm.OpI32Store16), uint16(wasm.OpI64Store16):
-			v := uint16(stack[sp-1])
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+2 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+2 > dirty {
-				dirty = a + 2
-			}
-			binary.LittleEndian.PutUint16(mem[a:], v)
-		case uint16(wasm.OpI64Store32):
-			v := uint32(stack[sp-1])
-			a := uint64(uint32(stack[sp-2])) + ci.imm
-			sp -= 2
-			if explicit && a+4 > memLen {
-				return fail(TrapMemOutOfBounds)
-			}
-			if a+4 > dirty {
-				dirty = a + 4
-			}
-			binary.LittleEndian.PutUint32(mem[a:], v)
-
-		// ------ i32 comparisons ------
-		case uint16(wasm.OpI32Eqz):
-			stack[sp-1] = b2u(uint32(stack[sp-1]) == 0)
-		case uint16(wasm.OpI32Eq):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) == uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Ne):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) != uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32LtS):
-			stack[sp-2] = b2u(int32(stack[sp-2]) < int32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32LtU):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) < uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32GtS):
-			stack[sp-2] = b2u(int32(stack[sp-2]) > int32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32GtU):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) > uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32LeS):
-			stack[sp-2] = b2u(int32(stack[sp-2]) <= int32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32LeU):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) <= uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32GeS):
-			stack[sp-2] = b2u(int32(stack[sp-2]) >= int32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32GeU):
-			stack[sp-2] = b2u(uint32(stack[sp-2]) >= uint32(stack[sp-1]))
-			sp--
-
-		// ------ i64 comparisons ------
-		case uint16(wasm.OpI64Eqz):
-			stack[sp-1] = b2u(stack[sp-1] == 0)
-		case uint16(wasm.OpI64Eq):
-			stack[sp-2] = b2u(stack[sp-2] == stack[sp-1])
-			sp--
-		case uint16(wasm.OpI64Ne):
-			stack[sp-2] = b2u(stack[sp-2] != stack[sp-1])
-			sp--
-		case uint16(wasm.OpI64LtS):
-			stack[sp-2] = b2u(int64(stack[sp-2]) < int64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI64LtU):
-			stack[sp-2] = b2u(stack[sp-2] < stack[sp-1])
-			sp--
-		case uint16(wasm.OpI64GtS):
-			stack[sp-2] = b2u(int64(stack[sp-2]) > int64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI64GtU):
-			stack[sp-2] = b2u(stack[sp-2] > stack[sp-1])
-			sp--
-		case uint16(wasm.OpI64LeS):
-			stack[sp-2] = b2u(int64(stack[sp-2]) <= int64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI64LeU):
-			stack[sp-2] = b2u(stack[sp-2] <= stack[sp-1])
-			sp--
-		case uint16(wasm.OpI64GeS):
-			stack[sp-2] = b2u(int64(stack[sp-2]) >= int64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI64GeU):
-			stack[sp-2] = b2u(stack[sp-2] >= stack[sp-1])
-			sp--
-
-		// ------ float comparisons ------
-		case uint16(wasm.OpF32Eq):
-			stack[sp-2] = b2u(f32(stack[sp-2]) == f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Ne):
-			stack[sp-2] = b2u(f32(stack[sp-2]) != f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Lt):
-			stack[sp-2] = b2u(f32(stack[sp-2]) < f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Gt):
-			stack[sp-2] = b2u(f32(stack[sp-2]) > f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Le):
-			stack[sp-2] = b2u(f32(stack[sp-2]) <= f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Ge):
-			stack[sp-2] = b2u(f32(stack[sp-2]) >= f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Eq):
-			stack[sp-2] = b2u(f64(stack[sp-2]) == f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Ne):
-			stack[sp-2] = b2u(f64(stack[sp-2]) != f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Lt):
-			stack[sp-2] = b2u(f64(stack[sp-2]) < f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Gt):
-			stack[sp-2] = b2u(f64(stack[sp-2]) > f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Le):
-			stack[sp-2] = b2u(f64(stack[sp-2]) <= f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Ge):
-			stack[sp-2] = b2u(f64(stack[sp-2]) >= f64(stack[sp-1]))
-			sp--
-
-		// ------ i32 arithmetic ------
-		case uint16(wasm.OpI32Clz):
-			stack[sp-1] = uint64(bits.LeadingZeros32(uint32(stack[sp-1])))
-		case uint16(wasm.OpI32Ctz):
-			stack[sp-1] = uint64(bits.TrailingZeros32(uint32(stack[sp-1])))
-		case uint16(wasm.OpI32Popcnt):
-			stack[sp-1] = uint64(bits.OnesCount32(uint32(stack[sp-1])))
-		case uint16(wasm.OpI32Add):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) + uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Sub):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) - uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Mul):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) * uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32DivS):
-			x, y := int32(stack[sp-2]), int32(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			if x == math.MinInt32 && y == -1 {
-				return fail(TrapIntOverflow)
-			}
-			stack[sp-2] = uint64(uint32(x / y))
-			sp--
-		case uint16(wasm.OpI32DivU):
-			x, y := uint32(stack[sp-2]), uint32(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			stack[sp-2] = uint64(x / y)
-			sp--
-		case uint16(wasm.OpI32RemS):
-			x, y := int32(stack[sp-2]), int32(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			if x == math.MinInt32 && y == -1 {
-				stack[sp-2] = 0
-			} else {
-				stack[sp-2] = uint64(uint32(x % y))
-			}
-			sp--
-		case uint16(wasm.OpI32RemU):
-			x, y := uint32(stack[sp-2]), uint32(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			stack[sp-2] = uint64(x % y)
-			sp--
-		case uint16(wasm.OpI32And):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) & uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Or):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) | uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Xor):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) ^ uint32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpI32Shl):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) << (uint32(stack[sp-1]) & 31))
-			sp--
-		case uint16(wasm.OpI32ShrS):
-			stack[sp-2] = uint64(uint32(int32(stack[sp-2]) >> (uint32(stack[sp-1]) & 31)))
-			sp--
-		case uint16(wasm.OpI32ShrU):
-			stack[sp-2] = uint64(uint32(stack[sp-2]) >> (uint32(stack[sp-1]) & 31))
-			sp--
-		case uint16(wasm.OpI32Rotl):
-			stack[sp-2] = uint64(bits.RotateLeft32(uint32(stack[sp-2]), int(uint32(stack[sp-1])&31)))
-			sp--
-		case uint16(wasm.OpI32Rotr):
-			stack[sp-2] = uint64(bits.RotateLeft32(uint32(stack[sp-2]), -int(uint32(stack[sp-1])&31)))
-			sp--
-
-		// ------ i64 arithmetic ------
-		case uint16(wasm.OpI64Clz):
-			stack[sp-1] = uint64(bits.LeadingZeros64(stack[sp-1]))
-		case uint16(wasm.OpI64Ctz):
-			stack[sp-1] = uint64(bits.TrailingZeros64(stack[sp-1]))
-		case uint16(wasm.OpI64Popcnt):
-			stack[sp-1] = uint64(bits.OnesCount64(stack[sp-1]))
-		case uint16(wasm.OpI64Add):
-			stack[sp-2] += stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64Sub):
-			stack[sp-2] -= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64Mul):
-			stack[sp-2] *= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64DivS):
-			x, y := int64(stack[sp-2]), int64(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			if x == math.MinInt64 && y == -1 {
-				return fail(TrapIntOverflow)
-			}
-			stack[sp-2] = uint64(x / y)
-			sp--
-		case uint16(wasm.OpI64DivU):
-			if stack[sp-1] == 0 {
-				return fail(TrapDivByZero)
-			}
-			stack[sp-2] /= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64RemS):
-			x, y := int64(stack[sp-2]), int64(stack[sp-1])
-			if y == 0 {
-				return fail(TrapDivByZero)
-			}
-			if x == math.MinInt64 && y == -1 {
-				stack[sp-2] = 0
-			} else {
-				stack[sp-2] = uint64(x % y)
-			}
-			sp--
-		case uint16(wasm.OpI64RemU):
-			if stack[sp-1] == 0 {
-				return fail(TrapDivByZero)
-			}
-			stack[sp-2] %= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64And):
-			stack[sp-2] &= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64Or):
-			stack[sp-2] |= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64Xor):
-			stack[sp-2] ^= stack[sp-1]
-			sp--
-		case uint16(wasm.OpI64Shl):
-			stack[sp-2] <<= stack[sp-1] & 63
-			sp--
-		case uint16(wasm.OpI64ShrS):
-			stack[sp-2] = uint64(int64(stack[sp-2]) >> (stack[sp-1] & 63))
-			sp--
-		case uint16(wasm.OpI64ShrU):
-			stack[sp-2] >>= stack[sp-1] & 63
-			sp--
-		case uint16(wasm.OpI64Rotl):
-			stack[sp-2] = bits.RotateLeft64(stack[sp-2], int(stack[sp-1]&63))
-			sp--
-		case uint16(wasm.OpI64Rotr):
-			stack[sp-2] = bits.RotateLeft64(stack[sp-2], -int(stack[sp-1]&63))
-			sp--
-
-		// ------ f32 arithmetic ------
-		case uint16(wasm.OpF32Abs):
-			stack[sp-1] = u32f(float32(math.Abs(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Neg):
-			stack[sp-1] = uint64(uint32(stack[sp-1]) ^ 0x80000000)
-		case uint16(wasm.OpF32Ceil):
-			stack[sp-1] = u32f(float32(math.Ceil(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Floor):
-			stack[sp-1] = u32f(float32(math.Floor(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Trunc):
-			stack[sp-1] = u32f(float32(math.Trunc(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Nearest):
-			stack[sp-1] = u32f(float32(math.RoundToEven(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Sqrt):
-			stack[sp-1] = u32f(float32(math.Sqrt(float64(f32(stack[sp-1])))))
-		case uint16(wasm.OpF32Add):
-			stack[sp-2] = u32f(f32(stack[sp-2]) + f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Sub):
-			stack[sp-2] = u32f(f32(stack[sp-2]) - f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Mul):
-			stack[sp-2] = u32f(f32(stack[sp-2]) * f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Div):
-			stack[sp-2] = u32f(f32(stack[sp-2]) / f32(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF32Min):
-			stack[sp-2] = u32f(float32(math.Min(float64(f32(stack[sp-2])), float64(f32(stack[sp-1])))))
-			sp--
-		case uint16(wasm.OpF32Max):
-			stack[sp-2] = u32f(float32(math.Max(float64(f32(stack[sp-2])), float64(f32(stack[sp-1])))))
-			sp--
-		case uint16(wasm.OpF32Copysign):
-			stack[sp-2] = u32f(float32(math.Copysign(float64(f32(stack[sp-2])), float64(f32(stack[sp-1])))))
-			sp--
-
-		// ------ f64 arithmetic ------
-		case uint16(wasm.OpF64Abs):
-			stack[sp-1] &= 0x7FFFFFFFFFFFFFFF
-		case uint16(wasm.OpF64Neg):
-			stack[sp-1] ^= 0x8000000000000000
-		case uint16(wasm.OpF64Ceil):
-			stack[sp-1] = uf64(math.Ceil(f64(stack[sp-1])))
-		case uint16(wasm.OpF64Floor):
-			stack[sp-1] = uf64(math.Floor(f64(stack[sp-1])))
-		case uint16(wasm.OpF64Trunc):
-			stack[sp-1] = uf64(math.Trunc(f64(stack[sp-1])))
-		case uint16(wasm.OpF64Nearest):
-			stack[sp-1] = uf64(math.RoundToEven(f64(stack[sp-1])))
-		case uint16(wasm.OpF64Sqrt):
-			stack[sp-1] = uf64(math.Sqrt(f64(stack[sp-1])))
-		case uint16(wasm.OpF64Add):
-			stack[sp-2] = uf64(f64(stack[sp-2]) + f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Sub):
-			stack[sp-2] = uf64(f64(stack[sp-2]) - f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Mul):
-			stack[sp-2] = uf64(f64(stack[sp-2]) * f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Div):
-			stack[sp-2] = uf64(f64(stack[sp-2]) / f64(stack[sp-1]))
-			sp--
-		case uint16(wasm.OpF64Min):
-			stack[sp-2] = uf64(math.Min(f64(stack[sp-2]), f64(stack[sp-1])))
-			sp--
-		case uint16(wasm.OpF64Max):
-			stack[sp-2] = uf64(math.Max(f64(stack[sp-2]), f64(stack[sp-1])))
-			sp--
-		case uint16(wasm.OpF64Copysign):
-			stack[sp-2] = uf64(math.Copysign(f64(stack[sp-2]), f64(stack[sp-1])))
-			sp--
-
-		// ------ conversions ------
-		case uint16(wasm.OpI32WrapI64):
-			stack[sp-1] = uint64(uint32(stack[sp-1]))
-		case uint16(wasm.OpI32TruncF32S):
-			v, code := truncS32(float64(f32(stack[sp-1])))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI32TruncF32U):
-			v, code := truncU32(float64(f32(stack[sp-1])))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI32TruncF64S):
-			v, code := truncS32(f64(stack[sp-1]))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI32TruncF64U):
-			v, code := truncU32(f64(stack[sp-1]))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI64ExtendI32S):
-			stack[sp-1] = uint64(int64(int32(stack[sp-1])))
-		case uint16(wasm.OpI64ExtendI32U):
-			stack[sp-1] = uint64(uint32(stack[sp-1]))
-		case uint16(wasm.OpI64TruncF32S):
-			v, code := truncS64(float64(f32(stack[sp-1])))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI64TruncF32U):
-			v, code := truncU64(float64(f32(stack[sp-1])))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI64TruncF64S):
-			v, code := truncS64(f64(stack[sp-1]))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpI64TruncF64U):
-			v, code := truncU64(f64(stack[sp-1]))
-			if code != 0 {
-				return fail(code)
-			}
-			stack[sp-1] = v
-		case uint16(wasm.OpF32ConvertI32S):
-			stack[sp-1] = u32f(float32(int32(stack[sp-1])))
-		case uint16(wasm.OpF32ConvertI32U):
-			stack[sp-1] = u32f(float32(uint32(stack[sp-1])))
-		case uint16(wasm.OpF32ConvertI64S):
-			stack[sp-1] = u32f(float32(int64(stack[sp-1])))
-		case uint16(wasm.OpF32ConvertI64U):
-			stack[sp-1] = u32f(float32(stack[sp-1]))
-		case uint16(wasm.OpF32DemoteF64):
-			stack[sp-1] = u32f(float32(f64(stack[sp-1])))
-		case uint16(wasm.OpF64ConvertI32S):
-			stack[sp-1] = uf64(float64(int32(stack[sp-1])))
-		case uint16(wasm.OpF64ConvertI32U):
-			stack[sp-1] = uf64(float64(uint32(stack[sp-1])))
-		case uint16(wasm.OpF64ConvertI64S):
-			stack[sp-1] = uf64(float64(int64(stack[sp-1])))
-		case uint16(wasm.OpF64ConvertI64U):
-			stack[sp-1] = uf64(float64(stack[sp-1]))
-		case uint16(wasm.OpF64PromoteF32):
-			stack[sp-1] = uf64(float64(f32(stack[sp-1])))
-		case uint16(wasm.OpI32ReinterpretF32), uint16(wasm.OpF32ReinterpretI32):
-			// bit-identical in the raw representation
-		case uint16(wasm.OpI64ReinterpretF64), uint16(wasm.OpF64ReinterpretI64):
-			// bit-identical in the raw representation
-		case uint16(wasm.OpI32Extend8S):
-			stack[sp-1] = uint64(uint32(int32(int8(stack[sp-1]))))
-		case uint16(wasm.OpI32Extend16S):
-			stack[sp-1] = uint64(uint32(int32(int16(stack[sp-1]))))
-		case uint16(wasm.OpI64Extend8S):
-			stack[sp-1] = uint64(int64(int8(stack[sp-1])))
-		case uint16(wasm.OpI64Extend16S):
-			stack[sp-1] = uint64(int64(int16(stack[sp-1])))
-		case uint16(wasm.OpI64Extend32S):
-			stack[sp-1] = uint64(int64(int32(stack[sp-1])))
-
-		default:
-			return fail(TrapUnreachable)
-		}
-	}
+	return in.runRegister(fuel)
 }
 
 func b2u(b bool) uint64 {

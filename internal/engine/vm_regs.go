@@ -10,18 +10,19 @@ import (
 	"sledge/internal/wasm"
 )
 
-// runRegister is the hot loop for register-form modules (see regalloc.go).
-// It executes the same slab layout as runOptimized — locals at
-// stack[base:base+nLocals], operands above — but every operand index is
-// computed from the instruction's static height (bh + ci.h - k, where bh is
-// the frame's base+nLocals), so the loop carries no sp at all: no push/pop
-// bookkeeping and no serial sp dependency chain between dispatches.
+// runRegister is the hot loop of the optimized tier: a flat, pre-resolved
+// instruction stream in register form (see regalloc.go). A frame's slab
+// holds its locals at stack[base:base+nLocals] and its operands above, and
+// every operand index is computed from the instruction's static height
+// (bh + ci.h - k, where bh is the frame's base+nLocals), so the loop
+// carries no sp at all: no push/pop bookkeeping and no serial sp dependency
+// chain between dispatches.
 //
-// Resumability is preserved at every instruction boundary: the registers
-// live in the same slab save() snapshots, and whenever control leaves the
-// loop (yield, host block, done, trap) the static height of the resume
-// point is materialized back into Instance.sp so ResumeHost and Result()
-// see exactly what the stack-form loop would have stored.
+// The loop is resumable at every instruction boundary, which is what
+// enables the scheduler's user-level preemption: the registers live in the
+// slab save() snapshots, and whenever control leaves the loop (yield, host
+// block, done, trap) the static height of the resume point is materialized
+// into Instance.sp for ResumeHost and Result().
 //
 //sledge:noalloc
 func (in *Instance) runRegister(fuel int64) (st Status, err error) {
@@ -37,18 +38,28 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 	explicit := in.mod.explicitChecks
 	globals := in.globals
 	maxDepth := in.mod.cfg.MaxCallDepth
+	// certified is set when this run entered through a stack-certified
+	// entry point: the worst-case frame count and operand-stack size were
+	// proven at compile time and reserved up front, so the per-call growth
+	// and depth probes below are skipped.
 	certified := in.certified
 
+	// dirty is the store high-water mark feeding the recycling reset; kept
+	// in a register-friendly local and folded back in save().
 	dirty := in.memDirty
 
 	steps := fuel
 	if fuel <= 0 {
 		steps = int64(1) << 62
 	}
-	// See runOptimized: block-metered mode consumes fuel only at
-	// iGasCharge; perInstr restores the per-dispatch check as the
-	// ablation/oracle mode. Gas accrues at charge points either way.
+	// perInstr selects the ablation/oracle metering mode: a fuel check on
+	// every dispatch. In the default block-metered mode fuel is consumed
+	// only at iGasCharge, so the loop top carries no check at all — every
+	// CFG cycle passes a loop-header charge and MaxUncharged bounds
+	// straight-line runs, which together bound the work between checks.
 	perInstr := in.mod.cfg.NoBlockMeter
+	// gasRun accumulates charge-point gas for this run slice; folded into
+	// in.Gas by save() so it is identical in both metering modes.
 	var gasRun uint64
 
 	save := func(sp int) {
@@ -62,6 +73,9 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		gasRun = 0
 	}
 
+	// The guard strategy relies on the backing array's implicit bound:
+	// an out-of-range access faults here and is converted to a trap,
+	// exactly as the paper's virtual-memory scheme converts a page fault.
 	defer func() {
 		if r := recover(); r != nil {
 			rte, ok := r.(runtime.Error)
@@ -228,7 +242,10 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		case iCallIndirect:
 			hp := bh + int(ci.h)
 			idx := uint64(uint32(stack[hp-1]))
-			// Monomorphic inline-cache fast path; see runOptimized.
+			// Monomorphic inline-cache fast path (imm>>16 is the site's IC
+			// slot): dispatching the same table index as last time implies
+			// the bounds, null, and CFI type checks all pass — the table is
+			// immutable — so jump straight to the resolved callee.
 			if e := &in.ic[ci.imm>>16]; e.callee != nil && e.key == int32(idx) {
 				callee := e.callee
 				base := hp - 1 - callee.nParams
@@ -381,6 +398,8 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 			}
 		case iMPXCheck:
 			a := uint64(uint32(stack[bh+int(ci.h)-int(ci.b)])) + ci.imm
+			// Simulated bndmov + bndcl/bndcu: descriptor loads, two
+			// compares, and a scratch bounds-register store.
 			lo, hi := in.mpxBounds[0], in.mpxBounds[1]
 			in.mpxScratch = a
 			if a < lo || a+uint64(ci.a) > hi {

@@ -171,7 +171,7 @@ func runTierup(o Options, snap *tierupSnapshot) ([]*Table, error) {
 	snap.Go = runtime.Version()
 	snap.GOMAXPROCS = runtime.GOMAXPROCS(0)
 	snap.Quick = o.Quick
-	snap.Acceptance = "registration storm: cheap rung >= 5x faster per module than static-full; zipf: adaptive steady-state throughput >= 95% of static-full"
+	snap.Acceptance = "registration storm: both cheap rungs strictly faster per module than static-full (the default one skips the static analysis, not the register lowering); zipf: adaptive steady-state throughput >= 95% of static-full"
 
 	stormTbl, err := runTierupStorm(o, stormN, &snap.Storm)
 	if err != nil {
@@ -259,8 +259,8 @@ func runTierupStorm(o Options, stormN int, out *tierupStormSection) (*Table, err
 		Title:   fmt.Sprintf("Registration storm: %d modules (corpus %v)", stormN, tierupStormApps),
 		Headers: []string{"mode", "total", "mean", "p50", "p90", "vs static-full (p50)"},
 		Notes: []string{
-			"static-full compiles analysis+regalloc at registration (the pre-tiering behaviour);",
-			"adaptive-cheap compiles the optimized tier with analysis and regalloc off; adaptive-naive only decodes+validates;",
+			"static-full runs the static analysis at registration (the pre-tiering behaviour);",
+			"adaptive-cheap lowers to the same register form without the analysis; adaptive-naive only decodes+validates;",
 			"the p50 is the acceptance statistic: the mean absorbs GC assist bursts sized by the retained fleet, which every rung pays alike",
 		},
 	}

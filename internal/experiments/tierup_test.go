@@ -9,9 +9,8 @@ import (
 // sizes: both halves must complete, every response must match (the zipf
 // driver verifies each reply against the pre-swap answer internally), and
 // the qualitative ordering must hold — the cheap rungs register strictly
-// faster than the static full pipeline. The acceptance-grade numbers
-// (>= 5x registration, >= 0.95 steady ratio) come from `make bench-tierup`
-// at full sizes.
+// faster than the static full pipeline. The full-size numbers (and the
+// >= 0.95 steady ratio) come from `make bench-tierup`.
 func TestTierupSmoke(t *testing.T) {
 	var snap tierupSnapshot
 	tables, err := runTierup(Options{Quick: true}, &snap)

@@ -114,10 +114,9 @@ func TestFuelQuantumSeedUntilSampled(t *testing.T) {
 }
 
 // TestQuantumWallClockTolerance is the property temporal isolation rests
-// on: a slice lasts about Config.Quantum of wall time, on whichever
-// interpreter loop the module was compiled for — the register form and the
-// stack form (NoRegalloc) burn gas at different rates, and nothing tells the
-// scheduler which it is running. One hog of a few dozen slices teaches the
+// on: a slice lasts about Config.Quantum of wall time, however the module
+// was lowered — fused and unfused code burn gas at different rates on the
+// same loop, and nothing tells the scheduler which it is running. One hog of a few dozen slices teaches the
 // rate; the slices of a second one must then average within [0.5x, 2x] the
 // quantum. (The one-shot start-up probe this replaces was held to 5x.)
 func TestQuantumWallClockTolerance(t *testing.T) {
@@ -134,8 +133,8 @@ func TestQuantumWallClockTolerance(t *testing.T) {
 		name string
 		cfg  engine.Config
 	}{
-		{"register", engine.Config{}},
-		{"stack", engine.Config{NoRegalloc: true}},
+		{"fused", engine.Config{}},
+		{"unfused", engine.Config{NoFusion: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cm, err := engine.CompileBinary(res.Binary, abi.Registry(), tc.cfg)

@@ -6,33 +6,60 @@ import (
 	"math"
 	"testing"
 
+	"sledge/internal/abi"
 	"sledge/internal/engine"
 )
 
 // TestWasmMatchesNative verifies the core property of the application suite:
 // for every app, the Wasm sandbox and the native implementation produce the
-// same response for the app's canonical request.
+// same response for the app's canonical request — on both rungs of the
+// tiering ladder and on the naive per-instruction oracle, which must also
+// charge bit-identical gas: a module serves the same bytes at the same
+// metered cost whichever rung it is on when the request arrives.
 func TestWasmMatchesNative(t *testing.T) {
+	ladder := engine.NewLadder(engine.Config{}, false)
+	rungs := []struct {
+		name, tier string
+		cfg        engine.Config
+	}{
+		{"full", engine.TierLabelFull, ladder.Full},
+		{"cheap", engine.TierLabelCheap, ladder.Cheap},
+		{"naive-oracle", engine.TierLabelNaive, engine.Config{Tier: engine.TierNaive, NoBlockMeter: true}},
+	}
 	for i := range Apps {
 		a := &Apps[i]
 		t.Run(a.Name, func(t *testing.T) {
-			cm, err := a.Compile(engine.Config{})
-			if err != nil {
-				t.Fatalf("Compile: %v", err)
-			}
 			req := a.GenRequest()
-			got, err := RunWasm(cm, req)
-			if err != nil {
-				t.Fatalf("RunWasm: %v", err)
-			}
 			want := a.Native(req)
-			if !bytes.Equal(got, want) {
-				limit := 64
-				if len(got) < limit {
-					limit = len(got)
+			var fullGas uint64
+			for _, r := range rungs {
+				cm, err := a.Compile(r.cfg)
+				if err != nil {
+					t.Fatalf("%s: Compile: %v", r.name, err)
 				}
-				t.Errorf("response mismatch: wasm %d bytes, native %d bytes\nwasm: %x\nnative: %x",
-					len(got), len(want), got[:limit], wantPrefix(want, limit))
+				if got := cm.TierLabel(); got != r.tier {
+					t.Errorf("%s: compiled at rung %q, want %q", r.name, got, r.tier)
+				}
+				inst := cm.Acquire()
+				ctx := abi.NewContext(req)
+				inst.HostData = ctx
+				if _, err := inst.Invoke("main"); err != nil {
+					t.Fatalf("%s: Invoke: %v", r.name, err)
+				}
+				got, err := ctx.ResolveOutput(inst)
+				if err != nil {
+					t.Fatalf("%s: ResolveOutput: %v", r.name, err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: response mismatch: wasm %d bytes, native %d bytes\nwasm: %x\nnative: %x",
+						r.name, len(got), len(want), wantPrefix(got, 64), wantPrefix(want, 64))
+				}
+				if r.name == "full" {
+					fullGas = inst.Gas
+				} else if inst.Gas != fullGas {
+					t.Errorf("%s: charged %d gas, full rung charged %d", r.name, inst.Gas, fullGas)
+				}
+				cm.Release(inst)
 			}
 		})
 	}

@@ -96,7 +96,8 @@ const (
 // Register* compiles only the cheap rung of the tier ladder so registration
 // is near-instant, the completion path profiles per-module hotness
 // (invocations + gas), and a background controller
-// recompiles hot modules at the full fused+regalloc+elision rung, swapping
+// recompiles hot modules at the full rung (register form plus static
+// analysis: check elision, devirtualization, stack certificates), swapping
 // the compiled form in atomically while in-flight requests finish on the
 // code they started with.
 type (
