@@ -6,13 +6,14 @@ GO ?= go
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (the whole engine and the scheduler, both shuffled; admission control, HTTP
+# (the whole engine, the scheduler, the analysis passes with their pooled
+# scratch and the wasm decoder, all shuffled; admission control, HTTP
 # drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
 # its -benchmem output), a cold-deploy smoke run (one register / first
-# invoke / unregister cycle of the suite must allocate under 2 MiB: first
+# invoke / unregister cycle of the suite must allocate under 1 MiB: first
 # instantiations reuse retired linear memories through the slab recycler),
 # an overload smoke run (admission at 2x capacity
 # must shed cleanly: admitted error rate < 1%), a scheduler scale-out smoke
@@ -43,6 +44,7 @@ test-race:
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
 	$(GO) test -race -shuffle=on ./internal/sched/...
 	$(GO) test -race -shuffle=on ./internal/engine/
+	$(GO) test -race -shuffle=on ./internal/analysis/ ./internal/wasm/
 
 # benchmark-check: benchmark/ is a module of its own (BENCHMARK.json runs
 # it with benchmark/run.sh), so the root build and tests never compile it;
@@ -54,8 +56,8 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=Churn -benchtime=100x -benchmem .
 
 # cold-smoke gates the bytes one BenchmarkColdDeploy cycle allocates (a
-# count, so it repeats): 6.9 MB without the slab recycler, 1.3 MB with it,
-# limit 2 MiB.
+# count, so it repeats): 6.9 MB without the slab recycler, 1.26 MB with it,
+# 0.51 MB once the memory-safety pass stopped cloning its state; limit 1 MiB.
 cold-smoke:
 	$(GO) test -run=TestColdDeploySmoke -count=1 -v .
 

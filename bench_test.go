@@ -321,13 +321,15 @@ func BenchmarkColdDeploy(b *testing.B) {
 }
 
 // TestColdDeploySmoke gates the bytes one deploy/retire cycle allocates
-// (make cold-smoke). Allocation volume is a count, not a timing: 6.9 MB
-// before the slab recycler, 1.3 MB with it, and nothing in between but a
-// regression that sends cold starts back to the allocator.
+// (make cold-smoke) at 1 MiB. Allocation volume is a count, not a timing:
+// 6.9 MB before the slab recycler, 1.26 MB with it, 0.51 MB since the
+// memory-safety pass stopped cloning its abstract state at every branch —
+// and nothing in between but a regression that sends cold starts back to
+// the allocator.
 func TestColdDeploySmoke(t *testing.T) {
 	const (
 		warm, cycles = 3, 30
-		limit        = 2 << 20
+		limit        = 1 << 20
 	)
 	d := newColdDeployer(t)
 	for i := 0; i < warm; i++ {

@@ -12,6 +12,9 @@
 //     expression already proven in bounds needs no new check, because linear
 //     memory only grows). Accesses marked safe let the compiler skip the
 //     iBoundsCheck/iMPXCheck instruction in BoundsSoftware/BoundsMPX mode.
+//     Those two strategies are the facts' only reader: under BoundsGuard
+//     (the default), BoundsSoftwareFused and BoundsNone the lowerer never
+//     asks, and Report.MemAccesses/SafeAccesses are precision figures only.
 //
 //   - Stack certification (stack.go): a call-graph pass computing the
 //     worst-case frame depth of every defined function. Entry points whose
@@ -29,7 +32,11 @@
 // iteration order of the engine's lowerer.
 package analysis
 
-import "sledge/internal/wasm"
+import (
+	"sort"
+
+	"sledge/internal/wasm"
+)
 
 // Params carries the module-independent inputs of the analysis.
 type Params struct {
@@ -55,8 +62,13 @@ type Devirt struct {
 // funcFacts holds per-instruction facts for one defined function, keyed by
 // index into the structured Body slice.
 type funcFacts struct {
-	safe   map[int]bool
-	devirt map[int]Devirt
+	safe   []uint64     // bitset: bit i set = the access at body index i is safe
+	devirt []devirtSite // ascending by instr
+}
+
+type devirtSite struct {
+	instr int
+	Devirt
 }
 
 // Facts is the result of Analyze.
@@ -102,7 +114,8 @@ func (f *Facts) SafeAccess(fn, instr int) bool {
 	if f == nil || fn >= len(f.fns) {
 		return false
 	}
-	return f.fns[fn].safe[instr]
+	safe := f.fns[fn].safe
+	return instr >= 0 && instr>>6 < len(safe) && safe[instr>>6]>>(instr&63)&1 != 0
 }
 
 // DevirtAt returns the devirtualization decision for the call_indirect at
@@ -111,8 +124,12 @@ func (f *Facts) DevirtAt(fn, instr int) (Devirt, bool) {
 	if f == nil || fn >= len(f.fns) {
 		return Devirt{}, false
 	}
-	d, ok := f.fns[fn].devirt[instr]
-	return d, ok
+	sites := f.fns[fn].devirt
+	i := sort.Search(len(sites), func(i int) bool { return sites[i].instr >= instr })
+	if i == len(sites) || sites[i].instr != instr {
+		return Devirt{}, false
+	}
+	return sites[i].Devirt, true
 }
 
 // FrameBound returns the worst-case frame depth of defined function fn and
@@ -124,17 +141,31 @@ func (f *Facts) FrameBound(fn int) (int, bool) {
 	return f.MaxFrames[fn], true
 }
 
+// safeWords is the length of f's safe-access bitset: one bit per body index.
+func safeWords(f *wasm.Func) int { return (len(f.Body) + 63) / 64 }
+
 // Analyze runs the full pipeline over a validated module. The module must
 // have passed wasm.Validate: the passes rely on its stack discipline and
 // in-range indices and do not re-verify them.
 func Analyze(m *wasm.Module, p Params) *Facts {
 	f := &Facts{fns: make([]funcFacts, len(m.Funcs))}
 
-	table, canon, exact := buildTable(m)
+	// One allocation backs every function's safe-access bitset.
+	words := 0
 	for i := range m.Funcs {
-		f.fns[i].safe = analyzeMemSafety(m, &m.Funcs[i], p.MinMemBytes, &f.Report)
+		words += safeWords(&m.Funcs[i])
+	}
+	bits := make([]uint64, words)
+
+	table, canon, exact := buildTable(m)
+	w := walkerPool.Get().(*mwalker)
+	for i := range m.Funcs {
+		n := safeWords(&m.Funcs[i])
+		f.fns[i].safe, bits = bits[:n:n], bits[n:]
+		w.analyze(m, &m.Funcs[i], p.MinMemBytes, f.fns[i].safe, &f.Report)
 		f.fns[i].devirt = analyzeCFI(m, &m.Funcs[i], table, canon, exact, &f.Report)
 	}
+	w.retire()
 	analyzeStack(m, table, canon, exact, f)
 	return f
 }

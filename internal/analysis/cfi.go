@@ -68,8 +68,8 @@ func buildTable(m *wasm.Module) (table []tslot, canon []int32, exact bool) {
 // path on mismatch, so trap codes (OOB / null / type) stay exact. With
 // exact=false the table contents are unknown: sites are counted but never
 // classified dead or devirtualized.
-func analyzeCFI(m *wasm.Module, f *wasm.Func, table []tslot, canon []int32, exact bool, report *Report) map[int]Devirt {
-	var out map[int]Devirt
+func analyzeCFI(m *wasm.Module, f *wasm.Func, table []tslot, canon []int32, exact bool, report *Report) []devirtSite {
+	var out []devirtSite
 	nImports := m.NumImportedFuncs()
 	for idx := range f.Body {
 		in := &f.Body[idx]
@@ -94,10 +94,7 @@ func analyzeCFI(m *wasm.Module, f *wasm.Func, table []tslot, canon []int32, exac
 			continue
 		}
 		if matches == 1 && int(target) >= nImports {
-			if out == nil {
-				out = map[int]Devirt{}
-			}
-			out[idx] = Devirt{TableIdx: uint32(slot), FuncIdx: uint32(target)}
+			out = append(out, devirtSite{idx, Devirt{TableIdx: uint32(slot), FuncIdx: uint32(target)}})
 			report.DevirtSites++
 		}
 	}

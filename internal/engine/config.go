@@ -9,8 +9,9 @@
 // only), reproducing the paper's decoupling of module processing from
 // function instantiation.
 //
-// The engine offers two compilation tiers and four bounds-check strategies,
-// mirroring the paper's configurable HW/SW sandboxing. Execution is a
+// The engine offers two compilation tiers and five bounds-check strategies
+// (four that check, and BoundsNone as the unchecked baseline), mirroring the
+// paper's configurable HW/SW sandboxing. Execution is a
 // resumable virtual machine with deterministic fuel-based preemption, which
 // stands in for the paper's SIGALRM-driven user-level scheduling.
 package engine
