@@ -6,9 +6,10 @@ GO ?= go
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (the whole engine, the scheduler, the analysis passes with their pooled
-# scratch and the wasm decoder, all shuffled; admission control, HTTP
-# drain), vet and
+# (the whole engine with the application suite's tests of it — the dispatch
+# budget and the wasm-equals-native identity — the scheduler, the analysis
+# passes with their pooled scratch and the wasm decoder, all shuffled;
+# admission control, HTTP drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -43,7 +44,7 @@ test-race:
 	$(GO) test -race ./internal/sandbox/... ./internal/core/... \
 		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
 	$(GO) test -race -shuffle=on ./internal/sched/...
-	$(GO) test -race -shuffle=on ./internal/engine/
+	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/
 	$(GO) test -race -shuffle=on ./internal/analysis/ ./internal/wasm/
 
 # benchmark-check: benchmark/ is a module of its own (BENCHMARK.json runs
@@ -57,7 +58,8 @@ bench-smoke:
 
 # cold-smoke gates the bytes one BenchmarkColdDeploy cycle allocates (a
 # count, so it repeats): 6.9 MB without the slab recycler, 1.26 MB with it,
-# 0.51 MB once the memory-safety pass stopped cloning its state; limit 1 MiB.
+# 0.51 MB once the memory-safety pass stopped cloning its state, 0.46 MB once
+# register lowering rewrote the lowered stream in place; limit 1 MiB.
 cold-smoke:
 	$(GO) test -run=TestColdDeploySmoke -count=1 -v .
 

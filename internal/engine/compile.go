@@ -7,10 +7,7 @@ import (
 	"sledge/internal/wasm"
 )
 
-// lowerFunc flattens a validated structured function body into the engine's
-// internal instruction stream: structured control flow becomes pre-resolved
-// jumps carrying their stack-adjustment metadata, dead code is dropped, and
-// memory accesses are specialized for the configured bounds strategy.
+// lowerer is the state of lowerFunc.
 type lowerer struct {
 	m   *wasm.Module
 	f   *wasm.Func
@@ -28,10 +25,6 @@ type lowerer struct {
 	frames []lframe
 	h      int // current operand-stack height
 	maxH   int
-	// barrier is one past the highest code index any branch target or
-	// loop header refers to; the fusion peephole never rewrites
-	// instructions at or before a recorded target.
-	barrier int
 	// dead-code suppression
 	dead      bool
 	deadDepth int
@@ -59,13 +52,16 @@ type lframe struct {
 	elsePatch int         // code index of the iBrIfNot for an if; -1 otherwise
 }
 
-func lowerFunc(m *wasm.Module, f *wasm.Func, cfg Config, cm *CompiledModule, cf *compiledFunc, facts *analysis.Facts, charges []uint32, fnIdx int) error {
-	lo := &lowerer{m: m, f: f, cfg: cfg, cm: cm, cf: cf, facts: facts, fnIdx: fnIdx}
-	// Lowering emits at most about one cinstr per body instruction (fusion
-	// shrinks, software bounds checks add a few); sizing the buffer up
-	// front avoids regrowth copies and retained doubling slack, since this
-	// slice becomes cf.code.
-	lo.code = make([]cinstr, 0, len(f.Body)+8)
+// lowerFunc flattens a validated structured function body into the engine's
+// internal instruction stream: structured control flow becomes pre-resolved
+// jumps carrying their stack-adjustment metadata, dead code is dropped, and
+// memory accesses get the check instruction the configured bounds strategy
+// needs. The stream is stack form — operands implicit, local.get/set/tee
+// and drop under their wasm opcodes — and lives only until regalloc.run
+// rewrites it: cf.code is left aliasing buf, the caller's scratch, which is
+// returned (possibly regrown) for the next function.
+func lowerFunc(m *wasm.Module, f *wasm.Func, cfg Config, cm *CompiledModule, cf *compiledFunc, facts *analysis.Facts, charges []uint32, fnIdx int, buf []cinstr) ([]cinstr, error) {
+	lo := &lowerer{m: m, f: f, cfg: cfg, cm: cm, cf: cf, facts: facts, fnIdx: fnIdx, code: buf[:0]}
 	lo.frames = append(lo.frames, lframe{kind: wasm.OpBlock, arity: cf.numResults, elsePatch: -1})
 	for i, in := range f.Body {
 		lo.idx = i
@@ -79,17 +75,17 @@ func lowerFunc(m *wasm.Module, f *wasm.Func, cfg Config, cm *CompiledModule, cf 
 			lo.emit(cinstr{op: iGasCharge, imm: uint64(charges[i])})
 		}
 		if err := lo.step(in); err != nil {
-			return fmt.Errorf("instr %d (%s): %w", i, in, err)
+			return lo.code, fmt.Errorf("instr %d (%s): %w", i, in, err)
 		}
 	}
 	// Implicit function end.
 	lo.idx = -1
 	if err := lo.step(wasm.Instr{Op: wasm.OpEnd}); err != nil {
-		return fmt.Errorf("implicit end: %w", err)
+		return lo.code, fmt.Errorf("implicit end: %w", err)
 	}
 	cf.code = lo.code
 	cf.maxStack = lo.maxH + 1 // slack for the iBrTable index pop ordering
-	return nil
+	return lo.code, nil
 }
 
 func (lo *lowerer) emit(ci cinstr) int {
@@ -130,9 +126,6 @@ func branchInfo(f *lframe) (height, arity int, toLoop bool) {
 }
 
 func (lo *lowerer) applyPatch(p patch, target int) {
-	if target > lo.barrier {
-		lo.barrier = target
-	}
 	switch p.kind {
 	case patchCode:
 		lo.code[p.idx1].a = int32(target)
@@ -215,9 +208,6 @@ func (lo *lowerer) step(in wasm.Instr) error {
 		})
 		return nil
 	case wasm.OpLoop:
-		if len(lo.code) > lo.barrier {
-			lo.barrier = len(lo.code)
-		}
 		lo.frames = append(lo.frames, lframe{
 			kind: wasm.OpLoop, startPC: len(lo.code), height: lo.h,
 			arity: blockArity(byte(in.Imm)), elsePatch: -1,
@@ -274,28 +264,7 @@ func (lo *lowerer) step(in wasm.Instr) error {
 			return err
 		}
 		height, arity, toLoop := branchInfo(f)
-		// Fuse `i32.eqz; br_if` into an inverted conditional branch —
-		// the back-edge idiom of every compiled loop condition.
-		op := uint16(iBrIf)
-		neg := false
-		if lo.canFuse(1) && lo.last(1).op == uint16(wasm.OpI32Eqz) {
-			lo.shrink(1)
-			op = iBrIfNot
-			neg = true
-		}
-		// Fuse a preceding i32 comparison into the branch itself
-		// (`cmp; br_if` and the negated `cmp; i32.eqz; br_if` form).
-		if lo.canFuse(1) {
-			if fused, ok := cmpBrIf[lo.last(1).op]; ok {
-				lo.shrink(1)
-				if neg {
-					op = fused[1]
-				} else {
-					op = fused[0]
-				}
-			}
-		}
-		pc := lo.emit(cinstr{op: op, a: int32(f.startPC), b: int32(height), imm: uint64(arity)})
+		pc := lo.emit(cinstr{op: iBrIf, a: int32(f.startPC), b: int32(height), imm: uint64(arity)})
 		if !toLoop {
 			f.patches = append(f.patches, patch{kind: patchCode, idx1: pc})
 		}
@@ -386,27 +355,20 @@ func (lo *lowerer) step(in wasm.Instr) error {
 		lo.push(len(ft.Results))
 		return nil
 	case wasm.OpDrop:
-		lo.emit(cinstr{op: iDrop})
+		lo.emit(cinstr{op: uint16(wasm.OpDrop)})
 		return lo.pop(1)
 	case wasm.OpSelect:
 		lo.emit(cinstr{op: iSelect})
 		return lo.pop(2)
 	case wasm.OpLocalGet:
-		lo.emit(cinstr{op: iLocalGet, a: int32(in.Imm)})
+		lo.emit(cinstr{op: uint16(wasm.OpLocalGet), a: int32(in.Imm)})
 		lo.push(1)
 		return nil
 	case wasm.OpLocalSet:
-		// Fuse `local[x] = local[x] + c` into a single increment.
-		if lo.canFuse(1) && lo.last(1).op == iI32AddLC && lo.last(1).a == int32(in.Imm) {
-			c := lo.last(1).imm
-			lo.shrink(1)
-			lo.emit(cinstr{op: iIncLocal, a: int32(in.Imm), imm: c})
-			return lo.pop(1)
-		}
-		lo.emit(cinstr{op: iLocalSet, a: int32(in.Imm)})
+		lo.emit(cinstr{op: uint16(wasm.OpLocalSet), a: int32(in.Imm)})
 		return lo.pop(1)
 	case wasm.OpLocalTee:
-		lo.emit(cinstr{op: iLocalTee, a: int32(in.Imm)})
+		lo.emit(cinstr{op: uint16(wasm.OpLocalTee), a: int32(in.Imm)})
 		return nil
 	case wasm.OpGlobalGet:
 		lo.emit(cinstr{op: iGlobalGet, a: int32(in.Imm)})
@@ -435,87 +397,16 @@ func (lo *lowerer) step(in wasm.Instr) error {
 			depth = 2
 			npop, npush = 2, 0
 		}
-		checked := false
 		switch lo.cfg.Bounds {
 		case BoundsSoftware, BoundsMPX:
-			// Statically proven accesses skip the check instruction; the
-			// unchecked form can then also take the fusion fast paths
-			// below, like the guard tier.
+			// Statically proven accesses skip the check instruction.
 			lo.cm.analysisStats.ChecksTotal++
 			if lo.facts.SafeAccess(lo.fnIdx, lo.idx) {
 				lo.cm.analysisStats.ChecksElided++
 			} else if lo.cfg.Bounds == BoundsSoftware {
 				lo.emit(cinstr{op: iBoundsCheck, a: int32(width), b: depth, imm: in.Imm})
-				checked = true
 			} else {
 				lo.emit(cinstr{op: iMPXCheck, a: int32(width), b: depth, imm: in.Imm})
-				checked = true
-			}
-		}
-		// Fuse `i32.const a; load` into an absolute-addressed load (static
-		// data and globals spilled to memory by wcc hit this constantly).
-		if !store && !checked && lo.canFuse(1) && lo.last(1).op == iConst {
-			var fusedOp uint16
-			switch in.Op {
-			case wasm.OpI32Load:
-				fusedOp = iI32LoadC
-			case wasm.OpF64Load:
-				fusedOp = iF64LoadC
-			}
-			if fusedOp != 0 {
-				addr := uint64(uint32(lo.last(1).imm)) + in.Imm
-				lo.shrink(1)
-				lo.emit(cinstr{op: fusedOp, imm: addr})
-				if err := lo.pop(npop); err != nil {
-					return err
-				}
-				lo.push(npush)
-				return nil
-			}
-		}
-		// Fuse `local.get x; load` into an addressed load when no
-		// separate check instruction sits between them.
-		if !store && !checked && lo.canFuse(1) && lo.last(1).op == iLocalGet {
-			var fusedOp uint16
-			switch in.Op {
-			case wasm.OpI32Load:
-				fusedOp = iI32LoadL
-			case wasm.OpF64Load:
-				fusedOp = iF64LoadL
-			}
-			if fusedOp != 0 {
-				x := lo.last(1).a
-				lo.shrink(1)
-				lo.emit(cinstr{op: fusedOp, a: x, imm: in.Imm})
-				if err := lo.pop(npop); err != nil {
-					return err
-				}
-				lo.push(npush)
-				return nil
-			}
-		}
-		// Fuse the stored value's producer into the store: a constant or a
-		// local read on top of the stack folds into one instruction that
-		// pops only the address.
-		if store && !checked && lo.canFuse(1) {
-			var fusedOp uint16
-			var arg int32
-			switch last := lo.last(1); {
-			case in.Op == wasm.OpI32Store && last.op == iConst:
-				fusedOp, arg = iI32StoreC, int32(uint32(last.imm))
-			case in.Op == wasm.OpI32Store && last.op == iLocalGet:
-				fusedOp, arg = iI32StoreL, last.a
-			case in.Op == wasm.OpF64Store && last.op == iLocalGet:
-				fusedOp, arg = iF64StoreL, last.a
-			}
-			if fusedOp != 0 {
-				lo.shrink(1)
-				lo.emit(cinstr{op: fusedOp, a: arg, imm: in.Imm})
-				if err := lo.pop(npop); err != nil {
-					return err
-				}
-				lo.push(npush)
-				return nil
 			}
 		}
 		lo.emit(cinstr{op: uint16(in.Op), imm: in.Imm})
@@ -527,9 +418,7 @@ func (lo *lowerer) step(in wasm.Instr) error {
 	}
 
 	if sig, _, ok := wasm.NumericSig(in.Op); ok {
-		if !lo.fuseNumeric(in.Op) {
-			lo.emit(cinstr{op: uint16(in.Op)})
-		}
+		lo.emit(cinstr{op: uint16(in.Op)})
 		if err := lo.pop(len(sig)); err != nil {
 			return err
 		}
@@ -543,108 +432,4 @@ func (lo *lowerer) emitCallOverhead() {
 	for i := 0; i < lo.cfg.CallOverheadNops; i++ {
 		lo.emit(cinstr{op: iNop})
 	}
-}
-
-// Fusion peephole helpers. The optimized tier rewrites the hottest
-// two-to-three instruction idioms (index arithmetic, loop counters,
-// addressed loads) into superinstructions at emission time; barrier
-// tracking guarantees no branch target ever points into a fused sequence.
-
-// cmpBrIf maps an i32 comparison opcode to its fused compare-and-branch
-// form: [0] is the direct sense (`cmp; br_if`), [1] the inverted sense
-// (`cmp; i32.eqz; br_if`).
-var cmpBrIf = map[uint16][2]uint16{
-	uint16(wasm.OpI32Eq):  {iBrIfEq, iBrIfNe},
-	uint16(wasm.OpI32Ne):  {iBrIfNe, iBrIfEq},
-	uint16(wasm.OpI32LtS): {iBrIfLtS, iBrIfGeS},
-	uint16(wasm.OpI32LtU): {iBrIfLtU, iBrIfGeU},
-	uint16(wasm.OpI32GtS): {iBrIfGtS, iBrIfLeS},
-	uint16(wasm.OpI32GtU): {iBrIfGtU, iBrIfLeU},
-	uint16(wasm.OpI32LeS): {iBrIfLeS, iBrIfGtS},
-	uint16(wasm.OpI32LeU): {iBrIfLeU, iBrIfGtU},
-	uint16(wasm.OpI32GeS): {iBrIfGeS, iBrIfLtS},
-	uint16(wasm.OpI32GeU): {iBrIfGeU, iBrIfLtU},
-}
-
-func (lo *lowerer) canFuse(n int) bool {
-	if lo.cfg.NoFusion || lo.cfg.PerInstrNops > 0 {
-		return false
-	}
-	return len(lo.code)-n >= lo.barrier
-}
-
-func (lo *lowerer) last(n int) *cinstr { return &lo.code[len(lo.code)-n] }
-
-func (lo *lowerer) shrink(n int) { lo.code = lo.code[:len(lo.code)-n] }
-
-// fuseNumeric rewrites the tail of the stream for commutative i32/f64
-// add/mul idioms. Stack-height bookkeeping is unchanged: fusion preserves
-// net effects.
-func (lo *lowerer) fuseNumeric(op wasm.Opcode) bool {
-	switch op {
-	case wasm.OpI32Add, wasm.OpI32Mul:
-		// local.get x; i32.const c; op  ->  push local[x] op c
-		if lo.canFuse(2) && lo.last(2).op == iLocalGet && lo.last(1).op == iConst {
-			x, c := lo.last(2).a, lo.last(1).imm
-			lo.shrink(2)
-			fused := uint16(iI32AddLC)
-			if op == wasm.OpI32Mul {
-				fused = iI32MulLC
-			}
-			lo.emit(cinstr{op: fused, a: x, imm: c})
-			return true
-		}
-		// ...; local.get x; op  ->  top op= local[x]
-		if lo.canFuse(1) && lo.last(1).op == iLocalGet {
-			x := lo.last(1).a
-			lo.shrink(1)
-			fused := uint16(iI32AddSL)
-			if op == wasm.OpI32Mul {
-				fused = iI32MulSL
-			}
-			lo.emit(cinstr{op: fused, a: x})
-			return true
-		}
-		// ...; i32.const c; add  ->  top += c
-		if op == wasm.OpI32Add && lo.canFuse(1) && lo.last(1).op == iConst {
-			c := lo.last(1).imm
-			lo.shrink(1)
-			lo.emit(cinstr{op: iI32AddSC, imm: c})
-			return true
-		}
-	case wasm.OpI32Sub:
-		// ...; local.get x; sub  ->  top -= local[x]
-		if lo.canFuse(1) && lo.last(1).op == iLocalGet {
-			x := lo.last(1).a
-			lo.shrink(1)
-			lo.emit(cinstr{op: iI32SubSL, a: x})
-			return true
-		}
-		// ...; i32.const c; sub  ->  top += -c (reuses the add form)
-		if lo.canFuse(1) && lo.last(1).op == iConst {
-			c := uint32(lo.last(1).imm)
-			lo.shrink(1)
-			lo.emit(cinstr{op: iI32AddSC, imm: uint64(-c)})
-			return true
-		}
-	case wasm.OpF64Add, wasm.OpF64Mul:
-		if lo.canFuse(1) && lo.last(1).op == iLocalGet {
-			x := lo.last(1).a
-			lo.shrink(1)
-			fused := uint16(iF64AddSL)
-			if op == wasm.OpF64Mul {
-				fused = iF64MulSL
-			}
-			lo.emit(cinstr{op: fused, a: x})
-			return true
-		}
-	case wasm.OpF64Sub:
-		if lo.canFuse(1) && lo.last(1).op == iLocalGet {
-			x := lo.last(1).a
-			lo.shrink(1)
-			lo.emit(cinstr{op: iF64SubSL, a: x})
-			return true
-		}
-	}
-	return false
 }

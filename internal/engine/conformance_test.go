@@ -198,3 +198,140 @@ func TestMemoryOpcodeConformance(t *testing.T) {
 		t.Errorf("sweep only covered %d cases", checked)
 	}
 }
+
+// TestHostBlockWithPendingOperands parks a sandbox on a blocking host call
+// whose arguments, and an operand below them, were still pending reads of
+// locals when the lowering reached the call: the arguments must be in the
+// callee's slots, ResumeHost must deliver the completion where the consumer
+// after the call reads it, and the pending operand must survive the park —
+// on the register form with and without forwarding, in both metering modes,
+// straight and single-stepped, all charging the same gas. (The naive tier
+// does not support blocking host calls.)
+func TestHostBlockWithPendingOperands(t *testing.T) {
+	i32 := wasm.ValI32
+	m := wasm.NewModule()
+	m.Types = []wasm.FuncType{{Params: []wasm.ValType{i32, i32}, Results: []wasm.ValType{i32}}}
+	m.Imports = []wasm.Import{{Module: "env", Name: "wait", Kind: wasm.ExternFunc, TypeIdx: 0}}
+	m.Funcs = []wasm.Func{{TypeIdx: 0, Name: "f", Body: []wasm.Instr{
+		{Op: wasm.OpLocalGet, Imm: 0}, // survives the park, pending
+		{Op: wasm.OpLocalGet, Imm: 1}, // arguments: a local and a constant
+		{Op: wasm.OpI32Const, Imm: 9},
+		{Op: wasm.OpCall, Imm: 0},
+		{Op: wasm.OpI32Const, Imm: 3}, // completion*3 + x: takes the result as a pending product
+		{Op: wasm.OpI32Mul},
+		{Op: wasm.OpI32Add},
+	}}}
+	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternFunc, Index: 1}}
+	var sawArgs [2]uint64
+	host := HostRegistry{"env": {"wait": {Type: m.Types[0], Func: func(_ *Instance, args []uint64) (uint64, error) {
+		sawArgs = [2]uint64{args[0], args[1]}
+		return 0, ErrHostBlock
+	}}}}
+	var gas []uint64
+	for _, cfg := range []Config{{}, {NoFusion: true}, {NoBlockMeter: true}} {
+		for _, fuel := range []int64{0, 1} {
+			cm, err := Compile(m, host, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := cm.Instantiate()
+			if err := in.Start("f", 100, 7); err != nil {
+				t.Fatal(err)
+			}
+			run := func() Status {
+				for {
+					st, err := in.Run(fuel)
+					if st != StatusYielded {
+						if err != nil {
+							t.Fatalf("%+v fuel=%d: %v", cfg, fuel, err)
+						}
+						return st
+					}
+				}
+			}
+			if st := run(); st != StatusBlocked {
+				t.Fatalf("%+v fuel=%d: status %v, want blocked", cfg, fuel, st)
+			}
+			if sawArgs != [2]uint64{7, 9} {
+				t.Errorf("%+v fuel=%d: host saw arguments %v, want [7 9]", cfg, fuel, sawArgs)
+			}
+			if err := in.ResumeHost(5); err != nil {
+				t.Fatal(err)
+			}
+			if st := run(); st != StatusDone {
+				t.Fatalf("%+v fuel=%d: status %v after resume, want done", cfg, fuel, st)
+			}
+			if got, _ := in.Result(); got != 115 {
+				t.Errorf("%+v fuel=%d: f(100, 7) = %d with completion 5, want 115", cfg, fuel, got)
+			}
+			gas = append(gas, in.Gas)
+		}
+	}
+	for _, g := range gas[1:] {
+		if g != gas[0] {
+			t.Errorf("gas differs across configurations: %v", gas)
+			break
+		}
+	}
+}
+
+// TestFrameTopBeyond16Bits runs a function whose frame does not fit
+// cinstr.top, so every exit from the loop reads Instance.sp's source from
+// compiledFunc.tops instead: single-stepped (a yield at every dispatch), and
+// parked on a host call that ResumeHost completes.
+func TestFrameTopBeyond16Bits(t *testing.T) {
+	i32 := wasm.ValI32
+	const last = 70_000 // index of the last local
+	locals := make([]wasm.ValType, last)
+	m := wasm.NewModule()
+	m.Types = []wasm.FuncType{{Params: []wasm.ValType{i32}, Results: []wasm.ValType{i32}}}
+	m.Imports = []wasm.Import{{Module: "env", Name: "wait", Kind: wasm.ExternFunc, TypeIdx: 0}}
+	for i := range locals {
+		locals[i] = i32
+	}
+	m.Funcs = []wasm.Func{{TypeIdx: 0, Name: "f", Locals: locals, Body: []wasm.Instr{
+		{Op: wasm.OpLocalGet, Imm: 0},
+		{Op: wasm.OpI32Const, Imm: 2},
+		{Op: wasm.OpI32ShrU},
+		{Op: wasm.OpLocalSet, Imm: last},
+		{Op: wasm.OpLocalGet, Imm: last},
+		{Op: wasm.OpLocalGet, Imm: 0},
+		{Op: wasm.OpCall, Imm: 0},
+		{Op: wasm.OpI32Xor},
+	}}}
+	m.Exports = []wasm.Export{{Name: "f", Kind: wasm.ExternFunc, Index: 1}}
+	host := HostRegistry{"env": {"wait": {Type: m.Types[0], Func: func(_ *Instance, _ []uint64) (uint64, error) {
+		return 0, ErrHostBlock
+	}}}}
+	for _, cfg := range []Config{{}, {NoBlockMeter: true}} {
+		cm, err := Compile(m, host, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm.funcs[0].tops == nil {
+			t.Fatal("a 70 000-local frame kept its tops in 16 bits")
+		}
+		in := cm.Instantiate()
+		if err := in.Start("f", 40); err != nil {
+			t.Fatal(err)
+		}
+		st, err := in.Run(1)
+		for st == StatusYielded {
+			st, err = in.Run(1)
+		}
+		if st != StatusBlocked || err != nil {
+			t.Fatalf("status %v, %v; want blocked", st, err)
+		}
+		if want := last + 1 + 1; in.sp != want {
+			t.Errorf("parked with sp %d, want %d (locals, then the operand below the argument)", in.sp, want)
+		}
+		if err := in.ResumeHost(3); err != nil {
+			t.Fatal(err)
+		}
+		for st, err = in.Run(1); st == StatusYielded; st, err = in.Run(1) {
+		}
+		if got, _ := in.Result(); st != StatusDone || err != nil || got != 10^3 {
+			t.Errorf("f(40) = %d (%v, %v), want %d", got, st, err, 10^3)
+		}
+	}
+}

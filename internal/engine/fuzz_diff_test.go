@@ -104,7 +104,11 @@ func diffOutcome(t *testing.T, m *wasm.Module, cfg engine.Config, arg uint64) (s
 // soundness net for check elision, devirtualization, and stack
 // certification.
 func FuzzDifferentialElision(f *testing.F) {
-	for _, bin := range corpus.SeedModules(f) {
+	hazards, err := wasm.Encode(corpus.HazardSeedModule())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, bin := range append(corpus.SeedModules(f), hazards) {
 		for _, arg := range []uint64{0, 8, 15, 1 << 20} {
 			f.Add(bin, arg)
 		}

@@ -21,9 +21,13 @@ var updateLowered = flag.Bool("update", false, "rewrite testdata/lowered.golden 
 // reader is the lowerer under BoundsSoftware and BoundsMPX, so the emitted
 // code of every corpus module under those two strategies is digested, and
 // AnalysisStats — what /__stats shows of the pass — is recorded for the ten
-// suite modules under all five. The file was generated before
-// internal/analysis's state representation was rewritten; a change to the
-// pass that moves a line of it changed a fact.
+// suite modules under all five. The two kinds of line move for different
+// reasons. A stats= line is what the analysis found: a change that moves one
+// changed a fact (internal/analysis/testdata/facts.golden will say which).
+// A code= line digests the lowered instructions, so it also moves whenever
+// the lowering itself changes — the opcode set, operand forwarding, a new
+// superinstruction — with every fact intact; such a change regenerates the
+// file with -update and must leave every stats= line byte-identical.
 func TestLoweredGolden(t *testing.T) {
 	const path = "testdata/lowered.golden"
 	bins := corpus.Modules(t, "testdata/fuzz/FuzzDifferentialElision")

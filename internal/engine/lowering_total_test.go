@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strings"
 	"testing"
 
 	"sledge/internal/abi"
@@ -35,8 +36,15 @@ func TestLoweringTotalNoDeadOpcode(t *testing.T) {
 	}
 	host := abi.Registry()
 	seen := make(map[uint16]bool)
+	wcc := make(map[uint16]bool) // the subset WCC's own output reaches
 	compiled := 0
-	for name, bin := range corpus.Modules(t, "testdata/fuzz/FuzzDifferentialElision") {
+	bins := corpus.Modules(t, "testdata/fuzz/FuzzDifferentialElision")
+	hazards, err := wasm.Encode(corpus.HazardSeedModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins["hazards"] = hazards
+	for name, bin := range bins {
 		m, err := wasm.Decode(bin)
 		if err != nil {
 			continue // a corpus entry the decoder rejects lowers nothing
@@ -52,6 +60,9 @@ func TestLoweringTotalNoDeadOpcode(t *testing.T) {
 				continue
 			}
 			cm.EmittedOps(seen)
+			if strings.HasPrefix(name, "app/") || strings.HasPrefix(name, "polybench/") {
+				cm.EmittedOps(wcc)
+			}
 			compiled++
 		}
 	}
@@ -59,9 +70,17 @@ func TestLoweringTotalNoDeadOpcode(t *testing.T) {
 		t.Fatalf("only %d compiles; the corpus did not load", compiled)
 	}
 	lo, hi := engine.InternalOps()
+	reached := 0
 	for op := lo; op < hi; op++ {
 		if !seen[op] {
 			t.Errorf("internal opcode %#x (iUnreachable+%d) is defined but never emitted", op, op-lo)
 		}
+		if wcc[op] {
+			reached++
+		}
+	}
+	t.Logf("%d internal opcodes; the apps and PolyBench kernels (WCC output) reach %d", hi-lo, reached)
+	if hi-lo > 72 {
+		t.Errorf("%d internal opcodes; the slot-operand form was to end no larger than the 72 it replaced", hi-lo)
 	}
 }

@@ -9,68 +9,84 @@ import (
 )
 
 // Internal opcodes. Values below 0x100 reuse the wasm.Opcode encoding for
-// numeric, comparison, conversion, parametric, and memory-access
-// instructions; control flow and variable access are lowered to the
-// pre-resolved forms below.
+// numeric, comparison, conversion and memory-access instructions; control
+// flow, moves and the fused forms are the opcodes below.
+//
+// Executed code is in slot-operand register form (regalloc.go): every
+// operand and result is named by a frame-relative slot, R[s] =
+// stack[frame.base+s]. Slots below nLocals are the locals, the rest are the
+// operand registers (the canonical home of operand-stack depth k is slot
+// nLocals+k), and an instruction is free to name either kind, so one
+// handler serves `x op y` whether x and y are locals, operand registers or
+// one of each, and writes a local or an operand register alike. Unless
+// noted, h is the destination slot and a, b the source slots:
+//
+//	numeric binary/unary   R[h] = R[a] op R[b]  /  R[h] = op R[a]
+//	loads                  R[h] = mem[R[a] + imm]
+//	stores                 mem[R[a] + imm] = R[b]
+//
+// The lowerer's stack-form stream (compile.go), which only regalloc.run
+// reads, spells local.get/local.set/local.tee/drop with their wasm opcodes
+// and pushes constants with iConst; none of those survive into executed
+// code except iConst, which gains its destination.
 const (
 	iUnreachable uint16 = 0x100 + iota
 	iNop
-	// iBr: a = target pc, b = operand height kept below the moved results,
-	// imm = result arity.
+	// iBr: a = target pc. When imm (the result arity) is nonzero the
+	// results move from slots b.. to slots h..; the lowerer zeroes imm when
+	// source and destination coincide, so a branch that moves nothing
+	// touches no slot.
 	iBr
-	iBrIf    // like iBr, pops an i32 condition first, branches when != 0
-	iBrIfNot // like iBrIf, branches when == 0 (lowered `if`)
-	iBrTable // a = index into the function's brTables
-	iReturn  // imm = result arity
-	// iCall: a = defined-function index.
-	iCall
-	// iCallHost: a = host-binding index, b = result arity.
-	iCallHost
-	// iCallIndirect: a = canonical type id, b = param count, imm = result arity.
-	iCallIndirect
-	iConst     // imm = raw value bits
-	iLocalGet  // a = local slot
-	iLocalSet  // a = local slot
-	iLocalTee  // a = local slot
-	iGlobalGet // a = global index
-	iGlobalSet // a = global index
-	iDrop
-	iSelect
-	// iBoundsCheck: a = access width, b = operand depth of the address
-	// (1 for loads, 2 for stores), imm = static offset.
+	// iBrIf / iBrIfNot: branch when R[b] != 0 / == 0. a = target pc, h =
+	// destination slot of moved results, imm = arity (bits 0..31, zero when
+	// nothing moves) | source slot (bits 32..63).
+	iBrIf
+	iBrIfNot
+	// iBrTable: a = index into the function's brTables, b = slot of the
+	// selector, h = slot one past the carried results (their source).
+	iBrTable
+	iReturn // results R[a..a+imm) move to the frame base; imm = arity
+	// Calls take their arguments from canonical slots: h is the frame top
+	// (one past the last argument, or past the table index for the indirect
+	// forms), so the callee's frame starts at h - params.
+	iCall         // a = defined-function index
+	iCallHost     // a = host-binding index, b = result arity
+	iCallIndirect // a = canonical type id, b = param count, imm = result arity | IC slot<<16
+	// iCallDevirt is a statically devirtualized call_indirect: the analysis
+	// proved exactly one table slot matches the site's signature. a = defined
+	// callee index, b = the expected table index; imm packs result arity
+	// (bits 0..15), param count (bits 16..31), and the canonical type id
+	// (bits 32..63). A runtime index other than b cannot dispatch anywhere —
+	// every other slot fails the CFI check — so the mismatch path only has
+	// to reproduce the exact trap (OOB / null / signature).
+	iCallDevirt
+	iConst     // R[h] = imm
+	iMov       // R[h] = R[a]
+	iGlobalGet // R[h] = global[a]
+	iGlobalSet // global[a] = R[b]
+	iSelect    // R[h] = R[a] if R[imm] != 0 else R[b]
+	// iBoundsCheck: a = access width, b = slot of the address, imm = static
+	// offset.
 	iBoundsCheck
 	// iMPXCheck: same layout as iBoundsCheck, simulating MPX bounds
 	// registers (bounds-table loads + two compares + scratch store).
 	iMPXCheck
-	iMemorySize
-	iMemoryGrow
+	iMemorySize // R[h] = pages
+	iMemoryGrow // R[h] = grow(R[a])
 
-	// Fused superinstructions (TierOptimized peephole; see compile.go).
-	iI32AddLC // push local[a] + imm
-	iI32MulLC // push local[a] * imm
-	iI32AddSL // top += local[a]
-	iI32MulSL // top *= local[a]
-	iI32AddSC // top += imm
-	iF64AddSL // top += local[a] (f64)
-	iF64MulSL // top *= local[a] (f64)
-	iIncLocal // local[a] += imm (i32)
-	iI32LoadL // push mem[local[a] + imm] (i32)
-	iF64LoadL // push mem[local[a] + imm] (f64)
-
-	// Second-generation superinstructions: constant-addressed loads,
-	// constant/local-valued stores, local-operand subtraction, and the
-	// compare-and-branch family (an i32 comparison immediately feeding a
-	// br_if collapses into one dispatch; the *Not variants come from the
-	// `cmp; i32.eqz; br_if` loop-exit idiom, branching on the inverse).
-	iI32LoadC  // push mem[imm] (i32; imm = const addr + static offset)
-	iF64LoadC  // push mem[imm] (f64)
-	iI32StoreC // mem[pop() + imm] = a (i32 constant value)
-	iI32StoreL // mem[pop() + imm] = local[a] (i32)
-	iF64StoreL // mem[pop() + imm] = local[a] (f64)
-	iI32SubSL  // top -= local[a] (i32)
-	iF64SubSL  // top -= local[a] (f64)
-	// iBrIf*: layout of iBrIf (a = target pc, b = height, imm = arity) but
-	// pops two i32 operands and branches on the fused comparison.
+	// Immediate forms, where the dispatch histogram earns one (docs/PERF.md
+	// §13): the constant rides in imm instead of being moved into a slot.
+	iI32AddI // R[h] = R[a] + imm (also i32.sub by a constant, and x += c)
+	iI32MulI // R[h] = R[a] * imm
+	// Superinstructions: an i32 multiply-by-constant or add whose result
+	// the next add, or byte load, consumes (regalloc.go's pending entries).
+	iI32MulAddI // R[h] = R[a]*imm + R[b], the row-major index step
+	iI32Add3    // R[h] = R[a] + R[b] + R[imm]
+	iI32Load8UX // R[h] = mem8u[R[a] + R[b] + imm], the add wrapping as i32
+	// iBrIf<cmp>: an i32 comparison fused with the conditional branch it
+	// feeds (br_if, and the inverted sense for `if` and `i32.eqz; br_if`):
+	// branch to a when R[b] <cmp> R[h]. Fused only when the branch moves no
+	// results, so the form carries no move.
 	iBrIfEq
 	iBrIfNe
 	iBrIfLtS
@@ -81,77 +97,48 @@ const (
 	iBrIfLeU
 	iBrIfGeS
 	iBrIfGeU
-
-	// iCallDevirt is a statically devirtualized call_indirect: the analysis
-	// proved exactly one table slot matches the site's signature. a = defined
-	// callee index, b = the expected table index; imm packs result arity
-	// (bits 0..15), param count (bits 16..31), and the canonical type id
-	// (bits 32..63). A runtime index other than b cannot dispatch anywhere —
-	// every other slot fails the CFI check — so the mismatch path only has
-	// to reproduce the exact trap (OOB / null / signature).
-	iCallDevirt
-
-	// Register-form three-address superinstructions, created only by the
-	// regalloc pass (regalloc.go) and executed only by runRegister
-	// (vm_regs.go). In register form every operand-stack slot is a fixed
-	// virtual register in the frame slab: register r lives at
-	// stack[base+nLocals+r], and locals are registers too (local l is
-	// stack[base+l]). The destination register is the instruction's static
-	// operand height (cinstr.h); sources are local indices packed into the
-	// instruction word.
-	iI32AddLL // reg[h] = local[a] + local[b] (i32)
-	iI32SubLL // reg[h] = local[a] - local[b] (i32)
-	iI32MulLL // reg[h] = local[a] * local[b] (i32)
-	iF64AddLL // reg[h] = local[a] + local[b] (f64)
-	iF64SubLL // reg[h] = local[a] - local[b] (f64)
-	iF64MulLL // reg[h] = local[a] * local[b] (f64)
-	iI32MulSC // reg[h-1] *= imm (i32)
-	iMovCL    // local[a] = imm
-	iMovLL    // local[a] = local[b]
-	// iBrIfL / iBrIfNotL: branch on local[imm>>16] != 0 / == 0.
-	// a = target pc, b = kept height, imm bits 0..15 = arity.
-	iBrIfL
-	iBrIfNotL
-	// iBrIf*LL: fused compare-and-branch with both operands in locals
-	// (registers), the dominant loop-header shape. a = target pc, b = kept
-	// height; imm packs arity (bits 0..15), left local (16..31), right
-	// local (32..47).
-	iBrIfEqLL
-	iBrIfNeLL
-	iBrIfLtSLL
-	iBrIfLtULL
-	iBrIfGtSLL
-	iBrIfGtULL
-	iBrIfLeSLL
-	iBrIfLeULL
-	iBrIfGeSLL
-	iBrIfGeULL
+	// iBrIf<cmp>I: the same against a constant: R[b] <cmp> imm — the header
+	// of every `for (i = 0; i < N; ...)`.
+	iBrIfEqI
+	iBrIfNeI
+	iBrIfLtSI
+	iBrIfLtUI
+	iBrIfGtSI
+	iBrIfGtUI
+	iBrIfLeSI
+	iBrIfLeUI
+	iBrIfGeSI
+	iBrIfGeUI
 	// iGasCharge is the amortized fuel charge at a charge point (see
 	// internal/analysis.AnalyzeCost). imm holds the region's static cost.
 	// The lowerer places one immediately before the lowered form of each
 	// anchor instruction, which is exactly where branch patches land, so
 	// every entry into the region pays it. It has no stack effect and is
-	// never fused, deleted, or reordered by later passes.
+	// never deleted or reordered; regalloc sums two adjacent charges when
+	// no branch can land between them (both always execute together).
 	iGasCharge
 	// iOpLimit is one past the last internal opcode.
 	iOpLimit
 )
 
-// cinstr is one lowered instruction. h is the static operand-stack height
-// at the instruction (operand count above the frame's locals, before the
-// instruction executes), filled in by the regalloc pass: with h known the
-// register-form loop addresses every operand as a fixed slab slot
-// stack[base+nLocals+h-k] and retires the sp bookkeeping entirely. The
-// field occupies what was struct padding, so cinstr stays 24 bytes.
+// cinstr is one lowered instruction, 24 bytes. top is the frame-relative
+// top of the operand stack (nLocals + static operand height) before the
+// instruction executes. The hot paths never read it: it is what
+// Instance.sp is set from when control leaves the loop (yield, trap), and
+// it occupies what was struct padding. A frame too large for 16 bits keeps
+// its tops in compiledFunc.tops instead (see topAt).
 type cinstr struct {
 	op  uint16
+	top uint16
 	a   int32
 	b   int32
 	h   int32
 	imm uint64
 }
 
-// brTarget is one resolved br_table entry.
+// brTarget is one resolved br_table entry. The lowerer records the kept
+// operand height; regalloc rewrites it to the destination slot of the moved
+// results and zeroes arity when they are already in place.
 type brTarget struct {
 	pc     int32
 	height int32
@@ -174,6 +161,18 @@ type compiledFunc struct {
 	// embed as iGasCharge, so gas is bit-identical across tiers.
 	naiveCharges []uint32
 	brTables     [][]brTarget
+	// tops replaces cinstr.top, index for index, in the rare function whose
+	// frame (locals + operand stack) does not fit 16 bits; nil otherwise.
+	tops []int32
+}
+
+// topAt returns the frame-relative top of the operand stack before code[pc]
+// executes. Cold: read only when a run leaves the loop.
+func (f *compiledFunc) topAt(pc int) int {
+	if f.tops != nil {
+		return int(f.tops[pc])
+	}
+	return int(f.code[pc].top)
 }
 
 type hostBinding struct {
@@ -306,12 +305,22 @@ type RegallocStats struct {
 	// Registers is the largest per-frame register file in the module:
 	// locals plus the maximum static operand height of any function.
 	Registers int `json:"registers"`
-	// ThreeAddressFused counts stack-form instruction pairs/triples
-	// collapsed into three-address register ops (LL arithmetic, SC
-	// multiply, register moves).
-	ThreeAddressFused int `json:"three_address_fused"`
-	// BranchFused counts compare/test-and-branch instructions whose
-	// operands were register-allocated (iBrIf*LL / iBrIfL forms).
+	// OperandsForwarded counts operands a consumer read where they already
+	// were — a local named directly as a source slot, or a constant taken
+	// as an immediate — instead of from a slot a local.get/const filled.
+	OperandsForwarded int `json:"operands_forwarded"`
+	// ResultsForwarded counts results written straight into the local the
+	// following local.set/tee names.
+	ResultsForwarded int `json:"results_forwarded"`
+	// Materialised counts the moves that were still needed: a pending
+	// local or constant copied into its canonical operand slot because its
+	// consumer has no slot form for it, or a control-flow edge, call or
+	// write to that local intervened. With fusion off it counts every push.
+	Materialised int `json:"materialised"`
+	// ChargesMerged counts gas charges summed into the one before them.
+	ChargesMerged int `json:"charges_merged"`
+	// BranchFused counts i32 comparisons (and i32.eqz) fused into the
+	// conditional branch they feed.
 	BranchFused int `json:"branch_fused"`
 	// DropsEliminated counts drops deleted outright: in register form a
 	// drop is pure height bookkeeping and compiles to nothing.
@@ -559,49 +568,57 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 	cm.analysisStats.ChargePoints = costs.Points()
 	cm.analysisStats.MaxBlockCost = int(costs.MaxCharge())
 
-	// Lower function bodies.
+	// Lower function bodies: the lowerer flattens each body into a
+	// stack-form stream and the regalloc pass rewrites that to the
+	// slot-operand register form, the only form runRegister executes. The
+	// signatures are filled in for every function first because the pass
+	// resolves call arities against cm.funcs.
 	cm.funcs = make([]compiledFunc, len(m.Funcs))
 	for i := range m.Funcs {
 		f := &m.Funcs[i]
 		ft := m.Types[f.TypeIdx]
-		cf := compiledFunc{
+		cm.funcs[i] = compiledFunc{
 			name:       f.Name,
 			typeIdx:    f.TypeIdx,
 			nParams:    len(ft.Params),
 			nLocals:    len(ft.Params) + len(f.Locals),
 			numResults: len(ft.Results),
 		}
+	}
+	ra := regalloc{cm: cm, fuse: !cfg.NoFusion && cfg.PerInstrNops == 0}
+	// stream is the lowerer's output and the pass's workspace, reused across
+	// functions: sized once for the largest body (check instructions and
+	// ablation nops can still regrow it), so a deploy allocates per function
+	// only the code it keeps.
+	var stream []cinstr
+	if cfg.Tier != TierNaive {
+		maxBody := 0
+		for i := range m.Funcs {
+			maxBody = max(maxBody, len(m.Funcs[i].Body))
+		}
+		stream = make([]cinstr, 0, maxBody+8)
+	}
+	for i := range m.Funcs {
+		f, cf := &m.Funcs[i], &cm.funcs[i]
 		if cfg.Tier == TierNaive {
 			cf.naiveBody = f.Body
 			cf.naiveLabels = f.BrLabels
 			cf.naiveCharges = costs.Funcs[i].Charges
-		} else {
-			if err := lowerFunc(m, f, cfg, cm, &cf, facts, costs.Funcs[i].Charges, i); err != nil {
-				return nil, fmt.Errorf("engine: lower func %d (%s): %w", i, f.Name, err)
-			}
-			cm.lowerStats.Instructions += len(cf.code)
+			continue
 		}
-		cm.funcs[i] = cf
-	}
-
-	// Register allocation: rewrite the lowered bodies to register form, the
-	// only form runRegister executes. Runs after every function is lowered
-	// because the pass resolves call arities against cm.funcs/cm.hostFuncs
-	// when recomputing static stack heights.
-	if cfg.Tier == TierOptimized {
-		fuse := !cfg.NoFusion && cfg.PerInstrNops == 0
-		for i := range cm.funcs {
-			if err := regallocFunc(cm, &cm.funcs[i], fuse); err != nil {
-				return nil, fmt.Errorf("engine: regalloc func %d (%s): %w", i, cm.funcs[i].name, err)
-			}
+		var err error
+		if stream, err = lowerFunc(m, f, cfg, cm, cf, facts, costs.Funcs[i].Charges, i, stream); err != nil {
+			return nil, fmt.Errorf("engine: lower func %d (%s): %w", i, f.Name, err)
 		}
-		cm.regallocStats.Enabled = true
-		for i := range cm.funcs {
-			if r := cm.funcs[i].nLocals + cm.funcs[i].maxStack; r > cm.regallocStats.Registers {
-				cm.regallocStats.Registers = r
-			}
+		if err := ra.run(cf); err != nil {
+			return nil, fmt.Errorf("engine: regalloc func %d (%s): %w", i, f.Name, err)
+		}
+		cm.lowerStats.Instructions += len(cf.code)
+		if r := cf.nLocals + cf.maxStack; r > cm.regallocStats.Registers {
+			cm.regallocStats.Registers = r
 		}
 	}
+	cm.regallocStats.Enabled = cfg.Tier == TierOptimized
 
 	cm.buildStackCerts(facts)
 	cm.computeRetention()
@@ -723,7 +740,7 @@ func (cm *CompiledModule) computeRetention() {
 func (cm *CompiledModule) objectBytes() int {
 	n := 0
 	for i := range cm.funcs {
-		n += len(cm.funcs[i].code) * 24
+		n += len(cm.funcs[i].code)*24 + len(cm.funcs[i].tops)*4
 		n += len(cm.funcs[i].naiveBody) * 32
 		for _, bt := range cm.funcs[i].brTables {
 			n += len(bt) * 12

@@ -215,7 +215,8 @@ func TestCallIndirectInlineCache(t *testing.T) {
 }
 
 // fusionCase pairs a function with inputs and runs it under every config,
-// checking the fused stream computes the same value as the unfused one.
+// checking the forwarded, fused code computes the same value as the
+// unfused one. The cases are the idioms the lowerer's old peephole matched.
 type fusionCase struct {
 	name string
 	fn   fnDef
@@ -228,7 +229,7 @@ func fusionCases() []fusionCase {
 	f64v := wasm.ValF64
 	return []fusionCase{
 		{
-			// i32.const addr; i32.load  ->  iI32LoadC
+			// a load from a constant address (the constant is moved to a slot)
 			name: "const-load-i32",
 			fn: fnDef{
 				name: "f", results: []wasm.ValType{i32},
@@ -243,7 +244,7 @@ func fusionCases() []fusionCase {
 			want: 0x01020304,
 		},
 		{
-			// addr; i32.const v; i32.store  ->  iI32StoreC
+			// a store of a constant value
 			name: "const-store-i32",
 			fn: fnDef{
 				name: "f", params: []wasm.ValType{i32}, results: []wasm.ValType{i32},
@@ -259,7 +260,7 @@ func fusionCases() []fusionCase {
 			want: 12345,
 		},
 		{
-			// addr; local.get v; i32.store  ->  iI32StoreL
+			// a store whose value is read straight from a local
 			name: "local-store-i32",
 			fn: fnDef{
 				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
@@ -275,7 +276,7 @@ func fusionCases() []fusionCase {
 			want: 0xCAFE,
 		},
 		{
-			// i32.sub with a local rhs  ->  iI32SubSL
+			// i32.sub with a local rhs, named in place
 			name: "sub-local-i32",
 			fn: fnDef{
 				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
@@ -289,7 +290,7 @@ func fusionCases() []fusionCase {
 			want: 42,
 		},
 		{
-			// i32.sub with a const rhs  ->  iI32AddSC with negated imm
+			// i32.sub with a const rhs  ->  iI32AddI with negated imm
 			name: "sub-const-i32",
 			fn: fnDef{
 				name: "f", params: []wasm.ValType{i32}, results: []wasm.ValType{i32},
@@ -303,7 +304,7 @@ func fusionCases() []fusionCase {
 			want: uint64(uint32(0xFFFFFFFC)),
 		},
 		{
-			// f64 round-trip through iF64StoreL / iF64LoadC / iF64SubSL
+			// f64 round-trip: store from a local, constant-addressed load, sub
 			name: "f64-store-load-sub",
 			fn: fnDef{
 				name: "f", params: []wasm.ValType{f64v, f64v}, results: []wasm.ValType{f64v},
@@ -428,35 +429,6 @@ func TestFusionMatchesUnfused(t *testing.T) {
 				t.Errorf("%s [%s/%s nofusion=%v]: got %#x, want %#x",
 					fc.name, cfg.Tier, cfg.Bounds, cfg.NoFusion, got, fc.want)
 			}
-		}
-	}
-}
-
-// TestFusionEmitsSuperinstructions pins the lowerer's peephole on the code
-// the module runs: the default config must produce the fused opcodes for
-// their source idioms. Where the regalloc pass rewrites a fused opcode
-// further (see TestRegallocRewrites) the case names that LL form, which
-// only the lowerer's fused form can become.
-func TestFusionEmitsSuperinstructions(t *testing.T) {
-	wantOps := map[string]uint16{
-		"const-load-i32":     iI32LoadC,
-		"const-store-i32":    iI32StoreC,
-		"local-store-i32":    iI32StoreL,
-		"sub-local-i32":      iI32SubLL,  // via iI32SubSL
-		"cmp-brif-direct":    iBrIfLtSLL, // via iBrIfLtS
-		"cmp-brif-inverted":  iBrIfLtSLL, // via iBrIfLtS, ge_s inverted
-		"cmp-brif-unsigned":  iBrIfLtULL, // via iBrIfLtU
-		"cmp-brif-eq":        iBrIfEqLL,  // via iBrIfEq
-		"f64-store-load-sub": iF64SubSL,
-	}
-	for _, fc := range fusionCases() {
-		want, ok := wantOps[fc.name]
-		if !ok {
-			continue
-		}
-		cm := mustCompile(t, buildModule(t, 1, fc.fn), Config{})
-		if !hasOp(cm, want) {
-			t.Errorf("%s: fused opcode %d not emitted", fc.name, want)
 		}
 	}
 }

@@ -6,330 +6,755 @@ import (
 	"sledge/internal/wasm"
 )
 
-// Register allocation for the optimized tier.
+// Register allocation for the optimized tier: the one pass that turns the
+// lowerer's stack-form stream into the slot-operand form runRegister
+// executes (module.go documents the instruction layout).
 //
 // After validation the operand-stack height at every program point is a
-// static constant, so the "operand stack" of a frame is really a fixed set
-// of virtual registers living in the frame's uint64 slab: register r is
-// stack[base+nLocals+r], and the locals below it are registers too. This
-// pass recomputes that height for every lowered instruction and stores it
-// in the instruction word (cinstr.h, a padding hole — the IR stays 24
-// bytes/instr), which lets runRegister (vm_regs.go) address every operand
-// as base+nLocals+h-k with zero sp bookkeeping: no push/pop traffic, no
-// serial sp data dependency between dispatches.
+// static constant, so a frame's operand stack is a fixed set of registers in
+// its slab: depth k lives in slot nLocals+k, its canonical slot, and the
+// locals below are registers too. The pass walks a function once with a
+// compile-time virtual operand stack whose entries say where each value
+// currently is: in its canonical slot, still in local l (a pending
+// local.get), or not in the frame at all (a pending constant). local.get and
+// const emit nothing; they push a pending entry. A consumer names its
+// sources directly — a local and an operand register are both just R[s] —
+// or takes the constant as an immediate where a form for that exists, and a
+// producer followed by local.set/tee writes that local as its destination.
+// Whatever has no slot form for a pending operand first materialises it into
+// its canonical slot with iMov/iConst, which is what the stack form would
+// have cost, so correctness never depends on coverage. (Two more kinds of
+// entry, an unemitted multiply-by-constant and an unemitted add, feed the
+// three superinstructions; see vent.)
 //
-// With heights explicit, a second peephole (beyond compile.go's stack-form
-// fusion) rewrites the dominant remaining shapes into genuine three-address
-// register ops:
+// The hazards are all visible here:
 //
-//	local.get x; local.get y; br_if(cmp)  ->  iBrIf*LL   (loop headers)
-//	local.get x; <op>SL y                 ->  i*LL       (reg[h] = x op y)
-//	const c; i32.mul                      ->  iI32MulSC  (reg[h-1] *= c)
-//	const c; local.set x                  ->  iMovCL
-//	local.get x; local.set y              ->  iMovLL
-//	drop                                  ->  (deleted: height is static)
+//   - a pending read of local l is materialised before anything writes l;
+//   - at every control-flow edge — a branch instruction, and falling into a
+//     branch target — everything live across it is materialised, so every
+//     path reaches a label with the same, canonical, stack; the results a
+//     branch carries are canonical and the handler moves them (or, when they
+//     already sit at the destination, moves nothing);
+//   - call arguments (and an indirect call's table index) are materialised:
+//     the callee's frame starts at the first argument's canonical slot;
+//   - nothing is materialised at a charge point. A yield resumes the same
+//     code on the same slab, and the resumed consumer reads its pending
+//     sources where they still are. Snapshots, held sandboxes and ResumeHost
+//     see the slab and Instance.sp, which is set from the instruction's
+//     recorded top whenever a run leaves the loop; canonical slots of
+//     pending entries hold stale bits below that top and nobody reads them.
 //
-// Fusion only applies when the interior instructions are not branch
-// targets; deleted/fused slots are healed by remapping every branch target
-// (and br_table entry) through an old->new pc map.
+// In the same walk an i32 comparison (or i32.eqz) fuses with the conditional
+// branch it feeds — br_if directly, `if` and `i32.eqz; br_if` with the
+// sense inverted — and two adjacent gas charges that no branch can land
+// between are summed. With fuse off (NoFusion, PerInstrNops) every push is
+// materialised at once and nothing looks ahead: one dispatch per source
+// instruction, operands in canonical slots.
 //
-// Resumability needs no operand stack pointer either: registers live in
-// the slab that save() snapshots, and at every yield/block point the
-// pass-computed height is materialized into Instance.sp for preemption,
-// host blocking, and ResumeHost.
-//
-// The pass is total by contract. Its input, the lowerer's stack-form
-// stream, exists only between lowerFunc and here; its output is the only
-// form runRegister executes, so an inconsistency is a Compile error.
+// The pass is total by contract. Its input exists only between lowerFunc and
+// here; its output is the only form runRegister executes, so an
+// inconsistency is a Compile error.
 
-// stackEffect returns how many operands ci pops and pushes, and whether it
-// ends straight-line flow. Call arities are resolved against the compiled
-// module. The pass runs on pure stack-form IR, so register-form opcodes are
-// rejected.
-func stackEffect(cm *CompiledModule, ci *cinstr) (npop, npush int32, terminal bool, err error) {
-	switch ci.op {
-	case iNop, iBoundsCheck, iMPXCheck, iIncLocal, iGasCharge:
-		return 0, 0, false, nil
-	case iUnreachable:
-		return 0, 0, true, nil
-	case iBr:
-		return int32(ci.imm), 0, true, nil
-	case iBrIf, iBrIfNot:
-		return 1, 0, false, nil
-	case iBrIfEq, iBrIfNe, iBrIfLtS, iBrIfLtU, iBrIfGtS,
-		iBrIfGtU, iBrIfLeS, iBrIfLeU, iBrIfGeS, iBrIfGeU:
-		return 2, 0, false, nil
-	case iBrTable:
-		return 1, 0, true, nil
-	case iReturn:
-		return int32(ci.imm), 0, true, nil
-	case iCall:
-		f := &cm.funcs[ci.a]
-		return int32(f.nParams), int32(f.numResults), false, nil
-	case iCallHost:
-		hb := &cm.hostFuncs[ci.a]
-		return int32(len(hb.ft.Params)), ci.b, false, nil
-	case iCallIndirect:
-		return 1 + ci.b, int32(ci.imm & 0xFFFF), false, nil
-	case iCallDevirt:
-		return 1 + int32((ci.imm>>16)&0xFFFF), int32(ci.imm & 0xFFFF), false, nil
-	case iConst, iLocalGet, iGlobalGet, iMemorySize,
-		iI32AddLC, iI32MulLC, iI32LoadL, iF64LoadL, iI32LoadC, iF64LoadC:
-		return 0, 1, false, nil
-	case iLocalSet, iGlobalSet, iDrop, iI32StoreC, iI32StoreL, iF64StoreL:
-		return 1, 0, false, nil
-	case iLocalTee, iMemoryGrow,
-		iI32AddSL, iI32MulSL, iI32SubSL, iI32AddSC, iF64AddSL, iF64MulSL, iF64SubSL:
-		return 1, 1, false, nil
-	case iSelect:
-		return 3, 1, false, nil
-	}
-	if ci.op < 0x100 {
-		op := wasm.Opcode(ci.op)
-		if _, _, store, ok := wasm.MemOpShape(op); ok {
-			if store {
-				return 2, 0, false, nil
-			}
-			return 1, 1, false, nil
-		}
-		if sig, _, ok := wasm.NumericSig(op); ok {
-			return int32(len(sig)), 1, false, nil
-		}
-	}
-	return 0, 0, false, fmt.Errorf("no stack effect for opcode %#x", ci.op)
+// vent is one entry of the virtual operand stack: where the value at that
+// depth is, or what it will be computed from. Besides a slot and a constant
+// an entry can be an i32 multiply by a constant or an i32 add of two slots
+// that has not been emitted yet — so that the add, or the byte load, that
+// consumes it can be one instruction (iI32MulAddI, iI32Add3, iI32Load8UX;
+// docs/PERF.md §13 has the pair counts that chose these three). Any other
+// consumer materialises it with the very instruction it stands for. Its
+// hazards are those of a pending read of each slot it names, plus one: an
+// unemitted result may name the canonical slot one above its own depth (its
+// right operand), which the next push would take — push materialises it
+// first.
+type vent struct {
+	kind  ventKind
+	slot  int32
+	slot2 int32 // vSum only
+	c     uint64
 }
 
-// branchTargetHeights records, for every branch-target pc in cf, the static
-// operand height control arrives with (the kept height plus the moved
-// result arity). Conflicting heights would mean the lowered IR is not
-// height-consistent and abort the pass.
-func branchTargetHeights(cf *compiledFunc) ([]int32, error) {
-	n := len(cf.code)
-	tgt := make([]int32, n+1)
-	for i := range tgt {
-		tgt[i] = -1
+type ventKind uint8
+
+const (
+	vSlot  ventKind = iota // R[slot]
+	vConst                 // c
+	vMul                   // R[slot] * c, i32
+	vSum                   // R[slot] + R[slot2], i32
+)
+
+// reads reports whether e's value depends on slot s.
+func (e vent) reads(s int32) bool {
+	switch e.kind {
+	case vConst:
+		return false
+	case vSum:
+		return e.slot == s || e.slot2 == s
 	}
-	set := func(pc, h int32) error {
-		if int(pc) < 0 || int(pc) >= n {
-			return fmt.Errorf("branch target %d out of range", pc)
-		}
-		if tgt[pc] >= 0 && tgt[pc] != h {
-			return fmt.Errorf("branch target %d with conflicting heights %d and %d", pc, tgt[pc], h)
-		}
-		tgt[pc] = h
-		return nil
-	}
-	for i := range cf.code {
-		ci := &cf.code[i]
-		switch ci.op {
-		case iBr, iBrIf, iBrIfNot,
-			iBrIfEq, iBrIfNe, iBrIfLtS, iBrIfLtU, iBrIfGtS,
-			iBrIfGtU, iBrIfLeS, iBrIfLeU, iBrIfGeS, iBrIfGeU:
-			if err := set(ci.a, ci.b+int32(ci.imm)); err != nil {
-				return nil, err
-			}
-		case iBrTable:
-			for _, e := range cf.brTables[ci.a] {
-				if err := set(e.pc, e.height+e.arity); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return tgt, nil
+	return e.slot == s
 }
 
-// regallocFunc rewrites cf.code in place to register form: every
-// instruction gets its static operand height, and (when fuse is set) the
-// three-address peephole above runs. Accumulates into cm.regallocStats.
-func regallocFunc(cm *CompiledModule, cf *compiledFunc, fuse bool) error {
-	code := cf.code
-	n := len(code)
-	if n == 0 {
-		return nil
-	}
-	tgt, err := branchTargetHeights(cf)
-	if err != nil {
-		return err
-	}
+// regalloc is the pass state. One value serves every function of a module
+// so the scratch slices are allocated once per Compile.
+type regalloc struct {
+	cm   *CompiledModule
+	fuse bool
 
-	// Forward height dataflow. Lowered code is straight-line except at
-	// recorded targets, so a single pass suffices: after a terminal
-	// instruction the height is unknown until the next branch target.
-	// Unreachable instructions (the implicit iReturn after a terminal is
-	// the common case) never execute; they get their minimum legal height
-	// so slice arithmetic stays in range.
-	hgt := make([]int32, n)
-	reach := make([]bool, n)
-	h := int32(0)
-	known := true
-	for i := 0; i < n; i++ {
-		if tgt[i] >= 0 {
-			if known && h != tgt[i] {
-				return fmt.Errorf("pc %d: fall-through height %d != target height %d", i, h, tgt[i])
-			}
-			h = tgt[i]
-			known = true
-		}
-		npop, npush, term, err := stackEffect(cm, &code[i])
-		if err != nil {
-			return fmt.Errorf("pc %d: %w", i, err)
-		}
-		if !known {
-			hgt[i] = npop
-			continue
-		}
-		reach[i] = true
-		hgt[i] = h
-		if h < npop {
-			return fmt.Errorf("pc %d: height %d underflows pop %d", i, h, npop)
-		}
-		h += npush - npop
-		if int(h) > cf.maxStack {
-			return fmt.Errorf("pc %d: height %d exceeds maxStack %d", i, h, cf.maxStack)
-		}
-		if term {
-			known = false
-		}
-	}
+	cf   *compiledFunc
+	code []cinstr // the function's stack-form stream
+	nl   int32    // nLocals: canonical slot of depth k is nl+k
+	// tgt marks the branch targets, -1 elsewhere. Until the walk reaches a
+	// target it holds the operand height control arrives with; once passed,
+	// the target's output pc, which is what healing needs.
+	tgt []int32
+	// out is the rewritten code. It is written over the stream itself: an
+	// instruction emits at most one instruction of its own, and anything
+	// materialised stands for an earlier instruction that emitted nothing,
+	// so the write position never passes pos, the instruction being read.
+	out  []cinstr
+	pos  int
+	tops []int32 // parallel to out when the frame overflows cinstr.top
+	big  bool
+	vs   []vent
+	// top is the frame top at the source instruction being rewritten,
+	// stamped on everything emitted for it.
+	top int32
+	// barrier is the output pc of the latest branch target: a charge emitted
+	// before it must not absorb one emitted after.
+	barrier int
+	err     error
+}
 
-	// Rewrite: annotate heights, fuse, delete drops, build the pc remap.
-	st := &cm.regallocStats
-	out := make([]cinstr, 0, n)
-	remap := make([]int32, n+1)
-	localOK := func(l int32) bool { return l >= 0 && l < 1<<15 }
-	i := 0
-	for i < n {
-		remap[i] = int32(len(out))
-		ci := code[i]
-		ci.h = hgt[i]
-		if fuse && reach[i] && ci.op == iLocalGet {
-			// local.get x; local.get y; cmp-br  ->  iBrIf*LL
-			if i+2 < n && code[i+1].op == iLocalGet &&
-				code[i+2].op >= iBrIfEq && code[i+2].op <= iBrIfGeU &&
-				tgt[i+1] < 0 && tgt[i+2] < 0 &&
-				localOK(ci.a) && localOK(code[i+1].a) && code[i+2].imm < 1<<16 {
-				br := code[i+2]
-				remap[i+1] = int32(len(out))
-				remap[i+2] = int32(len(out))
-				out = append(out, cinstr{
-					op:  br.op - iBrIfEq + iBrIfEqLL,
-					a:   br.a,
-					b:   br.b,
-					h:   hgt[i],
-					imm: br.imm | uint64(uint32(ci.a))<<16 | uint64(uint32(code[i+1].a))<<32,
-				})
-				st.BranchFused++
-				i += 3
-				continue
-			}
-			if i+1 < n && tgt[i+1] < 0 {
-				next := code[i+1]
-				// local.get x; br_if / br_if_not  ->  iBrIfL / iBrIfNotL
-				if (next.op == iBrIf || next.op == iBrIfNot) &&
-					localOK(ci.a) && next.imm < 1<<16 {
-					op := iBrIfL
-					if next.op == iBrIfNot {
-						op = iBrIfNotL
-					}
-					remap[i+1] = int32(len(out))
-					out = append(out, cinstr{
-						op:  op,
-						a:   next.a,
-						b:   next.b,
-						h:   hgt[i],
-						imm: next.imm | uint64(uint32(ci.a))<<16,
-					})
-					st.BranchFused++
-					i += 2
-					continue
-				}
-				// local.get x; <op>SL y  ->  <op>LL (reg[h] = x op y)
-				if ll, ok := sl2ll(next.op); ok {
-					remap[i+1] = int32(len(out))
-					out = append(out, cinstr{op: ll, a: ci.a, b: next.a, h: hgt[i]})
-					st.ThreeAddressFused++
-					i += 2
-					continue
-				}
-				// local.get x; local.set y  ->  iMovLL
-				if next.op == iLocalSet {
-					remap[i+1] = int32(len(out))
-					out = append(out, cinstr{op: iMovLL, a: next.a, b: ci.a, h: hgt[i]})
-					st.ThreeAddressFused++
-					i += 2
-					continue
-				}
-			}
-		}
-		if fuse && reach[i] && ci.op == iConst && i+1 < n && tgt[i+1] < 0 {
-			switch code[i+1].op {
-			case uint16(wasm.OpI32Mul):
-				// const c; i32.mul  ->  iI32MulSC (reg[h-1] *= c)
-				remap[i+1] = int32(len(out))
-				out = append(out, cinstr{op: iI32MulSC, h: hgt[i], imm: ci.imm})
-				st.ThreeAddressFused++
-				i += 2
-				continue
-			case iLocalSet:
-				// const c; local.set x  ->  iMovCL
-				remap[i+1] = int32(len(out))
-				out = append(out, cinstr{op: iMovCL, a: code[i+1].a, h: hgt[i], imm: ci.imm})
-				st.ThreeAddressFused++
-				i += 2
-				continue
-			}
-		}
-		if fuse && reach[i] && ci.op == iDrop {
-			// In register form a drop is pure height bookkeeping: the
-			// heights downstream already account for it, so it compiles to
-			// nothing. Branches landing on the drop land on its successor
-			// (the slots they kept are below the dropped one either way).
-			st.DropsEliminated++
-			i++
-			continue
-		}
-		out = append(out, ci)
-		i++
+// branchTarget returns the field holding ci's target pc, or nil when ci
+// carries none. It is the one definition of "this instruction jumps to a
+// pc": target collection and healing both go through it (iBrTable's targets
+// live in the function's brTables).
+func branchTarget(ci *cinstr) *int32 {
+	if op := ci.op; (op >= iBr && op <= iBrIfNot) || (op >= iBrIfEq && op <= iBrIfGeUI) {
+		return &ci.a
 	}
-	remap[n] = int32(len(out))
-
-	// Heal branch targets through the remap.
-	for j := range out {
-		switch out[j].op {
-		case iBr, iBrIf, iBrIfNot, iBrIfL, iBrIfNotL,
-			iBrIfEq, iBrIfNe, iBrIfLtS, iBrIfLtU, iBrIfGtS,
-			iBrIfGtU, iBrIfLeS, iBrIfLeU, iBrIfGeS, iBrIfGeU,
-			iBrIfEqLL, iBrIfNeLL, iBrIfLtSLL, iBrIfLtULL, iBrIfGtSLL,
-			iBrIfGtULL, iBrIfLeSLL, iBrIfLeULL, iBrIfGeSLL, iBrIfGeULL:
-			out[j].a = remap[out[j].a]
-		}
-	}
-	for ti := range cf.brTables {
-		for ei := range cf.brTables[ti] {
-			cf.brTables[ti][ei].pc = remap[cf.brTables[ti][ei].pc]
-		}
-	}
-	cf.code = out
 	return nil
 }
 
-// sl2ll maps a stack-form "top op= local" superinstruction to its
-// three-address register form "reg[h] = local op local".
-func sl2ll(op uint16) (uint16, bool) {
-	switch op {
-	case iI32AddSL:
-		return iI32AddLL, true
-	case iI32SubSL:
-		return iI32SubLL, true
-	case iI32MulSL:
-		return iI32MulLL, true
-	case iF64AddSL:
-		return iF64AddLL, true
-	case iF64SubSL:
-		return iF64SubLL, true
-	case iF64MulSL:
-		return iF64MulLL, true
+// i32 comparisons are consecutive in both encodings and in the same order,
+// so iBrIfEq+k (or iBrIfEqI+k) fuses wasm.OpI32Eq+k. cmpNot[k] is the
+// comparison that holds exactly when k does not; cmpSwap[k] the one that
+// holds for (y, x) exactly when k holds for (x, y).
+var (
+	cmpNot  = [10]uint16{1, 0, 8, 9, 6, 7, 4, 5, 2, 3}
+	cmpSwap = [10]uint16{0, 1, 4, 5, 2, 3, 8, 9, 6, 7}
+)
+
+func (ra *regalloc) fail(format string, args ...any) {
+	if ra.err == nil {
+		ra.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (ra *regalloc) emit(ci cinstr) {
+	if len(ra.out) > ra.pos {
+		ra.fail("rewritten code overtook the stream at pc %d", ra.pos)
+		return
+	}
+	ci.top = uint16(ra.top)
+	ra.out = append(ra.out, ci)
+	if ra.big {
+		ra.tops = append(ra.tops, ra.top)
+	}
+}
+
+func (ra *regalloc) canon(k int) int32 { return ra.nl + int32(k) }
+
+// clobber is called before anything overwrites the canonical slot of depth
+// j (a push, or a callee's frame): only the entry just below can be an
+// unemitted result naming it.
+func (ra *regalloc) clobber(j int) {
+	if j > 0 && ra.vs[j-1].kind != vSlot && ra.vs[j-1].reads(ra.canon(j)) {
+		ra.mat(j - 1)
+	}
+}
+
+func (ra *regalloc) push(e vent) {
+	ra.clobber(len(ra.vs))
+	ra.vs = append(ra.vs, e)
+	if len(ra.vs) > ra.cf.maxStack {
+		ra.fail("height %d exceeds maxStack %d", len(ra.vs), ra.cf.maxStack)
+	}
+	if !ra.fuse {
+		ra.mat(len(ra.vs) - 1)
+	}
+}
+
+func (ra *regalloc) pop() vent {
+	if len(ra.vs) == 0 {
+		ra.fail("operand stack underflow")
+		return vent{}
+	}
+	e := ra.vs[len(ra.vs)-1]
+	ra.vs = ra.vs[:len(ra.vs)-1]
+	return e
+}
+
+// mat materialises the entry at depth k into its canonical slot.
+func (ra *regalloc) mat(k int) {
+	e, c := &ra.vs[k], ra.canon(k)
+	if e.kind == vSlot && e.slot == c {
+		return
+	}
+	ra.moveTo(c, *e)
+	*e = vent{slot: c}
+}
+
+// moveTo emits the instruction that puts e's value into slot d: a move, or
+// the operation e stands for.
+func (ra *regalloc) moveTo(d int32, e vent) {
+	switch e.kind {
+	case vConst:
+		ra.emit(cinstr{op: iConst, h: d, imm: e.c})
+		ra.cm.regallocStats.Materialised++
+	case vSlot:
+		ra.emit(cinstr{op: iMov, h: d, a: e.slot})
+		ra.cm.regallocStats.Materialised++
+	case vMul:
+		ra.emit(cinstr{op: iI32MulI, h: d, a: e.slot, imm: e.c})
+	case vSum:
+		ra.emit(cinstr{op: uint16(wasm.OpI32Add), h: d, a: e.slot, b: e.slot2})
+	}
+}
+
+// flush materialises depths [lo, hi).
+func (ra *regalloc) flush(lo, hi int) {
+	for k := lo; k < hi; k++ {
+		ra.mat(k)
+	}
+}
+
+// flushLocal materialises every pending read of local l; called before
+// anything writes l.
+func (ra *regalloc) flushLocal(l int32) {
+	for k := range ra.vs {
+		if ra.vs[k].reads(l) {
+			ra.mat(k)
+		}
+	}
+}
+
+// use returns the slot a consumer reads e from, e having been popped from
+// depth k. Whatever is not in a slot yet is put in its canonical one.
+func (ra *regalloc) use(e vent, k int) int32 {
+	if e.kind != vSlot {
+		c := ra.canon(k)
+		ra.moveTo(c, e)
+		return c
+	}
+	if e.slot < ra.nl {
+		ra.cm.regallocStats.OperandsForwarded++
+	}
+	return e.slot
+}
+
+// dst picks where the instruction at i puts its result, its operands
+// already popped: the local a directly following local.set/tee names (not a
+// branch target), else the canonical slot. skip is the number of following
+// instructions the choice consumed.
+func (ra *regalloc) dst(i int) (slot int32, skip int) {
+	if ra.fuse && i+1 < len(ra.code) && ra.tgt[i+1] < 0 {
+		nx := &ra.code[i+1]
+		if op := wasm.Opcode(nx.op); op == wasm.OpLocalSet || op == wasm.OpLocalTee {
+			ra.flushLocal(nx.a)
+			if op == wasm.OpLocalTee {
+				ra.push(vent{slot: nx.a})
+			}
+			ra.cm.regallocStats.ResultsForwarded++
+			return nx.a, 1
+		}
+	}
+	c := ra.canon(len(ra.vs))
+	ra.push(vent{slot: c})
+	return c, 0
+}
+
+// targets fills ra.tgt: for every branch-target pc, the static operand
+// height control arrives with (kept height plus moved results).
+func (ra *regalloc) targets() error {
+	n := len(ra.code)
+	set := func(pc, h int32) error {
+		if pc < 0 || int(pc) >= n {
+			return fmt.Errorf("branch target %d out of range", pc)
+		}
+		if ra.tgt[pc] >= 0 && ra.tgt[pc] != h {
+			return fmt.Errorf("branch target %d with conflicting heights %d and %d", pc, ra.tgt[pc], h)
+		}
+		ra.tgt[pc] = h
+		return nil
+	}
+	for i := range ra.code {
+		ci := &ra.code[i]
+		if p := branchTarget(ci); p != nil {
+			if err := set(*p, ci.b+int32(ci.imm)); err != nil {
+				return err
+			}
+		} else if ci.op == iBrTable {
+			for _, e := range ra.cf.brTables[ci.a] {
+				if err := set(e.pc, e.height+e.arity); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// run rewrites cf.code to slot-operand form. Accumulates into
+// cm.regallocStats.
+func (ra *regalloc) run(cf *compiledFunc) error {
+	n := len(cf.code)
+	if n == 0 {
+		return nil
+	}
+	ra.cf, ra.code, ra.nl = cf, cf.code, int32(cf.nLocals)
+	ra.big = cf.nLocals+cf.maxStack > 0xFFFF
+	if cap(ra.tgt) < n {
+		// cf.code is the lowerer's scratch, sized for the module's largest
+		// body: one allocation serves every function.
+		ra.tgt = make([]int32, max(n, cap(cf.code)))
+	}
+	ra.tgt = ra.tgt[:n]
+	for i := range ra.tgt {
+		ra.tgt[i] = -1
+	}
+	ra.out, ra.tops, ra.vs = ra.code[:0], ra.tops[:0], ra.vs[:0]
+	ra.barrier, ra.err = 0, nil
+	if err := ra.targets(); err != nil {
+		return err
+	}
+
+	// Lowered code is straight-line except at recorded targets, so one
+	// forward walk suffices. After a terminal instruction nothing is
+	// reachable until the next branch target; what lies between never
+	// executes and is dropped.
+	reachable := true
+	for i := 0; i < n; i++ {
+		ra.pos = i
+		if h := ra.tgt[i]; h >= 0 {
+			if reachable {
+				ra.top = ra.canon(len(ra.vs))
+				ra.flush(0, len(ra.vs))
+				if int32(len(ra.vs)) != h {
+					return fmt.Errorf("pc %d: fall-through height %d != target height %d", i, len(ra.vs), h)
+				}
+			} else {
+				ra.vs = ra.vs[:0]
+				for k := 0; k < int(h); k++ {
+					ra.vs = append(ra.vs, vent{slot: ra.canon(k)})
+				}
+				reachable = true
+			}
+			ra.barrier = len(ra.out)
+			ra.tgt[i] = int32(len(ra.out))
+		}
+		if !reachable {
+			continue
+		}
+		ra.top = ra.canon(len(ra.vs))
+		skip, terminal := ra.step(i)
+		if ra.err != nil {
+			return fmt.Errorf("pc %d: %w", i, ra.err)
+		}
+		i += skip
+		reachable = !terminal
+	}
+	if reachable {
+		return fmt.Errorf("control falls off the end of the function")
+	}
+
+	// Heal branch targets through tgt, verifying on the way that each was
+	// recorded as a target (so the entry is a real label, reached with the
+	// canonical stack the walk checked there) and stays in range.
+	heal := func(p *int32) error {
+		old := *p
+		if old < 0 || int(old) >= n || ra.tgt[old] < 0 {
+			return fmt.Errorf("branch to pc %d, which is not a recorded target", old)
+		}
+		if *p = ra.tgt[old]; int(*p) >= len(ra.out) {
+			return fmt.Errorf("branch target %d lands past the end of the function", old)
+		}
+		return nil
+	}
+	for j := range ra.out {
+		if p := branchTarget(&ra.out[j]); p != nil {
+			if err := heal(p); err != nil {
+				return err
+			}
+		}
+	}
+	for _, tbl := range cf.brTables {
+		for ei := range tbl {
+			if err := heal(&tbl[ei].pc); err != nil {
+				return err
+			}
+		}
+	}
+	cf.code = append(make([]cinstr, 0, len(ra.out)), ra.out...)
+	if ra.big {
+		cf.tops = append(make([]int32, 0, len(ra.tops)), ra.tops...)
+	}
+	return nil
+}
+
+// step rewrites the instruction at i. skip is how many following
+// instructions it consumed; terminal reports that straight-line flow ends.
+func (ra *regalloc) step(i int) (skip int, terminal bool) {
+	ci := &ra.code[i]
+	st := &ra.cm.regallocStats
+	if ci.op < 0x100 {
+		op := wasm.Opcode(ci.op)
+		switch op {
+		case wasm.OpLocalGet:
+			ra.push(vent{slot: ci.a})
+			return 0, false
+		case wasm.OpLocalSet, wasm.OpLocalTee:
+			e := ra.pop()
+			if e.kind != vSlot || e.slot != ci.a {
+				ra.flushLocal(ci.a)
+				ra.moveTo(ci.a, e)
+				if e.kind == vMul || e.kind == vSum {
+					e = vent{slot: ci.a} // computed into the local just now
+					st.ResultsForwarded++
+				}
+			}
+			if op == wasm.OpLocalTee {
+				// The value is now in both places; keep naming the old
+				// one, which nothing needs flushing for.
+				ra.vs = append(ra.vs, e)
+			}
+			return 0, false
+		case wasm.OpDrop:
+			// Pure height bookkeeping: the heights downstream already
+			// account for it.
+			ra.pop()
+			st.DropsEliminated++
+			return 0, false
+		case wasm.OpI32ReinterpretF32, wasm.OpF32ReinterpretI32,
+			wasm.OpI64ReinterpretF64, wasm.OpF64ReinterpretI64:
+			// Bit-identical in the raw representation: the entry stands.
+			return 0, false
+		}
+		if _, _, store, ok := wasm.MemOpShape(op); ok {
+			if store {
+				v, addr := ra.pop(), ra.pop()
+				k := len(ra.vs)
+				ra.emit(cinstr{op: ci.op, a: ra.use(addr, k), b: ra.use(v, k+1), imm: ci.imm})
+				return 0, false
+			}
+			addr := ra.pop()
+			if addr.kind == vSum && op == wasm.OpI32Load8U {
+				d, skip := ra.dst(i)
+				ra.emit(cinstr{op: iI32Load8UX, h: d, a: addr.slot, b: addr.slot2, imm: ci.imm})
+				return skip, false
+			}
+			a := ra.use(addr, len(ra.vs))
+			d, skip := ra.dst(i)
+			ra.emit(cinstr{op: ci.op, h: d, a: a, imm: ci.imm})
+			return skip, false
+		}
+		if sig, _, ok := wasm.NumericSig(op); ok {
+			return ra.numeric(i, len(sig)), false
+		}
+		ra.fail("no register form for opcode %#x", ci.op)
+		return 0, false
+	}
+
+	switch ci.op {
+	case iNop:
+		ra.emit(*ci)
+	case iUnreachable:
+		ra.emit(*ci)
+		return 0, true
+	case iGasCharge:
+		if last := len(ra.out) - 1; ra.fuse && last >= 0 && last >= ra.barrier &&
+			ra.out[last].op == iGasCharge &&
+			ra.out[last].imm+ci.imm <= uint64(ra.cm.cfg.MaxUncharged) {
+			ra.out[last].imm += ci.imm
+			st.ChargesMerged++
+			return 0, false
+		}
+		ra.emit(*ci)
+	case iConst:
+		ra.push(vent{kind: vConst, c: ci.imm})
+
+	case iBr:
+		k, kept, arity := len(ra.vs), int(ci.b), int(ci.imm)
+		if kept+arity > k {
+			ra.fail("br keeps %d and carries %d from height %d", kept, arity, k)
+			return 0, true
+		}
+		// What lies between the kept slots and the carried results dies
+		// with the branch.
+		ra.flush(0, kept)
+		ra.flush(k-arity, k)
+		src, dst := ra.canon(k-arity), ra.canon(kept)
+		if src == dst {
+			arity = 0
+		}
+		ra.emit(cinstr{op: iBr, a: ci.a, b: src, h: dst, imm: uint64(arity)})
+		return 0, true
+	case iBrIf:
+		ra.branchOn(i, ra.pop(), false)
+	case iBrIfNot:
+		ra.branchOn(i, ra.pop(), true)
+	case iBrTable:
+		idx := ra.pop()
+		k := len(ra.vs)
+		ra.flush(0, k)
+		tbl := ra.cf.brTables[ci.a]
+		for ei := range tbl {
+			e := &tbl[ei]
+			src := ra.canon(k - int(e.arity))
+			if e.height = ra.nl + e.height; e.height == src {
+				e.arity = 0
+			}
+		}
+		ra.emit(cinstr{op: iBrTable, a: ci.a, b: ra.use(idx, k), h: ra.canon(k)})
+		return 0, true
+	case iReturn:
+		switch arity := int(ci.imm); {
+		case arity == 0:
+			ra.emit(cinstr{op: iReturn})
+		case arity == 1:
+			e := ra.pop()
+			ra.emit(cinstr{op: iReturn, a: ra.use(e, len(ra.vs)), imm: 1})
+		case arity <= len(ra.vs):
+			k := len(ra.vs)
+			ra.flush(k-arity, k)
+			ra.emit(cinstr{op: iReturn, a: ra.canon(k - arity), imm: uint64(arity)})
+		default:
+			ra.fail("return of %d from height %d", arity, len(ra.vs))
+		}
+		return 0, true
+
+	case iCall:
+		f := &ra.cm.funcs[ci.a]
+		ra.call(ci, f.nParams, f.numResults)
+	case iCallHost:
+		ra.call(ci, len(ra.cm.hostFuncs[ci.a].ft.Params), int(ci.b))
+	case iCallIndirect:
+		ra.call(ci, 1+int(ci.b), int(ci.imm&0xFFFF))
+	case iCallDevirt:
+		ra.call(ci, 1+int((ci.imm>>16)&0xFFFF), int(ci.imm&0xFFFF))
+
+	case iGlobalGet:
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iGlobalGet, h: d, a: ci.a})
+		return skip, false
+	case iGlobalSet:
+		e := ra.pop()
+		ra.emit(cinstr{op: iGlobalSet, a: ci.a, b: ra.use(e, len(ra.vs))})
+	case iSelect:
+		c, y, x := ra.pop(), ra.pop(), ra.pop()
+		k := len(ra.vs)
+		a, b, cs := ra.use(x, k), ra.use(y, k+1), ra.use(c, k+2)
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iSelect, h: d, a: a, b: b, imm: uint64(cs)})
+		return skip, false
+	case iMemorySize:
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iMemorySize, h: d})
+		return skip, false
+	case iMemoryGrow:
+		a := ra.use(ra.pop(), len(ra.vs))
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iMemoryGrow, h: d, a: a})
+		return skip, false
+	case iBoundsCheck, iMPXCheck:
+		// The check precedes its access and pops nothing: it names the
+		// slot the access will read the address from.
+		k := len(ra.vs) - int(ci.b)
+		if k < 0 {
+			ra.fail("bounds check of depth %d at height %d", ci.b, len(ra.vs))
+			return 0, false
+		}
+		if ra.vs[k].kind != vSlot {
+			ra.mat(k)
+		}
+		ra.emit(cinstr{op: ci.op, a: ci.a, b: ra.vs[k].slot, imm: ci.imm})
+	default:
+		ra.fail("no register form for opcode %#x", ci.op)
 	}
 	return 0, false
+}
+
+// call rewrites a call popping npop operands (arguments, then the table
+// index of the indirect forms) and pushing npush results. The callee's frame
+// starts at the first argument's canonical slot and its results land there.
+func (ra *regalloc) call(ci *cinstr, npop, npush int) {
+	k := len(ra.vs)
+	if npop > k {
+		ra.fail("call pops %d from height %d", npop, k)
+		return
+	}
+	ra.flush(k-npop, k)
+	ra.vs = ra.vs[:k-npop]
+	ra.clobber(k - npop)
+	out := *ci
+	out.h = ra.canon(k)
+	ra.emit(out)
+	for j := 0; j < npush; j++ {
+		ra.push(vent{slot: ra.canon(len(ra.vs))})
+	}
+}
+
+// condBranch looks past the comparison at i for the conditional branch it
+// feeds; each i32.eqz on the way flips the sense. j is the branch's index,
+// not whether it is taken when the comparison does not hold.
+func (ra *regalloc) condBranch(i int) (j int, not, ok bool) {
+	if !ra.fuse {
+		return 0, false, false
+	}
+	for j = i + 1; j < len(ra.code) && ra.tgt[j] < 0; j++ {
+		switch ra.code[j].op {
+		case uint16(wasm.OpI32Eqz):
+			not = !not
+		case iBrIf:
+			return j, not, true
+		case iBrIfNot:
+			return j, !not, true
+		default:
+			return 0, false, false
+		}
+	}
+	return 0, false, false
+}
+
+// branchOn emits the conditional branch code[j] on the popped condition c:
+// taken when c != 0, or when c == 0 if not is set. Both outcomes are
+// control-flow edges, so everything below the condition is materialised
+// first.
+func (ra *regalloc) branchOn(j int, c vent, not bool) {
+	br := &ra.code[j]
+	k := len(ra.vs)
+	ra.flush(0, k)
+	arity := int(br.imm)
+	src, dst := ra.canon(k-arity), ra.nl+br.b
+	if src == dst {
+		arity = 0
+	}
+	op := iBrIf
+	if not {
+		op = iBrIfNot
+	}
+	ra.emit(cinstr{op: op, a: br.a, b: ra.use(c, k), h: dst, imm: uint64(arity) | uint64(src)<<32})
+}
+
+// numeric rewrites the numeric instruction at i (nargs operands, one
+// result) and returns how many following instructions it consumed.
+func (ra *regalloc) numeric(i, nargs int) (skip int) {
+	op := ra.code[i].op
+	st := &ra.cm.regallocStats
+	if nargs == 1 {
+		x := ra.pop()
+		if op == uint16(wasm.OpI32Eqz) {
+			if j, not, ok := ra.condBranch(i); ok {
+				// eqz holds when x == 0: taken on x != 0 iff the chain
+				// inverts it.
+				ra.branchOn(j, x, !not)
+				st.BranchFused++
+				return j - i
+			}
+		}
+		a := ra.use(x, len(ra.vs))
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: op, h: d, a: a})
+		return skip
+	}
+	y, x := ra.pop(), ra.pop()
+	k := len(ra.vs)
+	kx, ky := k, k+1 // the depths x and y were popped from, should they swap
+	if cmp := op - uint16(wasm.OpI32Eq); cmp < 10 {
+		if j, not, ok := ra.condBranch(i); ok {
+			// The fused forms carry no move: leave a branch that has
+			// results to move on the generic path.
+			br := &ra.code[j]
+			if br.imm == 0 || k-int(br.imm) == int(br.b) {
+				if not {
+					cmp = cmpNot[cmp]
+				}
+				ra.flush(0, k)
+				if x.kind == vConst && y.kind != vConst {
+					x, y, kx, ky, cmp = y, x, ky, kx, cmpSwap[cmp]
+				}
+				if y.kind == vConst {
+					ra.emit(cinstr{op: iBrIfEqI + cmp, a: br.a, b: ra.use(x, kx), imm: y.c})
+					st.OperandsForwarded++
+				} else {
+					ra.emit(cinstr{op: iBrIfEq + cmp, a: br.a, b: ra.use(x, kx), h: ra.use(y, ky)})
+				}
+				st.BranchFused++
+				return j - i
+			}
+		}
+	}
+	if ra.fuse {
+		switch wasm.Opcode(op) {
+		case wasm.OpI32Add, wasm.OpI32Mul:
+			return ra.addMul(i, wasm.Opcode(op) == wasm.OpI32Mul, x, y, kx, ky)
+		case wasm.OpI32Sub:
+			if y.kind == vConst {
+				y.c = uint64(-uint32(y.c))
+				return ra.addMul(i, false, x, y, kx, ky)
+			}
+		}
+	}
+	a, b := ra.use(x, kx), ra.use(y, ky)
+	d, skip := ra.dst(i)
+	ra.emit(cinstr{op: op, h: d, a: a, b: b})
+	return skip
+}
+
+// addMul rewrites an i32.add or i32.mul of x and y (popped from depths kx
+// and ky) under fusion: a constant operand rides as an immediate, and a
+// result a following add or byte load can absorb is left pending (see vent).
+func (ra *regalloc) addMul(i int, mul bool, x, y vent, kx, ky int) (skip int) {
+	st := &ra.cm.regallocStats
+	if x.kind == vConst && y.kind == vConst {
+		c := uint32(x.c) + uint32(y.c)
+		if mul {
+			c = uint32(x.c) * uint32(y.c)
+		}
+		ra.push(vent{kind: vConst, c: uint64(c)})
+		return 0
+	}
+	// Both operations commute: put the operand the fused form wants on
+	// the left — a constant goes right, a pending product or sum left.
+	if x.kind == vConst || (y.kind > x.kind && y.kind != vConst) {
+		x, y, kx, ky = y, x, ky, kx
+	}
+	switch {
+	case y.kind == vConst && mul:
+		st.OperandsForwarded++
+		ra.push(vent{kind: vMul, slot: ra.use(x, kx), c: y.c})
+	case y.kind == vConst:
+		st.OperandsForwarded++
+		a := ra.use(x, kx)
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iI32AddI, h: d, a: a, imm: y.c})
+		return skip
+	case mul:
+		a, b := ra.use(x, kx), ra.use(y, ky)
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: uint16(wasm.OpI32Mul), h: d, a: a, b: b})
+		return skip
+	case x.kind == vMul:
+		b := ra.use(y, ky)
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iI32MulAddI, h: d, a: x.slot, b: b, imm: x.c})
+		return skip
+	case x.kind == vSum:
+		c := ra.use(y, ky)
+		d, skip := ra.dst(i)
+		ra.emit(cinstr{op: iI32Add3, h: d, a: x.slot, b: x.slot2, imm: uint64(c)})
+		return skip
+	default:
+		ra.push(vent{kind: vSum, slot: ra.use(x, kx), slot2: ra.use(y, ky)})
+	}
+	return 0
 }

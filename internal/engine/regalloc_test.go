@@ -2,214 +2,239 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"sledge/internal/wasm"
 )
 
-// hasOp reports whether any instruction in the module's lowered code uses op.
-func hasOp(cm *CompiledModule, op uint16) bool {
-	for i := range cm.funcs {
-		for _, ci := range cm.funcs[i].code {
-			if ci.op == op {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// TestRegallocRewrites pins the register-form peephole: the default config
-// must actually produce the three-address opcodes for their source idioms
-// (the counterpart of TestFusionEmitsSuperinstructions, which pins the
-// lowerer's peephole). Each case also executes and checks the result, on
-// the register loop and on the naive per-instruction oracle, so a rewrite
-// that emits the opcode but computes the wrong value still fails.
+// TestRegallocRewrites pins the register form instruction by instruction:
+// for each source idiom, the exact code the default config lowers it to —
+// which operands were named where they already were, which results went
+// straight to their local, what still had to be moved. Each case also
+// executes, on the register loop with and without forwarding and on the
+// naive per-instruction oracle, so a rewrite that emits the right shape
+// but computes the wrong value still fails.
 func TestRegallocRewrites(t *testing.T) {
+	if len(opNames) != int(iOpLimit-iUnreachable) {
+		t.Fatalf("opNames has %d entries for %d internal opcodes", len(opNames), iOpLimit-iUnreachable)
+	}
 	i32 := wasm.ValI32
+	get := func(l uint64) wasm.Instr { return wasm.Instr{Op: wasm.OpLocalGet, Imm: l} }
+	set := func(l uint64) wasm.Instr { return wasm.Instr{Op: wasm.OpLocalSet, Imm: l} }
+	tee := func(l uint64) wasm.Instr { return wasm.Instr{Op: wasm.OpLocalTee, Imm: l} }
+	konst := func(v uint64) wasm.Instr { return wasm.Instr{Op: wasm.OpI32Const, Imm: v} }
+	op := func(o wasm.Opcode) wasm.Instr { return wasm.Instr{Op: o} }
+	block := wasm.Instr{Op: wasm.OpBlock, Imm: uint64(wasm.BlockTypeEmpty)}
+	brIf0 := wasm.Instr{Op: wasm.OpBrIf, Imm: 0}
+	// guard wraps a condition: f returns 1 when the br_if is taken, else 0.
+	guard := func(cond ...wasm.Instr) []wasm.Instr {
+		body := append([]wasm.Instr{block}, cond...)
+		return append(body, brIf0, konst(0), op(wasm.OpReturn), op(wasm.OpEnd), konst(1))
+	}
+	carry := []wasm.Instr{
+		{Op: wasm.OpBlock, Imm: uint64(wasm.ValI32)},
+		konst(7), get(0), get(1), brIf0,
+		op(wasm.OpDrop), op(wasm.OpDrop), konst(5), op(wasm.OpEnd),
+	}
 	cases := []struct {
-		name    string
-		fn      fnDef
-		args    []uint64
-		want    uint64
-		wantOp  uint16
-		gone    uint16 // opcode that must NOT survive (0 = no constraint)
-		wantNot bool   // if set, wantOp must be absent instead of present
+		name   string
+		params int // i32 parameters
+		locals int // further i32 locals
+		mem    uint32
+		body   []wasm.Instr
+		args   []uint64
+		want   uint64
+		code   []string
 	}{
 		{
-			// local.get 0; (local.get 1; i32.add)=AddSL  ->  iI32AddLL
-			name: "add-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32Add},
-				},
-			},
-			args: []uint64{40, 2}, want: 42, wantOp: iI32AddLL, gone: iI32AddSL,
+			// Both operands are locals: named in place, nothing moved.
+			name: "add-locals", params: 2,
+			body: []wasm.Instr{get(0), get(1), op(wasm.OpI32Add)},
+			args: []uint64{40, 2}, want: 42,
+			code: []string{"charge", "i32.add 2 0 1 0", "return 0 2 0 1"},
 		},
 		{
-			name: "sub-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32Sub},
-				},
-			},
-			args: []uint64{50, 8}, want: 42, wantOp: iI32SubLL, gone: iI32SubSL,
+			// A computed left operand stays in its operand register; the
+			// constant right operands ride as immediates (sub as add of -c).
+			name: "imm-chain", params: 2,
+			body: []wasm.Instr{get(0), get(1), op(wasm.OpI32Sub), konst(5), op(wasm.OpI32Mul), konst(3), op(wasm.OpI32Sub)},
+			args: []uint64{9, 2}, want: 32,
+			code: []string{"charge", "i32.sub 2 0 1 0", "i32.mul_i 2 2 0 5", "i32.add_i 2 2 0 4294967293", "return 0 2 0 1"},
 		},
 		{
-			name: "f64-mul-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{wasm.ValF64, wasm.ValF64},
-				results: []wasm.ValType{wasm.ValF64},
-				body: []wasm.Instr{
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpF64Mul},
-				},
-			},
-			args: []uint64{math.Float64bits(6), math.Float64bits(7)},
-			want: math.Float64bits(42), wantOp: iF64MulLL, gone: iF64MulSL,
+			// x = x + 1 is one instruction whose destination is its source.
+			name: "inc-local", params: 1,
+			body: []wasm.Instr{get(0), konst(1), op(wasm.OpI32Add), set(0), get(0)},
+			args: []uint64{41}, want: 42,
+			code: []string{"charge", "i32.add_i 0 0 0 1", "return 0 0 0 1"},
 		},
 		{
-			// (a+b) * 5: the const multiplier has a non-local left operand,
-			// so it becomes the scaled form iI32MulSC.
-			name: "mul-sc",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32Add},
-					{Op: wasm.OpI32Const, Imm: 5},
-					{Op: wasm.OpI32Mul},
-				},
-			},
-			args: []uint64{3, 4}, want: 35, wantOp: iI32MulSC,
+			// A constant and a local reach a local with one move each.
+			name: "moves", params: 1, locals: 2,
+			body: []wasm.Instr{konst(7), set(1), get(0), set(2), get(1), get(2), op(wasm.OpI32Add)},
+			args: []uint64{35}, want: 42,
+			code: []string{"charge", "const 1 0 0 7", "mov 2 0 0 0", "i32.add 3 1 2 0", "return 0 3 0 1"},
 		},
 		{
-			// const 7; local.set 1  ->  iMovCL
-			name: "mov-cl",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32}, results: []wasm.ValType{i32},
-				locals: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpI32Const, Imm: 7},
-					{Op: wasm.OpLocalSet, Imm: 1},
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32Add},
-				},
-			},
-			args: []uint64{35}, want: 42, wantOp: iMovCL,
+			// A pending read of x must see the old x: it is moved out
+			// before the forwarded destination overwrites x.
+			name: "read-across-write", params: 1,
+			body: []wasm.Instr{get(0), get(0), konst(1), op(wasm.OpI32Add), set(0), get(0), op(wasm.OpI32Add)},
+			args: []uint64{20}, want: 41,
+			code: []string{"charge", "mov 1 0 0 0", "i32.add_i 0 0 0 1", "i32.add 1 1 0 0", "return 0 1 0 1"},
 		},
 		{
-			// local.get 0; local.set 1  ->  iMovLL
-			name: "mov-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32}, results: []wasm.ValType{i32},
-				locals: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalSet, Imm: 1},
-					{Op: wasm.OpLocalGet, Imm: 1},
-				},
-			},
-			args: []uint64{42}, want: 42, wantOp: iMovLL,
+			// local.tee after a producer: written in place and still on
+			// the stack, as a pending read of that local.
+			name: "tee-forward", params: 2,
+			body: []wasm.Instr{get(0), get(1), op(wasm.OpI32Mul), tee(1), get(0), op(wasm.OpI32Add)},
+			args: []uint64{6, 6}, want: 42,
+			code: []string{"charge", "i32.mul 1 0 1 0", "i32.add 2 1 0 0", "return 0 2 0 1"},
 		},
 		{
-			// local.get 0; br_if  ->  iBrIfL
-			name: "brif-l",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpBlock, Imm: uint64(wasm.BlockTypeEmpty)},
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpBrIf, Imm: 0},
-					{Op: wasm.OpI32Const, Imm: 0},
-					{Op: wasm.OpReturn},
-					{Op: wasm.OpEnd},
-					{Op: wasm.OpI32Const, Imm: 1},
-				},
-			},
-			args: []uint64{9}, want: 1, wantOp: iBrIfL,
+			name: "branch-on-local", params: 1,
+			body: guard(get(0)), args: []uint64{9}, want: 1,
+			code: []string{"charge", "br_if 1 5 0 4294967296", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
-			// local.get 0; local.get 1; i32.lt_s; br_if  ->  iBrIfLtSLL
-			name: "cmp-brif-lts-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpBlock, Imm: uint64(wasm.BlockTypeEmpty)},
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32LtS},
-					{Op: wasm.OpBrIf, Imm: 0},
-					{Op: wasm.OpI32Const, Imm: 0},
-					{Op: wasm.OpReturn},
-					{Op: wasm.OpEnd},
-					{Op: wasm.OpI32Const, Imm: 1},
-				},
-			},
-			args: []uint64{3, 5}, want: 1, wantOp: iBrIfLtSLL, gone: iBrIfLtS,
+			name: "branch-on-eqz", params: 1,
+			body: guard(get(0), op(wasm.OpI32Eqz)), args: []uint64{9}, want: 0,
+			code: []string{"charge", "br_if_not 1 5 0 4294967296", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
-			name: "cmp-brif-eq-ll",
-			fn: fnDef{
-				name: "f", params: []wasm.ValType{i32, i32}, results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpBlock, Imm: uint64(wasm.BlockTypeEmpty)},
-					{Op: wasm.OpLocalGet, Imm: 0},
-					{Op: wasm.OpLocalGet, Imm: 1},
-					{Op: wasm.OpI32Eq},
-					{Op: wasm.OpBrIf, Imm: 0},
-					{Op: wasm.OpI32Const, Imm: 0},
-					{Op: wasm.OpReturn},
-					{Op: wasm.OpEnd},
-					{Op: wasm.OpI32Const, Imm: 1},
-				},
-			},
-			args: []uint64{33, 33}, want: 1, wantOp: iBrIfEqLL, gone: iBrIfEq,
+			name: "cmp-branch-locals", params: 2,
+			body: guard(get(0), get(1), op(wasm.OpI32LtS)), args: []uint64{3, 5}, want: 1,
+			code: []string{"charge", "br_if_lt_s 1 5 0 0", "charge", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
 		},
 		{
-			// An explicit drop compiles to nothing in register form.
-			name: "drop-deleted",
-			fn: fnDef{
-				name: "f", results: []wasm.ValType{i32},
-				body: []wasm.Instr{
-					{Op: wasm.OpI32Const, Imm: 42},
-					{Op: wasm.OpI32Const, Imm: 7},
-					{Op: wasm.OpDrop},
-				},
+			// The loop-header shape: local against constant.
+			name: "cmp-branch-imm", params: 1,
+			body: guard(get(0), konst(5), op(wasm.OpI32GeU)), args: []uint64{5}, want: 1,
+			code: []string{"charge", "br_if_ge_u_i 0 5 0 5", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+		},
+		{
+			// Constant on the left: operands swap, the comparison mirrors.
+			name: "cmp-branch-imm-left", params: 1,
+			body: guard(konst(5), get(0), op(wasm.OpI32LtS)), args: []uint64{9}, want: 1,
+			code: []string{"charge", "br_if_gt_s_i 0 5 0 5", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+		},
+		{
+			// cmp; i32.eqz; br_if branches on the inverse.
+			name: "cmp-branch-inverted", params: 2,
+			body: guard(get(0), get(1), op(wasm.OpI32LtU), op(wasm.OpI32Eqz)), args: []uint64{3, 5}, want: 0,
+			code: []string{"charge", "br_if_ge_u 1 5 0 0", "charge", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
+		},
+		{
+			// `if` skips its body when the comparison fails: the inverse
+			// again, and the arms' results meet in one canonical slot.
+			name: "cmp-if", params: 2,
+			body: []wasm.Instr{
+				get(0), get(1), op(wasm.OpI32Eq),
+				{Op: wasm.OpIf, Imm: uint64(wasm.ValI32)}, konst(10),
+				op(wasm.OpElse), konst(20), op(wasm.OpEnd),
 			},
-			want: 42, wantOp: iDrop, wantNot: true,
+			args: []uint64{4, 4}, want: 10,
+			code: []string{"charge", "br_if_ne 1 5 0 0", "charge", "const 2 0 0 10", "br 2 7 2 0", "charge", "const 2 0 0 20", "return 0 2 0 1"},
+		},
+		{
+			// Loaded straight into a local from an address in a local; the
+			// stored constant has no immediate form and is moved.
+			name: "load-store", params: 1, locals: 1, mem: 1,
+			body: []wasm.Instr{
+				get(0), konst(42), op(wasm.OpI32Store),
+				get(0), op(wasm.OpI32Load), set(1), get(1),
+			},
+			args: []uint64{64}, want: 42,
+			code: []string{"charge", "const 3 0 0 42", "i32.store 0 0 3 0", "i32.load 1 0 0 0", "return 0 1 0 1"},
+		},
+		{
+			// x*5 is not emitted until the add takes it: one instruction.
+			name: "mul-add", params: 2,
+			body: []wasm.Instr{get(0), konst(5), op(wasm.OpI32Mul), get(1), op(wasm.OpI32Add)},
+			args: []uint64{8, 2}, want: 42,
+			code: []string{"charge", "i32.mul_add_i 2 0 1 5", "return 0 2 0 1"},
+		},
+		{
+			// Likewise a+b, taken by a second add or by a byte load's
+			// address.
+			name: "add3", params: 2,
+			body: []wasm.Instr{get(0), get(1), op(wasm.OpI32Add), get(0), op(wasm.OpI32Add)},
+			args: []uint64{20, 2}, want: 42,
+			code: []string{"charge", "i32.add3 2 0 1 0", "return 0 2 0 1"},
+		},
+		{
+			name: "indexed-byte-load", params: 2, mem: 1,
+			body: []wasm.Instr{
+				konst(65), konst(42), op(wasm.OpI32Store8),
+				get(0), get(1), op(wasm.OpI32Add), op(wasm.OpI32Load8U),
+			},
+			args: []uint64{64, 1}, want: 42,
+			code: []string{"charge", "const 2 0 0 65", "const 3 0 0 42", "i32.store8 0 2 3 0", "i32.load8_u_x 2 0 1 0", "return 0 2 0 1"},
+		},
+		{
+			// Constant on the left: the pending product names the slot
+			// above its own, so the next push computes it first.
+			name: "product-before-push", params: 2,
+			body: []wasm.Instr{
+				konst(5), get(0), get(1), op(wasm.OpI32Xor), op(wasm.OpI32Mul),
+				get(0), get(1), op(wasm.OpI32And), op(wasm.OpI32Add),
+			},
+			args: []uint64{12, 4}, want: 44,
+			code: []string{"charge", "i32.xor 3 0 1 0", "i32.mul_i 2 3 0 5", "i32.and 3 0 1 0", "i32.add 2 2 3 0", "return 0 2 0 1"},
+		},
+		{
+			// A br_if carrying its value from one slot up: the taken edge
+			// moves it (arity 1, source slot 3 in the upper half of imm);
+			// everything below the condition is materialised first.
+			name: "carry-moves-taken", params: 2,
+			body: carry, args: []uint64{42, 1}, want: 42,
+			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "br_if 2 6 1 12884901889", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+		},
+		{
+			name: "carry-moves-fallthrough", params: 2,
+			body: carry, args: []uint64{42, 0}, want: 5,
+			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "br_if 2 6 1 12884901889", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+		},
+		{
+			// The same branch with the value already where the label
+			// wants it: arity 0 in the instruction, nothing is touched.
+			name: "carry-in-place", params: 2,
+			body: []wasm.Instr{
+				{Op: wasm.OpBlock, Imm: uint64(wasm.ValI32)},
+				get(0), get(1), brIf0, op(wasm.OpDrop), konst(5), op(wasm.OpEnd),
+			},
+			args: []uint64{42, 1}, want: 42,
+			code: []string{"charge", "mov 2 0 0 0", "br_if 2 5 1 8589934592", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+		},
+		{
+			// A drop is height bookkeeping; a dropped constant never
+			// existed.
+			name: "drop", body: []wasm.Instr{konst(42), konst(7), op(wasm.OpDrop)},
+			want: 42,
+			code: []string{"charge", "const 0 0 0 42", "return 0 0 0 1"},
 		},
 	}
 	for _, tc := range cases {
-		m := buildModule(t, 0, tc.fn)
-		cm := mustCompile(t, m, Config{})
-		if tc.wantNot {
-			if hasOp(cm, tc.wantOp) {
-				t.Errorf("%s: opcode %d should have been eliminated", tc.name, tc.wantOp)
+		fn := fnDef{name: "f", results: []wasm.ValType{i32}, body: tc.body}
+		for i := 0; i < tc.params; i++ {
+			fn.params = append(fn.params, i32)
+		}
+		for i := 0; i < tc.locals; i++ {
+			fn.locals = append(fn.locals, i32)
+		}
+		cm := mustCompile(t, buildModule(t, tc.mem, fn), Config{})
+		got := cm.Listing("f")
+		if strings.Join(got, "\n") != strings.Join(tc.code, "\n") {
+			t.Errorf("%s: lowered to\n\t%s\nwant\n\t%s", tc.name,
+				strings.Join(got, "\n\t"), strings.Join(tc.code, "\n\t"))
+		}
+		for _, cfg := range []Config{{}, {NoFusion: true}, {Tier: TierNaive, NoBlockMeter: true}} {
+			cm := mustCompile(t, buildModule(t, tc.mem, fn), cfg)
+			if got := invoke(t, cm, "f", tc.args...); got != tc.want {
+				t.Errorf("%s [%s nofusion=%v]: got %#x, want %#x", tc.name, cfg.Tier, cfg.NoFusion, got, tc.want)
 			}
-		} else if !hasOp(cm, tc.wantOp) {
-			t.Errorf("%s: register opcode %d not emitted", tc.name, tc.wantOp)
-		}
-		if tc.gone != 0 && hasOp(cm, tc.gone) {
-			t.Errorf("%s: unfused opcode %d survived regalloc", tc.name, tc.gone)
-		}
-		if got := invoke(t, cm, "f", tc.args...); got != tc.want {
-			t.Errorf("%s: got %#x, want %#x", tc.name, got, tc.want)
-		}
-		// The oracle must agree on the same program.
-		om := mustCompile(t, buildModule(t, 0, tc.fn), Config{Tier: TierNaive, NoBlockMeter: true})
-		if got := invoke(t, om, "f", tc.args...); got != tc.want {
-			t.Errorf("%s [naive oracle]: got %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
 }
@@ -424,8 +449,9 @@ func TestRegisterSingleStepMemory(t *testing.T) {
 
 // preemptModule is a register-heavy kernel for the preemption property test:
 // a counted loop with memory stores, loads, a helper call, and fused
-// compare-and-branch headers — it exercises iBrIf*LL, Mov*, *LL arithmetic,
-// and the call/return register windows.
+// compare-and-branch headers — it exercises forwarded operands and
+// destinations, the immediate and multiply-add forms, and the call/return
+// register windows.
 func preemptModule(t *testing.T, cfg Config) *CompiledModule {
 	t.Helper()
 	i32 := wasm.ValI32
@@ -543,6 +569,30 @@ func TestRegisterPreemptEveryBoundaryProperty(t *testing.T) {
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 			t.Errorf("%s: %v", cfg.Bounds, err)
+		}
+	}
+}
+
+// TestRegallocRejectsInconsistentStreams feeds the pass stack-form streams
+// the lowerer never produces. Each must come back as an error — Compile's
+// error, by the pass's contract — and never as code that runs off a table or
+// spins on an unremapped back-edge.
+func TestRegallocRejectsInconsistentStreams(t *testing.T) {
+	for name, code := range map[string][]cinstr{
+		"branch target out of range": {{op: iBr, a: 9}, {op: iReturn}},
+		"branch target past the end": {{op: iBr, a: 2}, {op: iReturn}},
+		"conflicting heights at a target": {
+			{op: iConst}, {op: iBrIf, a: 3}, {op: iConst}, {op: iReturn, imm: 1},
+		},
+		"operand stack underflow":      {{op: uint16(wasm.OpI32Add)}, {op: iReturn}},
+		"falls off the end":            {{op: iNop}},
+		"opcode with no register form": {{op: iOpLimit}, {op: iReturn}},
+	} {
+		cm := &CompiledModule{cfg: Config{}.withDefaults()}
+		cf := &compiledFunc{code: code, maxStack: 4}
+		ra := regalloc{cm: cm, fuse: true}
+		if err := ra.run(cf); err == nil {
+			t.Errorf("%s: accepted, lowered to %v", name, cf.code)
 		}
 	}
 }
