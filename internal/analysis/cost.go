@@ -61,8 +61,10 @@ type CostParams struct {
 // FuncCost is the per-function result: a dense charge table indexed by
 // structured-body instruction index. Charges[i] != 0 means index i anchors a
 // region of that static cost; the engine charges it when control reaches i
-// (the naive interpreter at fetch, the lowered tiers through an iGasCharge
-// emitted immediately before lowering body[i]).
+// (the naive interpreter at fetch; the lowerer through an iGasCharge emitted
+// immediately before lowering body[i], which the register pass keeps as an
+// instruction where control falls into it and otherwise has the branch that
+// arrives there pay — same amount, same point on the path).
 type FuncCost struct {
 	// Charges has len(Body) entries; most are zero.
 	Charges []uint32

@@ -238,7 +238,15 @@ func TestCacheColdReviveServesIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for round := 0; round < 40; round++ {
+	// Forty rounds, and then for as long as the scanner (a 1 ms ticker on
+	// its own goroutine) has not yet had a turn: 240 echo invokes can finish
+	// inside two of its periods.
+	churned := func() bool {
+		s, _ := rt.CacheStats()
+		return s.DroppedBodies != 0 && s.ColdRecompiles != 0
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for round := 0; round < 40 || (!churned() && time.Now().Before(deadline)); round++ {
 		for i, name := range names {
 			payload := []byte(fmt.Sprintf("r%d-m%d", round, i))
 			got, err := rt.Invoke(name, payload)

@@ -11,6 +11,9 @@ import (
 // The workload suites import this package, so a test that compiles them must
 // live in engine_test; these open the lowered code to it.
 
+// SP is the operand-stack pointer recorded when the last run left the loop.
+func (in *Instance) SP() int { return in.sp }
+
 // InternalOps is the defined internal opcode range [lo, hi).
 func InternalOps() (lo, hi uint16) { return iUnreachable, iOpLimit }
 
@@ -70,7 +73,8 @@ var opNames = [...]string{
 
 // Listing renders the function named or exported as fn: its lowered code one instruction per string:
 // "name h a b imm", with every charge's amount left out (the cost pass owns
-// it, not this one).
+// it, not this one): a branch shows the low half of imm, then "+taken" and
+// "+fall" for the edges on which it pays a charge itself.
 func (cm *CompiledModule) Listing(fn string) []string {
 	var out []string
 	exported, isExport := cm.exports[fn]
@@ -87,7 +91,17 @@ func (cm *CompiledModule) Listing(fn string) []string {
 				out = append(out, name)
 				continue
 			}
-			out = append(out, fmt.Sprintf("%s %d %d %d %d", name, ci.h, ci.a, ci.b, int64(ci.imm)))
+			imm, paid := int64(ci.imm), ""
+			if branchTarget(&ci) != nil {
+				imm = int64(uint32(ci.imm))
+				if ci.imm>>takenShift&maxEdgeCost != 0 {
+					paid += " +taken"
+				}
+				if ci.imm>>fallShift != 0 {
+					paid += " +fall"
+				}
+			}
+			out = append(out, fmt.Sprintf("%s %d %d %d %d%s", name, ci.h, ci.a, ci.b, imm, paid))
 		}
 	}
 	return out

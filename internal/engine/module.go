@@ -32,14 +32,26 @@ import (
 const (
 	iUnreachable uint16 = 0x100 + iota
 	iNop
-	// iBr: a = target pc. When imm (the result arity) is nonzero the
-	// results move from slots b.. to slots h..; the lowerer zeroes imm when
-	// source and destination coincide, so a branch that moves nothing
+	// Branches. Every instruction that carries a target pc in a — iBr,
+	// iBrIf/iBrIfNot and the twenty compare-and-branch forms below — pays
+	// the gas charge its edge leads to itself, so that a charge is a
+	// dispatched instruction only where control falls into it. The top half
+	// of imm holds the two costs: bits 32..47 what the taken edge pays, in
+	// which case a is one past the iGasCharge the source branch targets;
+	// bits 48..63 what falling through pays, in which case the charge that
+	// followed was not emitted. Zero where the edge pays nothing (no charge
+	// there, a charge something else can reach, a br_table entry, fusion
+	// off, or a module whose charges do not fit 16 bits). See regalloc.go.
+	//
+	// iBr: a = target pc. When the result arity (imm bits 0..31) is nonzero
+	// the results move from slots b.. to slots h..; the lowerer zeroes it
+	// when source and destination coincide, so a branch that moves nothing
 	// touches no slot.
 	iBr
-	// iBrIf / iBrIfNot: branch when R[b] != 0 / == 0. a = target pc, h =
-	// destination slot of moved results, imm = arity (bits 0..31, zero when
-	// nothing moves) | source slot (bits 32..63).
+	// iBrIf / iBrIfNot: branch when R[b] != 0 / == 0. a = target pc, imm
+	// bits 0..31 = arity, zero when nothing moves. When it is not, the
+	// condition sits in its canonical slot, directly above the results: they
+	// move from slots b-arity.. to slots h...
 	iBrIf
 	iBrIfNot
 	// iBrTable: a = index into the function's brTables, b = slot of the
@@ -113,9 +125,14 @@ const (
 	// internal/analysis.AnalyzeCost). imm holds the region's static cost.
 	// The lowerer places one immediately before the lowered form of each
 	// anchor instruction, which is exactly where branch patches land, so
-	// every entry into the region pays it. It has no stack effect and is
-	// never deleted or reordered; regalloc sums two adjacent charges when
-	// no branch can land between them (both always execute together).
+	// every entry into the region pays it; it has no stack effect. What
+	// reaches runRegister is a charge only where control falls into one:
+	// regalloc sums two adjacent charges when no branch can land between
+	// them (both always execute together), folds the charge a conditional
+	// branch falls into, when nothing else can reach it, into that branch,
+	// and retargets every branch to a charge one past it with the cost in
+	// the branch word (see "Branches" above). No region moves, merges across
+	// a label or splits: each path pays the same costs at the same points.
 	iGasCharge
 	// iOpLimit is one past the last internal opcode.
 	iOpLimit
@@ -173,6 +190,37 @@ func (f *compiledFunc) topAt(pc int) int {
 		return int(f.tops[pc])
 	}
 	return int(f.code[pc].top)
+}
+
+// Where a branch word keeps the charges its edges pay, and the largest one
+// it can hold.
+const (
+	takenShift  = 32
+	fallShift   = 48
+	maxEdgeCost = 0xFFFF
+)
+
+// branchPops returns how many operands a conditional branch consumes — one
+// condition, or the two sides of a fused comparison — and zero for anything
+// else. Its fall-through edge leaves the frame top that much lower.
+func branchPops(op uint16) int {
+	switch {
+	case op == iBrIf || op == iBrIfNot:
+		return 1
+	case op >= iBrIfEq && op <= iBrIfGeUI:
+		return 2
+	}
+	return 0
+}
+
+// paidTop returns the frame-relative top at the charge that was just paid
+// with pc next to run: the iGasCharge at pc-1 — dispatched, or skipped by
+// the branch that paid it — or else the unemitted one folded into the
+// conditional branch at pc-1, whose top is that of the branch's fall-through
+// (regalloc folds a charge only where this holds). A charge has no stack
+// effect, so that is the resume point's top. Cold: read only at a yield.
+func (f *compiledFunc) paidTop(pc int) int {
+	return f.topAt(pc-1) - branchPops(f.code[pc-1].op)
 }
 
 type hostBinding struct {
@@ -319,6 +367,11 @@ type RegallocStats struct {
 	Materialised int `json:"materialised"`
 	// ChargesMerged counts gas charges summed into the one before them.
 	ChargesMerged int `json:"charges_merged"`
+	// ChargesAbsorbed counts the branch edges that pay a charge themselves:
+	// taken edges retargeted one past the charge they led to, and charges
+	// folded into the conditional branch that falls into them (those are
+	// not emitted). AnalysisStats.ChargePoints still counts source regions.
+	ChargesAbsorbed int `json:"charges_absorbed"`
 	// BranchFused counts i32 comparisons (and i32.eqz) fused into the
 	// conditional branch they feed.
 	BranchFused int `json:"branch_fused"`
@@ -586,6 +639,9 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 		}
 	}
 	ra := regalloc{cm: cm, fuse: !cfg.NoFusion && cfg.PerInstrNops == 0}
+	// A branch word has 16 bits for each charge it pays: thread only where
+	// every charge, and every sum of adjacent ones, is sure to fit.
+	ra.thread = ra.fuse && cfg.MaxUncharged <= maxEdgeCost && costs.MaxCharge() <= maxEdgeCost
 	// stream is the lowerer's output and the pass's workspace, reused across
 	// functions: sized once for the largest body (check instructions and
 	// ablation nops can still regrow it), so a deploy allocates per function

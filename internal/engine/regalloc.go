@@ -46,10 +46,28 @@ import (
 //
 // In the same walk an i32 comparison (or i32.eqz) fuses with the conditional
 // branch it feeds — br_if directly, `if` and `i32.eqz; br_if` with the
-// sense inverted — and two adjacent gas charges that no branch can land
-// between are summed. With fuse off (NoFusion, PerInstrNops) every push is
+// sense inverted. With fuse off (NoFusion, PerInstrNops) every push is
 // materialised at once and nothing looks ahead: one dispatch per source
 // instruction, operands in canonical slots.
+//
+// Gas charges (module.go, iGasCharge) are thinned in the same walk, by three
+// rules that leave every path paying the same costs at the same points:
+//
+//   - two adjacent charges that no branch can land between are summed (in
+//     every configuration: a charge is not a source instruction);
+//   - a charge that directly follows a conditional branch, and that no
+//     branch targets, is reached only by falling out of that branch: its
+//     cost goes into the branch word and it is not emitted;
+//   - when targets are healed, a branch whose destination is a charge takes
+//     the cost into its word and lands one past it. The charge stays, for
+//     whatever falls into it (a loop entered from above, a then-arm running
+//     into the merge) and for br_table, which has no room.
+//
+// The last two are jump threading and need fuse. A branch has neither a
+// trap nor a side effect between its test and the charge, so gas at every
+// trap is what it was; the handler pays after any result move and yields
+// with the pc and frame top dispatching the charge would have left (see
+// paidTop), so a resume never pays twice and nothing records "paid".
 //
 // The pass is total by contract. Its input exists only between lowerFunc and
 // here; its output is the only form runRegister executes, so an
@@ -98,6 +116,9 @@ func (e vent) reads(s int32) bool {
 type regalloc struct {
 	cm   *CompiledModule
 	fuse bool
+	// thread: branches pay the charges they lead to (fuse, and every cost
+	// fits the branch word; set by Compile).
+	thread bool
 
 	cf   *compiledFunc
 	code []cinstr // the function's stack-form stream
@@ -163,6 +184,14 @@ func (ra *regalloc) emit(ci cinstr) {
 }
 
 func (ra *regalloc) canon(k int) int32 { return ra.nl + int32(k) }
+
+// topOf returns the frame top stamped on out[j].
+func (ra *regalloc) topOf(j int) int32 {
+	if ra.big {
+		return ra.tops[j]
+	}
+	return int32(ra.out[j].top)
+}
 
 // clobber is called before anything overwrites the canonical slot of depth
 // j (a push, or a callee's frame): only the entry just below can be an
@@ -381,10 +410,22 @@ func (ra *regalloc) run(cf *compiledFunc) error {
 		return nil
 	}
 	for j := range ra.out {
-		if p := branchTarget(&ra.out[j]); p != nil {
-			if err := heal(p); err != nil {
-				return err
-			}
+		ci := &ra.out[j]
+		p := branchTarget(ci)
+		if p == nil {
+			continue
+		}
+		if err := heal(p); err != nil {
+			return err
+		}
+		// Thread the jump: the branch pays the charge it leads to and lands
+		// one past it. The charge's amount is final by now (later charges
+		// may have been summed into it), and it is never the last
+		// instruction: control cannot fall off the end.
+		if t := &ra.out[*p]; ra.thread && t.op == iGasCharge {
+			ci.imm |= t.imm << takenShift
+			*p++
+			ra.cm.regallocStats.ChargesAbsorbed++
 		}
 	}
 	for _, tbl := range cf.brTables {
@@ -471,11 +512,7 @@ func (ra *regalloc) step(i int) (skip int, terminal bool) {
 		ra.emit(*ci)
 		return 0, true
 	case iGasCharge:
-		if last := len(ra.out) - 1; ra.fuse && last >= 0 && last >= ra.barrier &&
-			ra.out[last].op == iGasCharge &&
-			ra.out[last].imm+ci.imm <= uint64(ra.cm.cfg.MaxUncharged) {
-			ra.out[last].imm += ci.imm
-			st.ChargesMerged++
+		if ra.foldCharge(ci.imm) {
 			return 0, false
 		}
 		ra.emit(*ci)
@@ -583,6 +620,44 @@ func (ra *regalloc) step(i int) (skip int, terminal bool) {
 	return 0, false
 }
 
+// foldCharge tries to pay a charge of c through the instruction emitted just
+// before it, which must be the only way to reach it (no branch target since).
+// An emitted charge takes c if the sum stays within MaxUncharged. A
+// conditional branch takes it as what its fall-through edge pays: the first
+// charge when its frame top is the fall-through's (paidTop relies on it),
+// a further one on the same terms as two emitted charges would be summed, so
+// a threaded run yields exactly where an unthreaded one does.
+func (ra *regalloc) foldCharge(c uint64) bool {
+	last := len(ra.out) - 1
+	if last < ra.barrier {
+		return false
+	}
+	prev, st := &ra.out[last], &ra.cm.regallocStats
+	// paid is what prev already pays at this point, kept at shift in imm.
+	paid, shift := prev.imm, 0
+	if prev.op != iGasCharge {
+		pops := branchPops(prev.op)
+		if !ra.thread || pops == 0 {
+			return false
+		}
+		paid, shift = prev.imm>>fallShift, fallShift
+		if paid == 0 {
+			if ra.topOf(last)-int32(pops) != ra.top {
+				return false
+			}
+			prev.imm |= c << fallShift
+			st.ChargesAbsorbed++
+			return true
+		}
+	}
+	if paid+c > uint64(ra.cm.cfg.MaxUncharged) {
+		return false
+	}
+	prev.imm += c << shift
+	st.ChargesMerged++
+	return true
+}
+
 // call rewrites a call popping npop operands (arguments, then the table
 // index of the indirect forms) and pushing npush results. The callee's frame
 // starts at the first argument's canonical slot and its results land there.
@@ -633,16 +708,23 @@ func (ra *regalloc) branchOn(j int, c vent, not bool) {
 	br := &ra.code[j]
 	k := len(ra.vs)
 	ra.flush(0, k)
-	arity := int(br.imm)
-	src, dst := ra.canon(k-arity), ra.nl+br.b
-	if src == dst {
+	arity, dst := int(br.imm), ra.nl+br.b
+	if ra.canon(k-arity) == dst {
 		arity = 0
+	}
+	// A branch that moves results finds them directly below the condition,
+	// which is therefore read from its canonical slot.
+	cond := ra.canon(k)
+	if arity == 0 {
+		cond = ra.use(c, k)
+	} else if c.kind != vSlot || c.slot != cond {
+		ra.moveTo(cond, c)
 	}
 	op := iBrIf
 	if not {
 		op = iBrIfNot
 	}
-	ra.emit(cinstr{op: op, a: br.a, b: ra.use(c, k), h: dst, imm: uint64(arity) | uint64(src)<<32})
+	ra.emit(cinstr{op: op, a: br.a, b: cond, h: dst, imm: uint64(arity)})
 }
 
 // numeric rewrites the numeric instruction at i (nargs operands, one
@@ -683,7 +765,7 @@ func (ra *regalloc) numeric(i, nargs int) (skip int) {
 					x, y, kx, ky, cmp = y, x, ky, kx, cmpSwap[cmp]
 				}
 				if y.kind == vConst {
-					ra.emit(cinstr{op: iBrIfEqI + cmp, a: br.a, b: ra.use(x, kx), imm: y.c})
+					ra.emit(cinstr{op: iBrIfEqI + cmp, a: br.a, b: ra.use(x, kx), imm: uint64(uint32(y.c))})
 					st.OperandsForwarded++
 				} else {
 					ra.emit(cinstr{op: iBrIfEq + cmp, a: br.a, b: ra.use(x, kx), h: ra.use(y, ky)})

@@ -94,37 +94,40 @@ func TestRegallocRewrites(t *testing.T) {
 			code: []string{"charge", "i32.mul 1 0 1 0", "i32.add 2 1 0 0", "return 0 2 0 1"},
 		},
 		{
+			// Both edges of a conditional branch pay the charge they lead
+			// to: the one it falls into is not emitted, the one it
+			// targets (pc 4) stays but is skipped — the branch lands at 5.
 			name: "branch-on-local", params: 1,
 			body: guard(get(0)), args: []uint64{9}, want: 1,
-			code: []string{"charge", "br_if 1 5 0 4294967296", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+			code: []string{"charge", "br_if 1 5 0 0 +taken +fall", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
 			name: "branch-on-eqz", params: 1,
 			body: guard(get(0), op(wasm.OpI32Eqz)), args: []uint64{9}, want: 0,
-			code: []string{"charge", "br_if_not 1 5 0 4294967296", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+			code: []string{"charge", "br_if_not 1 5 0 0 +taken +fall", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
 			name: "cmp-branch-locals", params: 2,
 			body: guard(get(0), get(1), op(wasm.OpI32LtS)), args: []uint64{3, 5}, want: 1,
-			code: []string{"charge", "br_if_lt_s 1 5 0 0", "charge", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
+			code: []string{"charge", "br_if_lt_s 1 5 0 0 +taken +fall", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
 		},
 		{
 			// The loop-header shape: local against constant.
 			name: "cmp-branch-imm", params: 1,
 			body: guard(get(0), konst(5), op(wasm.OpI32GeU)), args: []uint64{5}, want: 1,
-			code: []string{"charge", "br_if_ge_u_i 0 5 0 5", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+			code: []string{"charge", "br_if_ge_u_i 0 5 0 5 +taken +fall", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
 			// Constant on the left: operands swap, the comparison mirrors.
 			name: "cmp-branch-imm-left", params: 1,
 			body: guard(konst(5), get(0), op(wasm.OpI32LtS)), args: []uint64{9}, want: 1,
-			code: []string{"charge", "br_if_gt_s_i 0 5 0 5", "charge", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
+			code: []string{"charge", "br_if_gt_s_i 0 5 0 5 +taken +fall", "const 1 0 0 0", "return 0 1 0 1", "charge", "const 1 0 0 1", "return 0 1 0 1"},
 		},
 		{
 			// cmp; i32.eqz; br_if branches on the inverse.
 			name: "cmp-branch-inverted", params: 2,
 			body: guard(get(0), get(1), op(wasm.OpI32LtU), op(wasm.OpI32Eqz)), args: []uint64{3, 5}, want: 0,
-			code: []string{"charge", "br_if_ge_u 1 5 0 0", "charge", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
+			code: []string{"charge", "br_if_ge_u 1 5 0 0 +taken +fall", "const 2 0 0 0", "return 0 2 0 1", "charge", "const 2 0 0 1", "return 0 2 0 1"},
 		},
 		{
 			// `if` skips its body when the comparison fails: the inverse
@@ -136,7 +139,7 @@ func TestRegallocRewrites(t *testing.T) {
 				op(wasm.OpElse), konst(20), op(wasm.OpEnd),
 			},
 			args: []uint64{4, 4}, want: 10,
-			code: []string{"charge", "br_if_ne 1 5 0 0", "charge", "const 2 0 0 10", "br 2 7 2 0", "charge", "const 2 0 0 20", "return 0 2 0 1"},
+			code: []string{"charge", "br_if_ne 1 5 0 0 +taken +fall", "const 2 0 0 10", "br 2 6 2 0", "charge", "const 2 0 0 20", "return 0 2 0 1"},
 		},
 		{
 			// Loaded straight into a local from an address in a local; the
@@ -186,16 +189,18 @@ func TestRegallocRewrites(t *testing.T) {
 		},
 		{
 			// A br_if carrying its value from one slot up: the taken edge
-			// moves it (arity 1, source slot 3 in the upper half of imm);
-			// everything below the condition is materialised first.
+			// moves it (arity 1) from directly below the condition, which
+			// is therefore moved to its canonical slot; everything below
+			// it is materialised first. Falling through pays the charge
+			// that followed, which is not emitted.
 			name: "carry-moves-taken", params: 2,
 			body: carry, args: []uint64{42, 1}, want: 42,
-			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "br_if 2 6 1 12884901889", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "mov 4 1 0 0", "br_if 2 6 4 1 +fall", "const 2 0 0 5", "return 0 2 0 1"},
 		},
 		{
 			name: "carry-moves-fallthrough", params: 2,
 			body: carry, args: []uint64{42, 0}, want: 5,
-			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "br_if 2 6 1 12884901889", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+			code: []string{"charge", "const 2 0 0 7", "mov 3 0 0 0", "mov 4 1 0 0", "br_if 2 6 4 1 +fall", "const 2 0 0 5", "return 0 2 0 1"},
 		},
 		{
 			// The same branch with the value already where the label
@@ -206,7 +211,43 @@ func TestRegallocRewrites(t *testing.T) {
 				get(0), get(1), brIf0, op(wasm.OpDrop), konst(5), op(wasm.OpEnd),
 			},
 			args: []uint64{42, 1}, want: 42,
-			code: []string{"charge", "mov 2 0 0 0", "br_if 2 5 1 8589934592", "charge", "const 2 0 0 5", "return 0 2 0 1"},
+			code: []string{"charge", "mov 2 0 0 0", "br_if 2 4 1 0 +fall", "const 2 0 0 5", "return 0 2 0 1"},
+		},
+		{
+			// A counted loop. The header charge (pc 1) is dispatched once,
+			// on the way in; the back-edge pays it and lands at 2, the
+			// exit test pays the body's charge when it falls through and
+			// the exit's (pc 6) when it leaves.
+			name: "counted-loop", params: 1, locals: 2,
+			body: []wasm.Instr{
+				block, {Op: wasm.OpLoop, Imm: uint64(wasm.BlockTypeEmpty)},
+				get(1), get(0), op(wasm.OpI32GeS), {Op: wasm.OpBrIf, Imm: 1},
+				get(2), get(1), op(wasm.OpI32Add), set(2),
+				get(1), konst(1), op(wasm.OpI32Add), set(1),
+				{Op: wasm.OpBr, Imm: 0},
+				op(wasm.OpEnd), op(wasm.OpEnd), get(2),
+			},
+			args: []uint64{10}, want: 45,
+			code: []string{
+				"charge", "charge", "br_if_ge_s 0 7 1 0 +taken +fall",
+				"i32.add 2 2 1 0", "i32.add_i 1 1 0 1", "br 3 2 3 0 +taken",
+				"charge", "return 0 2 0 1",
+			},
+		},
+		{
+			// An `if` without else: skipping the arm pays the merge's
+			// charge on the taken edge; the arm's own charge rides on the
+			// fall-through; the merge charge stays for the arm to fall
+			// into.
+			name: "if-no-else", params: 2, locals: 1,
+			body: []wasm.Instr{
+				get(0), get(1), op(wasm.OpI32Eq),
+				{Op: wasm.OpIf, Imm: uint64(wasm.BlockTypeEmpty)},
+				get(2), konst(1), op(wasm.OpI32Add), set(2),
+				op(wasm.OpEnd), get(2),
+			},
+			args: []uint64{4, 4}, want: 1,
+			code: []string{"charge", "br_if_ne 1 4 0 0 +taken +fall", "i32.add_i 2 2 0 1", "charge", "return 0 2 0 1"},
 		},
 		{
 			// A drop is height bookkeeping; a dropped constant never

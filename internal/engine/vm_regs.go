@@ -53,13 +53,16 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 	}
 	// perInstr selects the ablation/oracle metering mode: a fuel check on
 	// every dispatch. In the default block-metered mode fuel is consumed
-	// only at iGasCharge, so the loop top carries no check at all — every
-	// CFG cycle passes a loop-header charge and MaxUncharged bounds
+	// only where a charge is paid — at an iGasCharge, or on the branch edge
+	// that absorbed one — so the loop top carries no check at all: every
+	// CFG cycle pays a loop-header charge and MaxUncharged bounds
 	// straight-line runs, which together bound the work between checks.
 	perInstr := in.mod.cfg.NoBlockMeter
 	// gasRun accumulates charge-point gas for this run slice; folded into
 	// in.Gas by save() so it is identical in both metering modes.
 	var gasRun uint64
+	// edge is the charge being paid, by an iGasCharge or by a branch.
+	var edge uint64
 
 	save := func(sp int) {
 		in.frames = frames
@@ -115,47 +118,42 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		switch ci.op {
 		case iNop:
 		case iGasCharge:
-			// pc is already past the charge: resuming never re-applies it.
-			// A charge has no stack effect, so its own top is the resume
-			// point's.
-			gasRun += ci.imm
-			if !perInstr {
-				steps -= int64(ci.imm)
-				if steps <= 0 {
-					fr.pc = int32(pc)
-					save(base + fr.fn.topAt(pc-1))
-					in.status = StatusYielded
-					return StatusYielded, nil
-				}
-			}
+			edge = ci.imm
+			goto charge
 		case iUnreachable:
 			return fail(TrapUnreachable, base)
 
 		// A taken branch moves its results only when the lowering left an
 		// arity in the instruction: zero means they are already in place
-		// (or there are none), and nothing is touched.
+		// (or there are none), and nothing is touched. Then the edge pays
+		// what the branch word says it owes (see the end of the loop).
 		case iBr:
 			if n := int32(ci.imm); n != 0 {
 				r := stack[base:]
 				copy(r[ci.h:ci.h+n], r[ci.b:ci.b+n])
 			}
 			pc = int(ci.a)
+			goto taken
 		case iBrIf:
 			if stack[base+int(ci.b)] != 0 {
 				if n := int32(ci.imm); n != 0 {
-					r, src := stack[base:], int32(ci.imm>>32)
-					copy(r[ci.h:ci.h+n], r[src:src+n])
+					r := stack[base:]
+					copy(r[ci.h:ci.h+n], r[ci.b-n:ci.b])
 				}
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfNot:
 			if stack[base+int(ci.b)] == 0 {
 				if n := int32(ci.imm); n != 0 {
-					r, src := stack[base:], int32(ci.imm>>32)
-					copy(r[ci.h:ci.h+n], r[src:src+n])
+					r := stack[base:]
+					copy(r[ci.h:ci.h+n], r[ci.b-n:ci.b])
 				}
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrTable:
 			idx := int(uint32(stack[base+int(ci.b)]))
 			tbl := fr.fn.brTables[ci.a]
@@ -435,83 +433,123 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 		case iBrIfEq:
 			if uint32(stack[base+int(ci.b)]) == uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfNe:
 			if uint32(stack[base+int(ci.b)]) != uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLtS:
 			if int32(stack[base+int(ci.b)]) < int32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLtU:
 			if uint32(stack[base+int(ci.b)]) < uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGtS:
 			if int32(stack[base+int(ci.b)]) > int32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGtU:
 			if uint32(stack[base+int(ci.b)]) > uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLeS:
 			if int32(stack[base+int(ci.b)]) <= int32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLeU:
 			if uint32(stack[base+int(ci.b)]) <= uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGeS:
 			if int32(stack[base+int(ci.b)]) >= int32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGeU:
 			if uint32(stack[base+int(ci.b)]) >= uint32(stack[base+int(ci.h)]) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfEqI:
 			if uint32(stack[base+int(ci.b)]) == uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfNeI:
 			if uint32(stack[base+int(ci.b)]) != uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLtSI:
 			if int32(stack[base+int(ci.b)]) < int32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLtUI:
 			if uint32(stack[base+int(ci.b)]) < uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGtSI:
 			if int32(stack[base+int(ci.b)]) > int32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGtUI:
 			if uint32(stack[base+int(ci.b)]) > uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLeSI:
 			if int32(stack[base+int(ci.b)]) <= int32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfLeUI:
 			if uint32(stack[base+int(ci.b)]) <= uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGeSI:
 			if int32(stack[base+int(ci.b)]) >= int32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 		case iBrIfGeUI:
 			if uint32(stack[base+int(ci.b)]) >= uint32(ci.imm) {
 				pc = int(ci.a)
+				goto taken
 			}
+			goto fall
 
 		// ------ memory access (low-byte wasm opcodes) ------
 		case uint16(wasm.OpI32Load):
@@ -1012,6 +1050,28 @@ func (in *Instance) runRegister(fuel int64) (st Status, err error) {
 
 		default:
 			return fail(TrapUnreachable, base)
+		}
+		continue
+
+		// A branch pays the charge its edge leads to, exactly as dispatching
+		// that iGasCharge would have, which is also where the handler of one
+		// ends up. By now any results have moved and pc is the destination,
+		// one past the charge: a yield here resumes without paying again.
+	taken:
+		edge = ci.imm >> takenShift & maxEdgeCost
+		goto charge
+	fall:
+		edge = ci.imm >> fallShift
+	charge:
+		gasRun += edge
+		if !perInstr {
+			steps -= int64(edge)
+			if steps <= 0 {
+				fr.pc = int32(pc)
+				save(base + fr.fn.paidTop(pc))
+				in.status = StatusYielded
+				return StatusYielded, nil
+			}
 		}
 	}
 }

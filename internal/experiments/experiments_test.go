@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"sledge/internal/abi"
+	"sledge/internal/engine"
 	"sledge/internal/nuclio"
+	"sledge/internal/workloads/polybench"
 )
 
 // TestMain lets the re-executed test binary serve as a nuclio worker for
@@ -54,10 +57,12 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestFig5OrderingShape asserts the paper's qualitative result on the quick
-// configuration: the guard-based Sledge configuration must be the fastest
-// checked configuration, software checks cost more than guard, and the
-// naive (Cranelift-class) tier costs more than the optimized tier.
+// TestFig5OrderingShape asserts the part of the paper's qualitative result
+// that a timing can carry on a shared vCPU: the naive (Cranelift-class)
+// tier costs a multiple of the optimized tier. The few-percent gap between
+// guard and the explicit-check configurations is not asserted as a timing
+// (with 5-10 % slack it failed two or three runs in fifteen on any tree);
+// TestFig5ChecksAreExecuted holds what that gap consists of, as a count.
 func TestFig5OrderingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig5 shape check skipped in -short mode")
@@ -86,16 +91,59 @@ func TestFig5OrderingShape(t *testing.T) {
 				a, am[a], b, am[b], slack)
 		}
 	}
-	// The paper's robust orderings. Tier-level gaps (2-3x) are asserted
-	// strictly; the guard-vs-software-check gap is a few percent on this
-	// engine and gets jitter slack on a shared single vCPU (slack < 1
-	// tolerates b measuring up to (1-slack) faster than a).
-	assertLess("Sledge+aWsm", "Sledge+aWsm-bounds-chk", 0.90)
-	assertLess("Sledge+aWsm", "Sledge+aWsm-mpx", 0.95)
+	// Tier-level gaps (2-3x), asserted strictly.
 	assertLess("Sledge+aWsm", "Lucet-class", 1.1)
 	assertLess("Sledge+aWsm", "Wasmer-class", 1.2)
 	assertLess("WAVM-class", "Wasmer-class", 1.2)
 	assertLess("Lucet-class", "Wasmer-class", 1.05)
+}
+
+// TestFig5ChecksAreExecuted is the deterministic half of the fig5 ordering
+// guard < bounds-chk, mpx: the explicit-check configurations execute check
+// instructions the guard configuration does not. Dispatches are counted the
+// way TestDispatchBudget (internal/workloads/apps) counts them — under
+// NoBlockMeter a fuel step is a dispatch — exactly, one step at a time. The
+// strategies differ in nothing but the iBoundsCheck / iMPXCheck they emit
+// (and a move where a check needs a pending address in a slot), so the
+// difference is those, dispatched.
+func TestFig5ChecksAreExecuted(t *testing.T) {
+	dispatches := func(k *polybench.Kernel, b engine.BoundsStrategy) int64 {
+		cm, err := k.Compile(k.TestN, engine.Config{Bounds: b, NoBlockMeter: true})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", k.Name, b, err)
+		}
+		inst := cm.Instantiate()
+		inst.HostData = abi.NewContext(nil)
+		if err := inst.Start("kernel", uint64(uint32(k.TestN))); err != nil {
+			t.Fatalf("%s/%s: %v", k.Name, b, err)
+		}
+		for n := int64(1); ; n++ {
+			switch st, err := inst.Run(1); st {
+			case engine.StatusDone:
+				return n
+			case engine.StatusYielded:
+			default:
+				t.Fatalf("%s/%s: status %v, %v", k.Name, b, st, err)
+			}
+		}
+	}
+	for _, name := range []string{"gemm", "jacobi-2d", "trisolv", "floyd-warshall"} {
+		k, ok := polybench.Get(name)
+		if !ok {
+			t.Fatalf("no kernel %q", name)
+		}
+		guard := dispatches(k, engine.BoundsGuard)
+		for _, b := range []engine.BoundsStrategy{engine.BoundsSoftware, engine.BoundsMPX} {
+			checked := dispatches(k, b)
+			t.Logf("%s: %d dispatches under %s, %d under guard", name, checked, b, guard)
+			if checked <= guard {
+				t.Errorf("%s: %d dispatches under %s, %d under guard: no check instruction is executed", name, checked, b, guard)
+			}
+		}
+		if none := dispatches(k, engine.BoundsNone); none != guard {
+			t.Errorf("%s: %d dispatches under none, %d under guard: guard executes check instructions", name, none, guard)
+		}
+	}
 }
 
 func TestTableRender(t *testing.T) {

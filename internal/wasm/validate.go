@@ -388,7 +388,7 @@ func (v *funcValidator) step(in Instr) error {
 			return err
 		}
 		defTypes := labelTypes(defFrame)
-		if uint32(in.Imm2)>0 && int(uint32(in.Imm2>>32))+int(uint32(in.Imm2)) > len(v.f.BrLabels) {
+		if uint32(in.Imm2) > 0 && int(uint32(in.Imm2>>32))+int(uint32(in.Imm2)) > len(v.f.BrLabels) {
 			return errors.New("br_table labels out of pool range")
 		}
 		for _, l := range BrTargets(v.f.BrLabels, in) {

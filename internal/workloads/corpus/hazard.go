@@ -16,8 +16,14 @@ import (
 // call; an unemitted sum below a callee's frame; constant addresses into
 // checked accesses; and the forms only this module reaches — every
 // compare-and-branch against a constant, the indexed byte load, an
-// `unreachable` that control can reach. Every function is exported under
-// its own name, (i32) -> i32; main(x) sums them, oob excepted, which traps.
+// `unreachable` that control can reach. A second group holds the shapes on
+// which a branch that pays the charge at its destination could go wrong: a
+// br_if and a br that move a value down into a charged merge, if/else arms
+// of different cost that can each trap, a br_table whose targets start
+// regions of distinct cost, a br_if that falls into a loop (the charge
+// holding the `loop`, then the header's), and a header reached both by
+// falling in and by a back-edge. Every function is exported under its own
+// name, (i32) -> i32; main(x) sums them, except oob and arms, which trap.
 //
 // It seeds the differential fuzzer and feeds the lowering-totality test but
 // is deliberately not part of Modules: the analysis and lowering goldens pin
@@ -207,9 +213,85 @@ func HazardSeedModule() *wasm.Module {
 		wasm.Instr{Op: wasm.OpIf, Imm: empty}, op(wasm.OpUnreachable), end,
 		konst(1))
 
+	// Branches that pay the charge they lead to. carry_merge: a br_if (x
+	// odd) moves the top of two values down into the block's result slot,
+	// and the merge it lands on starts a charged region.
+	hazard("carry_merge", nil,
+		block(resI32),
+		konst(7), get(0), konst(3), add,
+		get(0), konst(1), op(wasm.OpI32And),
+		brIf(0),
+		op(wasm.OpDrop), op(wasm.OpDrop), konst(5),
+		end,
+		get(0), add)
+	// carry_br: the same move made by an unconditional br, from inside an if.
+	hazard("carry_br", nil,
+		block(resI32),
+		konst(11), get(0), konst(5), op(wasm.OpI32Mul),
+		get(0), konst(1), op(wasm.OpI32And),
+		wasm.Instr{Op: wasm.OpIf, Imm: empty},
+		get(0), konst(2), add, wasm.Instr{Op: wasm.OpBr, Imm: 1},
+		end,
+		add,
+		end,
+		get(0), add)
+	// arms: bit 0 of x picks the arm, bit 1 makes it trap — an unreachable
+	// in the short arm, a load past the only page in the long one — so gas
+	// at the trap is compared on both edges of the if.
+	hazard("arms", nil,
+		get(0), konst(1), op(wasm.OpI32And),
+		wasm.Instr{Op: wasm.OpIf, Imm: resI32},
+		get(0), konst(2), op(wasm.OpI32And),
+		wasm.Instr{Op: wasm.OpIf, Imm: empty}, op(wasm.OpUnreachable), end,
+		get(0), konst(1), add,
+		op(wasm.OpElse),
+		get(0), konst(2), op(wasm.OpI32And), konst(15), op(wasm.OpI32Shl),
+		get(0), konst(3), op(wasm.OpI32Mul), konst(255), op(wasm.OpI32And), add,
+		op(wasm.OpI32Load8U),
+		get(0), add, konst(9), op(wasm.OpI32Xor),
+		end,
+		konst(1), add)
+	brc := wasm.Func{TypeIdx: tUn, Name: "brt_costs", Locals: []wasm.ValType{i32}}
+	brc.Body = []wasm.Instr{
+		block(empty), block(empty), block(empty),
+		get(0), konst(3), op(wasm.OpI32And),
+		wasm.MakeBrTable(&brc.BrLabels, []uint32{0, 1}, 2),
+		end,
+		get(1), konst(1), add, set(1),
+		end,
+		get(1), konst(2), add, konst(3), op(wasm.OpI32Mul), set(1),
+		end,
+		get(1), get(0), add, konst(5), op(wasm.OpI32Mul), get(0), op(wasm.OpI32Xor), set(1),
+		get(1),
+	}
+	funcs = append(funcs, brc)
+	// fall_loop: skipped when x & 7 == 0; otherwise the br_if falls into a
+	// loop whose back-edge is itself a conditional branch.
+	hazard("fall_loop", []wasm.ValType{i32},
+		block(empty),
+		get(0), konst(7), op(wasm.OpI32And), op(wasm.OpI32Eqz), brIf(0),
+		wasm.Instr{Op: wasm.OpLoop, Imm: empty},
+		get(1), konst(1), add, tee(1),
+		get(0), konst(7), op(wasm.OpI32And), op(wasm.OpI32LtU), brIf(0),
+		end,
+		end,
+		get(1), konst(100), add)
+	// back_edge: the counted loop — its header is entered from above once
+	// and by the br at the bottom x & 15 times.
+	hazard("back_edge", []wasm.ValType{i32, i32},
+		block(empty),
+		wasm.Instr{Op: wasm.OpLoop, Imm: empty},
+		get(1), get(0), konst(15), op(wasm.OpI32And), op(wasm.OpI32GeU), brIf(1),
+		get(2), get(1), add, set(2),
+		get(1), konst(1), add, set(1),
+		wasm.Instr{Op: wasm.OpBr, Imm: 0},
+		end,
+		end,
+		get(2))
+
 	main := wasm.Func{TypeIdx: tUn, Name: "main", Locals: []wasm.ValType{i32}}
 	for i, f := range funcs[fFirst-1:] {
-		if f.Name != "oob" {
+		if f.Name != "oob" && f.Name != "arms" {
 			main.Body = append(main.Body, get(0), call(uint64(fFirst+i)), get(1), add, set(1))
 		}
 	}
