@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-sched bench-tierup bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke sched-smoke cluster-smoke meter-smoke warm-smoke chain-smoke test bench bench-sched bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: formatting (gofmt -l prints nothing), static
 # analysis (go vet plus the project
 # analyzers: noalloc hot-path enforcement, mutex-copy and lock-ordering,
 # atomicfield mixed atomic/plain access detection), a
 # full build, the race detector over the concurrency-sensitive packages
-# (the whole engine with the application suite's tests of it — the dispatch
-# budget and the wasm-equals-native identity — the scheduler, the analysis
-# passes with their pooled scratch and the wasm decoder, all shuffled;
-# admission control, HTTP drain), vet and
+# (the runtime core and the cluster router, the whole engine with the
+# application suite's tests of it — the dispatch budget and the
+# wasm-equals-native identity — the scheduler, the analysis passes with
+# their pooled scratch and the wasm decoder, all shuffled; admission
+# control, HTTP drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -31,7 +32,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke sched-smoke tierup-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke sched-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -46,8 +47,8 @@ build:
 	$(GO) build ./...
 
 test-race:
-	$(GO) test -race ./internal/sandbox/... ./internal/core/... \
-		./internal/admission/... ./internal/httpd/... ./internal/cluster/... ./internal/stats/...
+	$(GO) test -race -shuffle=on ./internal/core/... ./internal/cluster/...
+	$(GO) test -race ./internal/sandbox/... ./internal/admission/... ./internal/httpd/... ./internal/stats/...
 	$(GO) test -race -shuffle=on ./internal/sched/...
 	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/
 	$(GO) test -race -shuffle=on ./internal/analysis/ ./internal/wasm/
@@ -80,17 +81,6 @@ sched-smoke:
 
 bench-sched:
 	$(GO) run ./cmd/sledge-bench -run sched -snapshot BENCH_sched.json
-
-# tierup-smoke runs the adaptive-tiering benchmark at quick sizes (both
-# halves complete, every response bit-identical across tier swaps, cheap
-# rungs strictly faster to register); the acceptance-grade numbers come
-# from `make bench-tierup`, which regenerates BENCH_tierup.json: the
-# 10k-module registration storm and the Zipf time-to-peak-throughput sweep.
-tierup-smoke:
-	$(GO) test -run=TestTierupSmoke -count=1 ./internal/experiments/
-
-bench-tierup:
-	$(GO) run ./cmd/sledge-bench -run tierup -snapshot BENCH_tierup.json
 
 # cluster-smoke runs the edge-cloud continuum end-to-end under the race
 # detector at quick sizes: the 3-node in-process cluster comes up, the

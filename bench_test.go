@@ -193,39 +193,31 @@ const benchNoopSrc = `
 export i32 main() { return 0; }
 `
 
-// BenchmarkInvokeChurn drives full end-to-end Runtime.Invoke churn with and
-// without the recycling layer. The pooled steady state is the zero-allocs/op
-// claim: sandbox shell, engine instance, timeout timer, and context are all
+// BenchmarkInvokeChurn drives full end-to-end Runtime.Invoke churn through
+// the recycling layer. The pooled steady state is the zero-allocs/op claim:
+// sandbox shell, engine instance, timeout timer, and context are all
 // recycled (an empty response avoids the mandatory response copy).
 func BenchmarkInvokeChurn(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		noRecycle bool
-	}{
-		{"pooled", false},
-		{"norecycle", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			rt := sledge.New(sledge.Config{Workers: 1, NoRecycle: mode.noRecycle})
-			defer rt.Close()
-			if _, err := rt.RegisterWCC("noop", benchNoopSrc, sledge.WCCOptions{}); err != nil {
+	b.Run("pooled", func(b *testing.B) {
+		rt := sledge.New(sledge.Config{Workers: 1})
+		defer rt.Close()
+		if _, err := rt.RegisterWCC("noop", benchNoopSrc, sledge.WCCOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		// Warm the pools before measuring.
+		for i := 0; i < 16; i++ {
+			if _, err := rt.Invoke("noop", nil); err != nil {
 				b.Fatal(err)
 			}
-			// Warm the pools before measuring.
-			for i := 0; i < 16; i++ {
-				if _, err := rt.Invoke("noop", nil); err != nil {
-					b.Fatal(err)
-				}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.Invoke("noop", nil); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.Invoke("noop", nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkInstantiateReuse isolates the engine layer: a fresh Instantiate

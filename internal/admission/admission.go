@@ -225,8 +225,8 @@ type Controller struct {
 	// estGen is the per-module estimator generation, bumped by
 	// ResetModule/ResetEstimate. A Ticket captures the generation at Admit;
 	// a completion whose generation is stale (the module was replaced or
-	// tier-swapped while it was in flight) must not feed the estimator —
-	// its sample describes code that is no longer installed and would
+	// revived while it was in flight) must not feed the estimator — its
+	// sample describes a deployment or residency that has ended and would
 	// repollute the freshly reset estimate.
 	estGen map[string]uint64
 
@@ -302,9 +302,9 @@ func (t *Ticket) Done(outcome Outcome, serviceTime time.Duration) {
 		// and one such sample on a fast module inflates the estimate by
 		// alpha×30s — enough to deadline-shed everything until successful
 		// samples decay it back down. A stale generation means the module
-		// was replaced or tier-swapped while this request was in flight:
-		// the sample measured the old code, so it must not repollute the
-		// reset estimator.
+		// was replaced or revived while this request was in flight: the
+		// sample belongs to the old deployment or residency, so it must not
+		// repollute the reset estimator.
 		c.estFor(t.module).update(c.cfg.EWMAAlpha, serviceTime)
 	}
 	c.breakerFor(t.module).record(outcome, c.now())
@@ -611,11 +611,10 @@ func (c *Controller) Estimate(module string) time.Duration {
 }
 
 // ResetEstimate drops only the service-time estimate for module, keeping
-// the breaker — the tier-promotion path. A promoted module runs semantically
-// identical (recompiled) code, so its trap history still applies, but its
-// service time just changed discontinuously: shedding the next requests on
-// the stale cheap-tier estimate would deny the module the traffic that made
-// it hot in the first place. Like ResetModule, it invalidates in-flight
+// the breaker — the revive path, where the bounded cache's evicted module is
+// recompiled on its next invoke. The revived module runs the same code, so
+// its trap history still applies, but the estimate it held when it went
+// cold is dropped and re-seeded. Like ResetModule, it invalidates in-flight
 // tickets' estimator feedback.
 func (c *Controller) ResetEstimate(module string) {
 	c.mu.Lock()

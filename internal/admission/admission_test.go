@@ -770,7 +770,7 @@ func TestShed503DoesNotConsumeRateTokens(t *testing.T) {
 	}
 }
 
-// ---- estimator generation guard (module replace / tier swap) ----
+// ---- estimator generation guard (module replace / revive) ----
 
 // A ticket admitted before ResetModule must not feed its completion latency
 // into the estimator: the sample measured the old deployment's code.
@@ -810,7 +810,7 @@ func TestStaleTicketAfterResetModuleDoesNotFeedEstimator(t *testing.T) {
 	}
 }
 
-// ResetEstimate (the tier-promotion path) clears the estimate and
+// ResetEstimate (the cache-revive path) clears the estimate and
 // invalidates in-flight tickets, but keeps the breaker's trap history.
 func TestResetEstimateKeepsBreakerGuardsGeneration(t *testing.T) {
 	c := New(Config{Workers: 2, Breaker: BreakerConfig{Window: 4, MinSamples: 3, FailureRatio: 0.7}})

@@ -11,7 +11,7 @@ import (
 )
 
 // TestAnalyzeConcurrentMatchesSerial is the pooled scratch's safety net:
-// concurrent RegisterWasm, tier promotion and cache revive all call Analyze
+// concurrent RegisterWasm and cache revive calls all reach Analyze
 // at once, each taking a walker out of the pool. Eight goroutines analyse
 // the suite in their own seeded orders, so walkers move between modules of
 // very different sizes; every result must serialise to exactly what a lone

@@ -5,23 +5,23 @@
 // placement across them.
 //
 // The router consumes each node's existing admission signals — queue depth,
-// per-module EWMA service time, breaker state, tiering state — via the
+// per-module EWMA service time, breaker state, module residency — via the
 // compact core.HealthSnapshot it polls from every node, and scores
 // candidate nodes as
 //
 //	score = round_trip_link + estimated_queue_wait + service_estimate
 //
-// with a warm bonus for nodes where the module is already promoted to the
-// full tier (sticky routing: hot modules keep landing where their optimized
-// code lives). Crucially, the tier turns shedding into offload: when the
-// chosen node's admission controller rejects, the router retries the
-// request on the next-best peer within the request deadline, hedges
-// requests that have already blown their recent p99 budget, and only
-// answers a cluster-level 503 + Retry-After when every candidate is
-// saturated. Link latency is injected by sleeping the declared one-way
-// delay on either side of a dispatch, so heterogeneous continuums (edge
-// boxes microseconds away, cloud pools milliseconds away) simulate
-// in-process and run in CI.
+// with a warm bonus for nodes where the module's compiled body is resident
+// (sticky routing: a module keeps landing where its code is loaded, not
+// where the bounded cache evicted it). Crucially, the tier turns shedding
+// into offload: when the chosen node's admission controller rejects, the
+// router retries the request on the next-best peer within the request
+// deadline, hedges requests that have already blown their recent p99
+// budget, and only answers a cluster-level 503 + Retry-After when every
+// candidate is saturated. Link latency is injected by sleeping the
+// declared one-way delay on either side of a dispatch, so heterogeneous
+// continuums (edge boxes microseconds away, cloud pools milliseconds away)
+// simulate in-process and run in CI.
 package cluster
 
 import (

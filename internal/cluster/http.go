@@ -38,7 +38,6 @@ type NodeSnapshot struct {
 	Inflight   int    `json:"inflight"`
 	Workers    int    `json:"workers"`
 	Draining   bool   `json:"draining,omitempty"`
-	Promoted   int    `json:"promoted,omitempty"`
 }
 
 // Stats snapshots the router's counters and per-node accounting.
@@ -71,7 +70,6 @@ func (r *Router) Stats() Snapshot {
 			ns.Inflight = h.Inflight
 			ns.Workers = h.Workers
 			ns.Draining = h.Draining
-			ns.Promoted = h.Promoted
 		}
 		snap.Nodes = append(snap.Nodes, ns)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"sledge/internal/admission"
 	"sledge/internal/core"
-	"sledge/internal/engine"
 	"sledge/internal/httpd"
 	"sledge/internal/stats"
 )
@@ -162,10 +161,11 @@ func (r *Router) pollLoop() {
 // score rates dispatching module on n right now: round-trip link latency,
 // the modeled queue wait (including this router's own in-flight dispatches
 // the snapshot has not seen), and the module's service estimate, minus a
-// warm bonus when the node already runs the promoted form — which is what
-// sticky-routes a hot module to the node that tiered it up. Breaker-open
-// nodes score a heavy penalty so they are the last resort rather than
-// excluded (they may half-open and recover by the time we dispatch).
+// warm bonus when the module's compiled body is resident on the node — which
+// is what sticky-routes a module away from nodes whose bounded cache evicted
+// it and would recompile before serving. Breaker-open nodes score a heavy
+// penalty so they are the last resort rather than excluded (they may
+// half-open and recover by the time we dispatch).
 // Returns ok=false when the node cannot take the request at all (draining,
 // module not registered, snapshot missing).
 //
@@ -184,9 +184,9 @@ func (r *Router) score(n *node, module string) (time.Duration, bool) {
 		est = r.cfg.DefaultEstimate
 	}
 	s := 2*n.cfg.Link + h.QueueWaitEstimate(module, int(n.pending.Load()), r.cfg.DefaultEstimate) + est
-	if mh.Tier == engine.TierLabelFull {
-		// Warm bonus: promoted code is resident here; prefer it over an
-		// otherwise-equal peer that would serve the cheap tier.
+	if mh.Tier != core.TierLabelCold {
+		// Warm bonus: the compiled body is resident here; prefer it over an
+		// otherwise-equal peer that would recompile it first.
 		s -= est / 4
 	}
 	if mh.Breaker == "open" {

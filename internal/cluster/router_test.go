@@ -8,7 +8,7 @@ import (
 
 	"sledge/internal/admission"
 	"sledge/internal/core"
-	"sledge/internal/wcc"
+	"sledge/internal/engine"
 	"sledge/internal/workloads/apps"
 )
 
@@ -212,51 +212,36 @@ func TestRateLimitNotOffloaded(t *testing.T) {
 	}
 }
 
-// TestStickyWarmRouting: with otherwise equal nodes, the one already
-// serving a module's promoted form wins placement.
+// TestStickyWarmRouting: two nodes publish identical health except that the
+// module's compiled body is resident on one and cold (evicted by the bounded
+// cache) on the other. Whatever tier label the engine configuration gives
+// the resident body, pick must choose the resident node — in either
+// registration order, so the choice comes from the warm bonus, not from a
+// tie broken by position.
 func TestStickyWarmRouting(t *testing.T) {
-	tcWarm := core.TieringConfig{HotInvocations: 1 << 40, HotGas: 1 << 60}
-	warm := core.New(core.Config{Workers: 1, Tiering: &tcWarm})
-	t.Cleanup(func() { warm.Close() })
-	tcCold := core.TieringConfig{HotInvocations: 1 << 40, HotGas: 1 << 60}
-	cold := core.New(core.Config{Workers: 1, Tiering: &tcCold})
-	t.Cleanup(func() { cold.Close() })
-	const src = `
-static u8 out[1];
-export i32 main() {
-	out[0] = 65;
-	sys_write(out, 1);
-	return 0;
-}
-`
-	for _, rt := range []*core.Runtime{warm, cold} {
-		if _, err := rt.RegisterWCC("hot", src, wcc.Options{}); err != nil {
-			t.Fatalf("register: %v", err)
-		}
-	}
-	if err := warm.Promote("hot"); err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
 	r := newTestRouter(t, Config{})
-	register(t, r, NodeConfig{Name: "cold", Runtime: cold})
-	register(t, r, NodeConfig{Name: "warm", Runtime: warm})
-	for i := 0; i < 5; i++ {
-		out, err := r.Invoke("hot", nil)
-		if err != nil || string(out) != "A" {
-			t.Fatalf("invoke %d = %q, %v", i, out, err)
+	snapshot := func(tier string) *core.HealthSnapshot {
+		return &core.HealthSnapshot{
+			Workers: 1,
+			Modules: map[string]core.ModuleHealth{
+				"hot": {EWMAServiceNanos: int64(time.Millisecond), Tier: tier},
+			},
 		}
 	}
-	for _, ns := range r.Stats().Nodes {
-		switch ns.Name {
-		case "warm":
-			if ns.Dispatched != 5 {
-				t.Errorf("warm node dispatched = %d, want 5 (sticky routing)", ns.Dispatched)
+	for _, label := range []string{engine.TierLabelNaive, engine.TierLabelCheap, engine.TierLabelFull} {
+		t.Run(label, func(t *testing.T) {
+			resident := &node{cfg: NodeConfig{Name: "resident"}}
+			resident.health.Store(snapshot(label))
+			cold := &node{cfg: NodeConfig{Name: "cold"}}
+			cold.health.Store(snapshot(core.TierLabelCold))
+			for _, nodes := range [][]*node{{resident, cold}, {cold, resident}} {
+				got, _, known := r.pick(nodes, "hot", 0)
+				if !known || got != resident {
+					t.Errorf("order %s,%s: picked %v (known %v), want the resident node",
+						nodes[0].cfg.Name, nodes[1].cfg.Name, got, known)
+				}
 			}
-		case "cold":
-			if ns.Dispatched != 0 {
-				t.Errorf("cold node dispatched = %d, want 0", ns.Dispatched)
-			}
-		}
+		})
 	}
 }
 

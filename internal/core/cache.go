@@ -15,8 +15,7 @@ package core
 //	rung 1: purge idle pooled instances   (rebuilt by the next Acquire)
 //	rung 2: drop the post-init snapshot   (re-captured on recompile)
 //	rung 3: drop the compiled body        ("registered-but-cold": the next
-//	        invoke lazily recompiles at the tier ladder's cheap rung and
-//	        re-enters the ladder; see Runtime.revive)
+//	        invoke lazily recompiles it; see Runtime.revive)
 //
 // ARC keeps two resident lists — T1 (seen recently) and T2 (seen at least
 // twice) — plus ghost lists B1/B2 remembering recently evicted modules. A
@@ -26,12 +25,12 @@ package core
 // (stable Zipf hot set) regimes.
 //
 // The policy self-tunes p in bytes rather than entry counts because module
-// footprints span three orders of magnitude (a naive-rung toy vs a
+// footprints span three orders of magnitude (a naive-tier toy vs a
 // register-allocated app with a 256 KiB snapshot).
 //
 // The invoke hot path pays nothing for any of this: recency/frequency
 // signals are read from the per-module invocation counters the completion
-// path already maintains (profile.invocations), sampled by a background
+// path already maintains (Module.invocations), sampled by a background
 // controller at scan granularity. List surgery, byte accounting, and
 // eviction all happen on the controller goroutine (plus the registration
 // and cold-miss slow paths), never on the request path — steady-state
@@ -194,7 +193,7 @@ func (c *cacheController) onRegister(m *Module) {
 		// Replace path: the old registration's history dies with it.
 		c.remove(old)
 	}
-	e := &cacheEntry{m: m, seenInv: m.prof.invocations.Load(), pinned: m.source == nil}
+	e := &cacheEntry{m: m, seenInv: m.invocations.Load(), pinned: m.source == nil}
 	if cm := m.Compiled(); cm != nil {
 		e.bytes = cm.ResidentBytes()
 	}
@@ -262,7 +261,7 @@ func (c *cacheController) onRevive(m *Module) {
 	c.remove(e)
 	c.coldRecompiles++
 	e.rung = 0
-	e.seenInv = m.prof.invocations.Load()
+	e.seenInv = m.invocations.Load()
 	if cm := m.Compiled(); cm != nil {
 		e.bytes = cm.ResidentBytes()
 	}
@@ -289,7 +288,7 @@ func (c *cacheController) scan() {
 		if e.where != cacheT1 && e.where != cacheT2 {
 			continue
 		}
-		inv := e.m.prof.invocations.Load()
+		inv := e.m.invocations.Load()
 		touched := inv != e.seenInv
 		e.seenInv = inv
 		cm := e.m.Compiled()
@@ -340,7 +339,7 @@ func (c *cacheController) scan() {
 		guard--
 		e := c.victim()
 		if e == nil {
-			break // everything left is pinned or mid-promotion
+			break // everything left is pinned and fully demoted
 		}
 		if !c.demote(e) {
 			// Nothing releasable at any rung: exclude it from this pass by
@@ -368,19 +367,14 @@ func (c *cacheController) scan() {
 }
 
 // victim picks the next demotion target per ARC's REPLACE rule: evict from
-// T1 while it exceeds the adaptive target p, else from T2. Entries whose
-// module is mid-promotion are skipped for this pass (the tiering
-// controller is about to install a new form); fully demoted pinned entries
-// are skipped permanently.
+// T1 while it exceeds the adaptive target p, else from T2. Fully demoted
+// pinned entries are skipped.
 func (c *cacheController) victim() *cacheEntry {
 	pick := func(l *list.List) *cacheEntry {
 		for el := l.Back(); el != nil; el = el.Prev() {
 			e := el.Value.(*cacheEntry)
 			if e.pinned && e.rung >= 2 {
 				continue // nothing left to take
-			}
-			if e.m.tier.Load() == tierPromoting {
-				continue
 			}
 			return e
 		}
@@ -427,9 +421,7 @@ func (c *cacheController) demote(e *cacheEntry) bool {
 		if e.pinned {
 			return false
 		}
-		if !c.dropBody(e) {
-			return false
-		}
+		c.dropBody(e)
 		released = e.bytes
 	}
 	if released > 0 {
@@ -450,26 +442,13 @@ func (c *cacheController) demote(e *cacheEntry) bool {
 	return released > 0
 }
 
-// dropBody is rung 3: move the module to registered-but-cold. The tier
-// state machine is parked at tierCold first — its CAS transitions are what
-// lock out the tiering controller (a scanModule CAS from tierCheap or
-// tierPending now fails, and promote() can only run after such a CAS).
-// In-flight invocations hold the compiled pointer they loaded at dispatch
-// and finish on it; ClosePool makes their Release donate the linear memory
-// to the slab recycler instead of re-pooling — the reclaim loop sheds it
-// from there while the budget is still exceeded.
-func (c *cacheController) dropBody(e *cacheEntry) bool {
-	m := e.m
-	for {
-		st := m.tier.Load()
-		if st == tierPromoting {
-			return false // recompile in flight; next pass
-		}
-		if m.tier.CompareAndSwap(st, tierCold) {
-			break
-		}
-	}
-	if old := m.cm.Swap(nil); old != nil {
+// dropBody is rung 3: move the module to registered-but-cold. In-flight
+// invocations hold the compiled pointer they loaded at dispatch and finish
+// on it; ClosePool makes their Release donate the linear memory to the slab
+// recycler instead of re-pooling — the reclaim loop sheds it from there
+// while the budget is still exceeded.
+func (c *cacheController) dropBody(e *cacheEntry) {
+	if old := e.m.cm.Swap(nil); old != nil {
 		old.ClosePool()
 	}
 	c.droppedBodies++
@@ -484,7 +463,6 @@ func (c *cacheController) dropBody(e *cacheEntry) bool {
 		e.where = cacheB2
 		e.elem = c.b2.PushFront(e)
 	}
-	return true
 }
 
 // Stats snapshots the cache gauges for /__stats.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"sledge/internal/admission"
 	"sledge/internal/engine"
 	"sledge/internal/wasm"
 	"sledge/internal/wcc"
@@ -267,6 +268,42 @@ func TestCacheColdReviveServesIdentical(t *testing.T) {
 	}
 	if s.BudgetBytes != 64 {
 		t.Fatalf("budget gauge = %d", s.BudgetBytes)
+	}
+}
+
+// TestReviveResetsAdmissionEstimate: revive is the one place a module's
+// compiled form is swapped under it. The estimate it held when it went cold
+// is dropped — and the reviving request, admitted before the swap, cannot
+// feed it back — then the next request re-seeds it from the registry mean.
+func TestReviveResetsAdmissionEstimate(t *testing.T) {
+	rt := New(Config{Workers: 1, Admission: &admission.Config{}, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	t.Cleanup(func() { rt.Close() })
+	m := registerSum(t, rt, "sum")
+	for i := 0; i < 8; i++ {
+		invokeSum(t, rt, "sum", []byte{byte(i)})
+	}
+	estimate := func() bool {
+		snap, _ := rt.AdmissionStats()
+		_, ok := snap.EstimateNanos["sum"]
+		return ok
+	}
+	if !estimate() {
+		t.Fatal("no admission estimate after traffic")
+	}
+	dropCompiled(t, rt, m)
+	if !estimate() {
+		t.Fatal("eviction alone dropped the admission estimate")
+	}
+	invokeSum(t, rt, "sum", []byte{1})
+	if m.Compiled() == nil {
+		t.Fatal("invoke did not revive the module")
+	}
+	if estimate() {
+		t.Fatal("the pre-eviction estimate survived revive")
+	}
+	invokeSum(t, rt, "sum", []byte{2})
+	if !estimate() {
+		t.Fatal("estimator not re-seeded after revive")
 	}
 }
 

@@ -56,8 +56,8 @@ func (rt *Runtime) LoadModulesFile(path string) error {
 		if err != nil {
 			return fmt.Errorf("core: module %s: %w", mc.Name, err)
 		}
-		// Both paths register through registerBinary so deployments join
-		// the tier ladder when adaptive tiering is enabled.
+		// Both paths register through registerBinary so deployments retain
+		// their binary for revive when the bounded cache is on.
 		switch strings.ToLower(filepath.Ext(modPath)) {
 		case ".wasm":
 			if _, err := rt.registerBinary(mc.Name, src, mc.Entry, mc.Tenant); err != nil {

@@ -2,11 +2,12 @@ package core
 
 // The machine-readable health surface: a compact per-node snapshot of the
 // live signals a placement decision needs — scheduler queue depth, in-flight
-// count, per-module EWMA service time, breaker states, and the tiering
-// summary. The cluster router (internal/cluster) polls this instead of the
-// full /__stats payload, and external load balancers can hit GET /__health
-// for the same view; both are deliberately cheaper than /__stats (no tenant
-// accounting, no cumulative counters, compact JSON).
+// count, per-module EWMA service time, breaker states, and whether each
+// module's compiled body is resident. The cluster router (internal/cluster)
+// polls this instead of the full /__stats payload, and external load
+// balancers can hit GET /__health for the same view; both are deliberately
+// cheaper than /__stats (no tenant accounting, no cumulative counters,
+// compact JSON).
 
 import (
 	"encoding/json"
@@ -17,18 +18,19 @@ import (
 )
 
 // ModuleHealth is one module's health: the service-time signal the node
-// sheds against, its breaker state, and the tier its installed compiled
-// form sits on (a router prefers nodes where a hot module is already
-// promoted — the code there is warm and fast).
+// sheds against, its breaker state, and the tier of its installed compiled
+// form (a router prefers nodes where the module is resident rather than
+// cold — a cold node must recompile before it can serve).
 type ModuleHealth struct {
 	// EWMAServiceNanos is the admission controller's service-time estimate
-	// when one exists, else the module's tier-epoch mean latency; 0 when
-	// the module has never completed a request on the installed form.
+	// when one exists, else the module's mean latency; 0 when the module
+	// has never completed a request.
 	EWMAServiceNanos int64 `json:"ewma_ns"`
 	// Breaker is the module's circuit state ("closed", "open",
 	// "half-open"); empty when the node runs without admission control.
 	Breaker string `json:"breaker,omitempty"`
-	// Tier labels the installed compiled form ("naive", "cheap", "full").
+	// Tier labels the installed compiled form ("naive", "cheap", "full"),
+	// or "cold" when the bounded cache dropped it.
 	Tier string `json:"tier"`
 }
 
@@ -46,10 +48,6 @@ type HealthSnapshot struct {
 	AdmitQueued int `json:"admit_queued,omitempty"`
 	// Draining reports a node refusing new work for graceful shutdown.
 	Draining bool `json:"draining,omitempty"`
-	// Promoted/Promoting summarize the tiering controller's progress;
-	// both are 0 when tiering is off.
-	Promoted  int `json:"promoted,omitempty"`
-	Promoting int `json:"promoting,omitempty"`
 	// Modules maps registered module names to their health.
 	Modules map[string]ModuleHealth `json:"modules"`
 }
@@ -90,15 +88,8 @@ func (rt *Runtime) Health() HealthSnapshot {
 			mh.Breaker = amh.Breaker
 		}
 		if mh.EWMAServiceNanos == 0 {
-			// No admission estimate (yet): fall back to the tier-epoch mean,
-			// which describes the installed compiled form.
+			// No admission estimate (yet): fall back to the registry mean.
 			mh.EWMAServiceNanos = int64(m.seedLatency())
-		}
-		switch m.tier.Load() {
-		case tierPromoted:
-			h.Promoted++
-		case tierPromoting:
-			h.Promoting++
 		}
 		h.Modules[name] = mh
 	}

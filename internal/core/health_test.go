@@ -10,11 +10,56 @@ import (
 
 	"sledge/internal/admission"
 	"sledge/internal/engine"
+	"sledge/internal/wcc"
 )
 
+// sumSrc computes a deterministic function of the payload (byte sum mod 256
+// plus the length's low byte) so a response proves which code ran and on
+// which input. The loop gives each request a real gas charge.
+const sumSrc = `
+static u8 buf[256];
+export i32 main() {
+	i32 n = sys_read(buf, 256);
+	i32 s = n;
+	for (i32 i = 0; i < n; i = i + 1) {
+		s = s + buf[i];
+	}
+	buf[0] = s;
+	sys_write(buf, 1);
+	return 0;
+}
+`
+
+func sumExpect(payload []byte) byte {
+	s := len(payload)
+	for _, b := range payload {
+		s += int(b)
+	}
+	return byte(s)
+}
+
+func registerSum(t *testing.T, rt *Runtime, name string) *Module {
+	t.Helper()
+	m, err := rt.RegisterWCC(name, sumSrc, wcc.Options{})
+	if err != nil {
+		t.Fatalf("RegisterWCC(%s): %v", name, err)
+	}
+	return m
+}
+
+func invokeSum(t *testing.T, rt *Runtime, name string, payload []byte) {
+	t.Helper()
+	resp, err := rt.Invoke(name, payload)
+	if err != nil {
+		t.Fatalf("Invoke(%s): %v", name, err)
+	}
+	if len(resp) != 1 || resp[0] != sumExpect(payload) {
+		t.Fatalf("Invoke(%s) = %v, want [%d]", name, resp, sumExpect(payload))
+	}
+}
+
 func TestHealthSnapshotFields(t *testing.T) {
-	tc := TieringConfig{HotInvocations: 1 << 40, HotGas: 1 << 60}
-	rt := New(Config{Workers: 2, Tiering: &tc, Admission: &admission.Config{}})
+	rt := New(Config{Workers: 2, Admission: &admission.Config{}})
 	t.Cleanup(func() { rt.Close() })
 	registerSum(t, rt, "sum")
 	registerSum(t, rt, "idle")
@@ -41,23 +86,12 @@ func TestHealthSnapshotFields(t *testing.T) {
 	if mh.Breaker != "closed" {
 		t.Errorf("sum breaker = %q, want closed", mh.Breaker)
 	}
-	if mh.Tier != engine.TierLabelCheap {
-		t.Errorf("sum tier = %q, want %q", mh.Tier, engine.TierLabelCheap)
-	}
-	// The idle module has no admission samples; the snapshot falls back to
-	// the tier-epoch seed so a router still has a service estimate to score.
-	if ih := h.Modules["idle"]; ih.Tier != engine.TierLabelCheap {
-		t.Errorf("idle tier = %q, want %q", ih.Tier, engine.TierLabelCheap)
-	}
-	if err := rt.Promote("sum"); err != nil {
-		t.Fatalf("Promote: %v", err)
-	}
-	h = rt.Health()
-	if h.Promoted != 1 {
-		t.Errorf("promoted = %d, want 1", h.Promoted)
-	}
-	if got := h.Modules["sum"].Tier; got != engine.TierLabelFull {
-		t.Errorf("post-promotion tier = %q, want %q", got, engine.TierLabelFull)
+	// Registration compiles with the runtime's engine configuration, whose
+	// default is the full form; an idle module reports it too.
+	for _, name := range []string{"sum", "idle"} {
+		if got := h.Modules[name].Tier; got != engine.TierLabelFull {
+			t.Errorf("%s tier = %q, want %q", name, got, engine.TierLabelFull)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ package core
 //
 // Admission: one ticket under the reserved name "p/<name>" covers the whole
 // chain, and one deadline is threaded across it. The controller's estimate
-// for the pipeline is seeded with the sum of the stages' epoch latencies and
+// for the pipeline is seeded with the sum of the stages' mean latencies and
 // thereafter learns whole-chain service times. Mid-chain, each stage is shed
 // against the *remaining* budget — deadline minus time already spent in
 // prior stages — never the full request deadline.
@@ -228,7 +228,7 @@ func (rt *Runtime) stageModule(name string) (*Module, *engine.CompiledModule, er
 
 // stageEstimate is the expected service time of one stage for the remaining-
 // budget shed decision: the admission controller's live per-module EWMA when
-// it has samples, else the module's tier-epoch mean.
+// it has samples, else the module's mean latency.
 func (rt *Runtime) stageEstimate(m *Module) time.Duration {
 	if rt.adm != nil {
 		if est := rt.adm.Estimate(m.Name); est > 0 {
@@ -331,7 +331,6 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 			Entry:           m.Entry,
 			KV:              rt.cfg.KV,
 			Tenant:          m.Tenant,
-			NoRecycle:       rt.cfg.NoRecycle,
 			Instance:        inst,
 			MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
 		})
@@ -354,9 +353,8 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 
 		// Overlap the next stage's instance acquisition with this stage's
 		// execution: by the time the stage completes, the consumer's linear
-		// memory is already reset and waiting. Skipped in NoRecycle mode
-		// (nothing pooled to prefetch).
-		if i+1 < n && !rt.cfg.NoRecycle {
+		// memory is already reset and waiting.
+		if i+1 < n {
 			if nm, ncm, perr := rt.stageModule(p.stages[i+1]); perr == nil {
 				nextM, nextCM = nm, ncm
 				nextInst = ncm.Acquire()
@@ -460,7 +458,7 @@ func retryHint(est time.Duration) time.Duration {
 	return est
 }
 
-// pipelineSeed sums the chain's per-stage epoch latencies: the admission
+// pipelineSeed sums the chain's per-stage mean latencies: the admission
 // controller's first whole-chain estimate before any chain has completed.
 func (rt *Runtime) pipelineSeed(name string) time.Duration {
 	p, ok := rt.LookupPipeline(name)

@@ -111,19 +111,6 @@ func TestStatsReportsAbandoned(t *testing.T) {
 	}
 }
 
-// TestNoRecycleConfig: the churn baseline still works end to end.
-func TestNoRecycleConfig(t *testing.T) {
-	rt := New(Config{Workers: 1, NoRecycle: true})
-	t.Cleanup(func() { rt.Close() })
-	registerApp(t, rt, "ping")
-	for i := 0; i < 10; i++ {
-		resp, err := rt.Invoke("ping", nil)
-		if err != nil || string(resp) != "p" {
-			t.Fatalf("ping #%d = %q, %v", i, resp, err)
-		}
-	}
-}
-
 // TestColdChurnMatchesNative deploys, invokes once and retires suite modules
 // under fresh names from several goroutines at once, the shape of traffic
 // that keeps the slab recycler busy: every first instantiation builds on

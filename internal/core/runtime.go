@@ -38,9 +38,9 @@ import (
 
 // Module is a registered function: an AoT-compiled module plus invocation
 // metadata. The compiled form is held through an atomic pointer so the
-// tier-promotion controller (tiering.go) can swap a hotter recompile in
+// bounded cache (cache.go) can drop it and the next invoke recompile it
 // while invocations are in flight: each request loads the pointer once at
-// dispatch and runs that code to completion, so the old form's instance
+// dispatch and runs that code to completion, so a dropped form's instance
 // pool quiesces as its last requests finish and is then collected. All
 // other fields are immutable after registration.
 type Module struct {
@@ -49,33 +49,15 @@ type Module struct {
 	Tenant string
 
 	cm atomic.Pointer[engine.CompiledModule]
-	// source retains the module's wasm binary when adaptive tiering may
-	// recompile it at the full rung; nil for precompiled registrations
-	// (which are never promoted).
+	// source retains the module's wasm binary when the bounded cache may
+	// drop the compiled body and revive recompile it; nil for precompiled
+	// registrations and for runtimes without a cache budget.
 	source []byte
 
 	invocations atomic.Uint64
 	failures    atomic.Uint64
 	totalNanos  atomic.Int64
-
-	// epochInvocations/epochNanos account latency per tier epoch: they
-	// reset at every compiled-module swap so seedLatency — the admission
-	// controller's seed estimate — describes the installed code, never a
-	// retired rung's service times.
-	epochInvocations atomic.Uint64
-	epochNanos       atomic.Int64
-
-	// prof is the hotness profile read by the promotion controller; its
-	// padded counters are bumped on the completion path (recordCompletion).
-	prof profile
-
-	// tier is the promotion state machine (tier* consts in tiering.go);
-	// lastScanInv is controller-private scan bookkeeping.
-	tier        atomic.Int32
-	lastScanInv uint64
-
-	promotions     atomic.Uint32
-	recompileNanos atomic.Int64
+	gas         atomic.Uint64
 
 	// recompileMu serializes lazy recompilation of a cold-evicted module
 	// (Runtime.revive): concurrent first invokes after a cache body-drop
@@ -89,17 +71,13 @@ type ModuleStats struct {
 	Failures    uint64        `json:"failures"`
 	MeanLatency time.Duration `json:"mean_latency_ns"`
 	// Gas is the module's cumulative deterministic execution cost
-	// (static charge-point gas, identical across engine tiers), the
-	// compute half of the tier-promotion hotness profile and the basis
+	// (static charge-point gas, identical across engine tiers), the basis
 	// for per-tenant accounting.
 	Gas uint64 `json:"gas"`
-	// Tier labels the rung of the tier ladder the installed compiled form
-	// sits on ("naive", "cheap", "full"); Promotions counts background
-	// tier-up swaps and LastRecompile is the wall time of the most recent
-	// one — together they let operators watch the ladder work via /__stats.
-	Tier          string        `json:"tier"`
-	Promotions    uint32        `json:"promotions"`
-	LastRecompile time.Duration `json:"last_recompile_ns"`
+	// Tier labels the installed compiled form ("naive", "cheap", "full",
+	// read from the engine configuration), or "cold" when the bounded cache
+	// dropped it.
+	Tier string `json:"tier"`
 	// Analysis is what the static-analysis pipeline proved about the
 	// module at registration time (check elision, devirtualization, stack
 	// certification); all zero when analysis was disabled.
@@ -121,12 +99,11 @@ const TierLabelCold = "cold"
 // Stats returns the module's accounting snapshot.
 func (m *Module) Stats() ModuleStats {
 	st := ModuleStats{
-		Invocations:   m.invocations.Load(),
-		Failures:      m.failures.Load(),
-		Gas:           m.prof.gas.Load(),
-		Tier:          TierLabelCold,
-		Promotions:    m.promotions.Load(),
-		LastRecompile: time.Duration(m.recompileNanos.Load()),
+		Invocations: m.invocations.Load(),
+		Failures:    m.failures.Load(),
+		MeanLatency: m.seedLatency(),
+		Gas:         m.gas.Load(),
+		Tier:        TierLabelCold,
 	}
 	// A registered-but-cold module has no compiled form to describe; its
 	// analysis/regalloc stats return with the lazily recompiled body.
@@ -136,40 +113,32 @@ func (m *Module) Stats() ModuleStats {
 		st.Regalloc = cm.Regalloc()
 		st.ResidentBytes = cm.ResidentBytes()
 	}
-	if st.Invocations > 0 {
-		st.MeanLatency = time.Duration(m.totalNanos.Load() / int64(st.Invocations))
-	}
 	return st
 }
 
 // Compiled exposes the currently installed compiled module (for experiments
-// that need direct instantiation). The pointer is loaded atomically; a
-// concurrent tier promotion may swap in a newer form at any time.
+// that need direct instantiation). The pointer is loaded atomically; it is
+// nil while the bounded cache holds the module cold.
 func (m *Module) Compiled() *engine.CompiledModule { return m.cm.Load() }
 
-// seedLatency is the mean service time of the installed tier epoch, used to
-// seed the admission controller's estimator. It deliberately excludes
-// samples from before the last swap: seeding a freshly promoted module with
-// cheap-tier latencies would shed its traffic on stale estimates.
+// seedLatency is the module's mean service time: /__stats reports it, and
+// the admission controller seeds its estimator with it.
 func (m *Module) seedLatency() time.Duration {
-	n := m.epochInvocations.Load()
+	n := m.invocations.Load()
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(m.epochNanos.Load() / int64(n))
+	return time.Duration(m.totalNanos.Load() / int64(n))
 }
 
-// recordCompletion feeds the per-request accounting and the tier-promotion
-// hotness profile; it sits on the steady-state invoke path.
+// recordCompletion feeds the per-request accounting; it sits on the
+// steady-state invoke path.
 //
 //sledge:noalloc
 func (m *Module) recordCompletion(lat time.Duration, gas uint64) {
 	m.invocations.Add(1)
 	m.totalNanos.Add(int64(lat))
-	m.epochInvocations.Add(1)
-	m.epochNanos.Add(int64(lat))
-	m.prof.invocations.Add(1)
-	m.prof.gas.Add(gas)
+	m.gas.Add(gas)
 }
 
 // DeadlineHeader is the request header carrying a per-request deadline in
@@ -194,9 +163,6 @@ type Config struct {
 	KV abi.KVStore
 	// RequestTimeout bounds one invocation end-to-end. Default 30 s.
 	RequestTimeout time.Duration
-	// NoRecycle disables sandbox/instance pooling on the request path
-	// (the churn baseline for benchmarks).
-	NoRecycle bool
 	// MaxHandoffBytes bounds a function's sledge.output result region
 	// (the pipeline zero-copy handoff declaration); an oversized
 	// declaration traps the stage and surfaces as HTTP 413. 0 means
@@ -208,13 +174,6 @@ type Config struct {
 	// QueueDepth and SeedEstimate are filled in from the runtime when
 	// unset.
 	Admission *admission.Config
-
-	// Tiering, when non-nil, enables adaptive tiering: Register* compiles
-	// only the cheap rung of the tier ladder and a background controller
-	// recompiles hot modules at the full rung, atomically swapping them in
-	// (see tiering.go). nil — and TieringConfig{Mode: TierStatic} — keep
-	// the static behaviour: full pipeline at registration, no controller.
-	Tiering *TieringConfig
 
 	// CacheBudgetBytes, when positive, bounds the registry's resident
 	// module bytes — compiled code, post-init snapshots, and idle instance
@@ -258,18 +217,6 @@ type Runtime struct {
 	cfg  Config
 	pool *sched.Pool
 	adm  *admission.Controller
-
-	// ladder/tiering are the normalized adaptive-tiering configuration;
-	// the tier* fields are the promotion controller's lifecycle and
-	// accounting (tiering.go).
-	ladder              engine.Ladder
-	tiering             TieringConfig
-	tierStop            chan struct{}
-	tierDone            chan struct{}
-	tierStopOnce        sync.Once
-	promotions          atomic.Uint64
-	recompileFailures   atomic.Uint64
-	recompileTotalNanos atomic.Int64
 
 	// hostReg is the shared host-function registry. It is built once and
 	// treated as read-only: rebuilding it per registration shows up in
@@ -315,10 +262,6 @@ func New(cfg Config) *Runtime {
 		registry: make(map[string]*Module),
 		hostReg:  abi.WASIRegistry(),
 	}
-	if cfg.Tiering != nil {
-		rt.tiering = cfg.Tiering.withDefaults()
-		rt.ladder = engine.NewLadder(cfg.Engine, rt.tiering.NaiveStart)
-	}
 	// The quantum needs no start-up calibration for cfg.Engine: each worker
 	// learns gas per millisecond from the slices it runs, whatever tier and
 	// IR form the modules it is handed were compiled to.
@@ -346,11 +289,9 @@ func New(cfg Config) *Runtime {
 		if acfg.SeedEstimate == nil {
 			// Seed a module's first service-time estimate from its
 			// registry stats, so warm modules shed accurately from the
-			// first overloaded request. The seed is epoch-scoped: after a
-			// tier swap it reflects only the installed code's samples.
-			// Pipeline names ("p/<name>") seed with the sum of their
-			// stages' epoch latencies — the whole-chain cost the single
-			// chain ticket must budget for.
+			// first overloaded request. Pipeline names ("p/<name>") seed
+			// with the sum of their stages' mean latencies — the
+			// whole-chain cost the single chain ticket must budget for.
 			acfg.SeedEstimate = func(module string) time.Duration {
 				if name, isPipe := splitPipelineName(module); isPipe {
 					return rt.pipelineSeed(name)
@@ -363,9 +304,6 @@ func New(cfg Config) *Runtime {
 		}
 		rt.admDefaultDeadline = acfg.DefaultDeadline
 		rt.adm = admission.New(acfg)
-	}
-	if rt.tieringActive() && rt.tiering.Mode == TierAdaptive {
-		rt.startTiering()
 	}
 	if cfg.CacheBudgetBytes > 0 {
 		rt.cache = newCacheController(rt, cfg.CacheBudgetBytes, cfg.CacheScanInterval)
@@ -385,10 +323,8 @@ var ErrNoModule = errors.New("core: no such module")
 // ErrDuplicateModule reports a name collision at registration.
 var ErrDuplicateModule = errors.New("core: module already registered")
 
-// RegisterWCC compiles WCC source and registers it under name. Without
-// tiering this is the expensive path, run once at deployment; with adaptive
-// tiering only the cheap rung is compiled here and the full pipeline runs
-// in the background once the module proves hot.
+// RegisterWCC compiles WCC source and registers it under name: the
+// expensive path, run once at deployment.
 func (rt *Runtime) RegisterWCC(name, source string, opts wcc.Options) (*Module, error) {
 	res, err := wcc.Compile(source, opts)
 	if err != nil {
@@ -403,17 +339,10 @@ func (rt *Runtime) RegisterWasm(name string, bin []byte, entry string) (*Module,
 	return rt.registerBinary(name, bin, entry, "")
 }
 
-// registerBinary compiles bin at the registration rung (the cheap tier when
-// adaptive tiering is on) and registers it. Adaptive-mode modules retain
-// the binary so the promotion controller can recompile them at the full
-// rung.
+// registerBinary compiles bin with the runtime's engine configuration and
+// registers it.
 func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string) (*Module, error) {
-	cfg := rt.cfg.Engine
-	tiered := rt.tieringActive()
-	if tiered {
-		cfg = rt.ladder.Cheap
-	}
-	cm, err := engine.CompileBinary(bin, rt.hostReg, cfg)
+	cm, err := engine.CompileBinary(bin, rt.hostReg, rt.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: register %s: %w", name, err)
 	}
@@ -422,21 +351,17 @@ func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string)
 	}
 	m := &Module{Name: name, Entry: entry, Tenant: tenant}
 	m.cm.Store(cm)
-	if tiered && rt.tiering.Mode == TierAdaptive {
-		m.source = bin
-		m.tier.Store(tierCheap)
-	} else if rt.cache != nil {
+	if rt.cache != nil {
 		// The bounded cache can only evict a module's compiled body when
-		// the binary survives to recompile from; retain it even outside
-		// adaptive tiering.
+		// the binary survives to recompile from.
 		m.source = bin
 	}
 	return rt.register(m)
 }
 
-// RegisterCompiled registers an already-compiled module. Precompiled
-// registrations bypass the tier ladder: the runtime has no binary to
-// recompile, so the module serves the given form forever.
+// RegisterCompiled registers an already-compiled module. The runtime has no
+// binary to recompile from, so the module serves the given form forever:
+// the bounded cache never drops its body.
 func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
 	if entry == "" {
 		entry = "main"
@@ -529,13 +454,10 @@ func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant
 }
 
 // revive recompiles a registered-but-cold module — one whose compiled body
-// the bounded cache evicted — at the tier ladder's registration rung and
-// swaps it in. It reuses the tiering swap machinery: the epoch latency
-// accounting resets so the admission seed describes the revived rung, the
-// admission estimator's generation is bumped (stale in-flight tickets from
-// before the eviction cannot re-seed it), and under adaptive tiering the
-// module rejoins the ladder at tierCheap, so a revived module that proves
-// hot again is re-promoted by the existing controller.
+// the bounded cache evicted — with the runtime's engine configuration and
+// swaps it in. The module's admission estimate is dropped and its
+// generation bumped, so stale in-flight tickets from before the eviction
+// cannot re-seed it.
 func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 	m.recompileMu.Lock()
 	defer m.recompileMu.Unlock()
@@ -545,21 +467,11 @@ func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 	if m.source == nil {
 		return nil, fmt.Errorf("core: %s: module is cold and has no retained source", m.Name)
 	}
-	cfg := rt.cfg.Engine
-	adaptive := rt.tieringActive() && rt.tiering.Mode == TierAdaptive
-	if rt.tieringActive() {
-		cfg = rt.ladder.Cheap
-	}
-	cm, err := engine.CompileBinary(m.source, rt.hostReg, cfg)
+	cm, err := engine.CompileBinary(m.source, rt.hostReg, rt.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: revive %s: %w", m.Name, err)
 	}
-	m.swapCompiled(cm)
-	if adaptive {
-		m.tier.Store(tierCheap)
-	} else {
-		m.tier.Store(tierIdle)
-	}
+	m.cm.Store(cm)
 	if rt.adm != nil {
 		rt.adm.ResetEstimate(m.Name)
 	}
@@ -631,14 +543,14 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 // run executes one admitted request end-to-end: instantiate a sandbox,
 // submit it to the scheduler, wait for completion or timeout. It reports
 // the observed latency and the admission outcome alongside the response.
-// The compiled form is loaded exactly once, here: a concurrent tier
-// promotion swaps the module pointer for future requests while this one
+// The compiled form is loaded exactly once, here: a concurrent cache
+// eviction drops the module pointer for future requests while this one
 // finishes untouched on the code it started with.
 func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
 	cm := m.Compiled()
 	if cm == nil {
 		// Registered-but-cold: the bounded cache dropped the compiled body.
-		// Recompile at the ladder's registration rung before serving.
+		// Recompile it before serving.
 		if cm, err = rt.revive(m); err != nil {
 			return nil, 0, admission.OutcomeTrap, err
 		}
@@ -647,7 +559,6 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 		Entry:           m.Entry,
 		KV:              rt.cfg.KV,
 		Tenant:          m.Tenant,
-		NoRecycle:       rt.cfg.NoRecycle,
 		MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
 	})
 	if err != nil {
@@ -792,7 +703,6 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		GasPerMS    gasRate                  `json:"gas_per_ms"`
 		Server      serverStats              `json:"server"`
 		Admission   *admission.Snapshot      `json:"admission,omitempty"`
-		Tiering     *TieringSnapshot         `json:"tiering,omitempty"`
 		Cache       *CacheSnapshot           `json:"cache,omitempty"`
 		Slabs       engine.SlabStats         `json:"slabs"`
 	}{
@@ -822,9 +732,6 @@ func (rt *Runtime) statsResponse() httpd.Response {
 	if rt.adm != nil {
 		snap := rt.adm.Stats()
 		payload.Admission = &snap
-	}
-	if tsnap, ok := rt.TieringStats(); ok {
-		payload.Tiering = &tsnap
 	}
 	if csnap, ok := rt.CacheStats(); ok {
 		payload.Cache = &csnap
@@ -904,7 +811,6 @@ func (rt *Runtime) Pool() *sched.Pool { return rt.pool }
 // everything completed before the timeout forced the remainder.
 func (rt *Runtime) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
-	rt.stopTiering()
 	if rt.cache != nil {
 		rt.cache.close()
 	}
@@ -926,7 +832,6 @@ func (rt *Runtime) Drain(timeout time.Duration) bool {
 // Close shuts down the listener and the worker pool immediately; use Drain
 // for graceful shutdown.
 func (rt *Runtime) Close() error {
-	rt.stopTiering()
 	if rt.cache != nil {
 		rt.cache.close()
 	}

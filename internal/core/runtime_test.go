@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"sledge/internal/engine"
 	"sledge/internal/wasm"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
@@ -268,6 +269,172 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if ra.Spills != 0 {
 		t.Errorf("regalloc reported %d spills; the slab register file never spills", ra.Spills)
+	}
+	// The installed form's tier and the request's gas ride along too.
+	if ms := payload.PerModule["ping"]; ms.Tier != engine.TierLabelFull || ms.Gas == 0 {
+		t.Errorf("per-module tier %q, gas %d: want %q and a nonzero charge", ms.Tier, ms.Gas, engine.TierLabelFull)
+	}
+}
+
+// newEngineRuntime builds a one-worker runtime compiling with cfg, whose
+// cache never evicts on its own: a test drops bodies with dropCompiled.
+func newEngineRuntime(t *testing.T, cfg engine.Config) *Runtime {
+	t.Helper()
+	rt := New(Config{Workers: 1, Engine: cfg, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	t.Cleanup(func() { rt.Close() })
+	return rt
+}
+
+// dropCompiled squeezes the cache budget until m's compiled body goes (one
+// demotion rung per scan), then lifts it again so the next invoke revives.
+func dropCompiled(t *testing.T, rt *Runtime, m *Module) {
+	t.Helper()
+	setCacheBudget(rt, 1)
+	for i := 0; i < 8 && m.Compiled() != nil; i++ {
+		rt.cache.scan()
+	}
+	if m.Compiled() != nil {
+		t.Fatal("the cache never dropped the compiled body")
+	}
+	setCacheBudget(rt, 1<<40)
+}
+
+// TestAdaptiveRegistersCheapTier: registration compiles once, with the
+// runtime's one engine configuration, and the tier label reads back from
+// that configuration — the NoAnalysis form is "cheap", the naive engine
+// "naive", the default "full". Traffic never moves it: there is no ladder.
+func TestAdaptiveRegistersCheapTier(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+		tier string
+	}{
+		{"optimized-cheap", engine.Config{NoAnalysis: true}, engine.TierLabelCheap},
+		{"naive-start", engine.Config{Tier: engine.TierNaive}, engine.TierLabelNaive},
+		{"static", engine.Config{}, engine.TierLabelFull},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newEngineRuntime(t, tc.cfg)
+			m := registerSum(t, rt, "sum")
+			if got := m.Stats().Tier; got != tc.tier {
+				t.Fatalf("registration tier = %q, want %q", got, tc.tier)
+			}
+			if got := rt.Health().Modules["sum"].Tier; got != tc.tier {
+				t.Fatalf("health tier = %q, want %q", got, tc.tier)
+			}
+			for i := 0; i < 16; i++ {
+				invokeSum(t, rt, "sum", []byte{1, 2, byte(i)})
+			}
+			if got := m.Stats().Tier; got != tc.tier {
+				t.Fatalf("post-invoke tier = %q, want %q", got, tc.tier)
+			}
+		})
+	}
+}
+
+// TestPromotionGasContinuity pins the cross-form gas contract through the
+// runtime: the same request charges bit-identical gas under the NoAnalysis
+// and naive engine configurations as under the default full one (gas is a
+// function of the source path, not the compiled form), and revive — the one
+// remaining swap of a module's compiled body — neither loses nor
+// double-counts gas.
+func TestPromotionGasContinuity(t *testing.T) {
+	payload := []byte{11, 22, 33, 44, 55}
+	full := newEngineRuntime(t, engine.Config{})
+	fm := registerSum(t, full, "sum")
+	invokeSum(t, full, "sum", payload)
+	gasFull := fm.Stats().Gas
+	if gasFull == 0 {
+		t.Fatal("full-form invocation charged no gas")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+		tier string
+	}{
+		{"cheap-optimized", engine.Config{NoAnalysis: true}, engine.TierLabelCheap},
+		{"cheap-naive", engine.Config{Tier: engine.TierNaive}, engine.TierLabelNaive},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newEngineRuntime(t, tc.cfg)
+			m := registerSum(t, rt, "sum")
+
+			invokeSum(t, rt, "sum", payload)
+			gasCheap := m.Stats().Gas
+			if gasCheap != gasFull {
+				t.Fatalf("%s form charged %d, full form charged %d", tc.tier, gasCheap, gasFull)
+			}
+			invokeSum(t, rt, "sum", payload)
+			if got := m.Stats().Gas; got != 2*gasCheap {
+				t.Fatalf("second invocation: profile gas %d, want %d", got, 2*gasCheap)
+			}
+
+			before := m.Stats().Gas
+			dropCompiled(t, rt, m)
+			// Dropping the body must not touch the module's gas total.
+			if got := m.Stats().Gas; got != before {
+				t.Fatalf("eviction changed profile gas: %d -> %d", before, got)
+			}
+			invokeSum(t, rt, "sum", payload)
+			if got := m.Stats().Tier; got != tc.tier {
+				t.Fatalf("tier after revive = %q, want %q", got, tc.tier)
+			}
+			if got := m.Stats().Gas - before; got != gasCheap {
+				t.Fatalf("gas discontinuity across revive: charged %d before, %d after", gasCheap, got)
+			}
+		})
+	}
+}
+
+// TestStatsEndpointReportsTiering: /__stats reports each module's installed
+// form and gas. The label follows the engine configuration, reads "cold"
+// while the cache has dropped the body, and there is no tiering block.
+func TestStatsEndpointReportsTiering(t *testing.T) {
+	rt := newEngineRuntime(t, engine.Config{NoAnalysis: true})
+	m := registerSum(t, rt, "sum")
+	invokeSum(t, rt, "sum", []byte{5, 6})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go rt.Serve(ln)
+	stats := func() (map[string]json.RawMessage, ModuleStats) {
+		t.Helper()
+		resp, err := http.Get("http://" + ln.Addr().String() + "/__stats")
+		if err != nil {
+			t.Fatalf("GET /__stats: %v", err)
+		}
+		defer resp.Body.Close()
+		var raw map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+			t.Fatalf("decode stats: %v", err)
+		}
+		var per map[string]ModuleStats
+		if err := json.Unmarshal(raw["per_module"], &per); err != nil {
+			t.Fatalf("decode per_module: %v", err)
+		}
+		ms, ok := per["sum"]
+		if !ok {
+			t.Fatal("per_module missing sum")
+		}
+		return raw, ms
+	}
+
+	raw, ms := stats()
+	if _, ok := raw["tiering"]; ok {
+		t.Error("stats payload still carries a tiering block")
+	}
+	if ms.Tier != engine.TierLabelCheap {
+		t.Errorf("per-module tier = %q, want %q", ms.Tier, engine.TierLabelCheap)
+	}
+	if ms.Gas == 0 {
+		t.Errorf("per-module gas = 0, want > 0")
+	}
+
+	gas := ms.Gas
+	dropCompiled(t, rt, m)
+	if _, ms = stats(); ms.Tier != TierLabelCold || ms.Gas != gas {
+		t.Errorf("evicted module: tier %q, gas %d; want %q and gas %d", ms.Tier, ms.Gas, TierLabelCold, gas)
 	}
 }
 

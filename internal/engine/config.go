@@ -125,8 +125,8 @@ type Config struct {
 	// MaxUncharged bounds the static cost of a single charge region (see
 	// internal/analysis.AnalyzeCost): straight-line runs costing more are
 	// split so preemption latency at charge-point granularity stays
-	// bounded. 0 uses DefaultMaxUncharged. Must match across the rungs of
-	// a tiering ladder for cross-tier gas continuity (NewLadder copies it).
+	// bounded. 0 uses DefaultMaxUncharged. Two configurations charge
+	// bit-identical gas for the same request only if this matches.
 	MaxUncharged uint64
 	// NoSnapshot disables post-init snapshotting: modules with a start
 	// function replay it on every instantiation and pooled reuse instead of

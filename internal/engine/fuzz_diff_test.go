@@ -13,7 +13,7 @@ import (
 
 // diffConfigs is the differential matrix, 4 x 3 x 2 = 24 configs: every
 // explicit-check strategy crossed with the execution axis — register form
-// with analysis on (the full rung) and off (the cheap rung), plus the naive
+// with analysis on (the full form) and off (the cheap form), plus the naive
 // tier as an independent implementation of the same semantics — and each of
 // those crossed with both metering modes (block-metered and the
 // per-instruction NoBlockMeter oracle). BoundsNone is excluded by design —

@@ -107,7 +107,7 @@ type Instance struct {
 	// (see internal/analysis.AnalyzeCost). For a given module, the value is
 	// a pure function of the source execution path: bit-identical across
 	// tiers, bounds strategies, regalloc/fusion ablations, and metering
-	// modes. It feeds tiering hotness, per-tenant budgets, and /__stats.
+	// modes. It feeds per-tenant budgets and /__stats.
 	Gas uint64
 }
 
@@ -450,9 +450,8 @@ func (in *Instance) growMemory(delta uint32) int32 {
 
 // Teardown releases the sandbox's memory eagerly. The paper measures
 // sandbox teardown as part of churn; in Go this drops the references to the
-// collector. It deliberately bypasses the slab recycler: Teardown is the
-// NoRecycle path, the no-reuse baseline the recycling numbers are measured
-// against.
+// collector. It deliberately bypasses the slab recycler:
+// BenchmarkInstantiateReuse uses it as the no-reuse reference.
 func (in *Instance) Teardown() {
 	in.mem = nil
 	in.stack = nil

@@ -615,8 +615,7 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 
 	// Cost analysis runs for every tier and configuration: the charge
 	// tables it computes define gas, which must be bit-identical across
-	// engine configs (it feeds tiering hotness, tenant budgets, and
-	// billing-grade stats).
+	// engine configs (it feeds tenant budgets and billing-grade stats).
 	costs := analysis.AnalyzeCost(m, analysis.CostParams{MaxUncharged: cfg.MaxUncharged})
 	cm.analysisStats.ChargePoints = costs.Points()
 	cm.analysisStats.MaxBlockCost = int(costs.MaxCharge())

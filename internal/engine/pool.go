@@ -194,7 +194,7 @@ func (cm *CompiledModule) PurgeIdle() int64 {
 
 // ClosePool marks the pool closed and purges it: Acquire stops handing out
 // recycled instances and Release stops pooling. Called by Unregister,
-// Replace, a tier swap and full cache eviction, so idle instances cannot
+// Replace and full cache eviction, so idle instances cannot
 // outlive the module they belong to. The linear memories — of the idle
 // instances now, of in-flight ones at their Release — are cleared to their
 // dirty extent and donated to the slab recycler for the next module's first

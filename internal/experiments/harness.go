@@ -107,7 +107,6 @@ var Registry = map[string]func(Options) ([]*Table, error){
 	"cluster":  RunContinuum,
 	"meter":    RunMeterAblation,
 	"sched":    RunSchedBench,
-	"tierup":   RunTierup,
 	"warm":     RunWarm,
 	"chain":    RunChain,
 	"ablation": func(o Options) ([]*Table, error) {
@@ -127,5 +126,5 @@ var Registry = map[string]func(Options) ([]*Table, error){
 
 // IDs lists experiment IDs in paper order.
 func IDs() []string {
-	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "sched", "tierup", "warm", "chain", "ablation"}
+	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "sched", "warm", "chain", "ablation"}
 }

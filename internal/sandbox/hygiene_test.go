@@ -107,27 +107,6 @@ func TestRecycledSandboxResponseIsolated(t *testing.T) {
 	sb2.Release()
 }
 
-// TestNoRecycleKeepsTeardownSemantics: the unpooled configuration preserves
-// the original eager-teardown lifecycle.
-func TestNoRecycleKeepsTeardownSemantics(t *testing.T) {
-	cm := compileSrc(t, echoSrc)
-	sb, err := New(cm, []byte("abc"), Options{NoRecycle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := sb.inst
-	if st := sb.RunQuantum(0); st != StateComplete {
-		t.Fatalf("state %s (%v)", st, sb.Err)
-	}
-	if in.Memory() != nil {
-		t.Error("NoRecycle sandbox not torn down after completion")
-	}
-	sb.Release() // must be a no-op
-	if sb.inst == nil {
-		t.Error("Release recycled a NoRecycle sandbox")
-	}
-}
-
 // TestAbandonHandoff: whoever loses the finish/abandon race takes the
 // recycling action exactly once.
 func TestAbandonHandoff(t *testing.T) {

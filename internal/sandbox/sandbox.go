@@ -82,10 +82,6 @@ type Sandbox struct {
 	// on it instead of registering an OnComplete closure.
 	done chan struct{}
 
-	// noRecycle pins this sandbox to the pre-pool lifecycle: fresh
-	// allocations and eager teardown, never returned to a pool.
-	noRecycle bool
-
 	// Err records the trap or start failure for completed sandboxes.
 	Err error
 
@@ -148,14 +144,10 @@ type Options struct {
 	RandSeed uint32
 	// Tenant labels the sandbox for multi-tenant accounting.
 	Tenant string
-	// NoRecycle disables instance/sandbox pooling for this request: fresh
-	// allocations and eager teardown (the pre-pool churn baseline).
-	NoRecycle bool
 	// Instance, if non-nil, is a pre-acquired pooled instance of the same
 	// module: the pipeline executor acquires the next stage's instance
 	// while the current stage runs and hands it in here. Ownership
 	// transfers to the sandbox (released back to the pool on failure).
-	// Ignored with NoRecycle.
 	Instance *engine.Instance
 	// MaxHandoffBytes bounds a sledge.output declaration; 0 means
 	// abi.DefaultMaxHandoffBytes.
@@ -171,22 +163,13 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	if entry == "" {
 		entry = "main"
 	}
-	var sb *Sandbox
-	if opts.NoRecycle {
-		sb = &Sandbox{done: make(chan struct{}, 1), noRecycle: true}
-		sb.inst = cm.Instantiate()
-		sb.ctx = abi.Context{Request: req}
-		sb.ctx.SetRandSeed(0)
+	sb := sbPool.Get().(*Sandbox)
+	if opts.Instance != nil {
+		sb.inst = opts.Instance
 	} else {
-		sb = sbPool.Get().(*Sandbox)
-		sb.noRecycle = false
-		if opts.Instance != nil {
-			sb.inst = opts.Instance
-		} else {
-			sb.inst = cm.Acquire()
-		}
-		sb.ctx.Reset(req)
+		sb.inst = cm.Acquire()
 	}
+	sb.ctx.Reset(req)
 	sb.ctx.MaxHandoffBytes = opts.MaxHandoffBytes
 	sb.ID = idCounter.Add(1)
 	sb.Module = entry
@@ -215,10 +198,8 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	if err := sb.inst.Start(entry); err != nil {
 		inst := sb.inst
 		sb.inst = nil
-		if !opts.NoRecycle {
-			cm.Release(inst)
-			sbPool.Put(sb)
-		}
+		cm.Release(inst)
+		sbPool.Put(sb)
 		return nil, fmt.Errorf("sandbox: %w", err)
 	}
 	sb.state.Store(int32(StateRunnable))
@@ -239,11 +220,6 @@ func (sb *Sandbox) Response() []byte { return sb.ctx.Response }
 //
 //sledge:noalloc
 func (sb *Sandbox) Output() ([]byte, error) {
-	if sb.inst == nil {
-		// noRecycle teardown already materialized the region into the
-		// Response buffer (see complete).
-		return sb.ctx.Response, nil
-	}
 	return sb.ctx.ResolveOutput(sb.inst)
 }
 
@@ -261,8 +237,8 @@ func (sb *Sandbox) ExitCode() (int32, error) {
 
 // Gas reports the deterministic execution cost consumed so far: static
 // charge-point gas, bit-identical for the same request across engine
-// tiers and configurations. Used for tiering hotness, tenant accounting,
-// and billing-grade stats.
+// tiers and configurations. Used for tenant accounting and billing-grade
+// stats.
 func (sb *Sandbox) Gas() uint64 { return sb.inst.Gas }
 
 // Preemptible reports whether the sandbox can be quantum-bounded and
@@ -334,22 +310,6 @@ func (sb *Sandbox) complete() {
 	if sb.OnComplete != nil {
 		sb.OnComplete(sb)
 	}
-	if sb.noRecycle {
-		// Teardown nils the linear memory, so a declared output region
-		// must be materialized into the Response buffer first to stay
-		// readable. Copying here is fine: noRecycle is the churn
-		// baseline, not the zero-alloc path.
-		if sb.ctx.OutputSet {
-			if out, err := sb.ctx.ResolveOutput(sb.inst); err == nil {
-				sb.ctx.Response = append(sb.ctx.Response[:0], out...)
-			}
-			sb.ctx.OutputSet = false
-		}
-		// Eager teardown: the paper tears down sandbox memories on the
-		// worker as soon as execution finishes. Pooled sandboxes instead
-		// return their memory via Release.
-		sb.inst.Teardown()
-	}
 }
 
 // ErrAbandoned reports a sandbox whose waiter timed out before completion.
@@ -391,9 +351,9 @@ func (sb *Sandbox) FinishNotify() {
 // Release returns the sandbox's engine instance to its module pool and the
 // shell to the sandbox pool. Callers must be done with the response buffer:
 // the memory handed back here is reused (and re-zeroed) for future requests.
-// It is a no-op for unpooled sandboxes and for sandboxes still running.
+// It is a no-op for a sandbox still running or already released.
 func (sb *Sandbox) Release() {
-	if sb.noRecycle || sb.inst == nil {
+	if sb.inst == nil {
 		return
 	}
 	if s := State(sb.state.Load()); s != StateComplete && s != StateTrapped {

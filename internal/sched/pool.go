@@ -698,7 +698,7 @@ func (w *worker) loop() {
 		w.running.Store(1)
 		fuel := w.fuel
 		if fuel > 0 && !sb.Preemptible() {
-			// The naive rung traps on fuel exhaustion instead of yielding;
+			// The naive tier traps on fuel exhaustion instead of yielding;
 			// run it unpreempted rather than killing long requests.
 			fuel = 0
 		}

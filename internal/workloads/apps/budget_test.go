@@ -9,7 +9,7 @@ import (
 )
 
 // dispatchBudgets holds, per app, the number of interpreter dispatches one
-// canonical request (GenRequest) may cost on the full rung. It is a count,
+// canonical request (GenRequest) may cost in the full form. It is a count,
 // not a timing: under NoBlockMeter the loop spends one fuel step per
 // dispatch, so Start + Run(k) until done counts dispatches on the very code
 // a default-metered run executes (the same charges are emitted, and the same

@@ -11,8 +11,9 @@
 //	resp, err := rt.Invoke("hello", []byte("world"))   // or rt.ListenAndServe(":8080")
 //
 // Functions are written in WCC (a small C-like language, see internal/wcc)
-// or provided as WebAssembly binaries, compiled ahead of time at
-// registration, and instantiated per request in microseconds. Scheduling is
+// or provided as WebAssembly binaries, compiled ahead of time — once, at
+// registration, with the runtime's one engine configuration — and
+// instantiated per request in microseconds. Scheduling is
 // preemptive round-robin over a lock-free work-stealing deque, reproducing
 // the paper's decoupling of work distribution from temporal isolation.
 //
@@ -90,36 +91,6 @@ const (
 const (
 	TierOptimized = engine.TierOptimized
 	TierNaive     = engine.TierNaive
-)
-
-// Adaptive tiering (internal/core/tiering.go): with Config.Tiering set,
-// Register* compiles only the cheap rung of the tier ladder so registration
-// is near-instant, the completion path profiles per-module hotness
-// (invocations + gas), and a background controller
-// recompiles hot modules at the full rung (register form plus static
-// analysis: check elision, devirtualization, stack certificates), swapping
-// the compiled form in atomically while in-flight requests finish on the
-// code they started with.
-type (
-	// TieringConfig configures the tier ladder: thresholds, scan interval,
-	// recompile concurrency cap, and the ablation mode.
-	TieringConfig = core.TieringConfig
-	// TieringMode selects adaptive promotion or one of the ablations.
-	TieringMode = core.TieringMode
-	// TieringSnapshot is the controller's accounting view (/__stats).
-	TieringSnapshot = core.TieringSnapshot
-)
-
-// Tiering modes.
-const (
-	// TierAdaptive registers cheap and promotes hot modules in the
-	// background (the default when Config.Tiering is set).
-	TierAdaptive = core.TierAdaptive
-	// TierStatic preserves the static behaviour: full pipeline at
-	// registration, no promotion (the disable knob / ablation baseline).
-	TierStatic = core.TierStatic
-	// TierCheapOnly registers cheap and never promotes (ablation).
-	TierCheapOnly = core.TierCheapOnly
 )
 
 // Scheduler configuration.

@@ -20,7 +20,7 @@ import (
 //     anywhere in the package must be accessed that way everywhere: a bare
 //     read or write of the same field elsewhere races with the atomic side.
 //
-// The scheduler's deques, the tiering profile counters, and the cluster
+// The scheduler's deques, the per-module invocation counters, and the cluster
 // health/stat counters are exactly the state this guards; a single plain
 // `w.qlen++` next to `w.qlen.Add(1)` call sites is a silent lost-update.
 // Deliberate pre-publication initialization can be suppressed with a
