@@ -17,11 +17,12 @@ import (
 
 var updateLowered = flag.Bool("update", false, "rewrite testdata/lowered.golden from this tree")
 
-// TestLoweredGolden pins what the analysis facts turn into. Their only
-// reader is the lowerer under BoundsSoftware and BoundsMPX, so the emitted
-// code of every corpus module under those two strategies is digested, and
-// AnalysisStats — what /__stats shows of the pass — is recorded for the ten
-// suite modules under all five. The two kinds of line move for different
+// TestLoweredGolden pins what the analysis facts turn into. The emitted code
+// of every corpus module under BoundsSoftware and BoundsMPX — the memory-
+// safety facts' only readers — is digested, and for the ten suite modules
+// both the code and AnalysisStats (what /__stats shows of the pass) are
+// recorded under all five strategies, so a strategy that skips a pass shows
+// here that it never read it. The two kinds of line move for different
 // reasons. A stats= line is what the analysis found: a change that moves one
 // changed a fact (internal/analysis/testdata/facts.golden will say which).
 // A code= line digests the lowered instructions, so it also moves whenever
@@ -56,9 +57,7 @@ func TestLoweredGolden(t *testing.T) {
 			if err != nil {
 				break // rejected before lowering, under every strategy alike
 			}
-			if b == engine.BoundsSoftware || b == engine.BoundsMPX {
-				fmt.Fprintf(&got, "%s %s code=%x\n", name, b, cm.CodeHash())
-			}
+			fmt.Fprintf(&got, "%s %s code=%x\n", name, b, cm.CodeHash())
 			if suite {
 				fmt.Fprintf(&got, "%s %s stats=%+v\n", name, b, cm.Analysis())
 			}
