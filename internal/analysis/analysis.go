@@ -12,9 +12,9 @@
 //     expression already proven in bounds needs no new check, because linear
 //     memory only grows). Accesses marked safe let the compiler skip the
 //     iBoundsCheck/iMPXCheck instruction in BoundsSoftware/BoundsMPX mode.
-//     Those two strategies are the facts' only reader: under BoundsGuard
-//     (the default), BoundsSoftwareFused and BoundsNone the lowerer never
-//     asks, and Report.MemAccesses/SafeAccesses are precision figures only.
+//     Those two strategies are the facts' only reader, so the engine sets
+//     Params.SkipMemSafety under BoundsGuard (the default),
+//     BoundsSoftwareFused and BoundsNone, and the pass does not run there.
 //
 //   - Stack certification (stack.go): a call-graph pass computing the
 //     worst-case frame depth of every defined function. Entry points whose
@@ -38,7 +38,8 @@ import (
 	"sledge/internal/wasm"
 )
 
-// Params carries the module-independent inputs of the analysis.
+// Params carries the module-independent inputs of the analysis and which of
+// its passes the caller will read.
 type Params struct {
 	// MinMemBytes is the module's minimum linear-memory size in bytes;
 	// addresses proven below it are in bounds for the life of the instance
@@ -47,6 +48,11 @@ type Params struct {
 	// MaxCallDepth is the engine's configured frame limit; entry points are
 	// only certified when their worst-case depth fits under it.
 	MaxCallDepth int
+	// SkipMemSafety leaves out the memory-safety pass, for a caller that
+	// will not ask SafeAccess: it then reports false everywhere, and
+	// Report.MemAccesses/SafeAccesses are 0. CFI and stack certification
+	// run regardless.
+	SkipMemSafety bool
 }
 
 // Devirt is a statically devirtualized call_indirect site: the site's type
@@ -92,9 +98,11 @@ const Unbounded = -1
 
 // Report summarizes what the analysis proved, for stats export.
 type Report struct {
-	// MemAccesses counts linear-memory accesses seen in live code.
+	// MemAccesses counts linear-memory accesses seen in live code; 0, not
+	// computed, under Params.SkipMemSafety.
 	MemAccesses int
-	// SafeAccesses counts accesses proven in bounds.
+	// SafeAccesses counts accesses proven in bounds; 0, not computed, under
+	// Params.SkipMemSafety.
 	SafeAccesses int
 	// IndirectSites counts call_indirect sites.
 	IndirectSites int
@@ -144,28 +152,31 @@ func (f *Facts) FrameBound(fn int) (int, bool) {
 // safeWords is the length of f's safe-access bitset: one bit per body index.
 func safeWords(f *wasm.Func) int { return (len(f.Body) + 63) / 64 }
 
-// Analyze runs the full pipeline over a validated module. The module must
-// have passed wasm.Validate: the passes rely on its stack discipline and
-// in-range indices and do not re-verify them.
+// Analyze runs the pipeline over a validated module: every pass, unless p
+// leaves the memory-safety pass out. The module must have passed
+// wasm.Validate: the passes rely on its stack discipline and in-range
+// indices and do not re-verify them.
 func Analyze(m *wasm.Module, p Params) *Facts {
 	f := &Facts{fns: make([]funcFacts, len(m.Funcs))}
-
-	// One allocation backs every function's safe-access bitset.
-	words := 0
-	for i := range m.Funcs {
-		words += safeWords(&m.Funcs[i])
-	}
-	bits := make([]uint64, words)
-
 	table, canon, exact := buildTable(m)
-	w := walkerPool.Get().(*mwalker)
+	if !p.SkipMemSafety {
+		// One allocation backs every function's safe-access bitset.
+		words := 0
+		for i := range m.Funcs {
+			words += safeWords(&m.Funcs[i])
+		}
+		bits := make([]uint64, words)
+		w := walkerPool.Get().(*mwalker)
+		for i := range m.Funcs {
+			n := safeWords(&m.Funcs[i])
+			f.fns[i].safe, bits = bits[:n:n], bits[n:]
+			w.analyze(m, &m.Funcs[i], p.MinMemBytes, f.fns[i].safe, &f.Report)
+		}
+		w.retire()
+	}
 	for i := range m.Funcs {
-		n := safeWords(&m.Funcs[i])
-		f.fns[i].safe, bits = bits[:n:n], bits[n:]
-		w.analyze(m, &m.Funcs[i], p.MinMemBytes, f.fns[i].safe, &f.Report)
 		f.fns[i].devirt = analyzeCFI(m, &m.Funcs[i], table, canon, exact, &f.Report)
 	}
-	w.retire()
 	analyzeStack(m, table, canon, exact, f)
 	return f
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -116,5 +117,38 @@ func TestFactsGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("facts differ from %s: %d lines, want %d", goldenPath, len(gl), len(wl))
+	}
+}
+
+// TestSkipMemSafety checks that leaving the memory-safety pass out proves
+// no access safe and changes no other fact: devirtualized sites, frame
+// bounds, call edges and the rest of the report are the full pipeline's.
+func TestSkipMemSafety(t *testing.T) {
+	names, mods := corpusModules(t)
+	for _, name := range names {
+		m := mods[name]
+		p := analysis.Params{MinMemBytes: ownMinMem(m), MaxCallDepth: 512}
+		full := analysis.Analyze(m, p)
+		p.SkipMemSafety = true
+		skip := analysis.Analyze(m, p)
+		want := full.Report
+		want.MemAccesses, want.SafeAccesses = 0, 0
+		if skip.Report != want {
+			t.Errorf("%s: report %+v, want %+v", name, skip.Report, want)
+		}
+		if !reflect.DeepEqual(skip.MaxFrames, full.MaxFrames) || !reflect.DeepEqual(skip.Edges, full.Edges) {
+			t.Errorf("%s: frames %v edges %v, want %v %v", name, skip.MaxFrames, skip.Edges, full.MaxFrames, full.Edges)
+		}
+		for fn := range m.Funcs {
+			for i := range m.Funcs[fn].Body {
+				if skip.SafeAccess(fn, i) {
+					t.Errorf("%s: func %d instr %d proven safe with the pass left out", name, fn, i)
+				}
+				d, ok := skip.DevirtAt(fn, i)
+				if wd, wok := full.DevirtAt(fn, i); d != wd || ok != wok {
+					t.Errorf("%s: func %d instr %d devirt %v %v, want %v %v", name, fn, i, d, ok, wd, wok)
+				}
+			}
+		}
 	}
 }

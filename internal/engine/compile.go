@@ -397,8 +397,7 @@ func (lo *lowerer) step(in wasm.Instr) error {
 			depth = 2
 			npop, npush = 2, 0
 		}
-		switch lo.cfg.Bounds {
-		case BoundsSoftware, BoundsMPX:
+		if lo.cfg.readsAccessFacts() {
 			// Statically proven accesses skip the check instruction.
 			lo.cm.analysisStats.ChecksTotal++
 			if lo.facts.SafeAccess(lo.fnIdx, lo.idx) {

@@ -107,8 +107,10 @@ type Config struct {
 	// bookkeeping per bytecode operation (boxing and deoptimization
 	// guards in JS-engine-hosted Wasm).
 	PerInstrNops int
-	// NoFusion disables the optimized tier's superinstruction peephole
-	// (used by the fusion ablation benchmark).
+	// NoFusion turns off operand forwarding, compare-and-branch fusion,
+	// the superinstructions and charge threading in the register lowering:
+	// every push is materialised. It is the unthreaded reference
+	// TestChargeThreadingYieldIdentity compares every yield against.
 	NoFusion bool
 	// NoAnalysis disables the static-analysis pipeline (check elision,
 	// stack certification, indirect-call devirtualization) in the
@@ -149,6 +151,13 @@ const (
 	// here too so Config consumers need not import internal/analysis.
 	DefaultMaxUncharged = 256
 )
+
+// readsAccessFacts reports whether lowering under c consults the
+// memory-safety facts: only the strategies that emit a check instruction
+// before an access have one to elide. Compile runs the pass only then.
+func (c Config) readsAccessFacts() bool {
+	return c.Bounds == BoundsSoftware || c.Bounds == BoundsMPX
+}
 
 func (c Config) withDefaults() Config {
 	if c.Bounds == 0 {

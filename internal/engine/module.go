@@ -316,7 +316,9 @@ type stackCert struct {
 // because gas metering is part of execution semantics, not an optimization.
 type AnalysisStats struct {
 	// MemAccesses / SafeAccesses count live linear-memory accesses and how
-	// many the analysis proved in bounds, independent of bounds strategy.
+	// many the analysis proved in bounds. The memory-safety pass runs only
+	// for BoundsSoftware / BoundsMPX, whose lowering reads its facts; under
+	// the other strategies both are 0, not computed.
 	MemAccesses  int `json:"mem_accesses"`
 	SafeAccesses int `json:"safe_accesses"`
 	// ChecksTotal / ChecksElided count bounds-check instructions the
@@ -596,14 +598,17 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 	}
 
 	// Static analysis: runs between validation and lowering, in the
-	// optimized tier only. The lowerer consults the facts to elide bounds
-	// checks and devirtualize indirect calls; the certificates computed
-	// below let instantiation skip per-call stack probes.
+	// optimized tier only. The lowerer consults the facts to devirtualize
+	// indirect calls and, where the strategy emits a check instruction, to
+	// elide bounds checks — the memory-safety pass runs only there; the
+	// certificates computed below let instantiation skip per-call stack
+	// probes.
 	var facts *analysis.Facts
 	if cfg.Tier == TierOptimized && !cfg.NoAnalysis {
 		facts = analysis.Analyze(m, analysis.Params{
-			MinMemBytes:  uint64(cm.minMemBytes),
-			MaxCallDepth: cfg.MaxCallDepth,
+			MinMemBytes:   uint64(cm.minMemBytes),
+			MaxCallDepth:  cfg.MaxCallDepth,
+			SkipMemSafety: !cfg.readsAccessFacts(),
 		})
 		cm.analysisStats.MemAccesses = facts.Report.MemAccesses
 		cm.analysisStats.SafeAccesses = facts.Report.SafeAccesses
@@ -637,21 +642,20 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 			numResults: len(ft.Results),
 		}
 	}
-	ra := regalloc{cm: cm, fuse: !cfg.NoFusion && cfg.PerInstrNops == 0}
-	// A branch word has 16 bits for each charge it pays: thread only where
-	// every charge, and every sum of adjacent ones, is sure to fit.
-	ra.thread = ra.fuse && cfg.MaxUncharged <= maxEdgeCost && costs.MaxCharge() <= maxEdgeCost
-	// stream is the lowerer's output and the pass's workspace, reused across
-	// functions: sized once for the largest body (check instructions and
-	// ablation nops can still regrow it), so a deploy allocates per function
-	// only the code it keeps.
-	var stream []cinstr
+	// The pass and its scratch come off a pool, so a deploy allocates per
+	// function only the code it keeps. The naive tier never lowers.
+	var ra *regalloc
 	if cfg.Tier != TierNaive {
+		fuse := !cfg.NoFusion && cfg.PerInstrNops == 0
+		// A branch word has 16 bits for each charge it pays: thread only
+		// where every charge, and every sum of adjacent ones, is sure to fit.
+		thread := fuse && cfg.MaxUncharged <= maxEdgeCost && costs.MaxCharge() <= maxEdgeCost
 		maxBody := 0
 		for i := range m.Funcs {
 			maxBody = max(maxBody, len(m.Funcs[i].Body))
 		}
-		stream = make([]cinstr, 0, maxBody+8)
+		ra = newRegalloc(cm, fuse, thread, maxBody)
+		defer ra.retire()
 	}
 	for i := range m.Funcs {
 		f, cf := &m.Funcs[i], &cm.funcs[i]
@@ -662,7 +666,7 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 			continue
 		}
 		var err error
-		if stream, err = lowerFunc(m, f, cfg, cm, cf, facts, costs.Funcs[i].Charges, i, stream); err != nil {
+		if ra.stream, err = lowerFunc(m, f, cfg, cm, cf, facts, costs.Funcs[i].Charges, i, ra.stream); err != nil {
 			return nil, fmt.Errorf("engine: lower func %d (%s): %w", i, f.Name, err)
 		}
 		if err := ra.run(cf); err != nil {

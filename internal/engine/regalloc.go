@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"sync"
+	"unsafe"
 
 	"sledge/internal/wasm"
 )
@@ -111,14 +113,20 @@ func (e vent) reads(s int32) bool {
 	return e.slot == s
 }
 
-// regalloc is the pass state. One value serves every function of a module
-// so the scratch slices are allocated once per Compile.
+// regalloc is the pass state. One value serves every function of a module,
+// and through regallocPool one Compile after another, so its scratch slices
+// are allocated only when a body outgrows them. Nothing a CompiledModule
+// keeps may alias them: run copies out each function's code and tops.
 type regalloc struct {
 	cm   *CompiledModule
 	fuse bool
 	// thread: branches pay the charges they lead to (fuse, and every cost
 	// fits the branch word; set by Compile).
 	thread bool
+
+	// stream is the lowerer's output and this pass's workspace (see
+	// lowerFunc), reused across functions.
+	stream []cinstr
 
 	cf   *compiledFunc
 	code []cinstr // the function's stack-form stream
@@ -143,6 +151,36 @@ type regalloc struct {
 	// before it must not absorb one emitted after.
 	barrier int
 	err     error
+}
+
+// maxScratchBytes bounds what a pooled regalloc may keep between compiles;
+// one that a large module grew past it is dropped instead of pooled, so a
+// single outsized deploy does not raise the process's resident set for good.
+const maxScratchBytes = 1 << 20
+
+var regallocPool = sync.Pool{New: func() any { return new(regalloc) }}
+
+// newRegalloc takes a pass off the pool for one Compile of cm, its stream
+// sized for a body of maxBody instructions (check instructions and ablation
+// nops can still regrow it). The caller hands it back with retire.
+func newRegalloc(cm *CompiledModule, fuse, thread bool, maxBody int) *regalloc {
+	ra := regallocPool.Get().(*regalloc)
+	ra.cm, ra.fuse, ra.thread = cm, fuse, thread
+	if cap(ra.stream) < maxBody+8 {
+		ra.stream = make([]cinstr, 0, maxBody+8)
+	}
+	return ra
+}
+
+// retire returns ra to the pool unless its scratch grew past
+// maxScratchBytes, dropping every reference into the module it compiled.
+func (ra *regalloc) retire() {
+	ra.cm, ra.cf, ra.code, ra.out = nil, nil, nil, nil
+	size := cap(ra.stream)*int(unsafe.Sizeof(cinstr{})) + (cap(ra.tgt)+cap(ra.tops))*4 +
+		cap(ra.vs)*int(unsafe.Sizeof(vent{}))
+	if size <= maxScratchBytes {
+		regallocPool.Put(ra)
+	}
 }
 
 // branchTarget returns the field holding ci's target pc, or nil when ci
