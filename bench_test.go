@@ -193,31 +193,65 @@ const benchNoopSrc = `
 export i32 main() { return 0; }
 `
 
+// benchLongSrc spins req_len × 1000 iterations with an empty reply: a
+// four-byte request is tens of thousands of gas, far past the slice the
+// submitter runs itself, so it completes on a pool worker.
+const benchLongSrc = `
+export i32 main() {
+	i32 n = sys_req_len();
+	i32 acc = 0;
+	for (i32 i = 0; i < n * 1000; i = i + 1) {
+		acc = acc + i;
+	}
+	return acc;
+}
+`
+
+// churnCases are the two ends of the invoke path: a request that finishes
+// in the submitter's own slice, and one a worker completes (handoff, wake-up,
+// timeout timer). An empty response avoids the mandatory response copy.
+var churnCases = []struct {
+	name, src string
+	req       []byte
+}{
+	{"pooled", benchNoopSrc, nil},
+	{"pooled-long", benchLongSrc, make([]byte, 4)},
+}
+
+// newChurnRuntime registers src as "fn" on a one-worker runtime and warms
+// the pools it recycles through.
+func newChurnRuntime(tb testing.TB, src string, req []byte) *sledge.Runtime {
+	tb.Helper()
+	rt := sledge.New(sledge.Config{Workers: 1})
+	tb.Cleanup(func() { rt.Close() })
+	if _, err := rt.RegisterWCC("fn", src, sledge.WCCOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := rt.Invoke("fn", req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return rt
+}
+
 // BenchmarkInvokeChurn drives full end-to-end Runtime.Invoke churn through
-// the recycling layer. The pooled steady state is the zero-allocs/op claim:
-// sandbox shell, engine instance, timeout timer, and context are all
-// recycled (an empty response avoids the mandatory response copy).
+// the recycling layer. The pooled steady state is the zero-allocs/op claim
+// (TestInvokeZeroAllocs asserts it): sandbox shell, engine instance, timeout
+// timer, and context are all recycled.
 func BenchmarkInvokeChurn(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
-		rt := sledge.New(sledge.Config{Workers: 1})
-		defer rt.Close()
-		if _, err := rt.RegisterWCC("noop", benchNoopSrc, sledge.WCCOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		// Warm the pools before measuring.
-		for i := 0; i < 16; i++ {
-			if _, err := rt.Invoke("noop", nil); err != nil {
-				b.Fatal(err)
+	for _, c := range churnCases {
+		b.Run(c.name, func(b *testing.B) {
+			rt := newChurnRuntime(b, c.src, c.req)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rt.Invoke("fn", c.req); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.Invoke("noop", nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkInstantiateReuse isolates the engine layer: a fresh Instantiate

@@ -13,7 +13,9 @@ package core
 // Scheduling: the executor acquires the next stage's pooled instance while
 // the current stage runs (overlapping instantiation with execution) and
 // submits each continuation with affinity for the worker that ran the
-// previous stage (sched.SubmitAffine), so the handoff buffer is consumed on
+// previous stage (the affinity argument of sched.Pool.Run, which runs a
+// stage's first short slice on the chain's own goroutine and places the rest
+// as SubmitAffine does), so the handoff buffer is consumed on
 // the core whose cache just wrote it. Stealing still applies to the
 // continuation, so affinity never defeats work conservation.
 //
@@ -339,17 +341,11 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 			return nil, time.Since(start), admission.OutcomeTrap, serr
 		}
 		// Continuations chase the previous stage's worker: the handoff
-		// buffer it just produced is hot in that core's cache. Stage 0 has
-		// no producer and balances normally.
-		if affinity >= 0 {
-			serr = rt.pool.SubmitAffine(sb, int(affinity))
-		} else {
-			serr = rt.pool.Submit(sb)
-		}
-		if serr != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, serr
-		}
+		// buffer it just produced is hot in that core's cache. Stage 0, and
+		// a stage whose producer finished in the caller's slice, has no
+		// worker to chase and balances normally. Run finishes sb whatever
+		// happens (ErrStopped included), so the wait below covers it.
+		rt.pool.Run(sb, int(affinity))
 
 		// Overlap the next stage's instance acquisition with this stage's
 		// execution: by the time the stage completes, the consumer's linear

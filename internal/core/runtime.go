@@ -540,9 +540,10 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	return out, err
 }
 
-// run executes one admitted request end-to-end: instantiate a sandbox,
-// submit it to the scheduler, wait for completion or timeout. It reports
-// the observed latency and the admission outcome alongside the response.
+// run executes one admitted request end-to-end: instantiate a sandbox, hand
+// it to the scheduler (which runs its first slice here), wait for completion
+// or timeout. It reports the observed latency and the admission outcome
+// alongside the response.
 // The compiled form is loaded exactly once, here: a concurrent cache
 // eviction drops the module pointer for future requests while this one
 // finishes untouched on the code it started with.
@@ -564,35 +565,19 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 	if err != nil {
 		return nil, 0, admission.OutcomeTrap, err
 	}
-	if err := rt.pool.Submit(sb); err != nil {
-		return nil, 0, admission.OutcomeTrap, err
-	}
-	timer, _ := rt.timers.Get().(*time.Timer)
-	if timer == nil {
-		timer = time.NewTimer(rt.cfg.RequestTimeout)
-	} else {
-		timer.Reset(rt.cfg.RequestTimeout)
-	}
+	// Run finishes sb exactly once whatever happens (ErrStopped included),
+	// so this one wait covers every outcome.
+	rt.pool.Run(sb, -1)
 	select {
 	case <-sb.Done():
-		if timer.Stop() {
-			rt.timers.Put(timer)
-		}
-		// else: the timer fired concurrently; its channel holds a stale
-		// token, so drop it rather than poison the pool.
-	case <-timer.C:
-		rt.timers.Put(timer) // token consumed; channel known empty
-		if sb.Abandon() {
-			// The sandbox is still running somewhere on the pool; a
-			// worker reaps and recycles it when it next surfaces.
+		// Finished in the caller's slice: no timer, no wake-up.
+	default:
+		if !rt.await(sb) {
 			rt.abandoned.Add(1)
 			m.failures.Add(1)
 			return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout,
 				fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
 		}
-		// Lost the race: the sandbox finished first. Consume its
-		// notification and proceed as a normal completion.
-		<-sb.Done()
 	}
 	lat = sb.Latency()
 	m.recordCompletion(lat, sb.Gas())
@@ -620,9 +605,39 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 	return out, lat, admission.OutcomeSuccess, nil
 }
 
+// await waits on a sandbox the pool holds, under the pooled request-timeout
+// timer. It returns false when the timeout won and the waiter disowned the
+// sandbox (a worker reaps and recycles it when it next surfaces), true once
+// sb is done.
+func (rt *Runtime) await(sb *sandbox.Sandbox) bool {
+	timer, _ := rt.timers.Get().(*time.Timer)
+	if timer == nil {
+		timer = time.NewTimer(rt.cfg.RequestTimeout)
+	} else {
+		timer.Reset(rt.cfg.RequestTimeout)
+	}
+	select {
+	case <-sb.Done():
+		if timer.Stop() {
+			rt.timers.Put(timer)
+		}
+		// else: the timer fired concurrently; its channel holds a stale
+		// token, so drop it rather than poison the pool.
+	case <-timer.C:
+		rt.timers.Put(timer) // token consumed; channel known empty
+		if sb.Abandon() {
+			return false
+		}
+		// Lost the race: the sandbox finished first. Consume its
+		// notification and proceed as a normal completion.
+		<-sb.Done()
+	}
+	return true
+}
+
 // handle is the listener-core request path: demultiplex by URL, admit (or
-// shed), instantiate a sandbox, push it to the work-distribution deque, and
-// reply with the function's stdout.
+// shed), instantiate a sandbox, run its first slice and push the rest to the
+// work-distribution deque, and reply with the function's stdout.
 func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 	name := strings.TrimPrefix(req.Path, "/")
 	if i := strings.IndexByte(name, '?'); i >= 0 {

@@ -194,6 +194,16 @@ func (in *Instance) Status() Status { return in.status }
 // TrapError returns the trap that terminated the instance, if any.
 func (in *Instance) TrapError() *Trap { return in.trap }
 
+// Abort ends a started instance that will never run again — its owner
+// failed it while it was yielded or blocked — so that Release recycles it
+// rather than refusing live state. The reset Release performs makes no
+// assumption about where execution stopped.
+func (in *Instance) Abort() {
+	if in.started && (in.status == StatusYielded || in.status == StatusBlocked) {
+		in.status = StatusTrapped
+	}
+}
+
 // Memory exposes the linear memory for host functions. The slice aliases
 // the live memory and is invalidated by memory.grow. The caller may write
 // anywhere through it, so the whole memory is conservatively marked dirty

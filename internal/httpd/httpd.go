@@ -59,7 +59,7 @@ var ErrMalformedRequest = errors.New("httpd: malformed request")
 // MaxBodyBytes bounds request bodies (default 8 MiB).
 const MaxBodyBytes = 8 << 20
 
-// MaxHeaderBytes bounds each header line.
+// MaxHeaderBytes bounds the request line and header block together.
 const MaxHeaderBytes = 64 << 10
 
 // connState tracks one connection's request lifecycle so drain can tell
@@ -292,9 +292,14 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 	}
 }
 
-// ReadRequest parses one request from the stream.
+// ReadRequest parses one request from the stream. A body is framed by
+// Content-Length only: a request that names a Transfer-Encoding, or whose
+// Content-Length is not plain digits or is given twice with different
+// values, is malformed — read any other way, its body would be parsed as the
+// next request on the connection.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
-	line, err := readLine(br)
+	budget := MaxHeaderBytes
+	line, err := readLine(br, &budget)
 	if err != nil {
 		return nil, err
 	}
@@ -309,7 +314,7 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		Header: make(map[string]string, 8),
 	}
 	for {
-		line, err := readLine(br)
+		line, err := readLine(br, &budget)
 		if err != nil {
 			return nil, err
 		}
@@ -322,6 +327,14 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		}
 		key := strings.ToLower(strings.TrimSpace(line[:colon]))
 		val := strings.TrimSpace(line[colon+1:])
+		switch key {
+		case "transfer-encoding":
+			return nil, fmt.Errorf("%w: transfer-encoding %q not supported", ErrMalformedRequest, val)
+		case "content-length":
+			if prev, dup := req.Header[key]; dup && prev != val {
+				return nil, fmt.Errorf("%w: conflicting content-length %q and %q", ErrMalformedRequest, prev, val)
+			}
+		}
 		req.Header[key] = val
 	}
 	if strings.EqualFold(req.Header["connection"], "close") {
@@ -331,8 +344,9 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		req.Close = true
 	}
 	if cl, ok := req.Header["content-length"]; ok {
+		// Digits only: Atoi alone would also take a sign.
 		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
+		if err != nil || cl == "" || strings.Trim(cl, "0123456789") != "" {
 			return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformedRequest, cl)
 		}
 		if n > MaxBodyBytes {
@@ -347,13 +361,15 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	return req, nil
 }
 
-func readLine(br *bufio.Reader) (string, error) {
+// readLine reads one CRLF- or LF-terminated line and charges it, terminator
+// included, to *budget: the bytes left for the request's header block.
+func readLine(br *bufio.Reader, budget *int) (string, error) {
 	var sb strings.Builder
 	for {
 		chunk, err := br.ReadSlice('\n')
 		sb.Write(chunk)
-		if sb.Len() > MaxHeaderBytes {
-			return "", fmt.Errorf("%w: header line too long", ErrMalformedRequest)
+		if sb.Len() > *budget {
+			return "", fmt.Errorf("%w: header block over %d bytes", ErrMalformedRequest, MaxHeaderBytes)
 		}
 		if errors.Is(err, bufio.ErrBufferFull) {
 			continue
@@ -365,6 +381,7 @@ func readLine(br *bufio.Reader) (string, error) {
 			// a bogus 400 instead of a counted timeout.)
 			return "", err
 		}
+		*budget -= sb.Len()
 		line := sb.String()
 		line = line[:len(line)-1] // trailing '\n'
 		if n := len(line); n > 0 && line[n-1] == '\r' {

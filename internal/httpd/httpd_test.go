@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -64,6 +65,70 @@ func TestReadRequestMalformed(t *testing.T) {
 		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); !errors.Is(err, ErrMalformedRequest) {
 			t.Errorf("ReadRequest(%q) err = %v, want ErrMalformedRequest", raw[:20], err)
 		}
+	}
+}
+
+// TestFramingRejected pins the framing rules: a body is delimited by one
+// plain-digit Content-Length, and the header block is bounded. Each request
+// below is refused by ReadRequest and, over a connection, answered with a
+// 400 that closes it before the handler runs — read any other way, the
+// trailing bytes would be parsed as a second request.
+func TestFramingRejected(t *testing.T) {
+	next := "GET /smuggled HTTP/1.1\r\n\r\n"
+	manyHeaders := strings.Repeat("X-Pad: "+strings.Repeat("p", 100)+"\r\n", MaxHeaderBytes/100)
+	cases := []struct{ name, raw string }{
+		{"transfer-encoding chunked", "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" +
+			fmt.Sprintf("%x\r\n%s\r\n0\r\n\r\n", len(next), next)},
+		{"transfer-encoding identity", "POST / HTTP/1.1\r\nTransfer-Encoding: identity\r\nContent-Length: 1\r\n\r\nx"},
+		{"content-length with sign", "POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc" + next},
+		{"content-length list", "POST / HTTP/1.1\r\nContent-Length: 3, 3\r\n\r\nabc" + next},
+		{"content-length hex", "POST / HTTP/1.1\r\nContent-Length: 0x3\r\n\r\nabc" + next},
+		{"content-length empty", "POST / HTTP/1.1\r\nContent-Length:\r\n\r\n" + next},
+		{"conflicting content-length", "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 0\r\n\r\nabc" + next},
+		{"header block over limit", "GET / HTTP/1.1\r\n" + manyHeaders + "\r\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadRequest(bufio.NewReader(strings.NewReader(tc.raw))); !errors.Is(err, ErrMalformedRequest) {
+				t.Fatalf("ReadRequest err = %v, want ErrMalformedRequest", err)
+			}
+			var handled atomic.Int32
+			addr, _ := startServer(t, func(*Request) Response { handled.Add(1); return Response{} })
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			go io.WriteString(conn, tc.raw)
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("read response: %v", err)
+			}
+			rest, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("read body: %v", err)
+			}
+			if resp.StatusCode != 400 || !resp.Close {
+				t.Errorf("status %d close %v (body %q), want 400 and close", resp.StatusCode, resp.Close, rest)
+			}
+			if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Errorf("after the 400: read %d bytes, err %v; want the connection closed", n, err)
+			}
+			if n := handled.Load(); n != 0 {
+				t.Errorf("handler ran %d times", n)
+			}
+		})
+	}
+}
+
+// TestDuplicateContentLengthAgreeing: a repeated Content-Length with the same
+// value frames the body unambiguously, so it is accepted.
+func TestDuplicateContentLengthAgreeing(t *testing.T) {
+	raw := "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc"
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	if err != nil || string(req.Body) != "abc" {
+		t.Fatalf("ReadRequest = %+v, %v", req, err)
 	}
 }
 

@@ -78,6 +78,75 @@ func TestTenantMemoryHygiene(t *testing.T) {
 	sb2.Release()
 }
 
+// writeThenSpinSrc's main leaves the request deep in memory and then spins
+// long enough to be caught mid-run; scan is hygieneSrc's.
+const writeThenSpinSrc = `
+static u8 buf[256];
+
+export i32 main() {
+	i32 n = sys_read(buf, 256);
+	u8* p = (u8*) buf;
+	for (i32 i = 0; i < n; i = i + 1) {
+		p[20000 + i] = buf[i];
+	}
+	i32 acc = 0;
+	for (i32 j = 0; j < 1000000; j = j + 1) {
+		acc = acc + j;
+	}
+	return acc;
+}
+
+export i32 scan() {
+	u8* p = (u8*) buf;
+	i32 hits = 0;
+	for (i32 i = 0; i < 40000; i = i + 1) {
+		if (p[i] != 0) {
+			hits = hits + 1;
+		}
+	}
+	return hits;
+}
+`
+
+// TestFailedWhileYieldedRecycles: a sandbox failed mid-run — its pool
+// stopped or its waiter left while it was yielded — still hands its instance
+// back, and the reset leaves nothing for the next tenant.
+func TestFailedWhileYieldedRecycles(t *testing.T) {
+	cm := compileSrc(t, writeThenSpinSrc)
+	secret := []byte("hunter2-credential")
+	sb1, err := New(cm, secret, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in1 := sb1.inst
+	if st := sb1.RunQuantum(20_000); st != StateRunnable {
+		t.Fatalf("writer state %s (%v), want a yield mid-spin", st, sb1.Err)
+	}
+	if !bytes.Contains(in1.Memory(), secret) {
+		t.Fatal("writer did not leave the secret in memory before the yield")
+	}
+	sb1.Fail(ErrAbandoned)
+	sb1.Release()
+	if got := cm.PooledInstances(); got != 1 {
+		t.Fatalf("%d pooled instances after releasing the failed sandbox, want 1", got)
+	}
+
+	sb2, err := New(cm, nil, Options{Entry: "scan"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb2.inst != in1 {
+		t.Fatal("expected the recycled instance; hygiene claim not exercised")
+	}
+	if st := sb2.RunQuantum(0); st != StateComplete {
+		t.Fatalf("scanner state %s (%v)", st, sb2.Err)
+	}
+	if hits, _ := sb2.ExitCode(); hits != 0 {
+		t.Fatalf("scanner found %d nonzero bytes in the recycled memory", hits)
+	}
+	sb2.Release()
+}
+
 // TestRecycledSandboxResponseIsolated: the pooled response buffer must not
 // replay a previous tenant's output.
 func TestRecycledSandboxResponseIsolated(t *testing.T) {

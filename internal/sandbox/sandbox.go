@@ -418,12 +418,14 @@ func (sb *Sandbox) Latency() time.Duration {
 }
 
 // Fail force-completes the sandbox with an error (used by the scheduler
-// when a blocked completion cannot be delivered). The OnComplete callback
-// still fires so waiters are released.
+// when a blocked completion cannot be delivered, a waiter is gone or the
+// pool stopped). The OnComplete callback still fires so waiters are
+// released, and the instance is aborted so that Release recycles it.
 func (sb *Sandbox) Fail(err error) {
 	if s := State(sb.state.Load()); s == StateComplete || s == StateTrapped {
 		return
 	}
+	sb.inst.Abort()
 	sb.Err = err
 	sb.DoneAt = time.Now()
 	sb.state.Store(int32(StateTrapped))

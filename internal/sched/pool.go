@@ -182,6 +182,11 @@ type Pool struct {
 	// extTrapped counts sandboxes failed outside a worker context (queued
 	// work failed by Stop); Stats folds it into Trapped.
 	extTrapped atomic.Uint64
+	// callerCompleted and callerTrapped count sandboxes that finished in
+	// the submitter's slice (Run); Stats folds them into Completed and
+	// Trapped.
+	callerCompleted atomic.Uint64
+	callerTrapped   atomic.Uint64
 
 	// Quiesce waiters share one broadcast channel, closed by the inflight
 	// decrement that reaches zero. quiesceArmed keeps the completion hot
@@ -297,53 +302,60 @@ func newPool(cfg Config, fixedFuel int64) *Pool {
 	return p
 }
 
-// ErrStopped reports a Submit after Stop.
+// ErrStopped reports work handed to the pool after Stop.
 var ErrStopped = errors.New("sched: pool stopped")
 
-// Submit hands a sandbox to the pool. The sandbox's OnComplete callback
-// fires on a worker when it finishes.
-func (p *Pool) Submit(sb *sandbox.Sandbox) error {
+// callerSliceGas is the gas Run spends on the submitter's goroutine before
+// it hands a request to the workers: about 2.5 µs of execution, under the
+// ~4 µs of CPU a handoff and its worker wake-up cost, and 1/780 of the
+// smallest quantum the rate learner allows (800 k gas). A request that fits
+// — ping is 15 gas — never leaves its connection; a longer one pays one
+// extra yield and resume. Wasm running outside the worker set is bounded by
+// the admitted requests × callerSliceGas, so temporal isolation among the
+// workers' tenants is untouched.
+const callerSliceGas = 1024
+
+// Run is the request path's entry into the pool. For a preemptible sandbox
+// under the preemptive policy it first runs callerSliceGas of it on the
+// calling goroutine; a sandbox that completes or traps there is counted and
+// FinishNotify'd on the spot, with no worker, queue or wake-up involved.
+// What yields or blocks — and everything else — is handed off exactly as
+// SubmitAffine(sb, affinity) would (a negative affinity means none).
+//
+// Run always takes ownership: the sandbox finishes exactly once and its
+// Done channel fires, failed with ErrStopped if the pool is stopped, so the
+// caller's one wait covers every outcome.
+//
+//sledge:noalloc
+func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 	if p.stopped.Load() {
-		return ErrStopped
+		reject(sb)
+		return
 	}
 	p.submitted.Add(1)
 	p.inflight.Add(1)
-	switch p.cfg.Distribution {
-	case DistWorkStealing:
-		w := p.pickWorker()
-		w.inbox.push(sb)
-		if p.stopped.Load() {
-			// Raced with Stop: the workers may already be gone, so fail
-			// whatever the inbox holds exactly as Stop's drain would.
-			p.failInbox(w)
-			return ErrStopped
-		}
-		p.wakeWorker(w)
-	case DistGlobalDeque:
-		select {
-		case p.submitCh <- sb:
-		case <-p.stopCh:
-			p.decInflight()
-			return ErrStopped
-		}
-	case DistGlobalLock:
-		p.lockQ.mu.Lock()
-		p.lockQ.q = append(p.lockQ.q, sb)
-		p.lockQ.n.Store(int64(len(p.lockQ.q)))
-		p.lockQ.mu.Unlock()
-		p.wakeAny(0)
-	case DistStatic:
-		w := p.workers[p.rr.Add(1)%uint64(len(p.workers))]
-		w.inbox.push(sb)
-		if p.stopped.Load() {
-			p.failInbox(w)
-			return ErrStopped
-		}
-		// No stealing in static mode: only the assigned worker can run
-		// this sandbox, so only it is worth waking.
-		w.park.wake(&p.nparked)
+	if p.cfg.Policy != PolicyPreemptiveRR || !sb.Preemptible() {
+		p.push(sb, affinity)
+		return
 	}
-	return nil
+	switch sb.RunQuantum(callerSliceGas) {
+	case sandbox.StateComplete:
+		p.callerCompleted.Add(1)
+	case sandbox.StateTrapped:
+		p.callerTrapped.Add(1)
+	default: // yielded or blocked: a worker resumes it
+		p.push(sb, affinity)
+		return
+	}
+	p.decInflight()
+	sb.FinishNotify() // may recycle sb: last touch
+}
+
+// Submit hands a sandbox to the pool. The sandbox's OnComplete callback
+// fires on a worker when it finishes. On ErrStopped the sandbox has been,
+// or will be, failed with ErrStopped and FinishNotify'd.
+func (p *Pool) Submit(sb *sandbox.Sandbox) error {
+	return p.SubmitAffine(sb, -1)
 }
 
 // SubmitAffine hands a sandbox to the pool with affinity for one worker's
@@ -358,33 +370,63 @@ func (p *Pool) Submit(sb *sandbox.Sandbox) error {
 // bias, and an out-of-range hint means the previous stage never ran here;
 // both fall back to Submit's normal balancing.
 func (p *Pool) SubmitAffine(sb *sandbox.Sandbox, worker int) error {
-	if worker < 0 || worker >= len(p.workers) {
-		return p.Submit(sb)
-	}
-	switch p.cfg.Distribution {
-	case DistWorkStealing, DistStatic:
-	default:
-		return p.Submit(sb)
-	}
 	if p.stopped.Load() {
+		reject(sb)
 		return ErrStopped
 	}
 	p.submitted.Add(1)
 	p.inflight.Add(1)
-	w := p.workers[worker]
-	w.inbox.push(sb)
-	if p.stopped.Load() {
-		// Raced with Stop: the workers may already be gone, so fail
-		// whatever the inbox holds exactly as Stop's drain would.
-		p.failInbox(w)
-		return ErrStopped
-	}
-	if p.cfg.Distribution == DistStatic {
-		// No stealing in static mode: only the assigned worker can run
-		// this sandbox, so only it is worth waking.
-		w.park.wake(&p.nparked)
-	} else {
-		p.wakeWorker(w)
+	return p.push(sb, worker)
+}
+
+// reject fails a sandbox the pool never accepted, so its waiter is released
+// like that of one Stop failed in a queue.
+func reject(sb *sandbox.Sandbox) {
+	sb.Fail(ErrStopped)
+	sb.FinishNotify()
+}
+
+// push places a counted sandbox on the distribution structure and wakes a
+// worker for it. affinity is a placement hint (see SubmitAffine).
+func (p *Pool) push(sb *sandbox.Sandbox, affinity int) error {
+	switch p.cfg.Distribution {
+	case DistWorkStealing, DistStatic:
+		var w *worker
+		switch {
+		case affinity >= 0 && affinity < len(p.workers):
+			w = p.workers[affinity]
+		case p.cfg.Distribution == DistWorkStealing:
+			w = p.pickWorker()
+		default:
+			w = p.workers[p.rr.Add(1)%uint64(len(p.workers))]
+		}
+		w.inbox.push(sb)
+		if p.stopped.Load() {
+			// Raced with Stop: the workers may already be gone, so fail
+			// whatever the inbox holds exactly as Stop's drain would.
+			p.failInbox(w)
+			return ErrStopped
+		}
+		if p.cfg.Distribution == DistStatic {
+			// No stealing in static mode: only the assigned worker can run
+			// this sandbox, so only it is worth waking.
+			w.park.wake(&p.nparked)
+		} else {
+			p.wakeWorker(w)
+		}
+	case DistGlobalDeque:
+		select {
+		case p.submitCh <- sb:
+		case <-p.stopCh:
+			p.finish(sb, true)
+			return ErrStopped
+		}
+	case DistGlobalLock:
+		p.lockQ.mu.Lock()
+		p.lockQ.q = append(p.lockQ.q, sb)
+		p.lockQ.n.Store(int64(len(p.lockQ.q)))
+		p.lockQ.mu.Unlock()
+		p.wakeAny(0)
 	}
 	return nil
 }
@@ -459,7 +501,8 @@ func (p *Pool) dispatch() {
 func (p *Pool) Stats() Stats {
 	st := Stats{
 		Submitted: p.submitted.Load(),
-		Trapped:   p.extTrapped.Load(),
+		Completed: p.callerCompleted.Load(),
+		Trapped:   p.extTrapped.Load() + p.callerTrapped.Load(),
 	}
 	for _, w := range p.workers {
 		st.Completed += w.completed.Load()
