@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke sched-smoke cluster-smoke meter-smoke warm-smoke chain-smoke cold-bench test bench bench-sched bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke cluster-smoke meter-smoke warm-smoke chain-smoke cold-bench test bench bench-cluster bench-meter bench-warm bench-chain
 
 # check is the pre-merge gate: formatting (gofmt -l prints nothing), static
 # analysis (go vet plus the project
@@ -19,8 +19,7 @@ GO ?= go
 # invoke / unregister cycle of the suite must allocate under 512 KiB: first
 # instantiations reuse retired linear memories through the slab recycler),
 # an overload smoke run (admission at 2x capacity
-# must shed cleanly: admitted error rate < 1%), a scheduler scale-out smoke
-# run (every workers x distribution cell completes its closed loop), a
+# must shed cleanly: admitted error rate < 1%), a
 # metering smoke run (block-metered and per-instruction runs charge
 # bit-identical gas under preemptive slicing), a warm-start smoke run
 # (snapshot first invoke beats start replay, the bounded module cache
@@ -32,7 +31,7 @@ GO ?= go
 # both metering modes, must produce identical results, traps, and gas) and
 # a hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds).
-check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke sched-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -49,7 +48,7 @@ build:
 test-race:
 	$(GO) test -race -shuffle=on ./internal/core/... ./internal/cluster/...
 	$(GO) test -race ./internal/sandbox/... ./internal/admission/... ./internal/httpd/... ./internal/stats/...
-	$(GO) test -race -shuffle=on ./internal/sched/...
+	$(GO) test -race -shuffle=on -count=5 ./internal/sched/
 	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/
 	$(GO) test -race -shuffle=on ./internal/analysis/ ./internal/wasm/
 
@@ -79,16 +78,6 @@ cold-bench:
 
 overload-smoke:
 	$(GO) test -run=TestOverloadSmoke -count=1 ./internal/experiments/
-
-# sched-smoke runs the scheduler scale-out sweep at quick sizes (all
-# distribution modes complete + snapshot plumbing); the acceptance-grade
-# numbers come from `make bench-sched`, which regenerates BENCH_sched.json
-# across Workers x {work-stealing, global-deque, global-lock, static}.
-sched-smoke:
-	$(GO) test -run=TestSchedBenchSmoke -count=1 ./internal/experiments/
-
-bench-sched:
-	$(GO) run ./cmd/sledge-bench -run sched -snapshot BENCH_sched.json
 
 # cluster-smoke runs the edge-cloud continuum end-to-end under the race
 # detector at quick sizes: the 3-node in-process cluster comes up, the

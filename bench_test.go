@@ -389,25 +389,9 @@ func BenchmarkTable3ChurnForkExec(b *testing.B) {
 
 // ---- Ablation benches ----
 
-// BenchmarkAblationDeque measures the work-stealing deque against the
-// mutex-protected global queue (§3.4's scalability argument).
-func BenchmarkAblationDeque(b *testing.B) {
-	b.Run("chase-lev-push-pop", func(b *testing.B) {
-		d := sched.NewDeque[int](1024)
-		v := 7
-		for i := 0; i < b.N; i++ {
-			d.PushBottom(&v)
-			d.PopBottom()
-		}
-	})
-	b.Run("chase-lev-push-steal", func(b *testing.B) {
-		d := sched.NewDeque[int](1024)
-		v := 7
-		for i := 0; i < b.N; i++ {
-			d.PushBottom(&v)
-			d.Steal()
-		}
-	})
+// BenchmarkRunq measures the per-worker run queue: the owner's push/pop
+// pair and the amortized cost of batched stealing.
+func BenchmarkRunq(b *testing.B) {
 	b.Run("runq-push-pop", func(b *testing.B) {
 		q := sched.NewRunq[int](1024)
 		v := 7

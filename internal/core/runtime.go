@@ -1,8 +1,8 @@
 // Package core is the Sledge serverless runtime (the paper's primary
 // contribution): a single-process, multi-tenant runtime that accepts HTTP
 // requests on a listener, instantiates a light-weight Wasm sandbox per
-// request, distributes sandboxes to worker cores over a lock-free
-// work-stealing deque, and schedules them preemptively for temporal
+// request, distributes sandboxes to worker cores through per-worker inboxes
+// with work stealing, and schedules them preemptively for temporal
 // isolation (§3.3–§3.5, §4).
 //
 // Module registration performs the heavyweight compile/link/load once; each
@@ -152,9 +152,9 @@ type Config struct {
 	Workers int
 	// Quantum is the scheduling time slice. Default 5 ms.
 	Quantum time.Duration
-	// Policy and Distribution select scheduler behaviour (ablations).
-	Policy       sched.Policy
-	Distribution sched.Distribution
+	// Policy selects preemptive round-robin (default) or cooperative
+	// scheduling.
+	Policy sched.Policy
 	// Engine is the sandboxing configuration; the default uses the
 	// optimized tier with guard-based memory safety, like the paper's
 	// production configuration.
@@ -265,13 +265,11 @@ func New(cfg Config) *Runtime {
 	// The quantum needs no start-up calibration for cfg.Engine: each worker
 	// learns gas per millisecond from the slices it runs, whatever tier and
 	// IR form the modules it is handed were compiled to.
-	scfg := sched.Config{
-		Workers:      cfg.Workers,
-		Quantum:      cfg.Quantum,
-		Policy:       cfg.Policy,
-		Distribution: cfg.Distribution,
-	}
-	rt.pool = sched.NewPool(scfg)
+	rt.pool = sched.NewPool(sched.Config{
+		Workers: cfg.Workers,
+		Quantum: cfg.Quantum,
+		Policy:  cfg.Policy,
+	})
 	if cfg.Admission != nil {
 		acfg := *cfg.Admission
 		if acfg.Workers == 0 {
@@ -636,8 +634,8 @@ func (rt *Runtime) await(sb *sandbox.Sandbox) bool {
 }
 
 // handle is the listener-core request path: demultiplex by URL, admit (or
-// shed), instantiate a sandbox, run its first slice and push the rest to the
-// work-distribution deque, and reply with the function's stdout.
+// shed), instantiate a sandbox, run its first slice and push the rest to a
+// worker's inbox, and reply with the function's stdout.
 func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 	name := strings.TrimPrefix(req.Path, "/")
 	if i := strings.IndexByte(name, '?'); i >= 0 {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"sledge/internal/abi"
@@ -11,169 +10,10 @@ import (
 	"sledge/internal/engine"
 	"sledge/internal/nuclio"
 	"sledge/internal/sandbox"
-	"sledge/internal/sched"
 	"sledge/internal/stats"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
 )
-
-// spinSource is a CPU-bound tenant whose runtime scales with the request
-// size, used to create interference.
-const spinSource = `
-static u8 out[1];
-
-export i32 main() {
-	i32 n = sys_req_len();
-	i32 acc = 0;
-	for (i32 i = 0; i < n * 1000; i = i + 1) {
-		acc = acc + i;
-	}
-	out[0] = 100 + (acc & 1);
-	sys_write(out, 1);
-	return 0;
-}
-`
-
-func compileSpin(cfg engine.Config) (*engine.CompiledModule, error) {
-	res, err := wcc.Compile(spinSource, wcc.Options{})
-	if err != nil {
-		return nil, err
-	}
-	return engine.CompileBinary(res.Binary, abi.Registry(), cfg)
-}
-
-// RunAblationQuantum sweeps the preemption quantum and measures a
-// latency-sensitive tenant's response time while a CPU-hog tenant runs —
-// the design choice behind §3.4's temporal isolation.
-func RunAblationQuantum(o Options) ([]*Table, error) {
-	quanta := []struct {
-		label string
-		cfg   sched.Config
-	}{
-		{"1ms", sched.Config{Quantum: time.Millisecond}},
-		{"5ms (paper)", sched.Config{Quantum: 5 * time.Millisecond}},
-		{"20ms", sched.Config{Quantum: 20 * time.Millisecond}},
-		{"100ms", sched.Config{Quantum: 100 * time.Millisecond}},
-		{"cooperative", sched.Config{Policy: sched.PolicyCooperative}},
-	}
-	hogSize, shorts := 30000, 15
-	if o.Quick {
-		hogSize, shorts = 5000, 4
-	}
-	cm, err := compileSpin(engine.Config{})
-	if err != nil {
-		return nil, err
-	}
-	tbl := &Table{
-		ID:      "ablation-quantum",
-		Title:   "Quantum sweep: short-tenant latency under a CPU-hog tenant (1 worker)",
-		Headers: []string{"quantum", "short mean", "short p99", "hog total", "preemptions"},
-		Notes: []string{
-			"small quanta bound the short tenant's latency; cooperative scheduling serializes it behind the hog (head-of-line blocking)",
-		},
-	}
-	for _, q := range quanta {
-		cfg := q.cfg
-		cfg.Workers = 1
-		pool := sched.NewPool(cfg)
-
-		var wg sync.WaitGroup
-		hog, err := sandbox.New(cm, make([]byte, hogSize), sandbox.Options{Tenant: "hog"})
-		if err != nil {
-			pool.Stop()
-			return nil, err
-		}
-		wg.Add(1)
-		hogStart := time.Now()
-		var hogDur time.Duration
-		hog.OnComplete = func(*sandbox.Sandbox) { hogDur = time.Since(hogStart); wg.Done() }
-		if err := pool.Submit(hog); err != nil {
-			pool.Stop()
-			return nil, err
-		}
-		time.Sleep(2 * time.Millisecond)
-
-		lats := make([]time.Duration, 0, shorts)
-		for i := 0; i < shorts; i++ {
-			short, err := sandbox.New(cm, make([]byte, 1), sandbox.Options{Tenant: "short"})
-			if err != nil {
-				pool.Stop()
-				return nil, err
-			}
-			ch := make(chan time.Duration, 1)
-			start := time.Now()
-			short.OnComplete = func(*sandbox.Sandbox) { ch <- time.Since(start) }
-			if err := pool.Submit(short); err != nil {
-				pool.Stop()
-				return nil, err
-			}
-			lats = append(lats, <-ch)
-		}
-		wg.Wait()
-		st := pool.Stats()
-		pool.Stop()
-		s := stats.Summarize(lats)
-		tbl.Rows = append(tbl.Rows, []string{
-			q.label, s.Mean.String(), s.P99.String(), hogDur.String(), fmt.Sprint(st.Preemptions),
-		})
-		o.logf("ablation-quantum: %s short mean=%v", q.label, s.Mean)
-	}
-	return []*Table{tbl}, nil
-}
-
-// RunAblationDistribution compares the work-distribution structures from
-// §3.4: the lock-free deque vs a mutex global queue vs static assignment.
-func RunAblationDistribution(o Options) ([]*Table, error) {
-	n, workers := 600, 4
-	if o.Quick {
-		n, workers = 60, 2
-	}
-	cm, err := compileSpin(engine.Config{})
-	if err != nil {
-		return nil, err
-	}
-	tbl := &Table{
-		ID:      "ablation-dist",
-		Title:   fmt.Sprintf("Work distribution: %d short requests on %d workers", n, workers),
-		Headers: []string{"mechanism", "total time", "req/s", "steals"},
-		Notes: []string{
-			"static assignment is not work-conserving: a backlog behind one worker cannot be drained by idle peers",
-		},
-	}
-	for _, dist := range []sched.Distribution{sched.DistWorkStealing, sched.DistGlobalDeque, sched.DistGlobalLock, sched.DistStatic} {
-		pool := sched.NewPool(sched.Config{Workers: workers, Distribution: dist})
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			size := 1
-			if i%10 == 0 {
-				size = 200 // occasional heavier request to skew queues
-			}
-			sb, err := sandbox.New(cm, make([]byte, size), sandbox.Options{})
-			if err != nil {
-				pool.Stop()
-				return nil, err
-			}
-			wg.Add(1)
-			sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-			if err := pool.Submit(sb); err != nil {
-				pool.Stop()
-				return nil, err
-			}
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		st := pool.Stats()
-		pool.Stop()
-		tbl.Rows = append(tbl.Rows, []string{
-			dist.String(), elapsed.String(),
-			fmt.Sprintf("%.0f", float64(n)/elapsed.Seconds()),
-			fmt.Sprint(st.Steals),
-		})
-		o.logf("ablation-dist: %s %v", dist, elapsed)
-	}
-	return []*Table{tbl}, nil
-}
 
 // RunAblationBounds re-runs two applications under every bounds strategy —
 // the end-to-end cost of each §3.2 memory-safety mechanism.

@@ -106,13 +106,12 @@ var Registry = map[string]func(Options) ([]*Table, error){
 	"overload": RunOverload,
 	"cluster":  RunContinuum,
 	"meter":    RunMeterAblation,
-	"sched":    RunSchedBench,
 	"warm":     RunWarm,
 	"chain":    RunChain,
 	"ablation": func(o Options) ([]*Table, error) {
 		var out []*Table
 		for _, fn := range []func(Options) ([]*Table, error){
-			RunAblationQuantum, RunAblationDistribution, RunAblationBounds, RunAblationStartup, RunAblationWarm,
+			RunAblationBounds, RunAblationStartup, RunAblationWarm,
 		} {
 			ts, err := fn(o)
 			if err != nil {
@@ -126,5 +125,5 @@ var Registry = map[string]func(Options) ([]*Table, error){
 
 // IDs lists experiment IDs in paper order.
 func IDs() []string {
-	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "sched", "warm", "chain", "ablation"}
+	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "warm", "chain", "ablation"}
 }

@@ -86,10 +86,14 @@ func runMeterSliced(cm *engine.CompiledModule, n int) (float64, uint64, int, err
 // between the two modes — it is the same static charge stream — so the
 // ablation isolates pure check overhead. With Options.SnapshotPath set it
 // also writes the BENCH_meter.json snapshot.
+//
+// Quick sizes finish in tens of microseconds, so one descheduling or the
+// first run's cold instance can be many times a kernel's time; the quick
+// sweep takes the median of enough runs that such outliers fall out of it.
 func RunMeterAblation(o Options) ([]*Table, error) {
 	iters := 5
 	if o.Quick {
-		iters = 2
+		iters = 9
 	}
 	blockCfg := engine.Config{Tier: engine.TierOptimized, Bounds: engine.BoundsGuard}
 	instrCfg := blockCfg

@@ -13,92 +13,80 @@ import (
 // worker's queue, but affinity is a hint, not a pin. When the preferred
 // worker is stuck in a long cooperative quantum, idle peers must steal the
 // queued continuations — affinity never defeats work conservation.
-//
-// Static distribution is the documented exception: there is no stealing, so
-// continuations behind a hog simply wait; the test only demands eventual
-// completion there.
-func TestAffinityWorkConservation(t *testing.T) {
-	for _, dist := range []Distribution{DistWorkStealing, DistGlobalLock, DistGlobalDeque, DistStatic} {
-		t.Run(dist.String(), func(t *testing.T) {
-			cm := compileTestModule(t, spinSrc)
-			// Cooperative policy: the hog's quantum cannot be preempted,
-			// so its worker stays busy for the whole spin.
-			p := NewPool(Config{Workers: 4, Distribution: dist, Policy: PolicyCooperative})
-			defer p.Stop()
+func TestAffinityWorkConservation(t *testing.T) { t.Run(workStealing, testAffinityWorkConservation) }
 
-			// 20M spin iterations: ~1000x the combined continuation work,
-			// so the hog reliably outlasts them without dominating the
-			// race-instrumented run.
-			hogLen := 20_000
-			if dist == DistStatic {
-				hogLen = 5_000 // only eventual completion is asserted; keep it quick
-			}
-			var hogWG sync.WaitGroup
-			hogWG.Add(1)
-			hog, err := sandbox.New(cm, make([]byte, hogLen), sandbox.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			hog.OnComplete = func(*sandbox.Sandbox) { hogWG.Done() }
-			if err := p.Submit(hog); err != nil {
-				t.Fatal(err)
-			}
+func testAffinityWorkConservation(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	// Cooperative policy: the hog's quantum cannot be preempted, so its
+	// worker stays busy for the whole spin.
+	p := NewPool(Config{Workers: 4, Policy: PolicyCooperative})
+	defer p.Stop()
 
-			// Learn which worker the hog landed on, the way a pipeline
-			// executor would pick its affinity target.
-			var hogWorker int32 = -1
-			for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-				if hogWorker = hog.LastWorker.Load(); hogWorker >= 0 {
-					break
-				}
-				time.Sleep(100 * time.Microsecond)
-			}
-			if hogWorker < 0 {
-				t.Fatalf("hog never started: state %s", hog.State())
-			}
+	// 20M spin iterations: ~1000x the combined continuation work, so the
+	// hog reliably outlasts them without dominating the race-instrumented
+	// run.
+	var hogWG sync.WaitGroup
+	hogWG.Add(1)
+	hog, err := sandbox.New(cm, make([]byte, 20_000), sandbox.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hog.OnComplete = func(*sandbox.Sandbox) { hogWG.Done() }
+	if err := p.Submit(hog); err != nil {
+		t.Fatal(err)
+	}
 
-			// Pile continuations onto the hogged worker's queue.
-			const conts = 32
-			var wg sync.WaitGroup
-			boxes := make([]*sandbox.Sandbox, conts)
-			for i := range boxes {
-				sb, err := sandbox.New(cm, make([]byte, 1), sandbox.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-				boxes[i] = sb
-				if err := p.SubmitAffine(sb, int(hogWorker)); err != nil {
-					t.Fatalf("SubmitAffine: %v", err)
-				}
-			}
+	// Learn which worker the hog landed on, the way a pipeline executor
+	// would pick its affinity target.
+	var hogWorker int32 = -1
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if hogWorker = hog.LastWorker.Load(); hogWorker >= 0 {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if hogWorker < 0 {
+		t.Fatalf("hog never started: state %s", hog.State())
+	}
 
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatalf("continuations starved behind the hog: stats %+v", p.Stats())
-			}
-			if dist != DistStatic {
-				// The point of the test: the continuations finished while
-				// their preferred worker was still hogged, which is only
-				// possible if idle peers took them.
-				if hog.State() == sandbox.StateComplete {
-					t.Skip("hog finished before the continuations; machine too fast to observe stealing")
-				}
-			}
-			hogWG.Wait()
-			if hog.State() != sandbox.StateComplete {
-				t.Errorf("hog state %s", hog.State())
-			}
-			for i, sb := range boxes {
-				if sb.State() != sandbox.StateComplete {
-					t.Errorf("continuation %d state %s (err %v)", i, sb.State(), sb.Err)
-				}
-			}
-		})
+	// Pile continuations onto the hogged worker's queue.
+	const conts = 32
+	var wg sync.WaitGroup
+	boxes := make([]*sandbox.Sandbox, conts)
+	for i := range boxes {
+		sb, err := sandbox.New(cm, make([]byte, 1), sandbox.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+		boxes[i] = sb
+		if err := p.SubmitAffine(sb, int(hogWorker)); err != nil {
+			t.Fatalf("SubmitAffine: %v", err)
+		}
+	}
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("continuations starved behind the hog: stats %+v", p.Stats())
+	}
+	// The point of the test: the continuations finished while their
+	// preferred worker was still hogged, which is only possible if idle
+	// peers took them.
+	if hog.State() == sandbox.StateComplete {
+		t.Skip("hog finished before the continuations; machine too fast to observe stealing")
+	}
+	hogWG.Wait()
+	if hog.State() != sandbox.StateComplete {
+		t.Errorf("hog state %s", hog.State())
+	}
+	for i, sb := range boxes {
+		if sb.State() != sandbox.StateComplete {
+			t.Errorf("continuation %d state %s (err %v)", i, sb.State(), sb.Err)
+		}
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 // byte, about 10 k gas) finishes well inside it.
 const testSlice = 100_000
 
-var allDistributions = []Distribution{DistWorkStealing, DistGlobalDeque, DistGlobalLock, DistStatic}
-
 // foreverLen makes spinSrc spin for about 10^10 gas: a hog that outlives
 // any test and is failed by Pool.Stop.
 const foreverLen = 1 << 20
@@ -66,46 +64,40 @@ func startHogs(t *testing.T, p *Pool, cm *engine.CompiledModule, k int) {
 // it k+1: the arrival also sat out that hog's next quantum.)
 func TestArrivalRunsWithinOneRound(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	for _, dist := range allDistributions {
-		for _, k := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/hogs=%d", dist, k), func(t *testing.T) {
-				// Slices of a few milliseconds: long against the microseconds
-				// it takes to queue the short, so most trials are clean.
-				p := newPool(Config{Workers: 1, Distribution: dist}, 10*testSlice)
-				defer p.Stop()
-				startHogs(t, p, cm, k)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%s/hogs=%d", workStealing, k), func(t *testing.T) {
+			// Slices of a few milliseconds: long against the microseconds
+			// it takes to queue the short, so most trials are clean.
+			p := newPool(Config{Workers: 1}, 10*testSlice, 0)
+			defer p.Stop()
+			startHogs(t, p, cm, k)
 
-				for trial := 0; trial < 50; trial++ {
-					ran := make(chan uint64, 1)
-					short := newSpin(t, cm, 1)
-					// Runs on the worker, inside the short's first quantum:
-					// an exact count of the slices that ended before it.
-					short.OnComplete = func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions }
-					before := p.Stats().Preemptions
-					if err := p.Submit(short); err != nil {
-						t.Fatal(err)
-					}
-					if dist == DistGlobalDeque {
-						// Submit only reached the dispatcher's channel.
-						waitFor(t, "dispatcher", func() bool { return p.global.Size() > 0 || len(ran) > 0 })
-					}
-					// The short was queued while the count still read
-					// before, so it was there for the very next admit. If a
-					// slice ended in between, the count is off by that one
-					// either way: try again.
-					clean := p.Stats().Preemptions == before
-					at := <-ran
-					if !clean {
-						continue
-					}
-					if waited := at - before; waited > uint64(k) {
-						t.Errorf("short first ran after %d further hog slices, want at most %d", waited, k)
-					}
-					return
+			for trial := 0; trial < 50; trial++ {
+				ran := make(chan uint64, 1)
+				short := newSpin(t, cm, 1)
+				// Runs on the worker, inside the short's first quantum:
+				// an exact count of the slices that ended before it.
+				short.OnComplete = func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions }
+				before := p.Stats().Preemptions
+				if err := p.Submit(short); err != nil {
+					t.Fatal(err)
 				}
-				t.Fatal("no trial queued the short inside one slice")
-			})
-		}
+				// The short was queued while the count still read before,
+				// so it was there for the very next admit. If a slice ended
+				// in between, the count is off by that one either way: try
+				// again.
+				clean := p.Stats().Preemptions == before
+				at := <-ran
+				if !clean {
+					continue
+				}
+				if waited := at - before; waited > uint64(k) {
+					t.Errorf("short first ran after %d further hog slices, want at most %d", waited, k)
+				}
+				return
+			}
+			t.Fatal("no trial queued the short inside one slice")
+		})
 	}
 }
 
@@ -113,45 +105,43 @@ func TestArrivalRunsWithinOneRound(t *testing.T) {
 // preempted sandbox goes behind one round's arrivals only, so a continuous
 // stream of shorts costs a hog no slice and shortens none — it completes in
 // exactly the slices it takes alone, which is its gas over the fuel.
-func TestHogNotStarvedByArrivals(t *testing.T) {
+func TestHogNotStarvedByArrivals(t *testing.T) { t.Run(workStealing, testHogNotStarvedByArrivals) }
+
+func testHogNotStarvedByArrivals(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	const hogLen = 2000 // 2 M iterations: a couple of hundred slices
-	for _, dist := range allDistributions {
-		t.Run(dist.String(), func(t *testing.T) {
-			p := newPool(Config{Workers: 1, Distribution: dist}, testSlice)
-			defer p.Stop()
+	p := newPool(Config{Workers: 1}, testSlice, 0)
+	defer p.Stop()
 
-			alone := runBatch(t, p, cm, 1, hogLen)[0]
-			slices := alone.Preemptions + 1
-			if byGas := alone.Gas()/testSlice + 1; slices != byGas && slices != byGas-1 {
-				t.Fatalf("hog alone took %d slices for %d gas at %d a slice", slices, alone.Gas(), testSlice)
-			}
+	alone := runBatch(t, p, cm, 1, hogLen)[0]
+	slices := alone.Preemptions + 1
+	if byGas := alone.Gas()/testSlice + 1; slices != byGas && slices != byGas-1 {
+		t.Fatalf("hog alone took %d slices for %d gas at %d a slice", slices, alone.Gas(), testSlice)
+	}
 
-			hog := newSpin(t, cm, hogLen)
-			var hogDone atomic.Bool
-			hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
-			if err := p.Submit(hog); err != nil {
-				t.Fatal(err)
-			}
-			shorts := 0
-			for !hogDone.Load() {
-				runBatch(t, p, cm, 2, 1)
-				shorts += 2
-			}
-			if !p.Quiesce(10 * time.Second) {
-				t.Fatal("pool did not quiesce")
-			}
-			if hog.State() != sandbox.StateComplete {
-				t.Fatalf("hog ended %s (%v)", hog.State(), hog.Err)
-			}
-			if hog.Preemptions != alone.Preemptions || hog.Gas() != alone.Gas() {
-				t.Errorf("beside %d shorts the hog took %d preemptions and %d gas; alone %d and %d",
-					shorts, hog.Preemptions, hog.Gas(), alone.Preemptions, alone.Gas())
-			}
-			if shorts < 10 {
-				t.Errorf("only %d shorts ran beside the hog: not a stream", shorts)
-			}
-		})
+	hog := newSpin(t, cm, hogLen)
+	var hogDone atomic.Bool
+	hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
+	if err := p.Submit(hog); err != nil {
+		t.Fatal(err)
+	}
+	shorts := 0
+	for !hogDone.Load() {
+		runBatch(t, p, cm, 2, 1)
+		shorts += 2
+	}
+	if !p.Quiesce(10 * time.Second) {
+		t.Fatal("pool did not quiesce")
+	}
+	if hog.State() != sandbox.StateComplete {
+		t.Fatalf("hog ended %s (%v)", hog.State(), hog.Err)
+	}
+	if hog.Preemptions != alone.Preemptions || hog.Gas() != alone.Gas() {
+		t.Errorf("beside %d shorts the hog took %d preemptions and %d gas; alone %d and %d",
+			shorts, hog.Preemptions, hog.Gas(), alone.Preemptions, alone.Gas())
+	}
+	if shorts < 10 {
+		t.Errorf("only %d shorts ran beside the hog: not a stream", shorts)
 	}
 }
 
@@ -163,7 +153,7 @@ func TestHogNotStarvedByArrivals(t *testing.T) {
 func TestHoldingWorkerDoesNotSteal(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	// No idle poll: a parked worker moves only when woken for its own work.
-	p := newPool(Config{Workers: 2, IdlePoll: time.Hour}, testSlice)
+	p := newPool(Config{Workers: 2}, testSlice, time.Hour)
 	defer p.Stop()
 
 	lone := newSpin(t, cm, 1000)
@@ -214,7 +204,7 @@ func TestHoldingWorkerDoesNotSteal(t *testing.T) {
 // counted it again as running), and one arrival behind it is depth 1.
 func TestQueueDepthCountsWaitersOnly(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	p := newPool(Config{Workers: 1}, testSlice)
+	p := newPool(Config{Workers: 1}, testSlice, 0)
 	defer p.Stop()
 
 	// sample reads the depth continuously across n slice boundaries.

@@ -121,10 +121,10 @@ func TestRunAboveSliceMatchesUnpreempted(t *testing.T) {
 	}
 }
 
-// TestRunNaiveNeverOnCaller: the naive tier cannot yield, so a slice of it
-// would be a run to completion on the caller; Run hands it to a worker.
-func TestRunNaiveNeverOnCaller(t *testing.T) {
-	res, err := wcc.Compile(spinSrc, wcc.Options{})
+// compileNaive compiles src to the naive tier, which cannot yield.
+func compileNaive(t *testing.T, src string) *engine.CompiledModule {
+	t.Helper()
+	res, err := wcc.Compile(src, wcc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,6 +132,13 @@ func TestRunNaiveNeverOnCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cm
+}
+
+// TestRunNaiveNeverOnCaller: the naive tier cannot yield, so a slice of it
+// would be a run to completion on the caller; Run hands it to a worker.
+func TestRunNaiveNeverOnCaller(t *testing.T) {
+	cm := compileNaive(t, spinSrc)
 	p := NewPool(Config{Workers: 1})
 	defer p.Stop()
 	sb := newSpin(t, cm, 0)
@@ -145,6 +152,43 @@ func TestRunNaiveNeverOnCaller(t *testing.T) {
 	if c, _ := workerCounts(p); c != 1 {
 		t.Errorf("workers completed %d, want 1", c)
 	}
+}
+
+// TestRunNaiveOnWorkerUnpreempted: a worker runs the naive tier with no
+// fuel limit, since a slice's fuel would trap it rather than yield it. A
+// request several slices long completes unpreempted, with the reply, exit
+// code and gas of one unpreempted run.
+func TestRunNaiveOnWorkerUnpreempted(t *testing.T) {
+	cm := compileNaive(t, spinSrc)
+	p := newPool(Config{Workers: 1}, testSlice, 0)
+	defer p.Stop()
+	const reqLen = 100
+	ref := newSpin(t, cm, reqLen)
+	if st := ref.RunQuantum(0); st != sandbox.StateComplete {
+		t.Fatalf("reference run: %s (%v)", st, ref.Err)
+	}
+	if ref.Gas() < 4*testSlice {
+		t.Fatalf("the request burns %d gas, not several %d-gas slices", ref.Gas(), testSlice)
+	}
+	sb := newSpin(t, cm, reqLen)
+	runAndWait(t, p, sb)
+	if sb.State() != sandbox.StateComplete || sb.LastWorker.Load() != 0 {
+		t.Fatalf("state %s (%v) on worker %d, want complete on worker 0", sb.State(), sb.Err, sb.LastWorker.Load())
+	}
+	wantExit, _ := ref.ExitCode()
+	gotExit, _ := sb.ExitCode()
+	if string(sb.Response()) != string(ref.Response()) || gotExit != wantExit || sb.Gas() != ref.Gas() {
+		t.Errorf("response %q exit %d gas %d, want %q %d %d",
+			sb.Response(), gotExit, sb.Gas(), ref.Response(), wantExit, ref.Gas())
+	}
+	if !p.Quiesce(time.Second) {
+		t.Fatal("pool did not quiesce")
+	}
+	if st := p.Stats(); sb.Preemptions != 0 || st.Preemptions != 0 {
+		t.Errorf("preempted %d times (pool: %d), want 0", sb.Preemptions, st.Preemptions)
+	}
+	ref.Release()
+	sb.Release()
 }
 
 // TestRunBlockedCompletesViaTimerHeap: a sandbox that blocks on latent I/O
@@ -213,36 +257,34 @@ func TestRunTrapMatchesWorkerTrap(t *testing.T) {
 // stopped check and its push: the sandbox goes into an inbox no worker will
 // drain, the push fails it there, and its waiter gets it back failed with
 // ErrStopped — with an instance Release returns to the pool.
-func TestRacedStopReleasesInstance(t *testing.T) {
+func TestRacedStopReleasesInstance(t *testing.T) { t.Run(workStealing, testRacedStopReleasesInstance) }
+
+func testRacedStopReleasesInstance(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	for _, dist := range []Distribution{DistWorkStealing, DistStatic} {
-		t.Run(dist.String(), func(t *testing.T) {
-			p := NewPool(Config{Workers: 1, Distribution: dist})
-			p.Stop()
-			cm.Release(cm.Acquire())
-			pre := cm.PooledInstances()
-			sb := newSpin(t, cm, 1)
-			if st := sb.RunQuantum(callerSliceGas); st != sandbox.StateRunnable {
-				t.Fatalf("caller slice ended %s, want a yield", st)
-			}
-			p.submitted.Add(1)
-			p.inflight.Add(1)
-			if err := p.push(sb, -1); err != ErrStopped {
-				t.Fatalf("push after Stop = %v, want ErrStopped", err)
-			}
-			select {
-			case <-sb.Done():
-			case <-time.After(30 * time.Second):
-				t.Fatal("Done never fired")
-			}
-			if sb.State() != sandbox.StateTrapped || sb.Err != ErrStopped || p.Inflight() != 0 {
-				t.Errorf("state %s err %v inflight %d", sb.State(), sb.Err, p.Inflight())
-			}
-			sb.Release()
-			if got := cm.PooledInstances(); got != pre {
-				t.Errorf("%d pooled instances after Release, want %d", got, pre)
-			}
-		})
+	p := NewPool(Config{Workers: 1})
+	p.Stop()
+	cm.Release(cm.Acquire())
+	pre := cm.PooledInstances()
+	sb := newSpin(t, cm, 1)
+	if st := sb.RunQuantum(callerSliceGas); st != sandbox.StateRunnable {
+		t.Fatalf("caller slice ended %s, want a yield", st)
+	}
+	p.submitted.Add(1)
+	p.inflight.Add(1)
+	if err := p.push(sb, -1); err != ErrStopped {
+		t.Fatalf("push after Stop = %v, want ErrStopped", err)
+	}
+	select {
+	case <-sb.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("Done never fired")
+	}
+	if sb.State() != sandbox.StateTrapped || sb.Err != ErrStopped || p.Inflight() != 0 {
+		t.Errorf("state %s err %v inflight %d", sb.State(), sb.Err, p.Inflight())
+	}
+	sb.Release()
+	if got := cm.PooledInstances(); got != pre {
+		t.Errorf("%d pooled instances after Release, want %d", got, pre)
 	}
 }
 

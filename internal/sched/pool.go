@@ -1,3 +1,13 @@
+// Package sched implements the Sledge serverless-first scheduler (§3.4,
+// §4). Work distribution is per-worker: a submission goes straight into
+// the least-loaded worker's lock-free inbox, every worker owns a
+// batch-stealable run queue (Runq) scheduled with preemptive round-robin
+// under a configurable quantum (temporal isolation), idle workers steal
+// half a victim's queue in one transfer, and parked workers receive
+// targeted wakeups. Blocked sandboxes sit in the worker's deadline heap and
+// wake on I/O completion — the reproduction of the paper's libuv
+// integration. The paper's single global Chase–Lev deque fed by a listener
+// core is a stated deviation (DESIGN.md, "Substitutions").
 package sched
 
 import (
@@ -9,46 +19,6 @@ import (
 
 	"sledge/internal/sandbox"
 )
-
-// Distribution selects the work-distribution mechanism (the paper's §3.4
-// decoupling; the non-default modes exist for the ablation benchmarks).
-type Distribution int
-
-// Work-distribution modes.
-const (
-	// DistWorkStealing is the default scale-out topology: every worker
-	// owns its own run queue, the listener submits directly to the
-	// least-loaded worker's inbox (no dispatcher goroutine, no channel
-	// hop), idle workers steal half a victim's queue in one batch, and
-	// parked workers receive targeted wakeups.
-	DistWorkStealing Distribution = iota + 1
-	// DistGlobalLock uses a mutex-protected global FIFO: work-conserving
-	// but contended (the paper's "global queue is not scalable" strawman).
-	DistGlobalLock
-	// DistStatic assigns requests round-robin to per-worker inboxes with
-	// no stealing: scalable but not work-conserving.
-	DistStatic
-	// DistGlobalDeque is the paper's original design, preserved as an
-	// ablation: a single global lock-free Chase–Lev deque owned by a
-	// dispatcher goroutine that Submit feeds over a channel; workers
-	// steal one sandbox per scheduling round.
-	DistGlobalDeque
-)
-
-// String returns the mode name.
-func (d Distribution) String() string {
-	switch d {
-	case DistWorkStealing:
-		return "work-stealing"
-	case DistGlobalLock:
-		return "global-lock"
-	case DistStatic:
-		return "static"
-	case DistGlobalDeque:
-		return "global-deque"
-	}
-	return fmt.Sprintf("dist(%d)", int(d))
-}
 
 // Policy selects the per-worker scheduling policy.
 type Policy int
@@ -84,16 +54,6 @@ type Config struct {
 	Quantum time.Duration
 	// Policy selects preemptive vs cooperative scheduling.
 	Policy Policy
-	// Distribution selects the work-distribution mechanism.
-	Distribution Distribution
-	// IdlePoll bounds how long an idle worker sleeps before rechecking
-	// its event loop. Default 500µs. With targeted wakeups this is only a
-	// backstop: the request path never waits on it.
-	IdlePoll time.Duration
-	// MaxLocalRunq bounds how many sandboxes a worker admits into its
-	// local round-robin queue before it stops pulling new requests.
-	// Default 64.
-	MaxLocalRunq int
 }
 
 // DefaultQuantum mirrors the paper's 5 ms time slice.
@@ -109,17 +69,17 @@ func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = PolicyPreemptiveRR
 	}
-	if c.Distribution == 0 {
-		c.Distribution = DistWorkStealing
-	}
-	if c.IdlePoll == 0 {
-		c.IdlePoll = 500 * time.Microsecond
-	}
-	if c.MaxLocalRunq == 0 {
-		c.MaxLocalRunq = 64
-	}
 	return c
 }
+
+// maxLocalRunq bounds how many sandboxes a worker admits into its local
+// round-robin queue before it stops pulling new requests.
+const maxLocalRunq = 64
+
+// idlePollBackstop bounds how long an idle worker sleeps before rechecking
+// its event loop. With targeted wakeups it is only a backstop: the request
+// path never waits on it.
+const idlePollBackstop = 500 * time.Microsecond
 
 // Stats are cumulative pool counters.
 type Stats struct {
@@ -142,32 +102,23 @@ const stealBatchMax = 64
 type pad [64]byte
 
 // Pool is the Sledge worker pool: N worker goroutines (the paper's pinned
-// worker cores), a work-distribution structure, and per-worker run queues
-// and event loops.
+// worker cores), each with a submission inbox, a run queue and an event
+// loop.
 type Pool struct {
 	cfg Config
 	// fixedFuel, when positive, is the fuel of every slice and turns the
 	// rate learner off: counted tests need slices that do not depend on
 	// the clock. Set only through newPool.
 	fixedFuel int64
+	// idlePoll is how long an idle worker parks without a wakeup:
+	// idlePollBackstop, unless a test that must be driven by wakeups alone
+	// disables it. Set only through newPool.
+	idlePoll time.Duration
 
 	workers []*worker
 	// rr rotates Submit's tie-breaks and thieves' victim scans so neither
 	// systematically favours low worker ids.
 	rr atomic.Uint64
-
-	// global + submitCh implement the DistGlobalDeque ablation (the
-	// paper's original single-deque design with its dispatcher hop).
-	global   *Deque[sandbox.Sandbox]
-	submitCh chan *sandbox.Sandbox
-
-	lockQ struct {
-		mu sync.Mutex
-		q  []*sandbox.Sandbox
-		// n mirrors len(q) so QueueDepth and the idle re-check read the
-		// backlog without the mutex.
-		n atomic.Int64
-	}
 
 	// nparked counts workers with an armed parker; wakers skip the scan
 	// entirely when it is zero.
@@ -218,7 +169,7 @@ type worker struct {
 	rate rateLearner
 	fuel int64
 
-	// overflow holds admitted work that exceeded MaxLocalRunq when an
+	// overflow holds admitted work that exceeded maxLocalRunq when an
 	// inbox chain or a stolen batch was larger than the run queue's
 	// remaining room. Owner-only; drains into runq as room appears.
 	overflowHead *sandbox.Sandbox
@@ -261,22 +212,27 @@ type worker struct {
 }
 
 // NewPool starts the worker pool.
-func NewPool(cfg Config) *Pool { return newPool(cfg, 0) }
+func NewPool(cfg Config) *Pool { return newPool(cfg, 0, 0) }
 
-// newPool is NewPool with the fixed-slice test hook (see Pool.fixedFuel).
-func newPool(cfg Config, fixedFuel int64) *Pool {
+// newPool is NewPool with the test hooks: a fixed slice (see
+// Pool.fixedFuel) and an idle poll other than idlePollBackstop (see
+// Pool.idlePoll). Zero keeps the default of each.
+func newPool(cfg Config, fixedFuel int64, idlePoll time.Duration) *Pool {
 	cfg = cfg.withDefaults()
+	if idlePoll == 0 {
+		idlePoll = idlePollBackstop
+	}
 	p := &Pool{
 		cfg:       cfg,
 		fixedFuel: fixedFuel,
-		global:    NewDeque[sandbox.Sandbox](256),
+		idlePoll:  idlePoll,
 		stopCh:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:   i,
 			pool: p,
-			runq: NewRunq[sandbox.Sandbox](cfg.MaxLocalRunq),
+			runq: NewRunq[sandbox.Sandbox](maxLocalRunq),
 			park: newParker(),
 			rate: newRateLearner(),
 		}
@@ -289,11 +245,6 @@ func newPool(cfg Config, fixedFuel int64) *Pool {
 			w.fuel = fuelFor(cfg.Quantum, w.rate.rate)
 		}
 		p.workers = append(p.workers, w)
-	}
-	if cfg.Distribution == DistGlobalDeque {
-		p.submitCh = make(chan *sandbox.Sandbox, 1024)
-		p.wg.Add(1)
-		go p.dispatch()
 	}
 	for _, w := range p.workers {
 		p.wg.Add(1)
@@ -364,11 +315,9 @@ func (p *Pool) Submit(sb *sandbox.Sandbox) error {
 // hot in that core's cache. Affinity is a placement hint, not a pin — the
 // continuation lands in the worker's ordinary inbox, where idle peers can
 // still steal it (see worker.steal), so work-conservation holds even when
-// the preferred worker is stuck in a long quantum.
-//
-// In the global-queue distributions there is no per-worker placement to
-// bias, and an out-of-range hint means the previous stage never ran here;
-// both fall back to Submit's normal balancing.
+// the preferred worker is stuck in a long quantum. An out-of-range hint
+// means the previous stage never ran here and falls back to Submit's
+// least-loaded placement.
 func (p *Pool) SubmitAffine(sb *sandbox.Sandbox, worker int) error {
 	if p.stopped.Load() {
 		reject(sb)
@@ -386,48 +335,24 @@ func reject(sb *sandbox.Sandbox) {
 	sb.FinishNotify()
 }
 
-// push places a counted sandbox on the distribution structure and wakes a
-// worker for it. affinity is a placement hint (see SubmitAffine).
+// push places a counted sandbox in a worker's inbox — the affinity
+// worker's if the hint is in range (see SubmitAffine), else the least
+// loaded — and wakes a worker for it.
 func (p *Pool) push(sb *sandbox.Sandbox, affinity int) error {
-	switch p.cfg.Distribution {
-	case DistWorkStealing, DistStatic:
-		var w *worker
-		switch {
-		case affinity >= 0 && affinity < len(p.workers):
-			w = p.workers[affinity]
-		case p.cfg.Distribution == DistWorkStealing:
-			w = p.pickWorker()
-		default:
-			w = p.workers[p.rr.Add(1)%uint64(len(p.workers))]
-		}
-		w.inbox.push(sb)
-		if p.stopped.Load() {
-			// Raced with Stop: the workers may already be gone, so fail
-			// whatever the inbox holds exactly as Stop's drain would.
-			p.failInbox(w)
-			return ErrStopped
-		}
-		if p.cfg.Distribution == DistStatic {
-			// No stealing in static mode: only the assigned worker can run
-			// this sandbox, so only it is worth waking.
-			w.park.wake(&p.nparked)
-		} else {
-			p.wakeWorker(w)
-		}
-	case DistGlobalDeque:
-		select {
-		case p.submitCh <- sb:
-		case <-p.stopCh:
-			p.finish(sb, true)
-			return ErrStopped
-		}
-	case DistGlobalLock:
-		p.lockQ.mu.Lock()
-		p.lockQ.q = append(p.lockQ.q, sb)
-		p.lockQ.n.Store(int64(len(p.lockQ.q)))
-		p.lockQ.mu.Unlock()
-		p.wakeAny(0)
+	var w *worker
+	if affinity >= 0 && affinity < len(p.workers) {
+		w = p.workers[affinity]
+	} else {
+		w = p.pickWorker()
 	}
+	w.inbox.push(sb)
+	if p.stopped.Load() {
+		// Raced with Stop: the workers may already be gone, so fail
+		// whatever the inbox holds exactly as Stop's drain would.
+		p.failInbox(w)
+		return ErrStopped
+	}
+	p.wakeWorker(w)
 	return nil
 }
 
@@ -480,22 +405,6 @@ func (p *Pool) wakeAny(start int) {
 	}
 }
 
-// dispatch is the DistGlobalDeque deque owner: it funnels submissions from
-// any goroutine into single-owner PushBottom calls (the paper's listener
-// core role, and the per-request hop the default topology eliminates).
-func (p *Pool) dispatch() {
-	defer p.wg.Done()
-	for {
-		select {
-		case sb := <-p.submitCh:
-			p.global.PushBottom(sb)
-			p.wakeAny(0)
-		case <-p.stopCh:
-			return
-		}
-	}
-}
-
 // Stats returns a snapshot of the pool counters, aggregating the
 // per-worker shards.
 func (p *Pool) Stats() Stats {
@@ -536,15 +445,14 @@ func (p *Pool) Utilization() float64 {
 	return float64(p.Busy()) / float64(p.cfg.Workers)
 }
 
-// QueueDepth approximates sandboxes waiting for a core: the global
-// distribution structures plus each worker's published local backlog. A
-// sandbox that is mid-quantum is not waiting and is not counted. It is
-// lock-free — every term is an atomic published by its owner — so the
-// admission hot path can call it per request. The per-worker figures are
-// refreshed once per scheduling iteration, so the value is a load signal,
-// not an exact count.
+// QueueDepth approximates sandboxes waiting for a core: each worker's
+// published local backlog plus its inbox. A sandbox that is mid-quantum is
+// not waiting and is not counted. It is lock-free — every term is an atomic
+// published by its owner — so the admission hot path can call it per
+// request. The per-worker figures are refreshed once per scheduling
+// iteration, so the value is a load signal, not an exact count.
 func (p *Pool) QueueDepth() int {
-	depth := int64(p.global.Size()+len(p.submitCh)) + p.lockQ.n.Load()
+	var depth int64
 	for _, w := range p.workers {
 		depth += w.qlen.Load() + w.inbox.n.Load()
 	}
@@ -640,32 +548,7 @@ func (p *Pool) Stop() {
 	close(p.stopCh)
 	p.wg.Wait()
 	// Fail anything left queued. Workers drained their local state on
-	// exit; this sweeps the global structures and any submission that
-	// raced shutdown.
-	for {
-		sb, ok := p.global.Steal()
-		if !ok {
-			break
-		}
-		p.finish(sb, true)
-	}
-	for p.submitCh != nil {
-		select {
-		case sb := <-p.submitCh:
-			p.finish(sb, true)
-			continue
-		default:
-		}
-		break
-	}
-	p.lockQ.mu.Lock()
-	q := p.lockQ.q
-	p.lockQ.q = nil
-	p.lockQ.n.Store(0)
-	p.lockQ.mu.Unlock()
-	for _, sb := range q {
-		p.finish(sb, true)
-	}
+	// exit; this sweeps any submission that raced shutdown.
 	for _, w := range p.workers {
 		p.failInbox(w)
 		for {
@@ -724,7 +607,7 @@ func (w *worker) loop() {
 			w.idleWait()
 			continue
 		}
-		if w.runq.Len() > 0 && p.cfg.Distribution != DistStatic && p.nparked.Load() > 0 {
+		if w.runq.Len() > 0 && p.nparked.Load() > 0 {
 			// Surplus behind this sandbox that an idle peer could steal.
 			p.wakeAny(w.id + 1)
 		}
@@ -779,49 +662,26 @@ func (w *worker) loop() {
 	}
 }
 
-// admit pulls new requests from the distribution structure into the local
-// round-robin queue, bounded by MaxLocalRunq. The paper integrates request
-// dequeueing into the scheduling loop so newly arrived short functions
-// immediately share the core with long-running sandboxes (temporal
-// isolation across admission): the loop calls it while the sandbox it just
-// preempted is still off the queue (w.held), so an arrival runs ahead of
-// that sandbox's next quantum. The held sandbox keeps its slot in the
-// MaxLocalRunq bound, and a worker holding one has work and does not steal.
+// admit pulls new requests from the inbox into the local round-robin
+// queue, bounded by maxLocalRunq, and steals when that leaves it with
+// nothing to run. The paper integrates request dequeueing into the
+// scheduling loop so newly arrived short functions immediately share the
+// core with long-running sandboxes (temporal isolation across admission):
+// the loop calls it while the sandbox it just preempted is still off the
+// queue (w.held), so an arrival runs ahead of that sandbox's next quantum.
+// The held sandbox keeps its slot in the maxLocalRunq bound, and a worker
+// holding one has work and does not steal.
 func (w *worker) admit() {
-	p := w.pool
-	room := p.cfg.MaxLocalRunq - w.runq.Len()
+	room := maxLocalRunq - w.runq.Len()
 	if w.held != nil {
 		room--
 	}
 	if room <= 0 {
 		return
 	}
-	switch p.cfg.Distribution {
-	case DistWorkStealing:
-		w.drainInbox(room)
-		if w.runq.Len() == 0 && w.held == nil {
-			w.steal()
-		}
-	case DistGlobalDeque:
-		// One element per round, as in the paper's original loop.
-		if sb, ok := p.global.Steal(); ok {
-			w.steals.Add(1)
-			w.runq.Push(sb)
-		}
-	case DistGlobalLock:
-		p.lockQ.mu.Lock()
-		if len(p.lockQ.q) > 0 {
-			sb := p.lockQ.q[0]
-			copy(p.lockQ.q, p.lockQ.q[1:])
-			p.lockQ.q = p.lockQ.q[:len(p.lockQ.q)-1]
-			p.lockQ.n.Store(int64(len(p.lockQ.q)))
-			p.lockQ.mu.Unlock()
-			w.runq.Push(sb)
-			return
-		}
-		p.lockQ.mu.Unlock()
-	case DistStatic:
-		w.drainInbox(room)
+	w.drainInbox(room)
+	if w.runq.Len() == 0 && w.held == nil {
+		w.steal()
 	}
 }
 
@@ -878,7 +738,7 @@ func (w *worker) steal() {
 	if n == 1 {
 		return
 	}
-	max := p.cfg.MaxLocalRunq - w.runq.Len()
+	max := maxLocalRunq - w.runq.Len()
 	if max > stealBatchMax {
 		max = stealBatchMax
 	}
@@ -914,7 +774,7 @@ func (w *worker) steal() {
 		for chain != nil {
 			next := chain.SchedNext
 			chain.SchedNext = nil
-			if w.runq.Len() < p.cfg.MaxLocalRunq {
+			if w.runq.Len() < maxLocalRunq {
 				w.runq.Push(chain)
 			} else {
 				w.overflowAppend(chain)
@@ -954,10 +814,11 @@ func (w *worker) drainTimers() {
 }
 
 // readyWork is the post-arm re-check: every source that could hold or
-// produce work for this worker. Called with the parker armed, it closes
-// the lost-wakeup window — either this check observes work published
-// before the wake attempt, or the waker observes the armed parker and
-// delivers a token.
+// produce work for this worker — its own queues and timers, a stop, and any
+// peer's run queue or inbox it could steal from. Called with the parker
+// armed, it closes the lost-wakeup window — either this check observes work
+// published before the wake attempt, or the waker observes the armed parker
+// and delivers a token.
 func (w *worker) readyWork() bool {
 	p := w.pool
 	if w.inbox.n.Load() > 0 || w.runq.Len() > 0 || w.overflowN > 0 {
@@ -969,17 +830,10 @@ func (w *worker) readyWork() bool {
 	if p.stopped.Load() {
 		return true
 	}
-	switch p.cfg.Distribution {
-	case DistWorkStealing:
-		for _, v := range p.workers {
-			if v != w && (v.runq.Len() > 0 || v.inbox.n.Load() > 0) {
-				return true
-			}
+	for _, v := range p.workers {
+		if v != w && (v.runq.Len() > 0 || v.inbox.n.Load() > 0) {
+			return true
 		}
-	case DistGlobalDeque:
-		return p.global.Size() > 0 || len(p.submitCh) > 0
-	case DistGlobalLock:
-		return p.lockQ.n.Load() > 0
 	}
 	return false
 }
@@ -993,7 +847,7 @@ func (w *worker) idleWait() {
 		w.park.disarm(&p.nparked)
 		return
 	}
-	wait := p.cfg.IdlePoll
+	wait := p.idlePoll
 	if at, ok := w.timers.nextAt(); ok {
 		d := time.Duration(at - time.Now().UnixNano())
 		if d <= 0 {

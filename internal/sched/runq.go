@@ -8,8 +8,8 @@ import "sync/atomic"
 // the owner pops FIFO from the head; any peer may steal a batch from the
 // head.
 //
-// The protocol differs from the global Chase–Lev deque (deque.go) in one
-// deliberate way: the owner's pop also goes through a CAS on head. In
+// The protocol differs from the Chase–Lev deque in one deliberate way: the
+// owner's pop also goes through a CAS on head. In
 // Chase–Lev the owner consumes bottom-side elements without touching top,
 // which is what makes multi-element stealing unsound there — a thief that
 // reads k elements and then CASes top can race an owner that silently
@@ -28,6 +28,15 @@ type Runq[T any] struct {
 	head  atomic.Int64
 	tail  atomic.Int64
 	array atomic.Pointer[ring[T]]
+}
+
+type ring[T any] struct {
+	mask int64
+	buf  []atomic.Pointer[T]
+}
+
+func newRing[T any](size int64) *ring[T] {
+	return &ring[T]{mask: size - 1, buf: make([]atomic.Pointer[T], size)}
 }
 
 // NewRunq returns an empty run queue with the given initial capacity

@@ -1,10 +1,10 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"sledge/internal/abi"
@@ -12,144 +12,6 @@ import (
 	"sledge/internal/sandbox"
 	"sledge/internal/wcc"
 )
-
-// ---- deque ----
-
-func TestDequeLIFOOwner(t *testing.T) {
-	d := NewDeque[int](4)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} // forces growth past 8
-	for i := range vals {
-		d.PushBottom(&vals[i])
-	}
-	if d.Size() != len(vals) {
-		t.Errorf("Size = %d", d.Size())
-	}
-	for i := len(vals) - 1; i >= 0; i-- {
-		x, ok := d.PopBottom()
-		if !ok || *x != vals[i] {
-			t.Fatalf("PopBottom = %v, %v; want %d", x, ok, vals[i])
-		}
-	}
-	if _, ok := d.PopBottom(); ok {
-		t.Error("PopBottom on empty succeeded")
-	}
-}
-
-func TestDequeStealFIFO(t *testing.T) {
-	d := NewDeque[int](8)
-	vals := []int{1, 2, 3}
-	for i := range vals {
-		d.PushBottom(&vals[i])
-	}
-	for _, want := range vals {
-		x, ok := d.Steal()
-		if !ok || *x != want {
-			t.Fatalf("Steal = %v, %v; want %d", x, ok, want)
-		}
-	}
-	if _, ok := d.Steal(); ok {
-		t.Error("Steal on empty succeeded")
-	}
-}
-
-// TestDequeConcurrent is the core safety property: with one owner and many
-// thieves, every pushed element is consumed exactly once.
-func TestDequeConcurrent(t *testing.T) {
-	const (
-		numItems   = 20000
-		numThieves = 4
-	)
-	d := NewDeque[int](8)
-	items := make([]int, numItems)
-	var consumed atomic.Int64
-	seen := make([]atomic.Int32, numItems)
-
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for th := 0; th < numThieves; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if x, ok := d.Steal(); ok {
-					seen[*x].Add(1)
-					consumed.Add(1)
-				} else {
-					select {
-					case <-done:
-						if _, ok := d.Steal(); !ok {
-							return
-						}
-					default:
-					}
-				}
-			}
-		}()
-	}
-	// Owner: push all items, popping some back.
-	popped := 0
-	for i := 0; i < numItems; i++ {
-		items[i] = i
-		d.PushBottom(&items[i])
-		if i%7 == 0 {
-			if x, ok := d.PopBottom(); ok {
-				seen[*x].Add(1)
-				consumed.Add(1)
-				popped++
-			}
-		}
-	}
-	// Drain the remainder as the owner.
-	for {
-		x, ok := d.PopBottom()
-		if !ok {
-			break
-		}
-		seen[*x].Add(1)
-		consumed.Add(1)
-	}
-	close(done)
-	wg.Wait()
-	// Final sweep: thieves may have lost races at shutdown.
-	for {
-		x, ok := d.Steal()
-		if !ok {
-			break
-		}
-		seen[*x].Add(1)
-		consumed.Add(1)
-	}
-
-	if got := consumed.Load(); got != numItems {
-		t.Fatalf("consumed %d of %d items", got, numItems)
-	}
-	for i := range seen {
-		if n := seen[i].Load(); n != 1 {
-			t.Fatalf("item %d consumed %d times", i, n)
-		}
-	}
-}
-
-func TestDequeSizeNeverNegativeProperty(t *testing.T) {
-	f := func(ops []bool) bool {
-		d := NewDeque[int](8)
-		v := 1
-		for _, push := range ops {
-			if push {
-				d.PushBottom(&v)
-			} else {
-				d.PopBottom()
-			}
-			if d.Size() < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 // ---- pool ----
 
@@ -207,32 +69,34 @@ func runBatch(t *testing.T, p *Pool, cm *engine.CompiledModule, n int, reqLen in
 	return out
 }
 
-func TestPoolCompletesWork(t *testing.T) {
-	for _, dist := range []Distribution{DistWorkStealing, DistGlobalDeque, DistGlobalLock, DistStatic} {
-		t.Run(dist.String(), func(t *testing.T) {
-			cm := compileTestModule(t, spinSrc)
-			p := NewPool(Config{Workers: 2, Distribution: dist})
-			defer p.Stop()
-			boxes := runBatch(t, p, cm, 40, 10)
-			for _, sb := range boxes {
-				if sb.State() != sandbox.StateComplete {
-					t.Errorf("sandbox %d state %s (err %v)", sb.ID, sb.State(), sb.Err)
-				}
-				if string(sb.Response()) != "o" {
-					t.Errorf("sandbox %d response %q", sb.ID, sb.Response())
-				}
-			}
-			// OnComplete (what runBatch waits on) fires inside the last
-			// quantum, before the worker counts the completion: quiesce
-			// first, then read the counter.
-			if !p.Quiesce(time.Second) {
-				t.Error("pool did not quiesce")
-			}
-			st := p.Stats()
-			if st.Completed != 40 {
-				t.Errorf("Completed = %d, want 40", st.Completed)
-			}
-		})
+// workStealing is the subtest the tests of how the pool places, wakes and
+// steals work run under: the name of its one work distribution.
+const workStealing = "work-stealing"
+
+func TestPoolCompletesWork(t *testing.T) { t.Run(workStealing, testPoolCompletesWork) }
+
+func testPoolCompletesWork(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	p := NewPool(Config{Workers: 2})
+	defer p.Stop()
+	boxes := runBatch(t, p, cm, 40, 10)
+	for _, sb := range boxes {
+		if sb.State() != sandbox.StateComplete {
+			t.Errorf("sandbox %d state %s (err %v)", sb.ID, sb.State(), sb.Err)
+		}
+		if string(sb.Response()) != "o" {
+			t.Errorf("sandbox %d response %q", sb.ID, sb.Response())
+		}
+	}
+	// OnComplete (what runBatch waits on) fires inside the last quantum,
+	// before the worker counts the completion: quiesce first, then read the
+	// counter.
+	if !p.Quiesce(time.Second) {
+		t.Error("pool did not quiesce")
+	}
+	st := p.Stats()
+	if st.Completed != 40 {
+		t.Errorf("Completed = %d, want 40", st.Completed)
 	}
 }
 
@@ -269,45 +133,68 @@ func TestCooperativeRunsToCompletion(t *testing.T) {
 	}
 }
 
-// TestTemporalIsolation reproduces the §3.4 motivation: under preemptive
-// round-robin a short function's completion is not serialized behind a
-// CPU-hog, while under cooperative scheduling it is.
+// TestTemporalIsolation reproduces the §3.4 motivation, counted in slices:
+// under preemptive round-robin a short function queued behind a running CPU
+// hog completes while the hog is unfinished, after at most one further hog
+// slice; under cooperative scheduling it completes only after the hog, and
+// nothing is preempted.
 func TestTemporalIsolation(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	measure := func(policy Policy) time.Duration {
-		p := NewPool(Config{Workers: 1, Policy: policy, Quantum: time.Millisecond})
-		defer p.Stop()
-		var wg sync.WaitGroup
-		// The hog: large request -> long spin.
-		hog, err := sandbox.New(cm, make([]byte, 20000), sandbox.Options{Tenant: "hog"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		hog.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-		if err := p.Submit(hog); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(2 * time.Millisecond) // let the hog start running
-		short, err := sandbox.New(cm, make([]byte, 1), sandbox.Options{Tenant: "short"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan time.Time, 1)
-		wg.Add(1)
-		short.OnComplete = func(*sandbox.Sandbox) { done <- time.Now(); wg.Done() }
-		start := time.Now()
-		if err := p.Submit(short); err != nil {
-			t.Fatal(err)
-		}
-		at := <-done
-		wg.Wait()
-		return at.Sub(start)
-	}
-	preemptive := measure(PolicyPreemptiveRR)
-	cooperative := measure(PolicyCooperative)
-	if preemptive >= cooperative {
-		t.Errorf("preemptive latency %v not better than cooperative %v", preemptive, cooperative)
+	const hogLen = 2000 // 2 M iterations: about twenty slices of 10*testSlice
+	for _, policy := range []Policy{PolicyPreemptiveRR, PolicyCooperative} {
+		t.Run(policy.String(), func(t *testing.T) {
+			p := newPool(Config{Workers: 1, Policy: policy}, 10*testSlice, 0)
+			defer p.Stop()
+			hog := newSpin(t, cm, hogLen)
+			var hogDone atomic.Bool
+			hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
+			if err := p.Submit(hog); err != nil {
+				t.Fatal(err)
+			}
+			// The worker stamps LastWorker just before the hog's first slice.
+			for hog.LastWorker.Load() < 0 {
+				runtime.Gosched()
+			}
+
+			type seen struct {
+				slices  uint64
+				hogDone bool
+			}
+			for trial := 0; trial < 10; trial++ {
+				ran := make(chan seen, 1)
+				short := newSpin(t, cm, 1)
+				// Runs on the worker as the short completes.
+				short.OnComplete = func(*sandbox.Sandbox) { ran <- seen{p.Stats().Preemptions, hogDone.Load()} }
+				before := p.Stats().Preemptions
+				if err := p.Submit(short); err != nil {
+					t.Fatal(err)
+				}
+				// As in TestArrivalRunsWithinOneRound: a slice that ended
+				// between the two reads leaves the count off by one.
+				clean := p.Stats().Preemptions == before
+				s := <-ran
+				if policy == PolicyCooperative {
+					if !s.hogDone {
+						t.Error("the short completed before the hog it was queued behind")
+					}
+					if s.slices != 0 {
+						t.Errorf("cooperative pool recorded %d preemptions", s.slices)
+					}
+					return
+				}
+				if s.hogDone {
+					t.Fatal("the hog finished before the short queued behind it")
+				}
+				if !clean {
+					continue
+				}
+				if waited := s.slices - before; waited > 1 {
+					t.Errorf("short completed after %d further hog slices, want at most 1", waited)
+				}
+				return
+			}
+			t.Fatal("no trial queued the short inside one slice")
+		})
 	}
 }
 
@@ -492,39 +379,33 @@ func TestShortStolenBehindHogs(t *testing.T) {
 // targeted wakeup. Under the old shared wake channel, a worker could
 // consume the single token, lose the steal race, and park — leaving the
 // request to wait out the poll interval (here: the 20s test budget).
-func TestNoLostWakeup(t *testing.T) {
-	for _, dist := range []Distribution{DistWorkStealing, DistGlobalDeque, DistGlobalLock, DistStatic} {
-		t.Run(dist.String(), func(t *testing.T) {
-			cm := compileTestModule(t, spinSrc)
-			const workers = 4
-			p := NewPool(Config{
-				Workers:      workers,
-				Distribution: dist,
-				IdlePoll:     time.Hour, // wakeups or bust
-			})
-			defer p.Stop()
-			for round := 0; round < 20; round++ {
-				var wg sync.WaitGroup
-				for i := 0; i < workers; i++ {
-					wg.Add(1)
-					sb, err := sandbox.New(cm, make([]byte, 2), sandbox.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-					if err := p.Submit(sb); err != nil {
-						t.Fatal(err)
-					}
-				}
-				done := make(chan struct{})
-				go func() { wg.Wait(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(20 * time.Second):
-					t.Fatalf("round %d stalled: a completion waited on the idle poll (stats %+v)", round, p.Stats())
-				}
+func TestNoLostWakeup(t *testing.T) { t.Run(workStealing, testNoLostWakeup) }
+
+func testNoLostWakeup(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	const workers = 4
+	p := newPool(Config{Workers: workers}, 0, time.Hour) // wakeups or bust
+	defer p.Stop()
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			sb, err := sandbox.New(cm, make([]byte, 2), sandbox.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+			if err := p.Submit(sb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("round %d stalled: a completion waited on the idle poll (stats %+v)", round, p.Stats())
+		}
 	}
 }
 

@@ -14,8 +14,9 @@
 // or provided as WebAssembly binaries, compiled ahead of time — once, at
 // registration, with the runtime's one engine configuration — and
 // instantiated per request in microseconds. Scheduling is
-// preemptive round-robin over a lock-free work-stealing deque, reproducing
-// the paper's decoupling of work distribution from temporal isolation.
+// preemptive round-robin over per-worker run queues with work stealing,
+// reproducing the paper's decoupling of work distribution from temporal
+// isolation.
 //
 // The packages under internal/ contain the substrates: the Wasm binary
 // toolchain (internal/wasm), the execution engine with configurable
@@ -93,23 +94,13 @@ const (
 	TierNaive     = engine.TierNaive
 )
 
-// Scheduler configuration.
-type (
-	// SchedPolicy selects preemptive vs cooperative scheduling.
-	SchedPolicy = sched.Policy
-	// SchedDistribution selects the work-distribution mechanism.
-	SchedDistribution = sched.Distribution
-)
+// SchedPolicy selects preemptive vs cooperative scheduling.
+type SchedPolicy = sched.Policy
 
-// Scheduling policies and distribution mechanisms (§3.4).
+// Scheduling policies (§3.4).
 const (
 	PolicyPreemptiveRR = sched.PolicyPreemptiveRR
 	PolicyCooperative  = sched.PolicyCooperative
-
-	DistWorkStealing = sched.DistWorkStealing
-	DistGlobalLock   = sched.DistGlobalLock
-	DistStatic       = sched.DistStatic
-	DistGlobalDeque  = sched.DistGlobalDeque
 )
 
 // DefaultQuantum is the paper's 5 ms preemption time slice.

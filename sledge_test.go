@@ -77,13 +77,12 @@ export i32 main() {
 	}
 }
 
-// TestPublicAPISchedulerKnobs checks the exported scheduler constants wire
+// TestPublicAPISchedulerKnobs checks the exported scheduling policy wires
 // through to runtime behaviour.
 func TestPublicAPISchedulerKnobs(t *testing.T) {
 	rt := sledge.New(sledge.Config{
-		Workers:      1,
-		Policy:       sledge.PolicyCooperative,
-		Distribution: sledge.DistGlobalLock,
+		Workers: 1,
+		Policy:  sledge.PolicyCooperative,
 	})
 	defer rt.Close()
 	if _, err := rt.RegisterWCC("noop", `export i32 main() { return 0; }`, sledge.WCCOptions{}); err != nil {
