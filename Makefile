@@ -11,7 +11,7 @@ GO ?= go
 # application suite's tests of it — the dispatch budget and the
 # wasm-equals-native identity — the scheduler, the analysis passes with
 # their pooled scratch and the wasm decoder, all shuffled; admission
-# control, HTTP drain), vet and
+# control shuffled five times, like the scheduler; HTTP drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -47,7 +47,8 @@ build:
 
 test-race:
 	$(GO) test -race -shuffle=on ./internal/core/... ./internal/cluster/...
-	$(GO) test -race ./internal/sandbox/... ./internal/admission/... ./internal/httpd/... ./internal/stats/...
+	$(GO) test -race ./internal/sandbox/... ./internal/httpd/... ./internal/stats/...
+	$(GO) test -race -shuffle=on -count=5 ./internal/admission/
 	$(GO) test -race -shuffle=on -count=5 ./internal/sched/
 	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/
 	$(GO) test -race -shuffle=on ./internal/analysis/ ./internal/wasm/

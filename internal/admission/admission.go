@@ -11,8 +11,9 @@
 //     429 + Retry-After before it reaches the queue.
 //   - A weighted deficit-round-robin (DRR) admit queue grants scheduler
 //     slots across backlogged tenants in proportion to their weights, so a
-//     hot tenant cannot starve a well-behaved one. Costs are the per-module
-//     EWMA service-time estimate, making the shares CPU-proportional.
+//     hot tenant cannot starve a well-behaved one. A request costs the
+//     runtime's price of its module (Config.Cost: gas at the learned rate),
+//     making the shares CPU-proportional.
 //   - Global in-flight and queue-depth bounds plus deadline-aware shedding:
 //     a request whose estimated queueing delay already exceeds its deadline
 //     is rejected immediately with 503 + Retry-After instead of timing out
@@ -30,8 +31,7 @@ import (
 	"time"
 )
 
-// Outcome classifies a finished request for the breaker and the
-// service-time estimator.
+// Outcome classifies a finished request for the breaker.
 type Outcome int
 
 // Outcomes.
@@ -79,14 +79,8 @@ type Config struct {
 	TenantBurst float64
 	// Tenants holds per-tenant overrides keyed by tenant name.
 	Tenants map[string]TenantConfig
-	// DRRQuantum is the deficit added per round per unit weight,
-	// denominated in estimated service time. Default 5ms (the paper's
-	// scheduling quantum).
-	DRRQuantum time.Duration
-	// EWMAAlpha is the service-time estimator smoothing factor. Default 0.25.
-	EWMAAlpha float64
-	// DefaultEstimate seeds the estimator for modules with no history.
-	// Default 1ms.
+	// DefaultEstimate prices a request that Cost has no price for (no
+	// Cost, or a module with no completion yet). Default 1ms.
 	DefaultEstimate time.Duration
 	// Breaker configures the per-module circuit breakers.
 	Breaker BreakerConfig
@@ -99,11 +93,16 @@ type Config struct {
 	// requests still waiting for a core are backlog ahead of a new
 	// arrival even when the in-flight count alone looks absorbable.
 	QueueDepth func() int
-	// SeedEstimate, if set, provides an initial service-time estimate for
-	// a module the controller has not yet observed (e.g. from the module
-	// registry's mean-latency stats).
-	SeedEstimate func(module string) time.Duration
+	// Cost, if set, prices one request for module: its expected service
+	// time, or 0 when it has none yet. The controller keeps no estimate of
+	// its own and calls Cost, under its mutex, only for a queue, shed or
+	// DRR decision — never on the free-slot fast path.
+	Cost func(module string) time.Duration
 }
+
+// drrQuantum is the deficit added per round per unit weight, in the same
+// units as a request's price: the paper's 5 ms scheduling quantum.
+const drrQuantum = 5 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -123,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantBurst <= 0 {
 		c.TenantBurst = c.TenantRate
-	}
-	if c.DRRQuantum <= 0 {
-		c.DRRQuantum = 5 * time.Millisecond
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.25
 	}
 	if c.DefaultEstimate <= 0 {
 		c.DefaultEstimate = time.Millisecond
@@ -189,8 +182,7 @@ func (r *Rejection) Offloadable() bool {
 // waiter is one queued admission request.
 type waiter struct {
 	tenant  *tenantState
-	module  string
-	cost    int64 // estimated service nanos, the DRR charge
+	cost    int64 // price in nanos, the DRR charge
 	ch      chan struct{}
 	granted bool
 }
@@ -221,14 +213,6 @@ type Controller struct {
 	tenants  map[string]*tenantState
 	ring     []*tenantState // DRR active ring; head is the current tenant
 	breakers map[string]*breaker
-	est      map[string]*ewma
-	// estGen is the per-module estimator generation, bumped by
-	// ResetModule/ResetEstimate. A Ticket captures the generation at Admit;
-	// a completion whose generation is stale (the module was replaced or
-	// revived while it was in flight) must not feed the estimator — its
-	// sample describes a deployment or residency that has ended and would
-	// repollute the freshly reset estimate.
-	estGen map[string]uint64
 
 	admitted   uint64
 	shedRate   uint64 // 429: token bucket
@@ -237,25 +221,6 @@ type Controller struct {
 	shedBreak  uint64 // 503: breaker open
 	shedDrain  uint64 // 503: draining
 	grantWaits uint64 // requests that queued before being granted
-}
-
-// ewma is an exponentially weighted moving average of service time.
-type ewma struct {
-	val float64 // nanos
-	n   uint64
-}
-
-func (e *ewma) update(alpha float64, sample time.Duration) {
-	s := float64(sample)
-	if s < 0 {
-		return
-	}
-	if e.n == 0 {
-		e.val = s
-	} else {
-		e.val = alpha*s + (1-alpha)*e.val
-	}
-	e.n++
 }
 
 // New builds a Controller.
@@ -270,22 +235,22 @@ func newWithClock(cfg Config, now func() time.Time) *Controller {
 		now:      now,
 		tenants:  make(map[string]*tenantState),
 		breakers: make(map[string]*breaker),
-		est:      make(map[string]*ewma),
-		estGen:   make(map[string]uint64),
 	}
 }
 
 // Ticket is a granted admission; exactly one Done call returns the slot.
 type Ticket struct {
-	c      *Controller
-	module string
-	gen    uint64 // estimator generation captured at Admit
-	done   bool
+	c *Controller
+	// brk is the breaker the request was admitted under. ResetModule drops
+	// a module's breaker from the map, so a ticket that outlives its
+	// deployment records into the orphan and cannot trip the new one.
+	brk  *breaker
+	done bool
 }
 
-// Done returns the slot, feeds the service-time estimator, and advances the
-// breaker. serviceTime is the observed execution latency; only successful
-// completions feed the estimator.
+// Done returns the slot and advances the breaker. serviceTime is ignored —
+// prices come from Config.Cost — and stays in the signature for existing
+// callers.
 func (t *Ticket) Done(outcome Outcome, serviceTime time.Duration) {
 	c := t.c
 	c.mu.Lock()
@@ -295,19 +260,7 @@ func (t *Ticket) Done(outcome Outcome, serviceTime time.Duration) {
 	}
 	t.done = true
 	c.inflight--
-	if outcome == OutcomeSuccess && t.gen == c.estGen[t.module] {
-		// Traps can be arbitrarily early (e.g. instant aborts) and would
-		// drag the estimate below the true service time of working calls;
-		// timeouts report the whole request-timeout budget (default 30s),
-		// and one such sample on a fast module inflates the estimate by
-		// alpha×30s — enough to deadline-shed everything until successful
-		// samples decay it back down. A stale generation means the module
-		// was replaced or revived while this request was in flight: the
-		// sample belongs to the old deployment or residency, so it must not
-		// repollute the reset estimator.
-		c.estFor(t.module).update(c.cfg.EWMAAlpha, serviceTime)
-	}
-	c.breakerFor(t.module).record(outcome, c.now())
+	t.brk.record(outcome, c.now())
 	c.dispatchLocked()
 }
 
@@ -328,7 +281,6 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 		return nil, &Rejection{Status: 503, RetryAfter: time.Second, Reason: ReasonDraining}
 	}
 	ts := c.tenantFor(tenant, now)
-	gen := c.estGen[module]
 	// If allow claims the half-open probe slot, every rejection below must
 	// hand it back (releaseProbe) — otherwise no Ticket ever reaches
 	// record() and the breaker stays probe-locked, rejecting forever.
@@ -345,7 +297,6 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 		c.mu.Unlock()
 		return nil, &Rejection{Status: 503, RetryAfter: retry, Reason: ReasonBreakerOpen}
 	}
-	est := c.estimateLocked(module)
 	// The 503 overload checks run before the bucket debit so a shed
 	// request does not also consume rate tokens (which would turn into
 	// spurious 429s for a within-rate tenant once the queue clears).
@@ -353,19 +304,23 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 		brk.releaseProbe(probe)
 		c.shedQueue++
 		ts.shed++
-		wait := c.retryHintLocked(est)
+		wait := c.retryHintLocked(c.priceLocked(module))
 		c.mu.Unlock()
 		return nil, &Rejection{Status: 503, RetryAfter: wait, Reason: ReasonQueueFull}
 	}
 	// Deadline-aware shed: if the queue ahead of us already implies more
 	// waiting than the deadline allows, fail fast instead of timing out
-	// after consuming a slot.
-	if wait := c.queueDelayLocked(est); wait > deadline {
-		brk.releaseProbe(probe)
-		c.shedDead++
-		ts.shed++
-		c.mu.Unlock()
-		return nil, &Rejection{Status: 503, RetryAfter: wait, Reason: ReasonDeadlineShed}
+	// after consuming a slot. With nothing ahead there is nothing to price.
+	var price int64
+	if ahead := c.aheadLocked(); ahead > 0 {
+		price = c.priceLocked(module)
+		if wait := c.waitLocked(ahead, price); wait > deadline {
+			brk.releaseProbe(probe)
+			c.shedDead++
+			ts.shed++
+			c.mu.Unlock()
+			return nil, &Rejection{Status: 503, RetryAfter: wait, Reason: ReasonDeadlineShed}
+		}
 	}
 	if !ts.bucket.take(now) {
 		brk.releaseProbe(probe)
@@ -381,10 +336,13 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 		c.admitted++
 		ts.admitted++
 		c.mu.Unlock()
-		return &Ticket{c: c, module: module, gen: gen}, nil
+		return &Ticket{c: c, brk: brk}, nil
 	}
 	// Queue under DRR and wait for a grant.
-	w := &waiter{tenant: ts, module: module, cost: int64(est)}
+	if price == 0 {
+		price = c.priceLocked(module)
+	}
+	w := &waiter{tenant: ts, cost: price}
 	w.ch = make(chan struct{})
 	ts.q = append(ts.q, w)
 	if !ts.active {
@@ -400,33 +358,33 @@ func (c *Controller) Admit(tenant, module string, deadline time.Duration) (*Tick
 	defer timer.Stop()
 	select {
 	case <-w.ch:
-		return &Ticket{c: c, module: module, gen: gen}, nil
+		return &Ticket{c: c, brk: brk}, nil
 	case <-timer.C:
 		c.mu.Lock()
 		if w.granted {
 			// The grant raced the timer; honor it.
 			c.mu.Unlock()
-			return &Ticket{c: c, module: module, gen: gen}, nil
+			return &Ticket{c: c, brk: brk}, nil
 		}
 		c.removeWaiterLocked(w)
 		brk.releaseProbe(probe)
 		c.shedDead++
 		ts.shed++
-		wait := c.retryHintLocked(c.estimateLocked(module))
+		wait := c.retryHintLocked(w.cost)
 		c.mu.Unlock()
 		return nil, &Rejection{Status: 503, RetryAfter: wait, Reason: ReasonDeadlineShed}
 	}
 }
 
 // retryHintLocked derives a Retry-After hint for an overload shed: the
-// estimated queue-drain wait, floored at one request's estimated service
-// share so the hint never goes to zero. A zero hint would suppress the
+// estimated queue-drain wait, floored at one request's price share so the
+// hint never goes to zero. A zero hint would suppress the
 // Retry-After header entirely and give an offloading router no back-off
 // signal — a per-tenant queue bound, for example, can trip while the global
 // queue (and hence the modeled delay) is empty.
-func (c *Controller) retryHintLocked(est int64) time.Duration {
-	wait := c.queueDelayLocked(est)
-	if floor := time.Duration(est / int64(c.cfg.Workers)); wait < floor {
+func (c *Controller) retryHintLocked(price int64) time.Duration {
+	wait := c.waitLocked(c.aheadLocked(), price)
+	if floor := time.Duration(price / int64(c.cfg.Workers)); wait < floor {
 		wait = floor
 	}
 	if wait < time.Millisecond {
@@ -467,36 +425,22 @@ func (c *Controller) breakerFor(module string) *breaker {
 	return b
 }
 
-func (c *Controller) estFor(module string) *ewma {
-	e, ok := c.est[module]
-	if !ok {
-		e = &ewma{}
-		if c.cfg.SeedEstimate != nil {
-			if seed := c.cfg.SeedEstimate(module); seed > 0 {
-				e.update(1, seed)
-			}
+// priceLocked is one request's price for module in nanos: Config.Cost, or
+// DefaultEstimate when that has no price.
+func (c *Controller) priceLocked(module string) int64 {
+	if c.cfg.Cost != nil {
+		if d := c.cfg.Cost(module); d > 0 {
+			return int64(d)
 		}
-		c.est[module] = e
 	}
-	return e
+	return int64(c.cfg.DefaultEstimate)
 }
 
-// estimateLocked returns the per-request service-time estimate for module.
-func (c *Controller) estimateLocked(module string) int64 {
-	e := c.estFor(module)
-	if e.n == 0 {
-		return int64(c.cfg.DefaultEstimate)
-	}
-	return int64(e.val)
-}
-
-// queueDelayLocked estimates how long a request arriving now would wait
-// before dispatch: the requests that must complete before a slot frees for
-// it, at est nanos each, spread over the worker cores. A free slot with an
-// empty queue estimates zero. The in-flight count prefers the scheduler
-// probe (which sees sandboxes the controller has already released to the
-// pool).
-func (c *Controller) queueDelayLocked(est int64) time.Duration {
+// aheadLocked counts the requests that must complete before a slot frees
+// for a request arriving now; zero or less means a free slot with an empty
+// queue. The in-flight count prefers the scheduler probe (which sees
+// sandboxes the controller has already released to the pool).
+func (c *Controller) aheadLocked() int64 {
 	inflight := c.inflight
 	if c.cfg.Probe != nil {
 		if p := c.cfg.Probe(); p > inflight {
@@ -511,17 +455,22 @@ func (c *Controller) queueDelayLocked(est int64) time.Duration {
 			inflight = d
 		}
 	}
-	ahead := int64(c.queued+inflight) - int64(c.cfg.MaxInflight-1)
+	return int64(c.queued+inflight) - int64(c.cfg.MaxInflight-1)
+}
+
+// waitLocked is the queueing delay of a request with ahead requests before
+// it at price nanos each, spread over the worker cores.
+func (c *Controller) waitLocked(ahead, price int64) time.Duration {
 	if ahead <= 0 {
 		return 0
 	}
-	return time.Duration(ahead * est / int64(c.cfg.Workers))
+	return time.Duration(ahead * price / int64(c.cfg.Workers))
 }
 
 // dispatchLocked grants free slots to queued waiters in weighted
 // deficit-round-robin order: each visit tops the head tenant's deficit up
 // by quantum×weight, then grants from its queue while the deficit covers
-// the head request's estimated cost; an insufficient deficit rotates the
+// the head request's price; an insufficient deficit rotates the
 // tenant to the tail. Emptied tenants leave the ring and forfeit their
 // deficit, so shares are proportional only among backlogged tenants
 // (work-conserving).
@@ -540,7 +489,7 @@ func (c *Controller) dispatchLocked() {
 		// deficit rather than topping up again — otherwise a tenant whose
 		// grants trickle out one slot at a time would never rotate.
 		if !ts.topped {
-			ts.deficit += int64(c.cfg.DRRQuantum) * int64(ts.weight)
+			ts.deficit += int64(drrQuantum) * int64(ts.weight)
 			ts.topped = true
 		}
 		for len(ts.q) > 0 && c.inflight < c.cfg.MaxInflight && ts.deficit >= ts.q[0].cost {
@@ -582,45 +531,14 @@ func (c *Controller) removeWaiterLocked(w *waiter) {
 	}
 }
 
-// ResetModule drops the breaker and service-time state for module — called
-// when a module is unregistered or replaced so a redeployed function starts
-// with a clean circuit. Bumping the estimator generation invalidates
-// in-flight tickets: a request admitted against the old deployment that
-// completes after the reset must not feed its (old-code) latency into the
-// fresh estimator.
+// ResetModule drops the breaker for module — called when a module is
+// unregistered or replaced so a redeployed function starts with a clean
+// circuit. Tickets admitted before the reset keep the dropped breaker, so
+// their completions cannot trip the new one.
 func (c *Controller) ResetModule(module string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.breakers, module)
-	delete(c.est, module)
-	c.estGen[module]++
-}
-
-// Estimate returns the controller's live EWMA service-time estimate for
-// module, or 0 when it has no samples. Unlike the admit path it never
-// materializes estimator state for unknown names, so a pipeline executor
-// can poll per-stage estimates for its remaining-budget shed decision
-// without growing the estimator map.
-func (c *Controller) Estimate(module string) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.est[module]; ok && e.n > 0 {
-		return time.Duration(e.val)
-	}
-	return 0
-}
-
-// ResetEstimate drops only the service-time estimate for module, keeping
-// the breaker — the revive path, where the bounded cache's evicted module is
-// recompiled on its next invoke. The revived module runs the same code, so
-// its trap history still applies, but the estimate it held when it went
-// cold is dropped and re-seeded. Like ResetModule, it invalidates in-flight
-// tickets' estimator feedback.
-func (c *Controller) ResetEstimate(module string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.est, module)
-	c.estGen[module]++
 }
 
 // StartDrain stops admitting new requests (503 + Retry-After). Requests
@@ -656,56 +574,41 @@ func (c *Controller) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
-// ModuleHealth is one module's slice of the compact health view: the
-// service-time estimate the controller sheds against and the breaker state.
-type ModuleHealth struct {
-	EstimateNanos int64  `json:"est_ns"`
-	Breaker       string `json:"breaker"`
-}
-
 // Health is the compact admission view consumed by health pollers (the
 // cluster router, external load balancers). Unlike Stats it carries no
 // tenant accounting and no cumulative counters — just the live signals a
 // placement decision needs — so polling it at router frequency stays cheap.
 type Health struct {
-	Draining    bool                    `json:"draining,omitempty"`
-	Inflight    int                     `json:"inflight"`
-	Queued      int                     `json:"queued"`
-	MaxInflight int                     `json:"max_inflight"`
-	Workers     int                     `json:"workers"`
-	Modules     map[string]ModuleHealth `json:"modules"`
+	Draining    bool `json:"draining,omitempty"`
+	Inflight    int  `json:"inflight"`
+	Queued      int  `json:"queued"`
+	MaxInflight int  `json:"max_inflight"`
+	Workers     int  `json:"workers"`
+	// Breakers maps each module with a breaker to its state.
+	Breakers map[string]string `json:"breakers"`
 }
 
 // HealthSnapshot returns the compact health view.
 func (c *Controller) HealthSnapshot() Health {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h := Health{
+	return Health{
 		Draining:    c.draining,
 		Inflight:    c.inflight,
 		Queued:      c.queued,
 		MaxInflight: c.cfg.MaxInflight,
 		Workers:     c.cfg.Workers,
-		Modules:     make(map[string]ModuleHealth, len(c.est)),
+		Breakers:    c.breakerStatesLocked(),
 	}
-	for name, e := range c.est {
-		mh := ModuleHealth{Breaker: breakerClosed.String()}
-		if e.n > 0 {
-			mh.EstimateNanos = int64(e.val)
-		}
-		if b, ok := c.breakers[name]; ok {
-			mh.Breaker = b.state.String()
-		}
-		h.Modules[name] = mh
-	}
-	// A breaker can exist for a module with no estimate yet (every request
-	// shed before completion); it still matters to a router.
+}
+
+// breakerStatesLocked maps each module with a breaker to its state.
+func (c *Controller) breakerStatesLocked() map[string]string {
+	states := make(map[string]string, len(c.breakers))
 	for name, b := range c.breakers {
-		if _, ok := h.Modules[name]; !ok {
-			h.Modules[name] = ModuleHealth{Breaker: b.state.String()}
-		}
+		states[name] = b.state.String()
 	}
-	return h
+	return states
 }
 
 // TenantSnapshot is one tenant's admission accounting.
@@ -718,19 +621,18 @@ type TenantSnapshot struct {
 
 // Snapshot is the controller's accounting view, exposed via /__stats.
 type Snapshot struct {
-	Draining      bool                      `json:"draining"`
-	Inflight      int                       `json:"inflight"`
-	Queued        int                       `json:"queued"`
-	Admitted      uint64                    `json:"admitted"`
-	GrantWaits    uint64                    `json:"grant_waits"`
-	ShedRate      uint64                    `json:"shed_rate_429"`
-	ShedQueue     uint64                    `json:"shed_queue_503"`
-	ShedDeadline  uint64                    `json:"shed_deadline_503"`
-	ShedBreaker   uint64                    `json:"shed_breaker_503"`
-	ShedDraining  uint64                    `json:"shed_draining_503"`
-	Tenants       map[string]TenantSnapshot `json:"tenants"`
-	Breakers      map[string]string         `json:"breakers"`
-	EstimateNanos map[string]int64          `json:"estimate_nanos"`
+	Draining     bool                      `json:"draining"`
+	Inflight     int                       `json:"inflight"`
+	Queued       int                       `json:"queued"`
+	Admitted     uint64                    `json:"admitted"`
+	GrantWaits   uint64                    `json:"grant_waits"`
+	ShedRate     uint64                    `json:"shed_rate_429"`
+	ShedQueue    uint64                    `json:"shed_queue_503"`
+	ShedDeadline uint64                    `json:"shed_deadline_503"`
+	ShedBreaker  uint64                    `json:"shed_breaker_503"`
+	ShedDraining uint64                    `json:"shed_draining_503"`
+	Tenants      map[string]TenantSnapshot `json:"tenants"`
+	Breakers     map[string]string         `json:"breakers"`
 }
 
 // Shed totals all rejection counters.
@@ -743,19 +645,18 @@ func (c *Controller) Stats() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := Snapshot{
-		Draining:      c.draining,
-		Inflight:      c.inflight,
-		Queued:        c.queued,
-		Admitted:      c.admitted,
-		GrantWaits:    c.grantWaits,
-		ShedRate:      c.shedRate,
-		ShedQueue:     c.shedQueue,
-		ShedDeadline:  c.shedDead,
-		ShedBreaker:   c.shedBreak,
-		ShedDraining:  c.shedDrain,
-		Tenants:       make(map[string]TenantSnapshot, len(c.tenants)),
-		Breakers:      make(map[string]string, len(c.breakers)),
-		EstimateNanos: make(map[string]int64, len(c.est)),
+		Draining:     c.draining,
+		Inflight:     c.inflight,
+		Queued:       c.queued,
+		Admitted:     c.admitted,
+		GrantWaits:   c.grantWaits,
+		ShedRate:     c.shedRate,
+		ShedQueue:    c.shedQueue,
+		ShedDeadline: c.shedDead,
+		ShedBreaker:  c.shedBreak,
+		ShedDraining: c.shedDrain,
+		Tenants:      make(map[string]TenantSnapshot, len(c.tenants)),
+		Breakers:     c.breakerStatesLocked(),
 	}
 	for name, ts := range c.tenants {
 		snap.Tenants[name] = TenantSnapshot{
@@ -763,14 +664,6 @@ func (c *Controller) Stats() Snapshot {
 			Admitted: ts.admitted,
 			Shed:     ts.shed,
 			Queued:   len(ts.q),
-		}
-	}
-	for name, b := range c.breakers {
-		snap.Breakers[name] = b.state.String()
-	}
-	for name, e := range c.est {
-		if e.n > 0 {
-			snap.EstimateNanos[name] = int64(e.val)
 		}
 	}
 	return snap

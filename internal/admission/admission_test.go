@@ -214,6 +214,11 @@ func run(t *testing.T, c *Controller, tenant, module string, deadline time.Durat
 	return nil
 }
 
+// fixedCost prices every request at d.
+func fixedCost(d time.Duration) func(string) time.Duration {
+	return func(string) time.Duration { return d }
+}
+
 func TestAdmitFastPath(t *testing.T) {
 	c := New(Config{Workers: 2})
 	if rej := run(t, c, "a", "m", 0, nil); rej != nil {
@@ -254,13 +259,13 @@ func TestRateLimit429(t *testing.T) {
 
 func TestDeadlineShed503(t *testing.T) {
 	clk := newFakeClock()
-	// One worker, one slot; EWMA default estimate is 1ms.
-	c := newWithClock(Config{Workers: 1, MaxInflight: 1, DefaultEstimate: 100 * time.Millisecond}, clk.Now)
+	// One worker, one slot, every request priced at 100ms.
+	c := newWithClock(Config{Workers: 1, MaxInflight: 1, Cost: fixedCost(100 * time.Millisecond)}, clk.Now)
 	tkt, rej := c.Admit("a", "m", time.Second)
 	if rej != nil {
 		t.Fatalf("first admit: %v", rej)
 	}
-	// With one request in flight at an estimated 100ms each, a request
+	// With one request in flight at 100ms each, a request
 	// with a 10ms deadline cannot make it: shed immediately.
 	rej2 := run(t, c, "a", "m", 10*time.Millisecond, nil)
 	if rej2 == nil {
@@ -280,21 +285,20 @@ func TestQueueDepthShed(t *testing.T) {
 	clk := newFakeClock()
 	depth := 0
 	cfg := Config{
-		Workers:         1,
-		MaxInflight:     2,
-		DefaultEstimate: 100 * time.Millisecond,
-		QueueDepth:      func() int { return depth },
+		Workers:     1,
+		MaxInflight: 2,
+		Cost:        fixedCost(100 * time.Millisecond),
+		QueueDepth:  func() int { return depth },
 	}
 	c := newWithClock(cfg, clk.Now)
 	// Empty pool queue: a tight deadline is admissible.
 	if rej := run(t, c, "a", "m", 10*time.Millisecond, nil); rej != nil {
 		t.Fatalf("admit with empty pool queue: %v", rej)
 	}
-	// Ten sandboxes queued in the pool at the ~100ms default estimate
-	// each on one worker: the same deadline cannot be met. (A fresh
-	// module name keeps the first run's 1ms completion out of the EWMA.)
+	// Ten sandboxes queued in the pool at 100ms each on one worker: the
+	// same deadline cannot be met.
 	depth = 10
-	rej := run(t, c, "a", "m2", 10*time.Millisecond, nil)
+	rej := run(t, c, "a", "m", 10*time.Millisecond, nil)
 	if rej == nil {
 		t.Fatal("expected deadline shed from pool queue depth")
 	}
@@ -443,9 +447,11 @@ func TestDRRProportionalGrants(t *testing.T) {
 // equal weight, one offering 10x the other's load; the well-behaved tenant
 // must retain >= 45% of admitted capacity while both are backlogged.
 func TestFairnessHotTenant(t *testing.T) {
-	// A 1ms DRR quantum at the 1ms default cost estimate grants roughly
-	// one request per tenant per round — the tightest interleaving.
-	c := New(Config{Workers: 2, MaxInflight: 2, MaxQueue: 2048, DRRQuantum: time.Millisecond})
+	// A price equal to the 5ms DRR quantum grants exactly one request per
+	// tenant per round — the tightest interleaving. The 1s deadline keeps
+	// the 44-deep backlog (110ms at that price on two workers) from being
+	// shed, so every offer queues and DRR alone decides the shares.
+	c := New(Config{Workers: 2, MaxInflight: 2, MaxQueue: 2048, Cost: fixedCost(drrQuantum)})
 	var hotAdmitted, goodAdmitted atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -461,7 +467,7 @@ func TestFairnessHotTenant(t *testing.T) {
 					return
 				default:
 				}
-				tkt, rej := c.Admit("hot", "m", 50*time.Millisecond)
+				tkt, rej := c.Admit("hot", "m", time.Second)
 				if rej != nil {
 					continue
 				}
@@ -482,7 +488,7 @@ func TestFairnessHotTenant(t *testing.T) {
 					return
 				default:
 				}
-				tkt, rej := c.Admit("good", "m", 50*time.Millisecond)
+				tkt, rej := c.Admit("good", "m", time.Second)
 				if rej != nil {
 					continue
 				}
@@ -603,7 +609,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	if st.Breakers["crashy"] != "closed" {
 		t.Fatalf("breaker state = %q, want closed", st.Breakers["crashy"])
 	}
-	// ResetModule clears breaker + estimator state for redeploys.
+	// ResetModule clears breaker state for redeploys.
 	c.ResetModule("crashy")
 	if _, ok := c.Stats().Breakers["crashy"]; ok {
 		t.Fatal("ResetModule must drop breaker state")
@@ -719,38 +725,17 @@ func TestProbeReleasedOnQueueWaitExpiry(t *testing.T) {
 	}
 }
 
-// TestTimeoutDoesNotFeedEstimator: a timed-out request reports the whole
-// request-timeout budget; feeding that into the EWMA would trigger a burst
-// of spurious deadline sheds on a fast module.
-func TestTimeoutDoesNotFeedEstimator(t *testing.T) {
-	c := New(Config{Workers: 4})
-	tkt, rej := c.Admit("t", "m", 0)
-	if rej != nil {
-		t.Fatalf("admit: %v", rej)
-	}
-	tkt.Done(OutcomeTimeout, 30*time.Second)
-	if est, ok := c.Stats().EstimateNanos["m"]; ok {
-		t.Fatalf("timeout fed the estimator: %d ns", est)
-	}
-	if rej := run(t, c, "t", "m", 0, nil); rej != nil {
-		t.Fatalf("admit after timeout: %v", rej)
-	}
-	if est := c.Stats().EstimateNanos["m"]; est != int64(time.Millisecond) {
-		t.Fatalf("estimate = %d ns, want the 1ms success sample", est)
-	}
-}
-
 // TestShed503DoesNotConsumeRateTokens: queue-bound and deadline sheds run
 // before the bucket debit, so an overloaded-but-within-rate tenant is not
 // double-penalized with spurious 429s once the queue clears.
 func TestShed503DoesNotConsumeRateTokens(t *testing.T) {
 	clk := newFakeClock()
 	c := newWithClock(Config{
-		Workers:         1,
-		MaxInflight:     1,
-		TenantRate:      10,
-		TenantBurst:     2,
-		DefaultEstimate: 100 * time.Millisecond,
+		Workers:     1,
+		MaxInflight: 1,
+		TenantRate:  10,
+		TenantBurst: 2,
+		Cost:        fixedCost(100 * time.Millisecond),
 	}, clk.Now)
 	gate, rej := c.Admit("t", "m", time.Minute) // burns 1 of 2 tokens
 	if rej != nil {
@@ -770,79 +755,157 @@ func TestShed503DoesNotConsumeRateTokens(t *testing.T) {
 	}
 }
 
-// ---- estimator generation guard (module replace / revive) ----
+// ---- stale tickets after a redeploy ----
 
-// A ticket admitted before ResetModule must not feed its completion latency
-// into the estimator: the sample measured the old deployment's code.
-func TestStaleTicketAfterResetModuleDoesNotFeedEstimator(t *testing.T) {
-	c := New(Config{Workers: 2})
-
-	// Establish a polluted estimate under the old code.
-	tk, rej := c.Admit("a", "m", 0)
-	if rej != nil {
-		t.Fatalf("admit: %v", rej)
-	}
-	tk.Done(OutcomeSuccess, 80*time.Millisecond)
-	if est := c.Stats().EstimateNanos["m"]; est != int64(80*time.Millisecond) {
-		t.Fatalf("estimate = %d, want 80ms", est)
-	}
-
-	// A second request is in flight when the module is replaced.
-	stale, rej := c.Admit("a", "m", 0)
-	if rej != nil {
-		t.Fatalf("admit: %v", rej)
+// TestStaleTicketDoesNotTripReplacedBreaker: requests admitted before
+// ResetModule (a Replace or Unregister) finish against the old deployment;
+// their traps must not count against the new deployment's breaker.
+func TestStaleTicketDoesNotTripReplacedBreaker(t *testing.T) {
+	c := New(Config{Workers: 2, Breaker: BreakerConfig{Window: 4, MinSamples: 2, FailureRatio: 0.5}})
+	var stale [2]*Ticket
+	for i := range stale {
+		tk, rej := c.Admit("a", "m", 0)
+		if rej != nil {
+			t.Fatalf("admit %d: %v", i, rej)
+		}
+		stale[i] = tk
 	}
 	c.ResetModule("m")
-	stale.Done(OutcomeSuccess, 90*time.Millisecond)
-
-	if est, ok := c.Stats().EstimateNanos["m"]; ok {
-		t.Fatalf("stale completion repolluted reset estimator: %dns", est)
+	for _, tk := range stale {
+		tk.Done(OutcomeTrap, 0)
 	}
-
-	// The next ticket is current-generation and feeds normally.
-	fresh, rej := c.Admit("a", "m", 0)
+	tk, rej := c.Admit("a", "m", 0)
 	if rej != nil {
-		t.Fatalf("admit: %v", rej)
+		t.Fatalf("fresh deployment shed by its predecessor's traps: %v", rej)
 	}
-	fresh.Done(OutcomeSuccess, 2*time.Millisecond)
-	if est := c.Stats().EstimateNanos["m"]; est != int64(2*time.Millisecond) {
-		t.Fatalf("estimate = %d, want 2ms from fresh sample", est)
+	tk.Done(OutcomeSuccess, 0)
+	if st := c.Stats().Breakers["m"]; st != "closed" {
+		t.Fatalf("breaker = %q, want closed", st)
 	}
 }
 
-// ResetEstimate (the cache-revive path) clears the estimate and
-// invalidates in-flight tickets, but keeps the breaker's trap history.
-func TestResetEstimateKeepsBreakerGuardsGeneration(t *testing.T) {
-	c := New(Config{Workers: 2, Breaker: BreakerConfig{Window: 4, MinSamples: 3, FailureRatio: 0.7}})
+// ---- pricing: counted ----
 
-	// Two traps: breaker accumulating but still closed.
-	for i := 0; i < 2; i++ {
-		tk, rej := c.Admit("a", "m", 0)
-		if rej != nil {
-			t.Fatalf("admit: %v", rej)
+// TestWaitIsAheadTimesCostOverWorkers: with N requests in flight at a known
+// price, a deadline shed reports exactly (N - slots + 1) × price ÷ Workers.
+func TestWaitIsAheadTimesCostOverWorkers(t *testing.T) {
+	const (
+		workers  = 4
+		slots    = 4
+		price    = 3 * time.Millisecond
+		inflight = 10
+	)
+	c := New(Config{
+		Workers:     workers,
+		MaxInflight: slots,
+		Cost:        fixedCost(price),
+		Probe:       func() int { return inflight },
+	})
+	_, rej := c.Admit("a", "m", time.Microsecond)
+	if rej == nil || rej.Reason != ReasonDeadlineShed {
+		t.Fatalf("rejection = %v, want deadline-shed", rej)
+	}
+	ahead := inflight - (slots - 1)
+	if want := time.Duration(ahead) * price / workers; rej.RetryAfter != want {
+		t.Fatalf("predicted wait = %v, want %d × %v ÷ %d = %v", rej.RetryAfter, ahead, price, workers, want)
+	}
+}
+
+// TestDRRChargesCost: two backlogged tenants at equal weight, one whose
+// module costs twice the other's. DRR charges each grant its price, so the
+// dear tenant gets exactly half the cheap tenant's grants while both are
+// backlogged.
+func TestDRRChargesCost(t *testing.T) {
+	c := New(Config{
+		Workers:     1,
+		MaxInflight: 1,
+		MaxQueue:    1024,
+		Cost: func(module string) time.Duration {
+			if module == "dear" {
+				return drrQuantum
+			}
+			return drrQuantum / 2
+		},
+	})
+	gate, rej := c.Admit("seed", "gate", time.Minute)
+	if rej != nil {
+		t.Fatalf("gate admit: %v", rej)
+	}
+	// One slot: each grant happens in the previous holder's Done, after it
+	// has appended itself, so order is the grant order.
+	const perTenant = 30
+	var mu sync.Mutex
+	var order []string
+	var wg sync.WaitGroup
+	for _, tenant := range []string{"cheap", "dear"} {
+		for i := 0; i < perTenant; i++ {
+			wg.Add(1)
+			go func(tenant string) {
+				defer wg.Done()
+				tkt, rej := c.Admit(tenant, tenant, time.Minute)
+				if rej != nil {
+					t.Errorf("%s: %v", tenant, rej)
+					return
+				}
+				mu.Lock()
+				order = append(order, tenant)
+				mu.Unlock()
+				tkt.Done(OutcomeSuccess, 0)
+			}(tenant)
 		}
-		tk.Done(OutcomeTrap, time.Millisecond)
 	}
+	for i := 0; i < 5000 && c.Stats().Queued != 2*perTenant; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if q := c.Stats().Queued; q != 2*perTenant {
+		t.Fatalf("queued = %d, want %d", q, 2*perTenant)
+	}
+	gate.Done(OutcomeSuccess, 0)
+	wg.Wait()
+	// The cheap tenant drains after perTenant/2 rounds of three grants.
+	var cheap, dear int
+	for _, tenant := range order[:3*perTenant/2] {
+		if tenant == "cheap" {
+			cheap++
+		} else {
+			dear++
+		}
+	}
+	if cheap != perTenant || dear != perTenant/2 {
+		t.Fatalf("while both backlogged: cheap=%d dear=%d, want %d and %d (order %v)",
+			cheap, dear, perTenant, perTenant/2, order)
+	}
+}
 
-	stale, rej := c.Admit("a", "m", 0)
-	if rej != nil {
-		t.Fatalf("admit: %v", rej)
+// TestFastPathNeverPrices: a free slot with nobody queued admits without a
+// price, so Cost is not called; the first request that must queue is priced.
+func TestFastPathNeverPrices(t *testing.T) {
+	var calls int
+	c := New(Config{
+		Workers:     2,
+		MaxInflight: 2,
+		Cost: func(string) time.Duration {
+			calls++
+			return time.Millisecond
+		},
+	})
+	for i := 0; i < 100; i++ {
+		if rej := run(t, c, "a", "m", 0, nil); rej != nil {
+			t.Fatalf("admit %d: %v", i, rej)
+		}
 	}
-	c.ResetEstimate("m")
-
-	// The stale success must not seed the fresh estimator...
-	stale.Done(OutcomeSuccess, 50*time.Millisecond)
-	if est, ok := c.Stats().EstimateNanos["m"]; ok {
-		t.Fatalf("stale completion fed reset estimator: %dns", est)
+	if calls != 0 {
+		t.Fatalf("Cost called %d times on the fast path, want 0", calls)
 	}
-	// ...but the breaker state survived the reset: one more trap trips it.
-	tk, rej := c.Admit("a", "m", 0)
-	if rej != nil {
-		t.Fatalf("admit: %v", rej)
+	var held [2]*Ticket
+	for i := range held {
+		held[i], _ = c.Admit("a", "m", 0)
 	}
-	tk.Done(OutcomeTrap, time.Millisecond)
-	if _, rej := c.Admit("a", "m", 0); rej == nil || rej.Reason != "breaker-open" {
-		t.Fatalf("breaker did not survive ResetEstimate: rej=%v", rej)
+	if _, rej := c.Admit("a", "m", time.Microsecond); rej == nil || calls == 0 {
+		t.Fatalf("full controller: rejection %v after %d Cost calls, want a priced shed", rej, calls)
+	}
+	for _, tk := range held {
+		tk.Done(OutcomeSuccess, 0)
 	}
 }
 
@@ -953,8 +1016,7 @@ func TestHealthSnapshot(t *testing.T) {
 		Workers: 2, MaxInflight: 4,
 		Breaker: BreakerConfig{Window: 8, MinSamples: 2, FailureRatio: 0.5},
 	})
-	// Feed an estimate for "fast" and trip the breaker on "crashy" (which
-	// never completes successfully, so it has a breaker but no estimate).
+	// A success on "fast"; trip the breaker on "crashy".
 	if rej := run(t, c, "a", "fast", 0, nil); rej != nil {
 		t.Fatalf("fast: %v", rej)
 	}
@@ -969,10 +1031,10 @@ func TestHealthSnapshot(t *testing.T) {
 	if h.Workers != 2 || h.MaxInflight != 4 || h.Inflight != 0 || h.Queued != 0 || h.Draining {
 		t.Fatalf("health = %+v, want idle 2-worker view", h)
 	}
-	if mh, ok := h.Modules["fast"]; !ok || mh.EstimateNanos <= 0 || mh.Breaker != "closed" {
-		t.Fatalf("fast health = %+v, want positive estimate + closed breaker", mh)
+	if st := h.Breakers["fast"]; st != "closed" {
+		t.Fatalf("fast breaker = %q, want closed", st)
 	}
-	if mh, ok := h.Modules["crashy"]; !ok || mh.Breaker != "open" {
-		t.Fatalf("crashy health = %+v, want open breaker", mh)
+	if st := h.Breakers["crashy"]; st != "open" {
+		t.Fatalf("crashy breaker = %q, want open", st)
 	}
 }

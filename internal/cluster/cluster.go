@@ -5,8 +5,9 @@
 // placement across them.
 //
 // The router consumes each node's existing admission signals — queue depth,
-// per-module EWMA service time, breaker state, module residency — via the
-// compact core.HealthSnapshot it polls from every node, and scores
+// per-module price (gas at the node's learned rate), breaker state, module
+// residency — via the compact core.HealthSnapshot it polls from every node,
+// and scores
 // candidate nodes as
 //
 //	score = round_trip_link + estimated_queue_wait + service_estimate

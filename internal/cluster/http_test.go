@@ -57,7 +57,7 @@ func TestHTTPFrontEnd(t *testing.T) {
 
 	// A saturated edge offloads behind the scenes: the client still sees
 	// 200. The request targets spin (still at the edge's 500ms default
-	// estimate — the earlier ping completion dropped ping's own EWMA far
+	// price — the earlier ping completion priced ping's own gas far
 	// below the shed threshold), so the edge sheds instantly and the
 	// router's retry lands on the cloud with most of the deadline intact.
 	occupy(t, edge)

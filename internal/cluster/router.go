@@ -32,7 +32,7 @@ type Config struct {
 	// Default 1s.
 	DefaultDeadline time.Duration
 	// DefaultEstimate substitutes as the service estimate for modules with
-	// no samples on a node. Default 1ms.
+	// no price on a node. Default 1ms.
 	DefaultEstimate time.Duration
 	// HedgeQuantile is the recent-latency quantile a request must exceed
 	// before an offload retry dispatches hedged. Default 0.99.
@@ -160,7 +160,7 @@ func (r *Router) pollLoop() {
 
 // score rates dispatching module on n right now: round-trip link latency,
 // the modeled queue wait (including this router's own in-flight dispatches
-// the snapshot has not seen), and the module's service estimate, minus a
+// the snapshot has not seen), and the module's price on the node, minus a
 // warm bonus when the module's compiled body is resident on the node — which
 // is what sticky-routes a module away from nodes whose bounded cache evicted
 // it and would recompile before serving. Breaker-open nodes score a heavy
@@ -179,7 +179,7 @@ func (r *Router) score(n *node, module string) (time.Duration, bool) {
 	if !registered {
 		return 0, false
 	}
-	est := time.Duration(mh.EWMAServiceNanos)
+	est := time.Duration(mh.ServiceNanos)
 	if est <= 0 {
 		est = r.cfg.DefaultEstimate
 	}

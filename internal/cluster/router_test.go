@@ -224,7 +224,7 @@ func TestStickyWarmRouting(t *testing.T) {
 		return &core.HealthSnapshot{
 			Workers: 1,
 			Modules: map[string]core.ModuleHealth{
-				"hot": {EWMAServiceNanos: int64(time.Millisecond), Tier: tier},
+				"hot": {ServiceNanos: int64(time.Millisecond), Tier: tier},
 			},
 		}
 	}

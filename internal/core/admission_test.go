@@ -308,3 +308,64 @@ func TestRuntimeDrainUnderLoad(t *testing.T) {
 	}
 	t.Logf("ok=%d refused=%d", ok200.Load(), refused.Load())
 }
+
+// TestPriceDoesNotMoveBesideHog: a request's price is its module's gas at a
+// rate, so the same request costs the same whether it ran alone or queued
+// behind a CPU hog on the only worker — where its wall-clock latency grows
+// by the hog's quanta. Two names for the spin function keep the hog's gas
+// out of the short request's mean.
+func TestPriceDoesNotMoveBesideHog(t *testing.T) {
+	rt := newAdmissionRuntime(t, Config{Workers: 1})
+	app, _ := apps.Get("spin")
+	for _, name := range []string{"short", "hog"} {
+		cm, err := app.Compile(rt.cfg.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.RegisterCompiled(name, cm, "main", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short, _ := rt.Lookup("short")
+	const n = 16
+	const gasPerMS = 300_000 // any fixed rate: the test compares gas, not the clock
+	invokeShort := func() {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := rt.Invoke("short", apps.SpinRequest(20_000)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	invokeShort()
+	alone, aloneLat := short.cost(gasPerMS), short.Stats().MeanLatency
+
+	stop, hogDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(hogDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rt.Invoke("hog", apps.SpinRequest(2_000_000))
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); rt.pool.Inflight() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the hog never reached the worker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	invokeShort()
+	close(stop)
+	<-hogDone
+
+	beside := short.cost(gasPerMS)
+	t.Logf("mean latency: %v alone, %v over both phases; price %v both times", aloneLat, short.Stats().MeanLatency, alone)
+	if alone <= 0 || beside != alone {
+		t.Fatalf("price beside the hog = %v, alone = %v: want equal and positive", beside, alone)
+	}
+}

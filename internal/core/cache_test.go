@@ -271,39 +271,33 @@ func TestCacheColdReviveServesIdentical(t *testing.T) {
 	}
 }
 
-// TestReviveResetsAdmissionEstimate: revive is the one place a module's
-// compiled form is swapped under it. The estimate it held when it went cold
-// is dropped — and the reviving request, admitted before the swap, cannot
-// feed it back — then the next request re-seeds it from the registry mean.
-func TestReviveResetsAdmissionEstimate(t *testing.T) {
+// TestRevivedModuleKeepsItsPrice: revive swaps a module's compiled form
+// under it, but the code and hence the gas are the same, so the admission
+// price it had before eviction is the price it has after — eviction alone
+// does not move it, and neither does the reviving request.
+func TestRevivedModuleKeepsItsPrice(t *testing.T) {
 	rt := New(Config{Workers: 1, Admission: &admission.Config{}, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
 	t.Cleanup(func() { rt.Close() })
 	m := registerSum(t, rt, "sum")
+	payload := []byte{1, 2, 3}
 	for i := 0; i < 8; i++ {
-		invokeSum(t, rt, "sum", []byte{byte(i)})
+		invokeSum(t, rt, "sum", payload)
 	}
-	estimate := func() bool {
-		snap, _ := rt.AdmissionStats()
-		_, ok := snap.EstimateNanos["sum"]
-		return ok
-	}
-	if !estimate() {
-		t.Fatal("no admission estimate after traffic")
+	const gasPerMS = 100_000
+	before := m.cost(gasPerMS)
+	if before <= 0 {
+		t.Fatal("no price after traffic")
 	}
 	dropCompiled(t, rt, m)
-	if !estimate() {
-		t.Fatal("eviction alone dropped the admission estimate")
+	if got := m.cost(gasPerMS); got != before {
+		t.Fatalf("eviction moved the price: %v, was %v", got, before)
 	}
-	invokeSum(t, rt, "sum", []byte{1})
+	invokeSum(t, rt, "sum", payload)
 	if m.Compiled() == nil {
 		t.Fatal("invoke did not revive the module")
 	}
-	if estimate() {
-		t.Fatal("the pre-eviction estimate survived revive")
-	}
-	invokeSum(t, rt, "sum", []byte{2})
-	if !estimate() {
-		t.Fatal("estimator not re-seeded after revive")
+	if got := m.cost(gasPerMS); got != before {
+		t.Fatalf("revived price = %v, want %v from before eviction", got, before)
 	}
 }
 

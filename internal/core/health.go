@@ -2,7 +2,7 @@ package core
 
 // The machine-readable health surface: a compact per-node snapshot of the
 // live signals a placement decision needs — scheduler queue depth, in-flight
-// count, per-module EWMA service time, breaker states, and whether each
+// count, per-module price, breaker states, and whether each
 // module's compiled body is resident. The cluster router (internal/cluster)
 // polls this instead of the full /__stats payload, and external load
 // balancers can hit GET /__health for the same view; both are deliberately
@@ -17,17 +17,18 @@ import (
 	"sledge/internal/httpd"
 )
 
-// ModuleHealth is one module's health: the service-time signal the node
-// sheds against, its breaker state, and the tier of its installed compiled
+// ModuleHealth is one module's health: the price the node sheds against,
+// its breaker state, and the tier of its installed compiled
 // form (a router prefers nodes where the module is resident rather than
 // cold — a cold node must recompile before it can serve).
 type ModuleHealth struct {
-	// EWMAServiceNanos is the admission controller's service-time estimate
-	// when one exists, else the module's mean latency; 0 when the module
-	// has never completed a request.
-	EWMAServiceNanos int64 `json:"ewma_ns"`
+	// ServiceNanos is the node's price of one request: the module's mean
+	// gas at the node's learned rate plus its mean blocked span (a
+	// pipeline's, the sum of its stages'); 0 before the first completion.
+	ServiceNanos int64 `json:"service_ns"`
 	// Breaker is the module's circuit state ("closed", "open",
-	// "half-open"); empty when the node runs without admission control.
+	// "half-open"); empty without admission control or before the node
+	// has admitted a request for the module.
 	Breaker string `json:"breaker,omitempty"`
 	// Tier labels the installed compiled form ("naive", "cheap", "full"),
 	// or "cold" when the bounded cache dropped it.
@@ -76,27 +77,32 @@ func (rt *Runtime) Health() HealthSnapshot {
 			h.Workers = ah.Workers
 		}
 	}
+	rate := rt.pool.GasRate()
 	rt.mu.RLock()
-	h.Modules = make(map[string]ModuleHealth, len(rt.registry))
+	defer rt.mu.RUnlock()
+	h.Modules = make(map[string]ModuleHealth, len(rt.registry)+len(rt.pipelines))
 	for name, m := range rt.registry {
-		mh := ModuleHealth{Tier: TierLabelCold}
+		mh := ModuleHealth{
+			ServiceNanos: int64(m.cost(rate)),
+			Breaker:      ah.Breakers[name],
+			Tier:         TierLabelCold,
+		}
 		if cm := m.Compiled(); cm != nil {
 			mh.Tier = cm.TierLabel()
 		}
-		if amh, ok := ah.Modules[name]; ok {
-			mh.EWMAServiceNanos = amh.EstimateNanos
-			mh.Breaker = amh.Breaker
-		}
-		if mh.EWMAServiceNanos == 0 {
-			// No admission estimate (yet): fall back to the registry mean.
-			mh.EWMAServiceNanos = int64(m.seedLatency())
-		}
 		h.Modules[name] = mh
 	}
-	rt.mu.RUnlock()
 	// Pipelines appear under their reserved "p/<name>" keys so routers
-	// place whole chains like modules (pipeline.go).
-	rt.pipelineHealth(&h, ah)
+	// place whole chains like modules: priced as the sum of their stages,
+	// and only as warm as their coldest stage.
+	for name, p := range rt.pipelines {
+		key := PipelinePrefix + name
+		h.Modules[key] = ModuleHealth{
+			ServiceNanos: int64(rt.chainCostLocked(p, rate)),
+			Breaker:      ah.Breakers[key],
+			Tier:         chainTierLocked(rt, p),
+		}
+	}
 	return h
 }
 
@@ -111,18 +117,18 @@ func (rt *Runtime) healthResponse() httpd.Response {
 	return httpd.Response{Status: 200, ContentType: "application/json", Body: body}
 }
 
-// estimateFor returns the health snapshot's service estimate for module in
-// nanoseconds, or def when the module is unknown or has no samples.
+// estimateFor returns the health snapshot's price for module in
+// nanoseconds, or def when the module is unknown or has no price yet.
 func (h *HealthSnapshot) estimateFor(module string, def int64) int64 {
-	if mh, ok := h.Modules[module]; ok && mh.EWMAServiceNanos > 0 {
-		return mh.EWMAServiceNanos
+	if mh, ok := h.Modules[module]; ok && mh.ServiceNanos > 0 {
+		return mh.ServiceNanos
 	}
 	return def
 }
 
 // QueueWaitEstimate mirrors the admission controller's queueing-delay model
 // from the outside: the backlog that must drain before a new arrival for
-// module gets a slot, at the module's estimated service time, spread over
+// module gets a slot, at the module's price, spread over
 // the worker cores. extraInflight is backlog the snapshot cannot see yet
 // (e.g. requests a router has dispatched since the last poll). defEstimate
 // substitutes for modules with no samples.

@@ -80,8 +80,8 @@ func TestHealthSnapshotFields(t *testing.T) {
 	if !ok {
 		t.Fatal("modules missing sum")
 	}
-	if mh.EWMAServiceNanos <= 0 {
-		t.Errorf("sum ewma_ns = %d, want > 0 after traffic", mh.EWMAServiceNanos)
+	if mh.ServiceNanos <= 0 {
+		t.Errorf("sum service_ns = %d, want > 0 after traffic", mh.ServiceNanos)
 	}
 	if mh.Breaker != "closed" {
 		t.Errorf("sum breaker = %q, want closed", mh.Breaker)
@@ -127,8 +127,8 @@ func TestHealthEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("health payload missing sum")
 	}
-	if mh.EWMAServiceNanos <= 0 {
-		t.Errorf("ewma_ns = %d, want > 0", mh.EWMAServiceNanos)
+	if mh.ServiceNanos <= 0 {
+		t.Errorf("service_ns = %d, want > 0", mh.ServiceNanos)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestQueueWaitEstimate(t *testing.T) {
 		Inflight:    4,
 		AdmitQueued: 6,
 		Modules: map[string]ModuleHealth{
-			"sum": {EWMAServiceNanos: int64(2 * time.Millisecond)},
+			"sum": {ServiceNanos: int64(2 * time.Millisecond)},
 		},
 	}
 	// ahead = 4+6 - (4-1) = 7; wait = 7 * 2ms / 2 workers = 7ms.
@@ -161,7 +161,7 @@ func TestQueueWaitEstimate(t *testing.T) {
 	}
 	// Without admission control the dispatch window is the worker count.
 	raw := &HealthSnapshot{Workers: 2, QueueDepth: 3, Inflight: 2,
-		Modules: map[string]ModuleHealth{"sum": {EWMAServiceNanos: int64(time.Millisecond)}}}
+		Modules: map[string]ModuleHealth{"sum": {ServiceNanos: int64(time.Millisecond)}}}
 	// ahead = 3+2 - 1 = 4; wait = 4 * 1ms / 2 = 2ms.
 	if got := raw.QueueWaitEstimate("sum", 0, time.Second); got != 2*time.Millisecond {
 		t.Errorf("no-admission wait = %v, want 2ms", got)

@@ -20,9 +20,8 @@ package core
 // continuation, so affinity never defeats work conservation.
 //
 // Admission: one ticket under the reserved name "p/<name>" covers the whole
-// chain, and one deadline is threaded across it. The controller's estimate
-// for the pipeline is seeded with the sum of the stages' mean latencies and
-// thereafter learns whole-chain service times. Mid-chain, each stage is shed
+// chain, and one deadline is threaded across it. The controller prices the
+// pipeline at the sum of its stages' prices. Mid-chain, each stage is shed
 // against the *remaining* budget — deadline minus time already spent in
 // prior stages — never the full request deadline.
 //
@@ -96,7 +95,7 @@ type PipelineStats struct {
 	Stages      []string `json:"stages"`
 	Invocations uint64   `json:"invocations"`
 	Failures    uint64   `json:"failures"`
-	// Sheds counts chains cut mid-flight because a later stage's estimate
+	// Sheds counts chains cut mid-flight because a later stage's price
 	// exceeded the remaining deadline budget.
 	Sheds       uint64        `json:"sheds"`
 	MeanLatency time.Duration `json:"mean_latency_ns"`
@@ -190,7 +189,7 @@ func (rt *Runtime) InvokePipelineWithDeadline(name string, req []byte, deadline 
 		return nil, fmt.Errorf("%w: %s", ErrNoPipeline, name)
 	}
 	if rt.adm == nil {
-		out, _, _, err := rt.runPipeline(p, req, deadline)
+		out, _, err := rt.runPipeline(p, req, deadline)
 		return out, err
 	}
 	tenant := p.Tenant
@@ -206,8 +205,8 @@ func (rt *Runtime) InvokePipelineWithDeadline(name string, req []byte, deadline 
 		// same budget through the mid-chain shed checks.
 		deadline = rt.admDefaultDeadline
 	}
-	out, lat, outcome, err := rt.runPipeline(p, req, deadline)
-	ticket.Done(outcome, lat)
+	out, outcome, err := rt.runPipeline(p, req, deadline)
+	ticket.Done(outcome, 0)
 	return out, err
 }
 
@@ -226,18 +225,6 @@ func (rt *Runtime) stageModule(name string) (*Module, *engine.CompiledModule, er
 		}
 	}
 	return m, cm, nil
-}
-
-// stageEstimate is the expected service time of one stage for the remaining-
-// budget shed decision: the admission controller's live per-module EWMA when
-// it has samples, else the module's mean latency.
-func (rt *Runtime) stageEstimate(m *Module) time.Duration {
-	if rt.adm != nil {
-		if est := rt.adm.Estimate(m.Name); est > 0 {
-			return est
-		}
-	}
-	return m.seedLatency()
 }
 
 // handoff resolves a completed stage's result for the next stage: the
@@ -271,7 +258,7 @@ func (p *Pipeline) recordHandoff(declared bool, n int) {
 // to the pool — until the consumer finishes, so the aliased handoff buffer
 // stays valid; at most two stages' instances are held at once, plus one
 // prefetched instance for the stage after.
-func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
+func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) (out []byte, outcome admission.Outcome, err error) {
 	start := time.Now()
 	timer, _ := rt.timers.Get().(*time.Timer)
 	if timer == nil {
@@ -303,23 +290,23 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 			nextInst = nil
 		} else if m, cm, err = rt.stageModule(p.stages[i]); err != nil {
 			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, err
+			return nil, admission.OutcomeTrap, err
 		}
 
 		// Satellite fix: shed later stages against the *remaining* budget.
 		// The original deadline was fully consumed by admission's queueing
 		// check; by stage i the chain has already spent time.Since(start)
-		// of it, so comparing the stage estimate to the full deadline would
+		// of it, so comparing the stage's price to the full deadline would
 		// happily start a stage that cannot finish in time.
 		if i > 0 && deadline > 0 {
 			remaining := deadline - time.Since(start)
-			if est := rt.stageEstimate(m); remaining <= 0 || est > remaining {
+			if est := m.cost(rt.pool.GasRate()); remaining <= 0 || est > remaining {
 				if inst != nil {
 					cm.Release(inst)
 				}
 				rt.chainCleanup(nil, timer, prev, nil, nil)
 				p.sheds.Add(1)
-				return nil, time.Since(start), admission.OutcomeTimeout,
+				return nil, admission.OutcomeTimeout,
 					fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name,
 						&admission.Rejection{
 							Status:     503,
@@ -338,7 +325,7 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 		})
 		if serr != nil {
 			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, serr
+			return nil, admission.OutcomeTrap, serr
 		}
 		// Continuations chase the previous stage's worker: the handoff
 		// buffer it just produced is hot in that core's cache. Stage 0, and
@@ -365,7 +352,7 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 				rt.abandoned.Add(1)
 				m.failures.Add(1)
 				rt.chainCleanup(p, nil, prev, nextCM, nextInst)
-				return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout,
+				return nil, admission.OutcomeTimeout,
 					fmt.Errorf("core: %s%s: stage %s: request timed out after %v",
 						PipelinePrefix, p.Name, m.Name, rt.cfg.RequestTimeout)
 			}
@@ -375,15 +362,14 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 			timer.Reset(rt.cfg.RequestTimeout)
 		}
 
-		stageLat := sb.Latency()
 		totalGas += sb.Gas()
-		m.recordCompletion(stageLat, sb.Gas())
+		m.recordCompletion(sb)
 		if sb.State() == sandbox.StateTrapped {
 			m.failures.Add(1)
 			terr := fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name, sb.Err)
 			sb.Release()
 			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, terr
+			return nil, admission.OutcomeTrap, terr
 		}
 
 		output, declared, oerr := handoff(sb)
@@ -391,7 +377,7 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 			m.failures.Add(1)
 			sb.Release()
 			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, time.Since(start), admission.OutcomeTrap, fmt.Errorf("core: %s%s: stage %s: %w",
+			return nil, admission.OutcomeTrap, fmt.Errorf("core: %s%s: stage %s: %w",
 				PipelinePrefix, p.Name, m.Name, oerr)
 		}
 		affinity = sb.LastWorker.Load()
@@ -418,11 +404,10 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 	if timer.Stop() {
 		rt.timers.Put(timer)
 	}
-	lat = time.Since(start)
 	p.invocations.Add(1)
-	p.totalNanos.Add(int64(lat))
+	p.totalNanos.Add(int64(time.Since(start)))
 	p.gas.Add(totalGas)
-	return out, lat, admission.OutcomeSuccess, nil
+	return out, admission.OutcomeSuccess, nil
 }
 
 // chainCleanup reclaims chain resources on an error path: the prefetched
@@ -446,7 +431,7 @@ func (rt *Runtime) chainCleanup(p *Pipeline, timer *time.Timer, prev *sandbox.Sa
 }
 
 // retryHint floors a mid-chain shed's Retry-After at something meaningful
-// when the stage estimate is tiny or unknown.
+// when the stage's price is tiny or unknown.
 func retryHint(est time.Duration) time.Duration {
 	if est < time.Millisecond {
 		return time.Millisecond
@@ -454,48 +439,16 @@ func retryHint(est time.Duration) time.Duration {
 	return est
 }
 
-// pipelineSeed sums the chain's per-stage mean latencies: the admission
-// controller's first whole-chain estimate before any chain has completed.
-func (rt *Runtime) pipelineSeed(name string) time.Duration {
-	p, ok := rt.LookupPipeline(name)
-	if !ok {
-		return 0
-	}
+// chainCostLocked prices one run of the chain at gasPerMS: the sum of its
+// stages' prices. Callers hold rt.mu.
+func (rt *Runtime) chainCostLocked(p *Pipeline, gasPerMS float64) time.Duration {
 	var sum time.Duration
 	for _, s := range p.stages {
-		if m, ok := rt.Lookup(s); ok {
-			sum += m.seedLatency()
+		if m, ok := rt.registry[s]; ok {
+			sum += m.cost(gasPerMS)
 		}
 	}
 	return sum
-}
-
-// pipelineHealth folds registered pipelines into the health snapshot under
-// their reserved "p/<name>" keys, so a cluster router places whole chains
-// exactly like modules: EWMA from the admission controller when it has
-// chain samples, else the summed stage seed; the tier label is the chain's
-// weakest stage (a chain is only as warm as its coldest link).
-func (rt *Runtime) pipelineHealth(h *HealthSnapshot, ah admission.Health) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	for name, p := range rt.pipelines {
-		key := PipelinePrefix + name
-		mh := ModuleHealth{Tier: chainTierLocked(rt, p)}
-		if amh, ok := ah.Modules[key]; ok {
-			mh.EWMAServiceNanos = amh.EstimateNanos
-			mh.Breaker = amh.Breaker
-		}
-		if mh.EWMAServiceNanos == 0 {
-			var sum time.Duration
-			for _, s := range p.stages {
-				if m, ok := rt.registry[s]; ok {
-					sum += m.seedLatency()
-				}
-			}
-			mh.EWMAServiceNanos = int64(sum)
-		}
-		h.Modules[key] = mh
-	}
 }
 
 // chainTierLocked is the pipeline's weakest stage tier. Callers hold rt.mu.

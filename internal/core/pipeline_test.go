@@ -147,7 +147,7 @@ func TestPipelineRegistration(t *testing.T) {
 // TestPipelineDeadlineRemainingBudget is the satellite regression test for
 // chain deadline accounting: a later stage must be shed against the budget
 // REMAINING after earlier stages ran, not against the full request deadline.
-// Stage 0 burns well past the deadline; stage 1's estimate comfortably fits
+// Stage 0 burns well past the deadline; stage 1's price comfortably fits
 // the full deadline, so the old full-deadline comparison would have started
 // it. The fix sheds it.
 func TestPipelineDeadlineRemainingBudget(t *testing.T) {
@@ -158,8 +158,8 @@ func TestPipelineDeadlineRemainingBudget(t *testing.T) {
 		t.Fatalf("RegisterPipeline: %v", err)
 	}
 
-	// Give ping a seed estimate (its epoch mean) so the shed decision has a
-	// live number that is far below the deadline.
+	// Give ping a price (its 15 gas) so the shed decision has a live
+	// number that is far below the deadline.
 	if _, err := rt.Invoke("ping", nil); err != nil {
 		t.Fatalf("warm ping: %v", err)
 	}
@@ -169,7 +169,7 @@ func TestPipelineDeadlineRemainingBudget(t *testing.T) {
 	// 5M iterations: comfortably beyond the 2ms deadline on any hardware.
 	req := apps.SpinRequest(5_000_000)
 	deadline := 2 * time.Millisecond
-	if est := rt.stageEstimate(pingM); est <= 0 || est >= deadline {
+	if est := pingM.cost(rt.pool.GasRate()); est <= 0 || est >= deadline {
 		t.Fatalf("ping estimate %v not inside (0, %v); test premise broken", est, deadline)
 	}
 

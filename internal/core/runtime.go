@@ -54,10 +54,11 @@ type Module struct {
 	// registrations and for runtimes without a cache budget.
 	source []byte
 
-	invocations atomic.Uint64
-	failures    atomic.Uint64
-	totalNanos  atomic.Int64
-	gas         atomic.Uint64
+	invocations  atomic.Uint64
+	failures     atomic.Uint64
+	totalNanos   atomic.Int64
+	gas          atomic.Uint64
+	blockedNanos atomic.Int64
 
 	// recompileMu serializes lazy recompilation of a cold-evicted module
 	// (Runtime.revive): concurrent first invokes after a cache body-drop
@@ -101,9 +102,11 @@ func (m *Module) Stats() ModuleStats {
 	st := ModuleStats{
 		Invocations: m.invocations.Load(),
 		Failures:    m.failures.Load(),
-		MeanLatency: m.seedLatency(),
 		Gas:         m.gas.Load(),
 		Tier:        TierLabelCold,
+	}
+	if st.Invocations > 0 {
+		st.MeanLatency = time.Duration(m.totalNanos.Load() / int64(st.Invocations))
 	}
 	// A registered-but-cold module has no compiled form to describe; its
 	// analysis/regalloc stats return with the lazily recompiled body.
@@ -121,24 +124,32 @@ func (m *Module) Stats() ModuleStats {
 // nil while the bounded cache holds the module cold.
 func (m *Module) Compiled() *engine.CompiledModule { return m.cm.Load() }
 
-// seedLatency is the module's mean service time: /__stats reports it, and
-// the admission controller seeds its estimator with it.
-func (m *Module) seedLatency() time.Duration {
+// cost prices one request of the module at gasPerMS: its mean gas per
+// completion at that rate plus its mean time blocked on I/O. Gas is a
+// function of the module and its input alone, so a request's price does
+// not move with the queue it waits in or the tenants it shares a core
+// with. It is 0 until the first completion.
+func (m *Module) cost(gasPerMS float64) time.Duration {
 	n := m.invocations.Load()
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(m.totalNanos.Load() / int64(n))
+	gas := float64(m.gas.Load()) / float64(n)
+	return time.Duration(gas/gasPerMS*float64(time.Millisecond)) +
+		time.Duration(m.blockedNanos.Load()/int64(n))
 }
 
-// recordCompletion feeds the per-request accounting; it sits on the
-// steady-state invoke path.
+// recordCompletion feeds the per-request accounting from a finished
+// sandbox; it sits on the steady-state invoke path.
 //
 //sledge:noalloc
-func (m *Module) recordCompletion(lat time.Duration, gas uint64) {
+func (m *Module) recordCompletion(sb *sandbox.Sandbox) {
+	m.totalNanos.Add(int64(sb.Latency()))
+	m.gas.Add(sb.Gas())
+	if d := sb.Blocked(); d > 0 {
+		m.blockedNanos.Add(int64(d))
+	}
 	m.invocations.Add(1)
-	m.totalNanos.Add(int64(lat))
-	m.gas.Add(gas)
 }
 
 // DeadlineHeader is the request header carrying a per-request deadline in
@@ -171,8 +182,7 @@ type Config struct {
 
 	// Admission, when non-nil, enables the admission controller between
 	// the listener and the scheduler. Workers, DefaultDeadline, Probe,
-	// QueueDepth and SeedEstimate are filled in from the runtime when
-	// unset.
+	// QueueDepth and Cost are filled in from the runtime when unset.
 	Admission *admission.Config
 
 	// CacheBudgetBytes, when positive, bounds the registry's resident
@@ -284,21 +294,8 @@ func New(cfg Config) *Runtime {
 		if acfg.QueueDepth == nil {
 			acfg.QueueDepth = rt.pool.QueueDepth
 		}
-		if acfg.SeedEstimate == nil {
-			// Seed a module's first service-time estimate from its
-			// registry stats, so warm modules shed accurately from the
-			// first overloaded request. Pipeline names ("p/<name>") seed
-			// with the sum of their stages' mean latencies — the
-			// whole-chain cost the single chain ticket must budget for.
-			acfg.SeedEstimate = func(module string) time.Duration {
-				if name, isPipe := splitPipelineName(module); isPipe {
-					return rt.pipelineSeed(name)
-				}
-				if m, ok := rt.Lookup(module); ok {
-					return m.seedLatency()
-				}
-				return 0
-			}
+		if acfg.Cost == nil {
+			acfg.Cost = rt.cost
 		}
 		rt.admDefaultDeadline = acfg.DefaultDeadline
 		rt.adm = admission.New(acfg)
@@ -388,14 +385,14 @@ func (rt *Runtime) register(m *Module) (*Module, error) {
 }
 
 // Unregister removes the module registered under name and clears its
-// admission state (breaker, service-time estimate). In-flight invocations
-// hold their own module reference and finish normally — but the module's
-// idle instance pool is closed and purged immediately, so pooled instances
-// cannot outlive the registration: without this, 64 idle instances per
-// unregistered module would survive until the last in-flight reference
-// happened to be collected. Their linear memories are cleared and handed
-// to the engine's slab recycler, where the next deployment's first
-// instantiation finds them. It reports whether a module was removed.
+// admission breaker. In-flight invocations hold their own module reference
+// and finish normally — but the module's idle instance pool is closed and
+// purged immediately, so pooled instances cannot outlive the registration:
+// without this, 64 idle instances per unregistered module would survive
+// until the last in-flight reference happened to be collected. Their linear
+// memories are cleared and handed to the engine's slab recycler, where the
+// next deployment's first instantiation finds them. It reports whether a
+// module was removed.
 func (rt *Runtime) Unregister(name string) bool {
 	rt.mu.Lock()
 	m, ok := rt.registry[name]
@@ -420,10 +417,9 @@ func (rt *Runtime) Unregister(name string) bool {
 
 // Replace atomically swaps the module registered under name — the redeploy
 // path for a breaker-tripped or updated function — registering it fresh if
-// absent. The new deployment starts with a clean circuit and service-time
-// estimate; the ResetModule generation bump also stops in-flight requests
-// on the old deployment from feeding their (old-code) latencies into the
-// fresh estimator when they complete.
+// absent. The new deployment starts with a clean circuit and, being a new
+// *Module, an unpriced one; requests still in flight on the old deployment
+// record into the old module and the dropped breaker.
 func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
 	if entry == "" {
 		entry = "main"
@@ -453,9 +449,7 @@ func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant
 
 // revive recompiles a registered-but-cold module — one whose compiled body
 // the bounded cache evicted — with the runtime's engine configuration and
-// swaps it in. The module's admission estimate is dropped and its
-// generation bumped, so stale in-flight tickets from before the eviction
-// cannot re-seed it.
+// swaps it in. The module keeps its price: same code, same gas.
 func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 	m.recompileMu.Lock()
 	defer m.recompileMu.Unlock()
@@ -470,13 +464,30 @@ func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 		return nil, fmt.Errorf("core: revive %s: %w", m.Name, err)
 	}
 	m.cm.Store(cm)
-	if rt.adm != nil {
-		rt.adm.ResetEstimate(m.Name)
-	}
 	if rt.cache != nil {
 		rt.cache.onRevive(m)
 	}
 	return cm, nil
+}
+
+// cost is the runtime's price of one request for an invocation name, at
+// the pool's learned gas rate (admission.Config.Cost): a module's price, or
+// for "p/<name>" the sum of the pipeline's stage prices. 0 for an unknown
+// name or one with no completion yet.
+func (rt *Runtime) cost(name string) time.Duration {
+	rate := rt.pool.GasRate()
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	if pname, isPipe := splitPipelineName(name); isPipe {
+		if p, ok := rt.pipelines[pname]; ok {
+			return rt.chainCostLocked(p, rate)
+		}
+		return 0
+	}
+	if m, ok := rt.registry[name]; ok {
+		return m.cost(rate)
+	}
+	return 0
 }
 
 // Lookup returns the module registered under name.
@@ -522,7 +533,7 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 		return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
 	}
 	if rt.adm == nil {
-		out, _, _, err := rt.run(m, req)
+		out, _, err := rt.run(m, req)
 		return out, err
 	}
 	tenant := m.Tenant
@@ -533,25 +544,24 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	if rej != nil {
 		return nil, fmt.Errorf("core: %s: %w", name, rej)
 	}
-	out, lat, outcome, err := rt.run(m, req)
-	ticket.Done(outcome, lat)
+	out, outcome, err := rt.run(m, req)
+	ticket.Done(outcome, 0)
 	return out, err
 }
 
 // run executes one admitted request end-to-end: instantiate a sandbox, hand
 // it to the scheduler (which runs its first slice here), wait for completion
-// or timeout. It reports the observed latency and the admission outcome
-// alongside the response.
+// or timeout. It reports the admission outcome alongside the response.
 // The compiled form is loaded exactly once, here: a concurrent cache
 // eviction drops the module pointer for future requests while this one
 // finishes untouched on the code it started with.
-func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, outcome admission.Outcome, err error) {
+func (rt *Runtime) run(m *Module, req []byte) (out []byte, outcome admission.Outcome, err error) {
 	cm := m.Compiled()
 	if cm == nil {
 		// Registered-but-cold: the bounded cache dropped the compiled body.
 		// Recompile it before serving.
 		if cm, err = rt.revive(m); err != nil {
-			return nil, 0, admission.OutcomeTrap, err
+			return nil, admission.OutcomeTrap, err
 		}
 	}
 	sb, err := sandbox.New(cm, req, sandbox.Options{
@@ -561,7 +571,7 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 		MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
 	})
 	if err != nil {
-		return nil, 0, admission.OutcomeTrap, err
+		return nil, admission.OutcomeTrap, err
 	}
 	// Run finishes sb exactly once whatever happens (ErrStopped included),
 	// so this one wait covers every outcome.
@@ -573,17 +583,16 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 		if !rt.await(sb) {
 			rt.abandoned.Add(1)
 			m.failures.Add(1)
-			return nil, rt.cfg.RequestTimeout, admission.OutcomeTimeout,
+			return nil, admission.OutcomeTimeout,
 				fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
 		}
 	}
-	lat = sb.Latency()
-	m.recordCompletion(lat, sb.Gas())
+	m.recordCompletion(sb)
 	if sb.State() == sandbox.StateTrapped {
 		m.failures.Add(1)
 		err := fmt.Errorf("core: %s: %w", m.Name, sb.Err)
 		sb.Release()
-		return nil, lat, admission.OutcomeTrap, err
+		return nil, admission.OutcomeTrap, err
 	}
 	// Output, not Response: a function that declared a sledge.output
 	// region gets the same reply here as it hands a pipeline consumer —
@@ -593,14 +602,14 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, lat time.Duration, ou
 		m.failures.Add(1)
 		err := fmt.Errorf("core: %s: %w", m.Name, oerr)
 		sb.Release()
-		return nil, lat, admission.OutcomeTrap, err
+		return nil, admission.OutcomeTrap, err
 	}
 	if len(resp) > 0 {
 		// Copy out before the buffer returns to the pool.
 		out = append([]byte(nil), resp...)
 	}
 	sb.Release()
-	return out, lat, admission.OutcomeSuccess, nil
+	return out, admission.OutcomeSuccess, nil
 }
 
 // await waits on a sandbox the pool holds, under the pooled request-timeout
@@ -681,20 +690,28 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 func (rt *Runtime) statsResponse() httpd.Response {
 	st := rt.pool.Stats()
 	gasLo, gasHi := rt.pool.GasPerMS()
+	rate := rt.pool.GasRate()
 	// One critical section for both the name list and the per-module
 	// snapshots, so the two views are consistent with each other.
 	rt.mu.RLock()
 	modules := make([]string, 0, len(rt.registry))
 	perModule := make(map[string]ModuleStats, len(rt.registry))
+	costs := make(map[string]int64, len(rt.registry)+len(rt.pipelines))
 	for name, m := range rt.registry {
 		modules = append(modules, name)
 		perModule[name] = m.Stats()
+		if c := m.cost(rate); c > 0 {
+			costs[name] = int64(c)
+		}
 	}
 	var pipelines map[string]PipelineStats
 	if len(rt.pipelines) > 0 {
 		pipelines = make(map[string]PipelineStats, len(rt.pipelines))
 		for name, p := range rt.pipelines {
 			pipelines[name] = p.Stats()
+			if c := rt.chainCostLocked(p, rate); c > 0 {
+				costs[PipelinePrefix+name] = int64(c)
+			}
 		}
 	}
 	rt.mu.RUnlock()
@@ -702,6 +719,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Modules     []string                 `json:"modules"`
 		PerModule   map[string]ModuleStats   `json:"per_module"`
 		Pipelines   map[string]PipelineStats `json:"pipelines,omitempty"`
+		CostNanos   map[string]int64         `json:"cost_ns"`
 		Submitted   uint64                   `json:"submitted"`
 		Completed   uint64                   `json:"completed"`
 		Trapped     uint64                   `json:"trapped"`
@@ -722,6 +740,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Modules:     modules,
 		PerModule:   perModule,
 		Pipelines:   pipelines,
+		CostNanos:   costs,
 		Submitted:   st.Submitted,
 		Completed:   st.Completed,
 		Trapped:     st.Trapped,

@@ -136,7 +136,7 @@ func RunContinuum(o Options) ([]*Table, error) {
 	routerURL := "http://" + rln.Addr().String()
 
 	// Closed-loop capacity per node (doubles as warmup: sandbox pools,
-	// admission EWMA, connections). Aggregate capacity is what the
+	// admission prices, connections). Aggregate capacity is what the
 	// continuum could serve with perfect placement.
 	capacity := make([]float64, len(urls))
 	var aggregate float64

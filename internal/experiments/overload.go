@@ -63,7 +63,7 @@ func RunOverload(o Options) ([]*Table, error) {
 	defer withoutRT.Close()
 
 	// Closed-loop capacity on the unprotected runtime; also warms both
-	// (sandbox pools, connection setup, and the controller's EWMA seed).
+	// (sandbox pools, connection setup, and spin's admission price).
 	o.logf("overload: measuring capacity (spin %d iters, %d workers)", spinIters, workers)
 	warm := loadgen.Options{URL: withURL + "/spin", Concurrency: workers, Requests: 4 * workers, Body: body}
 	if _, err := loadgen.Run(warm); err != nil {

@@ -124,6 +124,12 @@ type Sandbox struct {
 	sliceEnd   time.Time
 	sliceGas   uint64
 
+	// blockedAt is when the sandbox last entered StateBlocked and
+	// blockedFor sums its time there; a request that never blocks reads no
+	// clock for either. See Blocked.
+	blockedAt  time.Time
+	blockedFor time.Duration
+
 	// Preemptions counts involuntary context switches.
 	Preemptions uint64
 }
@@ -183,6 +189,7 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	sb.CreatedAt = time.Now()
 	sb.FirstRunAt = time.Time{}
 	sb.DoneAt = time.Time{}
+	sb.blockedFor = 0
 	sb.Preemptions = 0
 	sb.rel.Store(relLive)
 	select {
@@ -289,6 +296,7 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 			sb.complete()
 			return sb.State()
 		}
+		sb.blockedAt = time.Now()
 		sb.state.Store(int32(StateBlocked))
 	case engine.StatusTrapped:
 		if abi.IsCleanExit(err) {
@@ -388,6 +396,7 @@ func (sb *Sandbox) CompletePending() error {
 	if State(sb.state.Load()) != StateBlocked || sb.pending == nil {
 		return errors.New("sandbox: no pending I/O")
 	}
+	sb.blockedFor += time.Since(sb.blockedAt)
 	val := sb.pending.Complete()
 	sb.pending = nil
 	if err := sb.inst.ResumeHost(val); err != nil {
@@ -408,6 +417,10 @@ func (sb *Sandbox) LastSlice() (gas uint64, d time.Duration) {
 	}
 	return sb.sliceGas, sb.sliceEnd.Sub(sb.sliceStart)
 }
+
+// Blocked reports how long the sandbox has spent blocked on host I/O. Only
+// the goroutine that waited on Done may call it.
+func (sb *Sandbox) Blocked() time.Duration { return sb.blockedFor }
 
 // Latency returns the end-to-end sandbox latency (creation to completion).
 func (sb *Sandbox) Latency() time.Duration {

@@ -462,8 +462,8 @@ func (p *Pool) QueueDepth() int {
 	return int(depth)
 }
 
-// FuelQuantum reports the fuel a slice gets right now — the quantum at the
-// learned gas rate, averaged over the workers — and 0 in cooperative mode.
+// FuelQuantum reports the fuel a slice gets right now — the quantum at
+// GasRate — and 0 in cooperative mode.
 func (p *Pool) FuelQuantum() int64 {
 	if p.cfg.Policy != PolicyPreemptiveRR {
 		return 0
@@ -471,11 +471,18 @@ func (p *Pool) FuelQuantum() int64 {
 	if p.fixedFuel > 0 {
 		return p.fixedFuel
 	}
+	return fuelFor(p.cfg.Quantum, p.GasRate())
+}
+
+// GasRate reports the workers' learned gas-per-millisecond rate, averaged
+// over them: the rate the quantum is converted at, and the runtime's price
+// of a request's gas.
+func (p *Pool) GasRate() float64 {
 	var sum float64
 	for _, w := range p.workers {
 		sum += float64(w.gasPerMS.Load())
 	}
-	return fuelFor(p.cfg.Quantum, sum/float64(len(p.workers)))
+	return sum / float64(len(p.workers))
 }
 
 // GasPerMS reports the lowest and the highest gas-per-millisecond rate the
