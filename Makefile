@@ -9,9 +9,10 @@ GO ?= go
 # full build, the race detector over the concurrency-sensitive packages
 # (the runtime core and the cluster router, the whole engine with the
 # application suite's tests of it — the dispatch budget and the
-# wasm-equals-native identity — the scheduler, the analysis passes with
-# their pooled scratch and the wasm decoder, all shuffled; admission
-# control shuffled five times, like the scheduler; HTTP drain), vet and
+# wasm-equals-native identity — the scheduler, the sandbox and the ABI,
+# whose pending I/O crosses to the sandbox's timer goroutine, the analysis
+# passes with their pooled scratch and the wasm decoder, all shuffled;
+# admission control shuffled five times, like the scheduler; HTTP drain), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -47,7 +48,8 @@ build:
 
 test-race:
 	$(GO) test -race -shuffle=on ./internal/core/... ./internal/cluster/...
-	$(GO) test -race ./internal/sandbox/... ./internal/httpd/... ./internal/stats/...
+	$(GO) test -race -shuffle=on ./internal/sandbox/... ./internal/abi/
+	$(GO) test -race ./internal/httpd/... ./internal/stats/...
 	$(GO) test -race -shuffle=on -count=5 ./internal/admission/
 	$(GO) test -race -shuffle=on -count=5 ./internal/sched/
 	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/

@@ -12,8 +12,9 @@
 //	                               memory (pipeline zero-copy handoff)
 //	sledge.input_len() -> n        alias of req_len for pipeline stages
 //	sledge.kv_get / sledge.kv_set  cloud storage access; with an AsyncKV
-//	                               backend these block the sandbox and are
-//	                               completed by the worker's event loop
+//	                               backend these block the sandbox, which
+//	                               waits on its own timer and resumes on
+//	                               any worker
 //	sledge.clock_ms / sledge.rand  deterministic time and randomness
 //	math.exp/log/pow/sin/cos/atan2 host math kernel imports
 package abi
@@ -35,21 +36,25 @@ type KVStore interface {
 }
 
 // AsyncKV is a storage backend with simulated access latency: operations on
-// it block the sandbox (engine.StatusBlocked) and are completed by the
-// scheduler's event loop after Latency has elapsed, reproducing the paper's
-// cooperative blocking on libuv I/O.
+// it block the sandbox (engine.StatusBlocked) and are completed Latency
+// later, reproducing the paper's cooperative blocking on libuv I/O. The
+// sandbox gives up its worker for that span; no worker waits on it.
 type AsyncKV interface {
 	KVStore
 	Latency() time.Duration
 }
 
-// Pending describes an in-flight asynchronous host operation. The worker's
-// event loop calls Complete once ReadyAt has passed, then resumes the
-// sandbox with the returned value.
+// Pending describes an in-flight asynchronous host operation. The blocked
+// sandbox arms a timer for Wait; when it fires, the scheduler calls
+// Complete and hands the sandbox, resumed with the returned value, to a
+// worker. Wait is also the span the sandbox reports as blocked, so the
+// host call reads no clock.
 type Pending struct {
-	ReadyAt time.Time
+	// Wait is how long the operation takes: the AsyncKV latency.
+	Wait time.Duration
 	// Complete performs the deferred effect (e.g. writing the fetched
-	// value into sandbox memory) and returns the host call's result.
+	// value into sandbox memory) and returns the host call's result. It
+	// runs on the timer's goroutine, never concurrently with the sandbox.
 	Complete func() uint64
 }
 
@@ -281,7 +286,7 @@ func hostKVGet(inst *engine.Instance, args []uint64) (uint64, error) {
 	}
 
 	if akv, ok := c.KV.(AsyncKV); ok {
-		c.Pending = &Pending{ReadyAt: time.Now().Add(akv.Latency()), Complete: fetch}
+		c.Pending = &Pending{Wait: akv.Latency(), Complete: fetch}
 		return 0, engine.ErrHostBlock
 	}
 	return fetch(), nil
@@ -311,7 +316,7 @@ func hostKVSet(inst *engine.Instance, args []uint64) (uint64, error) {
 		return uint64(uint32(len(val)))
 	}
 	if akv, ok := c.KV.(AsyncKV); ok {
-		c.Pending = &Pending{ReadyAt: time.Now().Add(akv.Latency()), Complete: store}
+		c.Pending = &Pending{Wait: akv.Latency(), Complete: store}
 		return 0, engine.ErrHostBlock
 	}
 	return store(), nil

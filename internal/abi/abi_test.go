@@ -153,8 +153,8 @@ func TestKVAsyncBlocksAndCompletes(t *testing.T) {
 	if ctx.Pending != nil {
 		t.Error("TakePending did not clear")
 	}
-	if time.Until(p.ReadyAt) <= 0 {
-		t.Error("ReadyAt not in the future")
+	if p.Wait != 2*time.Millisecond {
+		t.Errorf("Wait = %v, want the store's 2ms latency", p.Wait)
 	}
 	if n := p.Complete(); n != 8 {
 		t.Errorf("Complete = %d", n)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"sledge/internal/abi"
 	"sledge/internal/admission"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
@@ -313,11 +314,15 @@ func TestRuntimeDrainUnderLoad(t *testing.T) {
 // rate, so the same request costs the same whether it ran alone or queued
 // behind a CPU hog on the only worker — where its wall-clock latency grows
 // by the hog's quanta. Two names for the spin function keep the hog's gas
-// out of the short request's mean.
+// out of the short request's mean. The same holds for a request that blocks
+// on storage: its blocked span is the read's own latency, not the wait for
+// the hog's worker that follows it.
 func TestPriceDoesNotMoveBesideHog(t *testing.T) {
-	rt := newAdmissionRuntime(t, Config{Workers: 1})
-	app, _ := apps.Get("spin")
-	for _, name := range []string{"short", "hog"} {
+	store := abi.NewMapKV()
+	store.Set("obj", []byte("stored-value"))
+	rt := newAdmissionRuntime(t, Config{Workers: 1, KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})
+	spin, _ := apps.Get("spin")
+	for name, app := range map[string]*apps.App{"short": spin, "hog": spin, "fetch": &apps.FetchApp} {
 		cm, err := app.Compile(rt.cfg.Engine)
 		if err != nil {
 			t.Fatal(err)
@@ -327,6 +332,7 @@ func TestPriceDoesNotMoveBesideHog(t *testing.T) {
 		}
 	}
 	short, _ := rt.Lookup("short")
+	fetch, _ := rt.Lookup("fetch")
 	const n = 16
 	const gasPerMS = 300_000 // any fixed rate: the test compares gas, not the clock
 	invokeShort := func() {
@@ -335,11 +341,15 @@ func TestPriceDoesNotMoveBesideHog(t *testing.T) {
 			if _, err := rt.Invoke("short", apps.SpinRequest(20_000)); err != nil {
 				t.Fatal(err)
 			}
+			if out, err := rt.Invoke("fetch", []byte("obj")); err != nil || string(out) != "stored-value" {
+				t.Fatalf("fetch = %q, %v", out, err)
+			}
 		}
 	}
 
 	invokeShort()
 	alone, aloneLat := short.cost(gasPerMS), short.Stats().MeanLatency
+	fetchAlone := fetch.cost(gasPerMS)
 
 	stop, hogDone := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -367,5 +377,8 @@ func TestPriceDoesNotMoveBesideHog(t *testing.T) {
 	t.Logf("mean latency: %v alone, %v over both phases; price %v both times", aloneLat, short.Stats().MeanLatency, alone)
 	if alone <= 0 || beside != alone {
 		t.Fatalf("price beside the hog = %v, alone = %v: want equal and positive", beside, alone)
+	}
+	if fetchBeside := fetch.cost(gasPerMS); fetchAlone <= time.Millisecond || fetchBeside != fetchAlone {
+		t.Fatalf("fetch's price beside the hog = %v, alone = %v: want equal and above its 1ms read", fetchBeside, fetchAlone)
 	}
 }

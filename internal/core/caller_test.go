@@ -195,9 +195,10 @@ func TestCallerTrapMatchesWorkerTrap(t *testing.T) {
 	}
 }
 
-// TestFetchBlocksThroughTimerHeap: fetch blocks on latent storage inside
-// its first slice; the worker's timer heap completes it.
-func TestFetchBlocksThroughTimerHeap(t *testing.T) {
+// TestFetchBlocksOnItsOwnTimer: fetch blocks on latent storage inside its
+// first slice; its own timer hands it to a worker when the read is due, and
+// the worker completes it.
+func TestFetchBlocksOnItsOwnTimer(t *testing.T) {
 	store := abi.NewMapKV()
 	store.Set("obj", []byte("stored-value"))
 	rt := New(Config{Workers: 1, KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})

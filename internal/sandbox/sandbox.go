@@ -10,6 +10,7 @@ package sandbox
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +93,12 @@ type Sandbox struct {
 	// pending is the in-flight async host operation while blocked.
 	pending *abi.Pending
 
+	// ioTimer fires when the pending operation is due and hands the
+	// sandbox to resume (see AwaitIO). It is created on the shell's first
+	// block and re-armed after that, so it stays with the recycled shell.
+	ioTimer *time.Timer
+	resume  func(*Sandbox)
+
 	// SchedNext links sandboxes into the scheduler's intrusive per-worker
 	// inbox (a lock-free LIFO chain). It is owned by internal/sched from
 	// Submit until the worker dequeues the sandbox; nothing else may touch
@@ -124,10 +131,8 @@ type Sandbox struct {
 	sliceEnd   time.Time
 	sliceGas   uint64
 
-	// blockedAt is when the sandbox last entered StateBlocked and
-	// blockedFor sums its time there; a request that never blocks reads no
-	// clock for either. See Blocked.
-	blockedAt  time.Time
+	// blockedFor sums the Wait of every host operation the sandbox blocked
+	// on. See Blocked.
 	blockedFor time.Duration
 
 	// Preemptions counts involuntary context switches.
@@ -296,7 +301,7 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 			sb.complete()
 			return sb.State()
 		}
-		sb.blockedAt = time.Now()
+		sb.blockedFor += sb.pending.Wait
 		sb.state.Store(int32(StateBlocked))
 	case engine.StatusTrapped:
 		if abi.IsCleanExit(err) {
@@ -371,6 +376,7 @@ func (sb *Sandbox) Release() {
 	sb.inst = nil
 	sb.OnComplete = nil
 	sb.pending = nil
+	sb.resume = nil
 	sb.Err = nil
 	sb.ctx.Reset(nil)
 	select {
@@ -381,22 +387,30 @@ func (sb *Sandbox) Release() {
 	sbPool.Put(sb)
 }
 
-// PendingReadyAt reports when the blocked sandbox's I/O completes.
-func (sb *Sandbox) PendingReadyAt() (time.Time, bool) {
-	if sb.pending == nil {
-		return time.Time{}, false
+// AwaitIO parks a blocked sandbox on its own timer: once the pending
+// operation's Wait has passed, resume gets the sandbox on the timer's
+// goroutine. Whoever owned the sandbox hands it over here and must not
+// touch it again. The first call creates the timer and every call arms it,
+// so in the steady state blocking allocates nothing new.
+func (sb *Sandbox) AwaitIO(resume func(*Sandbox)) {
+	sb.resume = resume
+	if sb.ioTimer == nil {
+		// Created unarmed: the field must be set before the timer can fire
+		// and the sandbox run, and block, somewhere else.
+		sb.ioTimer = time.AfterFunc(math.MaxInt64, sb.ioDue)
 	}
-	return sb.pending.ReadyAt, true
+	sb.ioTimer.Reset(sb.pending.Wait)
 }
 
+func (sb *Sandbox) ioDue() { sb.resume(sb) }
+
 // CompletePending finishes the blocked I/O (invoking its deferred effect)
-// and makes the sandbox runnable again. The worker's event loop calls this
-// once ReadyAt has passed.
+// and makes the sandbox runnable again. The scheduler calls it once the
+// pending operation is due.
 func (sb *Sandbox) CompletePending() error {
 	if State(sb.state.Load()) != StateBlocked || sb.pending == nil {
 		return errors.New("sandbox: no pending I/O")
 	}
-	sb.blockedFor += time.Since(sb.blockedAt)
 	val := sb.pending.Complete()
 	sb.pending = nil
 	if err := sb.inst.ResumeHost(val); err != nil {
@@ -418,8 +432,10 @@ func (sb *Sandbox) LastSlice() (gas uint64, d time.Duration) {
 	return sb.sliceGas, sb.sliceEnd.Sub(sb.sliceStart)
 }
 
-// Blocked reports how long the sandbox has spent blocked on host I/O. Only
-// the goroutine that waited on Done may call it.
+// Blocked reports how long the sandbox has spent blocked on host I/O: the
+// sum of the operations' own Wait, not of how long the scheduler took to
+// resume it, so it does not move with the tenants beside it. Only the
+// goroutine that waited on Done may call it.
 func (sb *Sandbox) Blocked() time.Duration { return sb.blockedFor }
 
 // Latency returns the end-to-end sandbox latency (creation to completion).

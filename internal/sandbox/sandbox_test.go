@@ -169,14 +169,25 @@ export i32 main() {
 	if st := sb.RunQuantum(0); st != StateBlocked {
 		t.Fatalf("state %s (%v)", st, sb.Err)
 	}
-	at, ok := sb.PendingReadyAt()
-	if !ok || time.Until(at) <= 0 {
-		t.Fatalf("PendingReadyAt = %v, %v", at, ok)
+	// The blocked span is the operation's own wait, known when it blocks.
+	if d := sb.Blocked(); d != time.Millisecond {
+		t.Fatalf("Blocked = %v, want the store's 1ms", d)
 	}
 	if gas, _ := sb.LastSlice(); gas != 0 {
 		t.Errorf("a slice that blocked reported %d gas as a rate sample", gas)
 	}
-	// Completing before running again is the event loop's job.
+	// Completing before running again is the scheduler's job, once the
+	// sandbox's own timer hands it back.
+	due := make(chan *Sandbox, 1)
+	sb.AwaitIO(func(s *Sandbox) { due <- s })
+	select {
+	case got := <-due:
+		if got != sb || got.State() != StateBlocked {
+			t.Fatalf("timer handed back %p in state %s", got, got.State())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the I/O timer never fired")
+	}
 	if err := sb.CompletePending(); err != nil {
 		t.Fatalf("CompletePending: %v", err)
 	}

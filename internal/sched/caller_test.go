@@ -191,10 +191,11 @@ func TestRunNaiveOnWorkerUnpreempted(t *testing.T) {
 	sb.Release()
 }
 
-// TestRunBlockedCompletesViaTimerHeap: a sandbox that blocks on latent I/O
-// inside the caller's slice is handed off blocked, parked on a worker's
-// timer heap, and completes there with the fetched bytes.
-func TestRunBlockedCompletesViaTimerHeap(t *testing.T) {
+// TestRunBlockedResumesOnItsTimer: a sandbox that blocks on latent I/O
+// inside the caller's slice waits on its own timer, not in a worker's
+// queue; when the I/O is due it is pushed to a worker and completes there
+// with the fetched bytes.
+func TestRunBlockedResumesOnItsTimer(t *testing.T) {
 	cm := compileTestModule(t, kvSrc)
 	p := NewPool(Config{Workers: 1})
 	defer p.Stop()

@@ -4,10 +4,13 @@
 // batch-stealable run queue (Runq) scheduled with preemptive round-robin
 // under a configurable quantum (temporal isolation), idle workers steal
 // half a victim's queue in one transfer, and parked workers receive
-// targeted wakeups. Blocked sandboxes sit in the worker's deadline heap and
-// wake on I/O completion — the reproduction of the paper's libuv
-// integration. The paper's single global Chase–Lev deque fed by a listener
-// core is a stated deviation (DESIGN.md, "Substitutions").
+// targeted wakeups. A sandbox that blocks on host I/O gives up its worker
+// and waits on its own timer (Sandbox.AwaitIO); when the I/O is due it
+// re-enters the pool through push like an arrival, so any worker resumes
+// it — Go's runtime timers stand in for the paper's per-worker libuv loop.
+// The paper's single global Chase–Lev deque fed by a listener core, and
+// the per-worker event loop, are stated deviations (DESIGN.md,
+// "Substitutions").
 package sched
 
 import (
@@ -77,7 +80,7 @@ func (c Config) withDefaults() Config {
 const maxLocalRunq = 64
 
 // idlePollBackstop bounds how long an idle worker sleeps before rechecking
-// its event loop. With targeted wakeups it is only a backstop: the request
+// its work sources. With targeted wakeups it is only a backstop: the request
 // path never waits on it.
 const idlePollBackstop = 500 * time.Microsecond
 
@@ -102,8 +105,7 @@ const stealBatchMax = 64
 type pad [64]byte
 
 // Pool is the Sledge worker pool: N worker goroutines (the paper's pinned
-// worker cores), each with a submission inbox, a run queue and an event
-// loop.
+// worker cores), each with a submission inbox and a run queue.
 type Pool struct {
 	cfg Config
 	// fixedFuel, when positive, is the fuel of every slice and turns the
@@ -116,6 +118,8 @@ type Pool struct {
 	idlePoll time.Duration
 
 	workers []*worker
+	// resume is resumeIO, bound once so that blocking allocates nothing.
+	resume func(*sandbox.Sandbox)
 	// rr rotates Submit's tie-breaks and thieves' victim scans so neither
 	// systematically favours low worker ids.
 	rr atomic.Uint64
@@ -130,8 +134,12 @@ type Pool struct {
 
 	inflight  atomic.Int64
 	submitted atomic.Uint64
-	// extTrapped counts sandboxes failed outside a worker context (queued
-	// work failed by Stop); Stats folds it into Trapped.
+	// blocked counts sandboxes parked on host I/O. Blocking is not a
+	// worker event: a sandbox blocks in a worker's slice or in Run's.
+	blocked atomic.Uint64
+	// extTrapped counts sandboxes failed outside a worker's slice (queued
+	// work failed by Stop, blocked work failed when its I/O is due); Stats
+	// folds it into Trapped.
 	extTrapped atomic.Uint64
 	// callerCompleted and callerTrapped count sandboxes that finished in
 	// the submitter's slice (Run); Stats folds them into Completed and
@@ -148,15 +156,15 @@ type Pool struct {
 }
 
 // worker is one scheduling core: an owned run queue (peers steal batches
-// from its head), a submission inbox, a blocked-I/O timer heap, a parker,
-// and owner-written counters aggregated by Stats.
+// from its head), a submission inbox, a parker, and owner-written counters
+// aggregated by Stats. It holds no blocked sandbox: those wait on their own
+// timers, and a due one may resume on any worker.
 type worker struct {
 	id   int
 	pool *Pool
 
-	runq   *Runq[sandbox.Sandbox]
-	inbox  inbox
-	timers timerHeap
+	runq  *Runq[sandbox.Sandbox]
+	inbox inbox
 
 	// held is the sandbox the last quantum preempted, kept off the run
 	// queue until this round's arrivals are on it (see loop). While it is
@@ -188,10 +196,10 @@ type worker struct {
 
 	_ pad
 
-	// qlen publishes runq + blocked + overflow once per loop iteration,
-	// after the sandbox about to run has been popped (running counts that
-	// one), so QueueDepth and Submit's least-loaded scan read local
-	// backlogs without touching worker-owned structures.
+	// qlen publishes runq + overflow once per loop iteration, after the
+	// sandbox about to run has been popped (running counts that one), so
+	// QueueDepth and Submit's least-loaded scan read local backlogs without
+	// touching worker-owned structures.
 	qlen atomic.Int64
 	// running is 1 while the worker is mid-quantum — the per-worker shard
 	// of the old global busy counter (the utilization signal).
@@ -205,7 +213,6 @@ type worker struct {
 	preemptions  atomic.Uint64
 	steals       atomic.Uint64
 	stealBatches atomic.Uint64
-	blocked      atomic.Uint64
 	// gasPerMS publishes the learned rate (rounded) each time a sample
 	// moves it.
 	gasPerMS atomic.Int64
@@ -228,6 +235,7 @@ func newPool(cfg Config, fixedFuel int64, idlePoll time.Duration) *Pool {
 		idlePoll:  idlePoll,
 		stopCh:    make(chan struct{}),
 	}
+	p.resume = p.resumeIO
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:   i,
@@ -269,9 +277,11 @@ const callerSliceGas = 1024
 // Run is the request path's entry into the pool. For a preemptible sandbox
 // under the preemptive policy it first runs callerSliceGas of it on the
 // calling goroutine; a sandbox that completes or traps there is counted and
-// FinishNotify'd on the spot, with no worker, queue or wake-up involved.
-// What yields or blocks — and everything else — is handed off exactly as
-// SubmitAffine(sb, affinity) would (a negative affinity means none).
+// FinishNotify'd on the spot, with no worker, queue or wake-up involved. A
+// sandbox that blocks there waits on its own timer and is pushed when its
+// I/O is due, like one that blocked on a worker. What yields — and
+// everything else — is handed off exactly as SubmitAffine(sb, affinity)
+// would (a negative affinity means none).
 //
 // Run always takes ownership: the sandbox finishes exactly once and its
 // Done channel fires, failed with ErrStopped if the pool is stopped, so the
@@ -294,7 +304,11 @@ func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 		p.callerCompleted.Add(1)
 	case sandbox.StateTrapped:
 		p.callerTrapped.Add(1)
-	default: // yielded or blocked: a worker resumes it
+	case sandbox.StateBlocked:
+		p.blocked.Add(1)
+		sb.AwaitIO(p.resume)
+		return
+	default: // yielded: a worker resumes it
 		p.push(sb, affinity)
 		return
 	}
@@ -375,8 +389,8 @@ func (p *Pool) pickWorker() *worker {
 	return best
 }
 
-// load is the worker's published backlog: queued + blocked + inbox, plus
-// one for the sandbox it is running.
+// load is the worker's published backlog: queued + inbox, plus one for the
+// sandbox it is running.
 func (w *worker) load() int64 {
 	return w.qlen.Load() + w.inbox.n.Load() + int64(w.running.Load())
 }
@@ -412,6 +426,7 @@ func (p *Pool) Stats() Stats {
 		Submitted: p.submitted.Load(),
 		Completed: p.callerCompleted.Load(),
 		Trapped:   p.extTrapped.Load() + p.callerTrapped.Load(),
+		Blocked:   p.blocked.Load(),
 	}
 	for _, w := range p.workers {
 		st.Completed += w.completed.Load()
@@ -419,7 +434,6 @@ func (p *Pool) Stats() Stats {
 		st.Preemptions += w.preemptions.Load()
 		st.Steals += w.steals.Load()
 		st.StealBatches += w.stealBatches.Load()
-		st.Blocked += w.blocked.Load()
 	}
 	return st
 }
@@ -446,10 +460,10 @@ func (p *Pool) Utilization() float64 {
 }
 
 // QueueDepth approximates sandboxes waiting for a core: each worker's
-// published local backlog plus its inbox. A sandbox that is mid-quantum is
-// not waiting and is not counted. It is lock-free — every term is an atomic
-// published by its owner — so the admission hot path can call it per
-// request. The per-worker figures are refreshed once per scheduling
+// published local backlog plus its inbox. A sandbox that is mid-quantum or
+// blocked on I/O is not waiting and is not counted. It is lock-free —
+// every term is an atomic published by its owner — so the admission hot
+// path can call it per request. The per-worker figures are refreshed once per scheduling
 // iteration, so the value is a load signal, not an exact count.
 func (p *Pool) QueueDepth() int {
 	var depth int64
@@ -547,7 +561,9 @@ func (p *Pool) decInflight() {
 }
 
 // Stop shuts the pool down. In-flight sandboxes finish their current
-// quantum; queued sandboxes are failed so waiters are released.
+// quantum; queued sandboxes are failed so waiters are released. A sandbox
+// blocked on I/O is failed with ErrStopped when its timer fires, and the
+// I/O's effect does not run.
 func (p *Pool) Stop() {
 	if !p.stopped.CompareAndSwap(false, true) {
 		return
@@ -563,7 +579,7 @@ func (p *Pool) Stop() {
 			if !ok {
 				break
 			}
-			p.finish(sb, true)
+			p.fail(sb, ErrStopped)
 		}
 	}
 }
@@ -574,18 +590,39 @@ func (p *Pool) failInbox(w *worker) {
 	for chain != nil {
 		next := chain.SchedNext
 		chain.SchedNext = nil
-		p.finish(chain, true)
+		p.fail(chain, ErrStopped)
 		chain = next
 	}
 }
 
-func (p *Pool) finish(sb *sandbox.Sandbox, failed bool) {
-	if failed {
-		sb.Fail(ErrStopped)
-		p.extTrapped.Add(1)
-	}
+// fail finishes a sandbox outside a worker's slice with err.
+func (p *Pool) fail(sb *sandbox.Sandbox, err error) {
+	sb.Fail(err)
+	p.extTrapped.Add(1)
 	p.decInflight()
 	sb.FinishNotify() // may recycle sb: last touch
+}
+
+// resumeIO is every blocked sandbox's way back, run on its I/O timer's
+// goroutine once the I/O is due. The completion is work for any worker:
+// push places it on the least-loaded one with a targeted wake-up, as it
+// would an arrival. A stopped pool or an abandoned sandbox fails it here
+// instead, without running the I/O's effect or spending a slice on it.
+func (p *Pool) resumeIO(sb *sandbox.Sandbox) {
+	var err error
+	switch {
+	case p.stopped.Load():
+		err = ErrStopped
+	case sb.Abandoned():
+		err = sandbox.ErrAbandoned
+	default:
+		err = sb.CompletePending()
+	}
+	if err != nil {
+		p.fail(sb, err)
+		return
+	}
+	p.push(sb, -1)
 }
 
 // ---- worker ----
@@ -598,7 +635,6 @@ func (w *worker) loop() {
 			w.drainStop()
 			return
 		}
-		w.drainTimers()
 		w.admit()
 		if w.held != nil {
 			// Arrival-first: the sandbox the last quantum preempted goes
@@ -609,7 +645,7 @@ func (w *worker) loop() {
 			w.held = nil
 		}
 		sb, ok := w.runq.Pop()
-		w.qlen.Store(int64(w.runq.Len()+w.timers.len()) + w.overflowN)
+		w.qlen.Store(int64(w.runq.Len()) + w.overflowN)
 		if !ok {
 			w.idleWait()
 			continue
@@ -649,14 +685,8 @@ func (w *worker) loop() {
 			w.preemptions.Add(sb.Preemptions - prevPre)
 			w.held = sb
 		case sandbox.StateBlocked:
-			w.blocked.Add(1)
-			at, ok := sb.PendingReadyAt()
-			if !ok {
-				// Defensive: a blocked sandbox without a pending deadline
-				// completes (and fails closed) on the next drain.
-				at = time.Now()
-			}
-			w.timers.push(sb, at)
+			p.blocked.Add(1)
+			sb.AwaitIO(p.resume) // hands sb over: last touch
 		case sandbox.StateComplete:
 			w.completed.Add(1)
 			p.decInflight()
@@ -795,33 +825,8 @@ func (w *worker) steal() {
 	}
 }
 
-// drainTimers completes blocked I/O whose deadline passed and requeues the
-// sandboxes — the per-worker analog of the paper's libuv loop, checked
-// before scheduling. The heap makes the no-work-due case O(1) instead of a
-// scan over every blocked sandbox.
-func (w *worker) drainTimers() {
-	if w.timers.len() == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for {
-		sb, ok := w.timers.popDue(now)
-		if !ok {
-			return
-		}
-		if err := sb.CompletePending(); err != nil {
-			sb.Fail(err)
-			w.trapped.Add(1)
-			w.pool.decInflight()
-			sb.FinishNotify() // may recycle sb: last touch
-			continue
-		}
-		w.runq.Push(sb)
-	}
-}
-
 // readyWork is the post-arm re-check: every source that could hold or
-// produce work for this worker — its own queues and timers, a stop, and any
+// produce work for this worker — its own queues, a stop, and any
 // peer's run queue or inbox it could steal from. Called with the parker
 // armed, it closes the lost-wakeup window — either this check observes work
 // published before the wake attempt, or the waker observes the armed parker
@@ -829,9 +834,6 @@ func (w *worker) drainTimers() {
 func (w *worker) readyWork() bool {
 	p := w.pool
 	if w.inbox.n.Load() > 0 || w.runq.Len() > 0 || w.overflowN > 0 {
-		return true
-	}
-	if at, ok := w.timers.nextAt(); ok && at <= time.Now().UnixNano() {
 		return true
 	}
 	if p.stopped.Load() {
@@ -846,7 +848,8 @@ func (w *worker) readyWork() bool {
 }
 
 // idleWait parks the worker until new work may be available: a targeted
-// wake token, the next blocked-I/O deadline, or the backstop poll.
+// wake token or the backstop poll. A due I/O completion is an arrival, so
+// its push delivers the token.
 func (w *worker) idleWait() {
 	p := w.pool
 	w.park.arm(&p.nparked)
@@ -854,21 +857,10 @@ func (w *worker) idleWait() {
 		w.park.disarm(&p.nparked)
 		return
 	}
-	wait := p.idlePoll
-	if at, ok := w.timers.nextAt(); ok {
-		d := time.Duration(at - time.Now().UnixNano())
-		if d <= 0 {
-			w.park.disarm(&p.nparked)
-			return
-		}
-		if d < wait {
-			wait = d
-		}
-	}
 	if w.idleTimer == nil {
-		w.idleTimer = time.NewTimer(wait)
+		w.idleTimer = time.NewTimer(p.idlePoll)
 	} else {
-		w.idleTimer.Reset(wait)
+		w.idleTimer.Reset(p.idlePoll)
 	}
 	w.park.wait(&p.nparked, w.idleTimer, p.stopCh)
 	// Quiesce the timer for the next Reset. This goroutine is the only
@@ -886,7 +878,7 @@ func (w *worker) idleWait() {
 func (w *worker) drainStop() {
 	p := w.pool
 	if w.held != nil {
-		p.finish(w.held, true)
+		p.fail(w.held, ErrStopped)
 		w.held = nil
 	}
 	for {
@@ -894,16 +886,13 @@ func (w *worker) drainStop() {
 		if !ok {
 			break
 		}
-		p.finish(sb, true)
-	}
-	for w.timers.len() > 0 {
-		p.finish(w.timers.pop(), true)
+		p.fail(sb, ErrStopped)
 	}
 	for w.overflowHead != nil {
 		sb := w.overflowHead
 		w.overflowHead = sb.SchedNext
 		sb.SchedNext = nil
-		p.finish(sb, true)
+		p.fail(sb, ErrStopped)
 	}
 	w.overflowTail = nil
 	w.overflowN = 0

@@ -5,8 +5,8 @@ package apps
 // value (empty-handed misses return exit code 1, which surfaces as a trap).
 //
 // Against an AsyncKV backend (abi.LatentKV) the sandbox blocks on the fetch
-// and is resumed by the worker's event loop, so a node's fetch capacity is
-// its admission window divided by storage latency rather than CPU — the
+// and gives up its worker until the read is due, so a node's fetch capacity
+// is its admission window divided by storage latency rather than CPU — the
 // regime where the cluster tier's offload actually pools capacity across
 // nodes, and the reason the continuum experiment uses this app instead of
 // a compute-bound one (colocated in-process nodes share the host's cores,

@@ -48,7 +48,7 @@ func TestFetchApp(t *testing.T) {
 
 	// Against a latent backend the host call blocks the sandbox; at the
 	// raw-instance level that surfaces as ErrHostBlock with a Pending op,
-	// which the scheduler's event loop completes.
+	// which the scheduler completes once its Wait has passed.
 	inst = cm.Acquire()
 	ctx = abi.NewContext(FetchApp.GenRequest())
 	ctx.KV = &abi.LatentKV{KVStore: store, Delay: time.Millisecond}

@@ -165,8 +165,8 @@ type (
 	// MapKV is an in-memory store.
 	MapKV = abi.MapKV
 	// LatentKV wraps a store with simulated access latency, making
-	// operations asynchronous (sandboxes block and resume via the
-	// worker event loop).
+	// operations asynchronous (sandboxes block, and any worker resumes
+	// them when the latency has passed).
 	LatentKV = abi.LatentKV
 )
 
