@@ -724,6 +724,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Completed   uint64                   `json:"completed"`
 		Trapped     uint64                   `json:"trapped"`
 		Preemptions uint64                   `json:"preemptions"`
+		Pauses      uint64                   `json:"pauses"`
 		Steals      uint64                   `json:"steals"`
 		Blocked     uint64                   `json:"blocked"`
 		Abandoned   uint64                   `json:"abandoned"`
@@ -745,6 +746,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 		Completed:   st.Completed,
 		Trapped:     st.Trapped,
 		Preemptions: st.Preemptions,
+		Pauses:      st.Pauses,
 		Steals:      st.Steals,
 		Blocked:     st.Blocked,
 		Abandoned:   rt.abandoned.Load(),

@@ -237,6 +237,7 @@ func TestStatsEndpoint(t *testing.T) {
 	var payload struct {
 		Modules   []string                 `json:"modules"`
 		Completed uint64                   `json:"completed"`
+		Pauses    *uint64                  `json:"pauses"`
 		Inflight  int                      `json:"inflight"`
 		PerModule map[string]ModuleStats   `json:"per_module"`
 		Fuel      int64                    `json:"fuel_quantum"`
@@ -247,6 +248,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if payload.Completed != 1 || len(payload.Modules) != 1 || payload.Modules[0] != "ping" {
 		t.Errorf("stats payload = %+v", payload)
+	}
+	// Pauses sit beside preemptions; a lone ping has nothing to pause.
+	if payload.Pauses == nil || *payload.Pauses != 0 {
+		t.Errorf("pauses = %v, want a count of 0", payload.Pauses)
 	}
 	// The scheduler block says how long a slice is right now: the live fuel
 	// quantum and the learned gas rate behind it (a ping is far under the

@@ -105,6 +105,11 @@ type Sandbox struct {
 	// it. Intrusive linking keeps the submit path allocation-free.
 	SchedNext *Sandbox
 
+	// SchedFuel is the fuel left of the quantum a scheduler paused the
+	// sandbox in, for its next turn to spend; 0 means that turn starts a
+	// fresh quantum. Owned by internal/sched like SchedNext.
+	SchedFuel int64
+
 	// LastWorker records the scheduler worker that last ran the sandbox
 	// (-1 before the first quantum). The worker stamps it at quantum
 	// start; a pipeline executor reads it after completion to submit the
@@ -135,7 +140,10 @@ type Sandbox struct {
 	// on. See Blocked.
 	blockedFor time.Duration
 
-	// Preemptions counts involuntary context switches.
+	// Preemptions counts the quanta, and the submitter's first slice,
+	// that ended with the sandbox still runnable. The scheduler keeps it:
+	// a RunQuantum that yields may be a step inside a quantum, not the end
+	// of one.
 	Preemptions uint64
 }
 
@@ -189,6 +197,7 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	sb.OnComplete = nil
 	sb.pending = nil
 	sb.SchedNext = nil
+	sb.SchedFuel = 0
 	sb.exitCode = 0
 	sb.LastWorker.Store(-1)
 	sb.CreatedAt = time.Now()
@@ -288,7 +297,6 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 		sb.complete()
 	case engine.StatusYielded:
 		sb.sliceEnd = time.Now()
-		sb.Preemptions++
 		sb.state.Store(int32(StateRunnable))
 	case engine.StatusBlocked:
 		sb.pending = sb.ctx.TakePending()

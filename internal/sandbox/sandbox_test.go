@@ -111,8 +111,10 @@ export i32 main() {
 	if rounds < 5 {
 		t.Errorf("expected multiple quanta, got %d", rounds)
 	}
-	if sb.Preemptions == 0 {
-		t.Error("preemptions not counted")
+	// A yield may be a step inside a quantum: the scheduler, not
+	// RunQuantum, counts the quanta that end.
+	if sb.Preemptions != 0 {
+		t.Errorf("RunQuantum counted %d preemptions", sb.Preemptions)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -43,62 +42,99 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// startHogs submits k never-ending hogs and returns once each has run a
-// slice, i.e. all of them rotate on a worker's local queue.
-func startHogs(t *testing.T, p *Pool, cm *engine.CompiledModule, k int) {
+// startHogs submits k never-ending hogs and returns them once each has
+// started a turn, i.e. all of them rotate on a worker's local queue.
+func startHogs(t *testing.T, p *Pool, cm *engine.CompiledModule, k int) []*sandbox.Sandbox {
 	t.Helper()
-	for i := 0; i < k; i++ {
+	hogs := make([]*sandbox.Sandbox, k)
+	for i := range hogs {
 		hog := newSpin(t, cm, foreverLen)
 		if err := p.Submit(hog); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "hog to start", func() bool { return hog.LastWorker.Load() >= 0 })
+		hogs[i] = hog
 	}
+	return hogs
 }
 
-// TestArrivalRunsWithinOneRound is the property the paper states and the
-// loop used to violate: request dequeueing is part of the scheduling loop,
-// so a short function that arrives while one of k hogs is mid-quantum shares
-// the core after that quantum and the k-1 hogs already queued — at most k
-// further hog slices. (Re-queueing the preempted hog before admitting made
-// it k+1: the arrival also sat out that hog's next quantum.)
+// TestArrivalRunsWithinOneRound is the property the paper states: request
+// dequeueing is part of the scheduling loop, so a short function that
+// arrives while a hog is mid-quantum does not wait for the round. A lone
+// hog is paused at the end of its current step, so the short runs before
+// that quantum ends: no further hog slice. Beside queued hogs, which run
+// whole quanta, a short that arrives while one of k hogs is mid-quantum
+// shares the core after that quantum and the k-1 hogs already queued — at
+// most k further hog slices. (Re-queueing the preempted hog before
+// admitting made it k+1: the arrival also sat out that hog's next quantum.)
 func TestArrivalRunsWithinOneRound(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	for _, k := range []int{1, 3} {
-		t.Run(fmt.Sprintf("%s/hogs=%d", workStealing, k), func(t *testing.T) {
-			// Slices of a few milliseconds: long against the microseconds
-			// it takes to queue the short, so most trials are clean.
-			p := newPool(Config{Workers: 1}, 10*testSlice, 0)
-			defer p.Stop()
-			startHogs(t, p, cm, k)
+	t.Run(workStealing+"/hogs=1", func(t *testing.T) {
+		// The hog's first quantum is hogSlice, a second or more of gas,
+		// and the short is queued within microseconds of its start: well
+		// before the quantum's last step on any machine (a slower one only
+		// lengthens the quantum). So the count is exact, with no retry.
+		p := newPool(Config{Workers: 1}, hogSlice, 0)
+		defer p.Stop()
+		hog := startHogs(t, p, cm, 1)[0]
+		type seen struct {
+			preemptions, pauses, hogGas uint64
+		}
+		ran := make(chan seen, 1)
+		short := newSpin(t, cm, 1)
+		// Runs on the worker that ran the hog, inside the short's turn.
+		short.OnComplete = func(*sandbox.Sandbox) {
+			st := p.Stats()
+			ran <- seen{st.Preemptions, st.Pauses, hog.Gas()}
+		}
+		if err := p.Submit(short); err != nil {
+			t.Fatal(err)
+		}
+		s := <-ran
+		if s.preemptions != 0 {
+			t.Errorf("short first ran after %d further hog slices, want 0", s.preemptions)
+		}
+		if s.pauses != 1 {
+			t.Errorf("the hog was paused %d times for the short, want 1", s.pauses)
+		}
+		if step := uint64(hogSlice / arrivalChecks); s.hogGas < step {
+			t.Errorf("the hog ran %d gas before its pause, less than one step of %d", s.hogGas, step)
+		}
+	})
+	t.Run(workStealing+"/hogs=3", func(t *testing.T) {
+		const k = 3
+		// Slices of a few milliseconds: long against the microseconds it
+		// takes to queue the short, so most trials are clean.
+		p := newPool(Config{Workers: 1}, 10*testSlice, 0)
+		defer p.Stop()
+		startHogs(t, p, cm, k)
 
-			for trial := 0; trial < 50; trial++ {
-				ran := make(chan uint64, 1)
-				short := newSpin(t, cm, 1)
-				// Runs on the worker, inside the short's first quantum:
-				// an exact count of the slices that ended before it.
-				short.OnComplete = func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions }
-				before := p.Stats().Preemptions
-				if err := p.Submit(short); err != nil {
-					t.Fatal(err)
-				}
-				// The short was queued while the count still read before,
-				// so it was there for the very next admit. If a slice ended
-				// in between, the count is off by that one either way: try
-				// again.
-				clean := p.Stats().Preemptions == before
-				at := <-ran
-				if !clean {
-					continue
-				}
-				if waited := at - before; waited > uint64(k) {
-					t.Errorf("short first ran after %d further hog slices, want at most %d", waited, k)
-				}
-				return
+		for trial := 0; trial < 50; trial++ {
+			ran := make(chan uint64, 1)
+			short := newSpin(t, cm, 1)
+			// Runs on the worker, inside the short's first quantum:
+			// an exact count of the slices that ended before it.
+			short.OnComplete = func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions }
+			before := p.Stats().Preemptions
+			if err := p.Submit(short); err != nil {
+				t.Fatal(err)
 			}
-			t.Fatal("no trial queued the short inside one slice")
-		})
-	}
+			// The short was queued while the count still read before,
+			// so it was there for the very next admit. If a slice ended
+			// in between, the count is off by that one either way: try
+			// again.
+			clean := p.Stats().Preemptions == before
+			at := <-ran
+			if !clean {
+				continue
+			}
+			if waited := at - before; waited > k {
+				t.Errorf("short first ran after %d further hog slices, want at most %d", waited, k)
+			}
+			return
+		}
+		t.Fatal("no trial queued the short inside one slice")
+	})
 }
 
 // TestHogNotStarvedByArrivals is the other half of arrival-first: the

@@ -67,10 +67,56 @@ func submitParked(t *testing.T, p *Pool, sb *sandbox.Sandbox) {
 // worker with a hog. A read blocks on worker 0, then a hog starts there.
 // When the read is due it must not wait for worker 0: it completes on the
 // idle worker 1 while the hog is still running — under the preemptive
-// policy, inside the hog's first slice.
+// policy, inside the hog's first slice. With no worker 1 it must not wait
+// for the hog's quantum either: the lone hog is paused at the end of its
+// current step, and the read completes on worker 0 inside that quantum.
 func TestIOResumesBesideHog(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	kvm := compileTestModule(t, kvSrc)
+	t.Run("preemptive-rr/workers=1", func(t *testing.T) {
+		p := newPool(Config{Workers: 1}, hogSlice, time.Hour)
+		defer p.Stop()
+		store := abi.NewMapKV()
+		store.Set("k", []byte("async-value"))
+		read, err := sandbox.New(kvm, nil, sandbox.Options{KV: &abi.LatentKV{KVStore: store, Delay: ioWait}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hog := newSpin(t, cm, 20_000)
+		type seen struct {
+			preemptions, pauses, hogGas uint64
+		}
+		ran := make(chan seen, 1)
+		// Runs on worker 0, which also runs the hog.
+		read.OnComplete = func(*sandbox.Sandbox) {
+			st := p.Stats()
+			ran <- seen{st.Preemptions, st.Pauses, hog.Gas()}
+		}
+		submitParked(t, p, read)
+		waitFor(t, "the read to block", func() bool { return p.Stats().Blocked == 1 })
+		submitParked(t, p, hog)
+
+		var s seen
+		select {
+		case s = <-ran:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("the read never completed (stats %+v)", p.Stats())
+		}
+		if read.State() != sandbox.StateComplete || string(read.Response()) != "async-value" {
+			t.Fatalf("read: state %s response %q err %v", read.State(), read.Response(), read.Err)
+		}
+		// hogSlice outlasts ioWait several times over, so the read was
+		// due inside the hog's first quantum and before its last step.
+		if s.preemptions != 0 {
+			t.Errorf("the hog's quantum ended %d times before the read completed, want 0", s.preemptions)
+		}
+		if s.pauses != 1 {
+			t.Errorf("the hog was paused %d times for the read, want 1", s.pauses)
+		}
+		if s.hogGas >= hogSlice {
+			t.Errorf("the read completed after %d gas of the hog, a whole quantum", s.hogGas)
+		}
+	})
 	for _, policy := range []Policy{PolicyCooperative, PolicyPreemptiveRR} {
 		t.Run(policy.String(), func(t *testing.T) {
 			fuel := int64(0)

@@ -84,12 +84,31 @@ const maxLocalRunq = 64
 // path never waits on it.
 const idlePollBackstop = 500 * time.Microsecond
 
+// arrivalChecks is how many steps a lone sandbox's quantum is run in: a
+// worker with nothing else queued looks at its inbox between steps and
+// pauses the sandbox for an arrival (see worker.turn). About 310 µs at the
+// 5 ms default, against the ~95 µs of a short request: checking more often
+// lets a short that arrives right behind another pause that one too.
+const arrivalChecks = 16
+
+// yieldContended and yieldBackoff tune worker.yield: a yield that gave the
+// CPU away for longer than yieldContended stops the worker yielding for
+// yieldBackoff.
+const (
+	yieldContended = time.Millisecond
+	yieldBackoff   = 100 * time.Millisecond
+)
+
 // Stats are cumulative pool counters.
 type Stats struct {
-	Submitted    uint64
-	Completed    uint64
-	Trapped      uint64
-	Preemptions  uint64
+	Submitted   uint64
+	Completed   uint64
+	Trapped     uint64
+	Preemptions uint64
+	// Pauses counts turns a lone sandbox gave up between two steps of its
+	// quantum because work arrived; the quantum goes on at its next turn,
+	// so a pause is not a preemption.
+	Pauses       uint64
 	Steals       uint64
 	StealBatches uint64
 	Blocked      uint64
@@ -176,6 +195,9 @@ type worker struct {
 	// the quantum path.
 	rate rateLearner
 	fuel int64
+	// noYieldUntil is when the worker next offers its CPU between steps
+	// (see yield). Owner-only.
+	noYieldUntil time.Time
 
 	// overflow holds admitted work that exceeded maxLocalRunq when an
 	// inbox chain or a stolen batch was larger than the run queue's
@@ -211,6 +233,7 @@ type worker struct {
 	completed    atomic.Uint64
 	trapped      atomic.Uint64
 	preemptions  atomic.Uint64
+	pauses       atomic.Uint64
 	steals       atomic.Uint64
 	stealBatches atomic.Uint64
 	// gasPerMS publishes the learned rate (rounded) each time a sample
@@ -309,6 +332,7 @@ func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 		sb.AwaitIO(p.resume)
 		return
 	default: // yielded: a worker resumes it
+		sb.Preemptions++
 		p.push(sb, affinity)
 		return
 	}
@@ -432,6 +456,7 @@ func (p *Pool) Stats() Stats {
 		st.Completed += w.completed.Load()
 		st.Trapped += w.trapped.Load()
 		st.Preemptions += w.preemptions.Load()
+		st.Pauses += w.pauses.Load()
 		st.Steals += w.steals.Load()
 		st.StealBatches += w.stealBatches.Load()
 	}
@@ -662,27 +687,18 @@ func (w *worker) loop() {
 			sb.FinishNotify() // recycles sb: last touch
 			continue
 		}
-		prevPre := sb.Preemptions
 		sb.LastWorker.Store(int32(w.id))
 		w.running.Store(1)
-		fuel := w.fuel
-		if fuel > 0 && !sb.Preemptible() {
-			// The naive tier traps on fuel exhaustion instead of yielding;
-			// run it unpreempted rather than killing long requests.
-			fuel = 0
-		}
-		st := sb.RunQuantum(fuel)
+		st := w.turn(sb)
 		w.running.Store(0)
-		if fuel > 0 && p.fixedFuel == 0 {
-			// Before the switch: a finished sandbox may be recycled there.
-			if gas, d := sb.LastSlice(); w.rate.observe(gas, d, w.fuel) {
-				w.fuel = fuelFor(p.cfg.Quantum, w.rate.rate)
-				w.gasPerMS.Store(int64(w.rate.rate))
-			}
-		}
 		switch st {
 		case sandbox.StateRunnable:
-			w.preemptions.Add(sb.Preemptions - prevPre)
+			if sb.SchedFuel > 0 {
+				w.pauses.Add(1)
+			} else {
+				sb.Preemptions++
+				w.preemptions.Add(1)
+			}
 			w.held = sb
 		case sandbox.StateBlocked:
 			p.blocked.Add(1)
@@ -696,6 +712,82 @@ func (w *worker) loop() {
 			p.decInflight()
 			sb.FinishNotify() // may recycle sb: last touch
 		}
+	}
+}
+
+// turn runs sb for what is left of its quantum: all of the worker's fuel,
+// or the part a pause left it (sb.SchedFuel). With other work queued the
+// turn is one slice, as the arrival would not run next anyway. A lone
+// sandbox runs in steps of fuel/arrivalChecks instead, and after each the
+// worker offers its CPU to a thread queued behind it (yield) and looks at
+// its inbox: if something has arrived, the sandbox is paused with the rest
+// of its quantum in sb.SchedFuel and goes through held like a preempted
+// one, so the arrival runs next. It always gets one step first, so a
+// stream of arrivals cannot stall it, and its quantum ends at the same gas
+// as with no arrivals: a step is a charge-point yield like any other, and
+// each step's budget is the quantum's gas still unspent. On return
+// sb.SchedFuel is non-zero only if the turn ended in a pause. The rate
+// learner sees the whole turn as one slice.
+//
+//sledge:noalloc
+func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
+	left := sb.SchedFuel
+	sb.SchedFuel = 0
+	if w.fuel == 0 || !sb.Preemptible() {
+		// Cooperative; or the naive tier, which traps on fuel exhaustion
+		// instead of yielding: run it unpreempted rather than killing
+		// long requests.
+		return sb.RunQuantum(0)
+	}
+	if left == 0 {
+		left = w.fuel
+	}
+	step := left
+	if w.runq.Len() == 0 && w.overflowN == 0 {
+		step = max(w.fuel/arrivalChecks, 1)
+	}
+	var gas uint64
+	var d time.Duration
+	var st sandbox.State
+	for {
+		st = sb.RunQuantum(min(step, left))
+		g, dd := sb.LastSlice()
+		gas, d = gas+g, d+dd
+		left -= int64(g)
+		if st != sandbox.StateRunnable || left <= 0 {
+			break
+		}
+		w.yield()
+		if w.inbox.n.Load() > 0 {
+			sb.SchedFuel = left
+			break
+		}
+	}
+	// Before the caller's switch: a finished sandbox may be recycled there.
+	if p := w.pool; p.fixedFuel == 0 && w.rate.observe(gas, d, w.fuel) {
+		w.fuel = fuelFor(p.cfg.Quantum, w.rate.rate)
+		w.gasPerMS.Store(int64(w.rate.rate))
+	}
+	return st
+}
+
+// yield offers the worker's CPU between two steps (see yieldThread), unless
+// a recent offer kept the worker off its CPU for longer than
+// yieldContended. What ran then was another process's CPU-bound thread, not
+// a Go thread with a moment of work, and Linux charges a thread a whole
+// time slice for each yield: yielding to it every step would cost the
+// worker most of its share of the CPU. So the worker then runs yieldBackoff
+// without offering.
+//
+//sledge:noalloc
+func (w *worker) yield() {
+	now := time.Now()
+	if now.Before(w.noYieldUntil) {
+		return
+	}
+	yieldThread()
+	if time.Since(now) > yieldContended {
+		w.noYieldUntil = now.Add(yieldBackoff)
 	}
 }
 
