@@ -83,14 +83,27 @@ func TestIOResumesBesideHog(t *testing.T) {
 			t.Fatal(err)
 		}
 		hog := newSpin(t, cm, 20_000)
+		// The hog's gas cannot be read while it runs, so the step the read
+		// waited for is told apart in time: firedAt is stamped by the
+		// read's timer just before the completion is pushed.
+		var firedAt atomic.Int64
+		resume := p.resume
+		p.resume = func(sb *sandbox.Sandbox) {
+			firedAt.Store(time.Now().UnixNano())
+			resume(sb)
+		}
 		type seen struct {
-			preemptions, pauses, hogGas uint64
+			preemptions, pauses, hogGas, stepGas uint64
+			stepTime, sinceFired                 time.Duration
 		}
 		ran := make(chan seen, 1)
-		// Runs on worker 0, which also runs the hog.
+		// Runs on worker 0, which also runs the hog, so the hog's last
+		// step (the one its pause ended) is settled.
 		read.OnComplete = func(*sandbox.Sandbox) {
 			st := p.Stats()
-			ran <- seen{st.Preemptions, st.Pauses, hog.Gas()}
+			g, d := hog.LastSlice()
+			ran <- seen{st.Preemptions, st.Pauses, hog.Gas(), g, d,
+				time.Since(time.Unix(0, firedAt.Load()))}
 		}
 		submitParked(t, p, read)
 		waitFor(t, "the read to block", func() bool { return p.Stats().Blocked == 1 })
@@ -116,6 +129,22 @@ func TestIOResumesBesideHog(t *testing.T) {
 		if s.hogGas >= hogSlice {
 			t.Errorf("the read completed after %d gas of the hog, a whole quantum", s.hogGas)
 		}
+		// Within one step of hog gas: the step the pause ended spent at
+		// most a step's budget and one charge, and the worker found the
+		// inbox empty before that step began, so the timer fired during
+		// it. The half step of slack covers the microseconds from the
+		// stamp to the push and from the step's end to this callback; a
+		// worker that looked only every few steps would miss it by
+		// whole steps.
+		step := uint64(hogSlice/arrivalChecks) + uint64(cm.Analysis().MaxBlockCost)
+		if s.stepGas > step {
+			t.Errorf("the hog's last step ran %d gas, more than a step of %d", s.stepGas, step)
+		}
+		if s.sinceFired > s.stepTime+s.stepTime/2 {
+			t.Errorf("the read completed %v after its timer fired, more than the hog's step of %v", s.sinceFired, s.stepTime)
+		}
+		t.Logf("hog paused after %d gas; last step %d gas in %v; read completed %v after its timer fired",
+			s.hogGas, s.stepGas, s.stepTime, s.sinceFired)
 	})
 	for _, policy := range []Policy{PolicyCooperative, PolicyPreemptiveRR} {
 		t.Run(policy.String(), func(t *testing.T) {

@@ -91,14 +91,6 @@ const idlePollBackstop = 500 * time.Microsecond
 // lets a short that arrives right behind another pause that one too.
 const arrivalChecks = 16
 
-// yieldContended and yieldBackoff tune worker.yield: a yield that gave the
-// CPU away for longer than yieldContended stops the worker yielding for
-// yieldBackoff.
-const (
-	yieldContended = time.Millisecond
-	yieldBackoff   = 100 * time.Millisecond
-)
-
 // Stats are cumulative pool counters.
 type Stats struct {
 	Submitted   uint64
@@ -195,9 +187,6 @@ type worker struct {
 	// the quantum path.
 	rate rateLearner
 	fuel int64
-	// noYieldUntil is when the worker next offers its CPU between steps
-	// (see yield). Owner-only.
-	noYieldUntil time.Time
 
 	// overflow holds admitted work that exceeded maxLocalRunq when an
 	// inbox chain or a stolen batch was larger than the run queue's
@@ -719,15 +708,14 @@ func (w *worker) loop() {
 // or the part a pause left it (sb.SchedFuel). With other work queued the
 // turn is one slice, as the arrival would not run next anyway. A lone
 // sandbox runs in steps of fuel/arrivalChecks instead, and after each the
-// worker offers its CPU to a thread queued behind it (yield) and looks at
-// its inbox: if something has arrived, the sandbox is paused with the rest
-// of its quantum in sb.SchedFuel and goes through held like a preempted
-// one, so the arrival runs next. It always gets one step first, so a
-// stream of arrivals cannot stall it, and its quantum ends at the same gas
-// as with no arrivals: a step is a charge-point yield like any other, and
-// each step's budget is the quantum's gas still unspent. On return
-// sb.SchedFuel is non-zero only if the turn ended in a pause. The rate
-// learner sees the whole turn as one slice.
+// worker looks at its inbox: if something has arrived, the sandbox is
+// paused with the rest of its quantum in sb.SchedFuel and goes through
+// held like a preempted one, so the arrival runs next. It always gets one
+// step first, so a stream of arrivals cannot stall it, and its quantum
+// ends at the same gas as with no arrivals: a step is a charge-point yield
+// like any other, and each step's budget is the quantum's gas still
+// unspent. On return sb.SchedFuel is non-zero only if the turn ended in a
+// pause. The rate learner sees the whole turn as one slice.
 //
 //sledge:noalloc
 func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
@@ -757,7 +745,6 @@ func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
 		if st != sandbox.StateRunnable || left <= 0 {
 			break
 		}
-		w.yield()
 		if w.inbox.n.Load() > 0 {
 			sb.SchedFuel = left
 			break
@@ -769,26 +756,6 @@ func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
 		w.gasPerMS.Store(int64(w.rate.rate))
 	}
 	return st
-}
-
-// yield offers the worker's CPU between two steps (see yieldThread), unless
-// a recent offer kept the worker off its CPU for longer than
-// yieldContended. What ran then was another process's CPU-bound thread, not
-// a Go thread with a moment of work, and Linux charges a thread a whole
-// time slice for each yield: yielding to it every step would cost the
-// worker most of its share of the CPU. So the worker then runs yieldBackoff
-// without offering.
-//
-//sledge:noalloc
-func (w *worker) yield() {
-	now := time.Now()
-	if now.Before(w.noYieldUntil) {
-		return
-	}
-	yieldThread()
-	if time.Since(now) > yieldContended {
-		w.noYieldUntil = now.Add(yieldBackoff)
-	}
 }
 
 // admit pulls new requests from the inbox into the local round-robin
