@@ -27,7 +27,9 @@ func (cm *CompiledModule) EmittedOps(seen map[uint16]bool) {
 }
 
 // CodeHash digests the module's lowered code: every field of every
-// instruction and br_table target, function by function.
+// instruction and br_table target, function by function, with the frame
+// shape the code runs in (locals, operand-stack bound, and the side table of
+// tops a frame too big for cinstr.top keeps).
 func (cm *CompiledModule) CodeHash() [sha256.Size]byte {
 	h := sha256.New()
 	var b [8]byte
@@ -37,6 +39,12 @@ func (cm *CompiledModule) CodeHash() [sha256.Size]byte {
 	}
 	for i := range cm.funcs {
 		cf := &cm.funcs[i]
+		put(uint64(cf.nLocals))
+		put(uint64(cf.maxStack))
+		put(uint64(len(cf.tops)))
+		for _, t := range cf.tops {
+			put(uint64(uint32(t)))
+		}
 		put(uint64(len(cf.code)))
 		for _, ci := range cf.code {
 			put(uint64(ci.op) | uint64(ci.top)<<16)

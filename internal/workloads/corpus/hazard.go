@@ -25,9 +25,9 @@ import (
 // falling in and by a back-edge. Every function is exported under its own
 // name, (i32) -> i32; main(x) sums them, except oob and arms, which trap.
 //
-// It seeds the differential fuzzer and feeds the lowering-totality test but
-// is deliberately not part of Modules: the analysis and lowering goldens pin
-// what existed before it.
+// It seeds the differential fuzzer and feeds the lowering-totality test and
+// the lowering golden but is deliberately not part of Modules: the analysis
+// golden pins what existed before it.
 func HazardSeedModule() *wasm.Module {
 	const (
 		tUn  = iota // (i32) -> i32
