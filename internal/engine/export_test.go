@@ -100,7 +100,7 @@ func (cm *CompiledModule) Listing(fn string) []string {
 				continue
 			}
 			imm, paid := int64(ci.imm), ""
-			if branchTarget(&ci) != nil {
+			if op := ci.op; (op >= iBr && op <= iBrIfNot) || (op >= iBrIfEq && op <= iBrIfGeUI) {
 				imm = int64(uint32(ci.imm))
 				if ci.imm>>takenShift&maxEdgeCost != 0 {
 					paid += " +taken"

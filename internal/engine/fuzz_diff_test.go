@@ -11,12 +11,14 @@ import (
 	"sledge/internal/workloads/corpus"
 )
 
-// diffConfigs is the differential matrix, 4 x 3 x 2 = 24 configs: every
-// explicit-check strategy crossed with the execution axis — register form
-// with analysis on (the full form) and off (the cheap form), plus the naive
-// tier as an independent implementation of the same semantics — and each of
-// those crossed with both metering modes (block-metered and the
-// per-instruction NoBlockMeter oracle). BoundsNone is excluded by design —
+// diffConfigs is the differential matrix, (4 x 3 + 1) x 2 = 26 configs:
+// every explicit-check strategy crossed with the execution axis — register
+// form with analysis on (the full form) and off (the cheap form), plus the
+// naive tier as an independent implementation of the same semantics — and
+// the unfused register form (NoFusion: no forwarding, compare-and-branch
+// fusion or charge threading) under BoundsSoftware, each of those crossed
+// with both metering modes (block-metered and the per-instruction
+// NoBlockMeter oracle). BoundsNone is excluded by design —
 // it only faults beyond the backing array, so its trap set legitimately
 // differs from the checked strategies. A compile error on one side only is
 // a divergence like any other: register lowering has no fallback form.
@@ -32,6 +34,9 @@ func diffConfigs() []engine.Config {
 				engine.Config{Bounds: b, Tier: engine.TierOptimized, NoAnalysis: true, NoBlockMeter: nbm},
 				engine.Config{Bounds: b, Tier: engine.TierNaive, NoBlockMeter: nbm},
 			)
+			if b == engine.BoundsSoftware {
+				cfgs = append(cfgs, engine.Config{Bounds: b, Tier: engine.TierOptimized, NoFusion: true, NoBlockMeter: nbm})
+			}
 		}
 	}
 	return cfgs
@@ -52,8 +57,8 @@ func diffOutcome(t *testing.T, m *wasm.Module, cfg engine.Config, arg uint64) (s
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				t.Fatalf("%s/%s noanalysis=%v nbm=%v: host panic: %v",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoBlockMeter, r)
+				t.Fatalf("%s/%s noanalysis=%v nofusion=%v nbm=%v: host panic: %v",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, r)
 			}
 		}()
 		inst := cm.Instantiate()
@@ -147,16 +152,16 @@ func FuzzDifferentialElision(f *testing.F) {
 		}
 		for i, cfg := range cfgs[1:] {
 			if outs[i+1] != outs[0] {
-				t.Fatalf("divergence: %s/%s noanalysis=%v nbm=%v nosnap=%v = %q, reference %s/%s = %q",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoBlockMeter, cfg.NoSnapshot, outs[i+1],
+				t.Fatalf("divergence: %s/%s noanalysis=%v nofusion=%v nbm=%v nosnap=%v = %q, reference %s/%s = %q",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, cfg.NoSnapshot, outs[i+1],
 					cfgs[0].Tier, cfgs[0].Bounds, outs[0])
 			}
 			// Gas is charged at static charge points on the source path, so
 			// every config that ran the path to the same outcome — traps
 			// included — must report bit-identical gas.
 			if outs[i+1] != "compile-error" && outs[i+1] != "start-error" && gases[i+1] != gases[0] {
-				t.Fatalf("gas divergence: %s/%s noanalysis=%v nbm=%v nosnap=%v charged %d, reference %s/%s charged %d (outcome %q)",
-					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoBlockMeter, cfg.NoSnapshot, gases[i+1],
+				t.Fatalf("gas divergence: %s/%s noanalysis=%v nofusion=%v nbm=%v nosnap=%v charged %d, reference %s/%s charged %d (outcome %q)",
+					cfg.Tier, cfg.Bounds, cfg.NoAnalysis, cfg.NoFusion, cfg.NoBlockMeter, cfg.NoSnapshot, gases[i+1],
 					cfgs[0].Tier, cfgs[0].Bounds, gases[0], outs[0])
 			}
 		}

@@ -25,10 +25,9 @@ import (
 //	loads                  R[h] = mem[R[a] + imm]
 //	stores                 mem[R[a] + imm] = R[b]
 //
-// The lowerer's stack-form stream (compile.go), which only regalloc.run
-// reads, spells local.get/local.set/local.tee/drop with their wasm opcodes
-// and pushes constants with iConst; none of those survive into executed
-// code except iConst, which gains its destination.
+// regalloc.run emits this form in one walk over the wasm body;
+// local.get/local.set/local.tee/drop and constants emit nothing of their
+// own unless a value has to be materialised (iMov, iConst).
 const (
 	iUnreachable uint16 = 0x100 + iota
 	iNop
@@ -123,12 +122,12 @@ const (
 	iBrIfGeUI
 	// iGasCharge is the amortized fuel charge at a charge point (see
 	// internal/analysis.AnalyzeCost). imm holds the region's static cost.
-	// The lowerer places one immediately before the lowered form of each
-	// anchor instruction, which is exactly where branch patches land, so
-	// every entry into the region pays it; it has no stack effect. What
-	// reaches runRegister is a charge only where control falls into one:
-	// regalloc sums two adjacent charges when no branch can land between
-	// them (both always execute together), folds the charge a conditional
+	// The lowering places one immediately before the lowered form of each
+	// anchor instruction, which is exactly where labels land, so every
+	// entry into the region pays it; it has no stack effect. What reaches
+	// runRegister is a charge only where control falls into one: regalloc
+	// sums two adjacent charges when no label falls between them (both
+	// always execute together), folds the charge a conditional
 	// branch falls into, when nothing else can reach it, into that branch,
 	// and retargets every branch to a charge one past it with the cost in
 	// the branch word (see "Branches" above). No region moves, merges across
@@ -153,9 +152,10 @@ type cinstr struct {
 	imm uint64
 }
 
-// brTarget is one resolved br_table entry. The lowerer records the kept
-// operand height; regalloc rewrites it to the destination slot of the moved
-// results and zeroes arity when they are already in place.
+// brTarget is one resolved br_table entry: height is the destination slot
+// of the moved results, and arity is zero when they are already in place.
+// (A br_table nothing reaches keeps a table too, with the kept operand
+// height and the label's arity as they are.)
 type brTarget struct {
 	pc     int32
 	height int32
@@ -625,24 +625,9 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 	cm.analysisStats.ChargePoints = costs.Points()
 	cm.analysisStats.MaxBlockCost = int(costs.MaxCharge())
 
-	// Lower function bodies: the lowerer flattens each body into a
-	// stack-form stream and the regalloc pass rewrites that to the
-	// slot-operand register form, the only form runRegister executes. The
-	// signatures are filled in for every function first because the pass
-	// resolves call arities against cm.funcs.
-	cm.funcs = make([]compiledFunc, len(m.Funcs))
-	for i := range m.Funcs {
-		f := &m.Funcs[i]
-		ft := m.Types[f.TypeIdx]
-		cm.funcs[i] = compiledFunc{
-			name:       f.Name,
-			typeIdx:    f.TypeIdx,
-			nParams:    len(ft.Params),
-			nLocals:    len(ft.Params) + len(f.Locals),
-			numResults: len(ft.Results),
-		}
-	}
-	// The pass and its scratch come off a pool, so a deploy allocates per
+	// Lower function bodies: one walk per body emits the slot-operand
+	// register form, the only form runRegister executes (regalloc.go). The
+	// pass and its scratch come off a pool, so a deploy allocates per
 	// function only the code it keeps. The naive tier never lowers.
 	var ra *regalloc
 	if cfg.Tier != TierNaive {
@@ -650,27 +635,28 @@ func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, er
 		// A branch word has 16 bits for each charge it pays: thread only
 		// where every charge, and every sum of adjacent ones, is sure to fit.
 		thread := fuse && cfg.MaxUncharged <= maxEdgeCost && costs.MaxCharge() <= maxEdgeCost
-		maxBody := 0
-		for i := range m.Funcs {
-			maxBody = max(maxBody, len(m.Funcs[i].Body))
-		}
-		ra = newRegalloc(cm, fuse, thread, maxBody)
+		ra = newRegalloc(cm, m, facts, fuse, thread)
 		defer ra.retire()
 	}
+	cm.funcs = make([]compiledFunc, len(m.Funcs))
 	for i := range m.Funcs {
 		f, cf := &m.Funcs[i], &cm.funcs[i]
+		ft := m.Types[f.TypeIdx]
+		*cf = compiledFunc{
+			name:       f.Name,
+			typeIdx:    f.TypeIdx,
+			nParams:    len(ft.Params),
+			nLocals:    len(ft.Params) + len(f.Locals),
+			numResults: len(ft.Results),
+		}
 		if cfg.Tier == TierNaive {
 			cf.naiveBody = f.Body
 			cf.naiveLabels = f.BrLabels
 			cf.naiveCharges = costs.Funcs[i].Charges
 			continue
 		}
-		var err error
-		if ra.stream, err = lowerFunc(m, f, cfg, cm, cf, facts, costs.Funcs[i].Charges, i, ra.stream); err != nil {
+		if err := ra.run(cf, f, costs.Funcs[i].Charges, i); err != nil {
 			return nil, fmt.Errorf("engine: lower func %d (%s): %w", i, f.Name, err)
-		}
-		if err := ra.run(cf); err != nil {
-			return nil, fmt.Errorf("engine: regalloc func %d (%s): %w", i, f.Name, err)
 		}
 		cm.lowerStats.Instructions += len(cf.code)
 		if r := cf.nLocals + cf.maxStack; r > cm.regallocStats.Registers {

@@ -614,26 +614,39 @@ func TestRegisterPreemptEveryBoundaryProperty(t *testing.T) {
 	}
 }
 
-// TestRegallocRejectsInconsistentStreams feeds the pass stack-form streams
-// the lowerer never produces. Each must come back as an error — Compile's
-// error, by the pass's contract — and never as code that runs off a table or
-// spins on an unremapped back-edge.
-func TestRegallocRejectsInconsistentStreams(t *testing.T) {
-	for name, code := range map[string][]cinstr{
-		"branch target out of range": {{op: iBr, a: 9}, {op: iReturn}},
-		"branch target past the end": {{op: iBr, a: 2}, {op: iReturn}},
-		"conflicting heights at a target": {
-			{op: iConst}, {op: iBrIf, a: 3}, {op: iConst}, {op: iReturn, imm: 1},
-		},
-		"operand stack underflow":      {{op: uint16(wasm.OpI32Add)}, {op: iReturn}},
-		"falls off the end":            {{op: iNop}},
-		"opcode with no register form": {{op: iOpLimit}, {op: iReturn}},
+// TestLoweringRejectsMalformedBodies gives the one-pass lowering bodies
+// validation never lets through, straight, with no validation in front. Each
+// must come back as an error — Compile's error, by the pass's contract —
+// never as a panic or as code that runs off a table, with and without
+// fusion, and where nothing reaches the fault as well as where it is live.
+func TestLoweringRejectsMalformedBodies(t *testing.T) {
+	op := func(o wasm.Opcode, imm uint64) wasm.Instr { return wasm.Instr{Op: o, Imm: imm} }
+	empty := uint64(wasm.BlockTypeEmpty)
+	// unreached opens a block that returns and closes it: nothing leads to
+	// what follows, which is still lowered for its heights and labels.
+	unreached := []wasm.Instr{op(wasm.OpBlock, empty), op(wasm.OpReturn, 0), op(wasm.OpEnd, 0)}
+	for name, body := range map[string][]wasm.Instr{
+		"label out of range":            {op(wasm.OpBr, 1)},
+		"label out of range, unreached": append(unreached[:3:3], op(wasm.OpI32Const, 0), op(wasm.OpBrIf, 3)),
+		"operand stack underflow":       {op(wasm.OpI32Const, 1), op(wasm.OpI32Add, 0)},
+		"underflow, unreached":          append(unreached[:3:3], op(wasm.OpDrop, 0)),
+		"height mismatch at end":        {op(wasm.OpBlock, empty), op(wasm.OpI32Const, 1), op(wasm.OpEnd, 0)},
+		"falls off the end":             {op(wasm.OpBlock, empty), op(wasm.OpNop, 0)},
+		"instruction past the end":      {op(wasm.OpEnd, 0), op(wasm.OpNop, 0)},
+		"else without if":               {op(wasm.OpBlock, empty), op(wasm.OpElse, 0), op(wasm.OpEnd, 0)},
+		"opcode with no register form":  {op(0xFF, 0)},
+		"no register form, unreached":   append(unreached[:3:3], op(0xFF, 0)),
 	} {
-		cm := &CompiledModule{cfg: Config{}.withDefaults()}
-		cf := &compiledFunc{code: code, maxStack: 4}
-		ra := regalloc{cm: cm, fuse: true}
-		if err := ra.run(cf); err == nil {
-			t.Errorf("%s: accepted, lowered to %v", name, cf.code)
+		for _, fuse := range []bool{true, false} {
+			m := &wasm.Module{Types: []wasm.FuncType{{}}, Funcs: []wasm.Func{{Body: body}}}
+			cm := &CompiledModule{cfg: Config{}.withDefaults()}
+			cf := &compiledFunc{}
+			ra := &regalloc{cm: cm, m: m, fuse: fuse, thread: fuse}
+			if err := ra.run(cf, &m.Funcs[0], make([]uint32, len(body)), 0); err == nil {
+				t.Errorf("%s (fuse %v): accepted, lowered to %v", name, fuse, cf.code)
+			} else {
+				t.Logf("%s (fuse %v): %v", name, fuse, err)
+			}
 		}
 	}
 }

@@ -109,8 +109,8 @@ func TestCompileConcurrentScratch(t *testing.T) {
 // compileAllocBudget is what engine.Compile may allocate over the ten suite
 // modules under the default config once its pools are warm — per module the
 // validator's working set, the facts guard reads, the charge tables, the
-// compiled object and its snapshot: 489 objects measured, plus a quarter.
-const compileAllocBudget = 611
+// compiled object and its snapshot: 378 objects measured, plus a quarter.
+const compileAllocBudget = 473
 
 // TestCompileAllocBudget holds a deploy's compile step to a count, not a
 // timing: a pass run where nothing reads it, or lowering scratch allocated
