@@ -1,9 +1,9 @@
 // Multitenant: the temporal-isolation demonstration behind §3.4 — a hostile
 // CPU-bound tenant shares one worker core with a latency-sensitive tenant.
 // Under the paper's preemptive round-robin quantum the worker pauses the
-// lone hog within a sixteenth of a quantum of a short request's arrival, so
-// the short tenant's latency stays bounded; with cooperative scheduling it
-// is serialized behind the hog (head-of-line blocking).
+// lone hog within 4 096 gas (a few microseconds) of a short request's
+// arrival, so the short tenant's latency stays bounded; with cooperative
+// scheduling it is serialized behind the hog (head-of-line blocking).
 package main
 
 import (
@@ -93,6 +93,6 @@ func main() {
 	run(sledge.PolicyCooperative, "cooperative:")
 	fmt.Println()
 	fmt.Println("preemptive round-robin pauses the lone hog for each short request")
-	fmt.Println("within a sixteenth of a quantum and resumes it with the rest of that")
-	fmt.Println("quantum; cooperative scheduling serializes the short tenant behind the hog.")
+	fmt.Println("within 4 096 gas and resumes it with the rest of that quantum;")
+	fmt.Println("cooperative scheduling serializes the short tenant behind the hog.")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sledge/internal/abi"
@@ -59,8 +60,18 @@ func (s sliced) outcome(st engine.Status, err error) string {
 // dispatched or paid by a branch; the larger slices let charges accumulate.
 // A run is followed for its first gasBudget gas: the long apps repeat the
 // same loops from there on, and spin and some fuzz inputs never end.
+//
+// The same lockstep holds RunUntil to Run under the default config,
+// NoBlockMeter and the naive tier: with its stop flag down, RunUntil(f)
+// must yield wherever Run(f) does, its pieces of PollGas adding up to f in
+// the module's unit; with the flag up it must stop after its first piece,
+// where Run(min(f, PollGas)) does. The naive tier has no pieces (it traps
+// when fuel runs out), so there both arms are Run(f).
 func TestChargeThreadingYieldIdentity(t *testing.T) {
 	const gasBudget = 2_000_000
+	// untilBudget follows each RunUntil arm across a few dozen piece
+	// boundaries.
+	const untilBudget = 100_000
 	bins := corpus.Modules(t, "testdata/fuzz/FuzzDifferentialElision")
 	hazards, err := wasm.Encode(corpus.HazardSeedModule())
 	if err != nil {
@@ -74,7 +85,7 @@ func TestChargeThreadingYieldIdentity(t *testing.T) {
 	sort.Strings(names)
 
 	host := abi.Registry()
-	ran, absorbed, slices := 0, 0, 0
+	ran, absorbed, slices, untilRuns := 0, 0, 0, 0
 	for _, name := range names {
 		m, err := wasm.Decode(bins[name])
 		if err != nil {
@@ -92,6 +103,15 @@ func TestChargeThreadingYieldIdentity(t *testing.T) {
 			t.Fatalf("%s: the unthreaded reference absorbed %d charges", name, n)
 		}
 		absorbed += threaded.Regalloc().ChargesAbsorbed
+		until := map[string]*engine.CompiledModule{"default": threaded}
+		for label, cfg := range map[string]engine.Config{
+			"NoBlockMeter": {NoBlockMeter: true},
+			"naive":        {Tier: engine.TierNaive},
+		} {
+			if until[label], err = engine.Compile(m, host, cfg); err != nil {
+				t.Fatalf("%s: %s: %v", name, label, err)
+			}
+		}
 		var req []byte
 		if a, ok := apps.Get(strings.TrimPrefix(name, "app/")); ok {
 			req = a.GenRequest()
@@ -111,31 +131,66 @@ func TestChargeThreadingYieldIdentity(t *testing.T) {
 					continue
 				}
 				ran++
-				for yields := 0; ; yields++ {
-					slices++
-					sa, ea := a.inst.Run(fuel)
-					sb, eb := b.inst.Run(fuel)
-					if sa != sb || a.inst.Gas != b.inst.Gas || a.inst.SP() != b.inst.SP() {
-						t.Fatalf("%s(%#x) fuel %d, slice %d: threaded (%v, gas %d, sp %d), unthreaded (%v, gas %d, sp %d)",
-							name, arg, fuel, yields, sa, a.inst.Gas, a.inst.SP(), sb, b.inst.Gas, b.inst.SP())
-					}
-					if sa == engine.StatusYielded {
-						if a.inst.Gas > gasBudget {
-							break
+				slices += lockstep(t, fmt.Sprintf("%s(%#x) fuel %d: threaded vs unthreaded", name, arg, fuel), a, b, gasBudget,
+					func(s sliced) (engine.Status, error) { return s.inst.Run(fuel) },
+					func(s sliced) (engine.Status, error) { return s.inst.Run(fuel) })
+			}
+			for _, label := range []string{"default", "NoBlockMeter", "naive"} {
+				cm := until[label]
+				for _, fuel := range []int64{engine.PollGas, engine.PollGas + 1, 3*engine.PollGas + 1, 50_000} {
+					for _, raised := range []int64{0, 1} {
+						a, ok := startSliced(cm, req, arg)
+						b, okb := startSliced(cm, req, arg)
+						if !ok || !okb {
+							continue
 						}
-						continue
+						untilRuns++
+						var stop atomic.Int64
+						stop.Store(raised)
+						ref := fuel
+						if raised > 0 && cm.Preemptible() {
+							ref = min(fuel, engine.PollGas)
+						}
+						slices += lockstep(t, fmt.Sprintf("%s(%#x) %s: RunUntil(%d) stop %d vs Run(%d)", name, arg, label, fuel, raised, ref), a, b, untilBudget,
+							func(s sliced) (engine.Status, error) {
+								st, _, err := s.inst.RunUntil(fuel, &stop)
+								return st, err
+							},
+							func(s sliced) (engine.Status, error) { return s.inst.Run(ref) })
 					}
-					if oa, ob := a.outcome(sa, ea), b.outcome(sb, eb); oa != ob {
-						t.Fatalf("%s(%#x) fuel %d: threaded ended %s, unthreaded %s", name, arg, fuel, oa, ob)
-					}
-					break
 				}
 			}
 		}
 	}
-	t.Logf("%d runs, %d slices compared, over code with %d absorbed charges", ran, slices, absorbed)
-	if ran < 40*7 || absorbed < 1000 {
-		t.Errorf("%d runs over code with %d absorbed charges: the corpus did not load, or nothing is threaded", ran, absorbed)
+	t.Logf("%d runs and %d RunUntil runs, %d slices compared, over code with %d absorbed charges", ran, untilRuns, slices, absorbed)
+	if ran < 40*7 || absorbed < 1000 || untilRuns < 40*4*2*3 {
+		t.Errorf("%d runs, %d RunUntil runs, over code with %d absorbed charges: the corpus did not load, or nothing is threaded", ran, untilRuns, absorbed)
+	}
+}
+
+// lockstep runs a with runA and b with runB slice by slice until either
+// ends or a has passed budget gas, and fails the test at the first slice
+// where the two differ in status, gas or operand-stack pointer, or where
+// they end differently. It returns the slices compared.
+func lockstep(t *testing.T, what string, a, b sliced, budget uint64, runA, runB func(sliced) (engine.Status, error)) int {
+	t.Helper()
+	for n := 1; ; n++ {
+		sa, ea := runA(a)
+		sb, eb := runB(b)
+		if sa != sb || a.inst.Gas != b.inst.Gas || a.inst.SP() != b.inst.SP() {
+			t.Fatalf("%s, slice %d: (%v, gas %d, sp %d) against (%v, gas %d, sp %d)",
+				what, n, sa, a.inst.Gas, a.inst.SP(), sb, b.inst.Gas, b.inst.SP())
+		}
+		if sa == engine.StatusYielded {
+			if a.inst.Gas > budget {
+				return n
+			}
+			continue
+		}
+		if oa, ob := a.outcome(sa, ea), b.outcome(sb, eb); oa != ob {
+			t.Fatalf("%s: ended %s against %s", what, oa, ob)
+		}
+		return n
 	}
 }
 
@@ -268,6 +323,64 @@ func TestHostBlockAfterThreadedBranch(t *testing.T) {
 					t.Errorf("f(%d) %+v fuel=%d: got %d with completion 5, want %d", x, cfg, fuel, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestRunUntilStoppedFromAnotherGoroutine raises RunUntil's stop flag from
+// another goroutine while the run is under way, as a scheduler's inbox
+// does: the run must yield early, with fuel left, and resuming it to the
+// end must give the result and the gas of a run nobody stopped.
+func TestRunUntilStoppedFromAnotherGoroutine(t *testing.T) {
+	i32, empty := wasm.ValI32, uint64(wasm.BlockTypeEmpty)
+	m := wasm.NewModule()
+	m.Types = []wasm.FuncType{{Params: []wasm.ValType{i32}, Results: []wasm.ValType{i32}}}
+	// sum(n): acc += n while n-- > 0, tens of millions of gas for the n
+	// below: long against the microseconds the other goroutine takes.
+	m.Funcs = []wasm.Func{{TypeIdx: 0, Name: "main", Locals: []wasm.ValType{i32}, Body: []wasm.Instr{
+		{Op: wasm.OpBlock, Imm: empty}, {Op: wasm.OpLoop, Imm: empty},
+		{Op: wasm.OpLocalGet, Imm: 1}, {Op: wasm.OpLocalGet, Imm: 0}, {Op: wasm.OpI32Add}, {Op: wasm.OpLocalSet, Imm: 1},
+		{Op: wasm.OpLocalGet, Imm: 0}, {Op: wasm.OpI32Const, Imm: 1}, {Op: wasm.OpI32Sub}, {Op: wasm.OpLocalTee, Imm: 0},
+		{Op: wasm.OpBrIf, Imm: 0},
+		{Op: wasm.OpEnd}, {Op: wasm.OpEnd}, {Op: wasm.OpLocalGet, Imm: 1},
+	}}}
+	m.Exports = []wasm.Export{{Name: "main", Kind: wasm.ExternFunc, Index: 0}}
+	const n = 1_000_000
+	for _, cfg := range []engine.Config{{}, {NoBlockMeter: true}} {
+		cm, err := engine.Compile(m, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := cm.Instantiate()
+		want, err := ref.Invoke("main", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		in := cm.Instantiate()
+		if err := in.Start("main", n); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Int64
+		raised := make(chan struct{})
+		go func() {
+			stop.Store(1)
+			close(raised)
+		}()
+		const fuel = 1 << 40
+		st, left, err := in.RunUntil(fuel, &stop)
+		<-raised
+		if st != engine.StatusYielded || err != nil || left <= 0 || left >= fuel {
+			t.Fatalf("%+v: RunUntil ended %v (%v) with %d of %d fuel left, want a yield with fuel left", cfg, st, err, left, fuel)
+		}
+		if in.Gas >= ref.Gas {
+			t.Fatalf("%+v: stopped after %d gas, the whole run is %d", cfg, in.Gas, ref.Gas)
+		}
+		if st, err := in.Run(0); st != engine.StatusDone || err != nil {
+			t.Fatalf("%+v: resumed run ended %v (%v)", cfg, st, err)
+		}
+		if got, _ := in.Result(); got != want || in.Gas != ref.Gas {
+			t.Errorf("%+v: resumed to %d with %d gas, unstopped %d with %d gas", cfg, got, in.Gas, want, ref.Gas)
 		}
 	}
 }

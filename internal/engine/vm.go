@@ -1,6 +1,9 @@
 package engine
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // run resumes the instance on its module's interpreter loop: the structured
 // naive interpreter, or the register-form loop every lowered module uses.
@@ -9,6 +12,49 @@ func (in *Instance) run(fuel int64) (Status, error) {
 		return in.runNaive(fuel)
 	}
 	return in.runRegister(fuel)
+}
+
+// PollGas is the piece RunUntil runs between two looks at its stop flag:
+// about 5 µs of the register loop, so a flag raised mid-run is seen within
+// that much execution, while the loop itself never reads it.
+const PollGas = 4096
+
+// RunUntil is Run(fuel) cut into pieces of PollGas: after each piece that
+// yields with fuel left it reads *stop and returns early if the value is
+// positive. Without an early return it stops exactly where Run(fuel) stops,
+// because each piece's budget is the fuel still unspent, counted in the
+// module's own unit: the gas the piece burned under block metering, which
+// can pass the budget by one charge, and the dispatches under NoBlockMeter,
+// whose meter yields only once the budget is spent. left is the fuel not yet
+// spent when the run yields: positive after an early return, <= 0 when the
+// fuel ran out. A nil stop runs fuel in one piece. The naive tier, which
+// traps rather than yields when fuel runs out, and fuel <= 0 (no preemption)
+// run plain Run(fuel) and report left 0.
+//
+//sledge:noalloc
+func (in *Instance) RunUntil(fuel int64, stop *atomic.Int64) (st Status, left int64, err error) {
+	if fuel <= 0 || in.mod.cfg.Tier == TierNaive {
+		st, err = in.Run(fuel)
+		return st, 0, err
+	}
+	for left = fuel; ; {
+		piece := left
+		if stop != nil {
+			piece = min(left, PollGas)
+		}
+		gas := in.Gas
+		if st, err = in.Run(piece); st != StatusYielded {
+			return st, left, err
+		}
+		if in.mod.cfg.NoBlockMeter {
+			left -= piece
+		} else {
+			left -= int64(in.Gas - gas)
+		}
+		if left <= 0 || stop == nil || stop.Load() > 0 {
+			return st, left, nil
+		}
+	}
 }
 
 func b2u(b bool) uint64 {

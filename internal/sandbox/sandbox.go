@@ -142,8 +142,7 @@ type Sandbox struct {
 
 	// Preemptions counts the quanta, and the submitter's first slice,
 	// that ended with the sandbox still runnable. The scheduler keeps it:
-	// a RunQuantum that yields may be a step inside a quantum, not the end
-	// of one.
+	// a RunQuantum that yields may end only part of a quantum.
 	Preemptions uint64
 }
 
@@ -270,12 +269,29 @@ func (sb *Sandbox) Preemptible() bool { return sb.inst.Module().Preemptible() }
 // ErrNotRunnable reports a RunQuantum call in the wrong state.
 var ErrNotRunnable = errors.New("sandbox: not runnable")
 
-// RunQuantum resumes the sandbox for at most fuel instructions (fuel <= 0
-// runs unpreempted). It returns the resulting state. On completion or trap
-// the OnComplete callback fires exactly once.
+// RunQuantum resumes the sandbox for at most fuel (fuel <= 0 runs
+// unpreempted): RunQuantumUntil(fuel, nil).
 func (sb *Sandbox) RunQuantum(fuel int64) State {
+	st, _ := sb.RunQuantumUntil(fuel, nil)
+	return st
+}
+
+// errBlockedNoPending fails a sandbox whose host call blocked without
+// registering a completion.
+var errBlockedNoPending = errors.New("sandbox: blocked host call without pending completion")
+
+// RunQuantumUntil resumes the sandbox for at most fuel (fuel <= 0 runs
+// unpreempted) and returns the resulting state. A positive *stop ends the
+// run early, within engine.Instance.RunUntil's piece; left is the fuel not
+// spent, in the engine's unit, when the sandbox is runnable again: positive
+// after such an early end, <= 0 when the fuel ran out. The call takes one
+// pair of clock reads however many pieces it runs. On completion or trap
+// the OnComplete callback fires exactly once.
+//
+//sledge:noalloc
+func (sb *Sandbox) RunQuantumUntil(fuel int64, stop *atomic.Int64) (State, int64) {
 	if State(sb.state.Load()) != StateRunnable {
-		return sb.State()
+		return sb.State(), 0
 	}
 	sb.sliceStart = time.Now()
 	if sb.FirstRunAt.IsZero() {
@@ -284,7 +300,7 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 	sb.sliceEnd = time.Time{}
 	gas0 := sb.inst.Gas
 	sb.state.Store(int32(StateRunning))
-	st, err := sb.inst.Run(fuel)
+	st, left, err := sb.inst.RunUntil(fuel, stop)
 	sb.sliceGas = sb.inst.Gas - gas0
 	switch st {
 	case engine.StatusDone:
@@ -303,11 +319,11 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 		if sb.pending == nil {
 			// Host blocked without registering a completion: fail
 			// closed rather than leaking the sandbox.
-			sb.Err = errors.New("sandbox: blocked host call without pending completion")
+			sb.Err = errBlockedNoPending
 			sb.DoneAt = time.Now()
 			sb.state.Store(int32(StateTrapped))
 			sb.complete()
-			return sb.State()
+			return sb.State(), left
 		}
 		sb.blockedFor += sb.pending.Wait
 		sb.state.Store(int32(StateBlocked))
@@ -324,7 +340,7 @@ func (sb *Sandbox) RunQuantum(fuel int64) State {
 		sb.state.Store(int32(StateTrapped))
 		sb.complete()
 	}
-	return sb.State()
+	return sb.State(), left
 }
 
 func (sb *Sandbox) complete() {
@@ -431,7 +447,7 @@ func (sb *Sandbox) CompletePending() error {
 // LastSlice reports the gas the most recent quantum burned and the wall time
 // it took, for a quantum that ended in a yield or in completion; after one
 // that blocked or trapped (whose span is not all execution) it reports zero
-// gas. Only the goroutine that called RunQuantum may call it, and only
+// gas. Only the goroutine that called RunQuantumUntil may call it, and only
 // before FinishNotify.
 func (sb *Sandbox) LastSlice() (gas uint64, d time.Duration) {
 	if sb.sliceEnd.IsZero() {

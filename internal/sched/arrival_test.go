@@ -61,19 +61,22 @@ func startHogs(t *testing.T, p *Pool, cm *engine.CompiledModule, k int) []*sandb
 // TestArrivalRunsWithinOneRound is the property the paper states: request
 // dequeueing is part of the scheduling loop, so a short function that
 // arrives while a hog is mid-quantum does not wait for the round. A lone
-// hog is paused at the end of its current step, so the short runs before
-// that quantum ends: no further hog slice. Beside queued hogs, which run
-// whole quanta, a short that arrives while one of k hogs is mid-quantum
-// shares the core after that quantum and the k-1 hogs already queued — at
-// most k further hog slices. (Re-queueing the preempted hog before
-// admitting made it k+1: the arrival also sat out that hog's next quantum.)
+// hog is paused at the first engine piece that ends past its young bound,
+// so the short runs before that quantum ends: no further hog slice. Beside
+// queued hogs, which run whole quanta, a short that arrives while one of k
+// hogs is mid-quantum shares the core after that quantum and the k-1 hogs
+// already queued — at most k further hog slices. (Re-queueing the
+// preempted hog before admitting made it k+1: the arrival also sat out
+// that hog's next quantum.)
 func TestArrivalRunsWithinOneRound(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	t.Run(workStealing+"/hogs=1", func(t *testing.T) {
-		// The hog's first quantum is hogSlice, a second or more of gas,
-		// and the short is queued within microseconds of its start: well
-		// before the quantum's last step on any machine (a slower one only
-		// lengthens the quantum). So the count is exact, with no retry.
+		// The hog's first quantum is hogSlice, so it stays young for its
+		// first hogSlice/youngShare gas, milliseconds on any machine, and
+		// the short is queued within microseconds of its start: well
+		// inside that (a slower machine only lengthens it). So the pause
+		// comes at the first poll past the young bound, and the counts are
+		// exact, with no retry.
 		p := newPool(Config{Workers: 1}, hogSlice, 0)
 		defer p.Stop()
 		hog := startHogs(t, p, cm, 1)[0]
@@ -97,8 +100,11 @@ func TestArrivalRunsWithinOneRound(t *testing.T) {
 		if s.pauses != 1 {
 			t.Errorf("the hog was paused %d times for the short, want 1", s.pauses)
 		}
-		if step := uint64(hogSlice / arrivalChecks); s.hogGas < step {
-			t.Errorf("the hog ran %d gas before its pause, less than one step of %d", s.hogGas, step)
+		// Past the young bound by one piece at most: the young run and the
+		// piece each stop at the first charge that reaches their budget.
+		young := uint64(hogSlice / youngShare)
+		if hi := young + engine.PollGas + uint64(cm.Analysis().MaxBlockCost); s.hogGas < young || s.hogGas > hi {
+			t.Errorf("the hog was paused after %d gas, want [%d, %d]: its young bound and one piece", s.hogGas, young, hi)
 		}
 	})
 	t.Run(workStealing+"/hogs=3", func(t *testing.T) {
@@ -135,6 +141,71 @@ func TestArrivalRunsWithinOneRound(t *testing.T) {
 		}
 		t.Fatal("no trial queued the short inside one slice")
 	})
+}
+
+// TestYoungRequestNotPaused is the pause rule's lower bound: a lone
+// request that has burned less than fuel/youngShare gas is not paused for
+// an arrival. A short that ends inside that bound runs to its end in one
+// turn while the next request waits in the inbox; were it paused, it would
+// wait for that request's turn, which for a hog is a whole quantum.
+func TestYoungRequestNotPaused(t *testing.T) {
+	cm := compileTestModule(t, spinSrc)
+	// The short is about 1.8 M gas: under half the young bound, and long
+	// against the microseconds it takes to queue the next request.
+	const fuel, shortLen = 64_000_000, 100
+	for trial := 0; trial < 20; trial++ {
+		if youngRequestTrial(t, cm, fuel, shortLen) {
+			return
+		}
+	}
+	t.Fatal("no trial queued the next request while the short ran")
+}
+
+// youngRequestTrial runs one short and queues the next request behind it
+// once it has started; it reports false, having checked nothing, if the
+// short finished before the next request was queued.
+func youngRequestTrial(t *testing.T, cm *engine.CompiledModule, fuel int64, shortLen int) bool {
+	p := newPool(Config{Workers: 1}, fuel, 0)
+	defer p.Stop()
+	// next is twice the short and still young when it ends, so Stop
+	// need not wait out a quantum of it.
+	short, next := newSpin(t, cm, shortLen), newSpin(t, cm, 2*shortLen)
+	type seen struct {
+		preemptions, pauses, shortGas, nextGas uint64
+		nextRan                                bool
+	}
+	ran := make(chan seen, 1)
+	// Runs on the worker, at the end of the short's turn: the next
+	// request, queued or not, has not run yet if the short was not paused
+	// for it.
+	short.OnComplete = func(*sandbox.Sandbox) {
+		st := p.Stats()
+		ran <- seen{st.Preemptions, st.Pauses, short.Gas(), next.Gas(), next.LastWorker.Load() >= 0}
+	}
+	if err := p.Submit(short); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the short to start", func() bool { return short.LastWorker.Load() >= 0 })
+	// Submit is push with the pool's counts: next spends no gas before a
+	// worker runs it, unlike in Run's caller slice.
+	if err := p.Submit(next); err != nil {
+		t.Fatal(err)
+	}
+	clean := short.State() != sandbox.StateComplete
+	s := <-ran
+	if !clean {
+		return false
+	}
+	if young := uint64(fuel / youngShare); s.shortGas >= young {
+		t.Fatalf("the short ran %d gas, not under the young bound %d", s.shortGas, young)
+	}
+	if s.pauses != 0 || s.preemptions != 0 {
+		t.Errorf("the young short was paused %d times and preempted %d times, want 0 and 0", s.pauses, s.preemptions)
+	}
+	if s.nextRan || s.nextGas != 0 {
+		t.Errorf("the next request ran (%d gas) before the young short finished", s.nextGas)
+	}
+	return true
 }
 
 // TestHogNotStarvedByArrivals is the other half of arrival-first: the

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sledge/internal/abi"
+	"sledge/internal/engine"
 	"sledge/internal/sandbox"
 )
 
@@ -67,9 +68,11 @@ func submitParked(t *testing.T, p *Pool, sb *sandbox.Sandbox) {
 // worker with a hog. A read blocks on worker 0, then a hog starts there.
 // When the read is due it must not wait for worker 0: it completes on the
 // idle worker 1 while the hog is still running — under the preemptive
-// policy, inside the hog's first slice. With no worker 1 it must not wait
-// for the hog's quantum either: the lone hog is paused at the end of its
-// current step, and the read completes on worker 0 inside that quantum.
+// policy, inside the hog's first slice. With no worker 1 (there the read
+// blocks in its caller slice once the hog runs) it must not wait for the
+// hog's quantum either: the lone hog is paused at the first engine piece
+// past its young bound, and the read completes on worker 0 inside that
+// quantum.
 func TestIOResumesBesideHog(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	kvm := compileTestModule(t, kvSrc)
@@ -78,36 +81,34 @@ func TestIOResumesBesideHog(t *testing.T) {
 		defer p.Stop()
 		store := abi.NewMapKV()
 		store.Set("k", []byte("async-value"))
-		read, err := sandbox.New(kvm, nil, sandbox.Options{KV: &abi.LatentKV{KVStore: store, Delay: ioWait}})
+		// The read blocks in its caller slice once the hog has started,
+		// and is due a millisecond later: inside the hog's young part,
+		// hogSlice/youngShare gas, which lasts several milliseconds even
+		// at the fastest rate the learner allows (maxGasPerMS). So the
+		// completion is in the inbox before the hog's first poll, and the
+		// counts below are exact.
+		read, err := sandbox.New(kvm, nil, sandbox.Options{KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		hog := newSpin(t, cm, 20_000)
-		// The hog's gas cannot be read while it runs, so the step the read
-		// waited for is told apart in time: firedAt is stamped by the
-		// read's timer just before the completion is pushed.
-		var firedAt atomic.Int64
-		resume := p.resume
-		p.resume = func(sb *sandbox.Sandbox) {
-			firedAt.Store(time.Now().UnixNano())
-			resume(sb)
-		}
 		type seen struct {
-			preemptions, pauses, hogGas, stepGas uint64
-			stepTime, sinceFired                 time.Duration
+			preemptions, pauses, hogGas, lastRunGas uint64
 		}
 		ran := make(chan seen, 1)
-		// Runs on worker 0, which also runs the hog, so the hog's last
-		// step (the one its pause ended) is settled.
+		// Runs on worker 0, which also runs the hog, so the hog's last run
+		// (the one its pause ended) is settled.
 		read.OnComplete = func(*sandbox.Sandbox) {
 			st := p.Stats()
-			g, d := hog.LastSlice()
-			ran <- seen{st.Preemptions, st.Pauses, hog.Gas(), g, d,
-				time.Since(time.Unix(0, firedAt.Load()))}
+			g, _ := hog.LastSlice()
+			ran <- seen{st.Preemptions, st.Pauses, hog.Gas(), g}
 		}
-		submitParked(t, p, read)
-		waitFor(t, "the read to block", func() bool { return p.Stats().Blocked == 1 })
 		submitParked(t, p, hog)
+		waitFor(t, "the hog to start", func() bool { return hog.LastWorker.Load() >= 0 })
+		p.Run(read, -1)
+		if b := p.Stats().Blocked; b != 1 {
+			t.Fatalf("Blocked = %d after the read's caller slice, want 1", b)
+		}
 
 		var s seen
 		select {
@@ -118,33 +119,24 @@ func TestIOResumesBesideHog(t *testing.T) {
 		if read.State() != sandbox.StateComplete || string(read.Response()) != "async-value" {
 			t.Fatalf("read: state %s response %q err %v", read.State(), read.Response(), read.Err)
 		}
-		// hogSlice outlasts ioWait several times over, so the read was
-		// due inside the hog's first quantum and before its last step.
 		if s.preemptions != 0 {
 			t.Errorf("the hog's quantum ended %d times before the read completed, want 0", s.preemptions)
 		}
 		if s.pauses != 1 {
 			t.Errorf("the hog was paused %d times for the read, want 1", s.pauses)
 		}
-		if s.hogGas >= hogSlice {
-			t.Errorf("the read completed after %d gas of the hog, a whole quantum", s.hogGas)
+		// Within one piece of hog gas: the run the pause ended is the one
+		// after the young part, and it stopped at its first poll, having
+		// spent one piece and at most one charge more. A worker that
+		// looked only every few pieces would miss it by whole pieces.
+		young, charge := uint64(hogSlice/youngShare), uint64(cm.Analysis().MaxBlockCost)
+		if s.lastRunGas < engine.PollGas || s.lastRunGas > engine.PollGas+charge {
+			t.Errorf("the hog's last run ran %d gas, want one piece: [%d, %d]", s.lastRunGas, engine.PollGas, engine.PollGas+charge)
 		}
-		// Within one step of hog gas: the step the pause ended spent at
-		// most a step's budget and one charge, and the worker found the
-		// inbox empty before that step began, so the timer fired during
-		// it. The half step of slack covers the microseconds from the
-		// stamp to the push and from the step's end to this callback; a
-		// worker that looked only every few steps would miss it by
-		// whole steps.
-		step := uint64(hogSlice/arrivalChecks) + uint64(cm.Analysis().MaxBlockCost)
-		if s.stepGas > step {
-			t.Errorf("the hog's last step ran %d gas, more than a step of %d", s.stepGas, step)
+		if hi := young + engine.PollGas + charge; s.hogGas < young || s.hogGas > hi {
+			t.Errorf("the hog was paused after %d gas, want [%d, %d]: its young bound and one piece", s.hogGas, young, hi)
 		}
-		if s.sinceFired > s.stepTime+s.stepTime/2 {
-			t.Errorf("the read completed %v after its timer fired, more than the hog's step of %v", s.sinceFired, s.stepTime)
-		}
-		t.Logf("hog paused after %d gas; last step %d gas in %v; read completed %v after its timer fired",
-			s.hogGas, s.stepGas, s.stepTime, s.sinceFired)
+		t.Logf("hog paused after %d gas; its last run %d gas", s.hogGas, s.lastRunGas)
 	})
 	for _, policy := range []Policy{PolicyCooperative, PolicyPreemptiveRR} {
 		t.Run(policy.String(), func(t *testing.T) {

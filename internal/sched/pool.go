@@ -84,12 +84,13 @@ const maxLocalRunq = 64
 // path never waits on it.
 const idlePollBackstop = 500 * time.Microsecond
 
-// arrivalChecks is how many steps a lone sandbox's quantum is run in: a
-// worker with nothing else queued looks at its inbox between steps and
-// pauses the sandbox for an arrival (see worker.turn). About 310 µs at the
-// 5 ms default, against the ~95 µs of a short request: checking more often
-// lets a short that arrives right behind another pause that one too.
-const arrivalChecks = 16
+// youngShare sets the pause rule's young bound: a lone sandbox whose
+// request has burned less than fuel/youngShare gas (about 310 µs at the
+// 5 ms default) is not paused for an arrival (see worker.turn). A short
+// request runs well inside it (gps-ekf is about 40 k gas against 100–175 k),
+// so one that arrives right behind another does not pause that one and then
+// wait out the other's quantum.
+const youngShare = 16
 
 // Stats are cumulative pool counters.
 type Stats struct {
@@ -97,7 +98,7 @@ type Stats struct {
 	Completed   uint64
 	Trapped     uint64
 	Preemptions uint64
-	// Pauses counts turns a lone sandbox gave up between two steps of its
+	// Pauses counts turns a lone sandbox gave up before the end of its
 	// quantum because work arrived; the quantum goes on at its next turn,
 	// so a pause is not a preemption.
 	Pauses       uint64
@@ -706,16 +707,17 @@ func (w *worker) loop() {
 
 // turn runs sb for what is left of its quantum: all of the worker's fuel,
 // or the part a pause left it (sb.SchedFuel). With other work queued the
-// turn is one slice, as the arrival would not run next anyway. A lone
-// sandbox runs in steps of fuel/arrivalChecks instead, and after each the
-// worker looks at its inbox: if something has arrived, the sandbox is
-// paused with the rest of its quantum in sb.SchedFuel and goes through
-// held like a preempted one, so the arrival runs next. It always gets one
-// step first, so a stream of arrivals cannot stall it, and its quantum
-// ends at the same gas as with no arrivals: a step is a charge-point yield
-// like any other, and each step's budget is the quantum's gas still
-// unspent. On return sb.SchedFuel is non-zero only if the turn ended in a
-// pause. The rate learner sees the whole turn as one slice.
+// turn is one run, as the arrival would not run next anyway. A lone
+// sandbox first runs unpolled until its request has burned fuel/youngShare
+// gas in all, then runs the rest in one RunQuantumUntil that stops for the
+// worker's inbox: an arrival ends it within one engine piece
+// (engine.PollGas), and the sandbox is paused with the rest of its quantum
+// in sb.SchedFuel and goes through held like a preempted one, so the
+// arrival runs next. A stream of arrivals cannot stall it, as it always
+// runs a piece first, and its quantum ends at the same gas as with no
+// arrivals: each run's budget is the quantum's fuel still unspent, in the
+// engine's unit. On return sb.SchedFuel is non-zero only if the turn ended
+// in a pause. The rate learner sees the whole turn as one slice.
 //
 //sledge:noalloc
 func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
@@ -730,24 +732,33 @@ func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
 	if left == 0 {
 		left = w.fuel
 	}
-	step := left
+	var stop *atomic.Int64
 	if w.runq.Len() == 0 && w.overflowN == 0 {
-		step = max(w.fuel/arrivalChecks, 1)
+		stop = &w.inbox.n
 	}
 	var gas uint64
 	var d time.Duration
-	var st sandbox.State
-	for {
-		st = sb.RunQuantum(min(step, left))
+	st := sandbox.StateRunnable
+	if stop != nil {
+		// The young part is a loop because under NoBlockMeter its budget,
+		// counted in gas, is spent in dispatches; under block metering one
+		// run reaches the bound or ends the quantum.
+		young := uint64(w.fuel / youngShare)
+		for st == sandbox.StateRunnable && left > 0 && sb.Gas() < young {
+			budget := min(int64(young-sb.Gas()), left)
+			var rest int64
+			st, rest = sb.RunQuantumUntil(budget, nil)
+			g, dd := sb.LastSlice()
+			gas, d = gas+g, d+dd
+			left -= budget - rest
+		}
+	}
+	if st == sandbox.StateRunnable && left > 0 {
+		st, left = sb.RunQuantumUntil(left, stop)
 		g, dd := sb.LastSlice()
 		gas, d = gas+g, d+dd
-		left -= int64(g)
-		if st != sandbox.StateRunnable || left <= 0 {
-			break
-		}
-		if w.inbox.n.Load() > 0 {
+		if st == sandbox.StateRunnable && left > 0 {
 			sb.SchedFuel = left
-			break
 		}
 	}
 	// Before the caller's switch: a finished sandbox may be recycled there.

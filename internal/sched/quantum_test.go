@@ -159,3 +159,55 @@ func TestQuantumWallClockTolerance(t *testing.T) {
 		})
 	}
 }
+
+// TestLoneQuantumInEngineUnits: fuel is counted in the engine's unit, which
+// under NoBlockMeter is dispatches, not gas. A lone sandbox's turn spends
+// its quantum in several runs (the young part, then the polled rest), and
+// each must take off what the engine counted: the turn then ends exactly
+// where one Run(fuel) of the same module yields. Taking off the gas each
+// run burned instead ends the quantum at a different point.
+func TestLoneQuantumInEngineUnits(t *testing.T) {
+	res, err := wcc.Compile(spinSrc, wcc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  engine.Config
+	}{
+		{"block-metered", engine.Config{}},
+		{"NoBlockMeter", engine.Config{NoBlockMeter: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cm, err := engine.CompileBinary(res.Binary, abi.Registry(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const fuel = testSlice
+			req := make([]byte, foreverLen)
+			ref := cm.Instantiate()
+			ref.HostData = abi.NewContext(req)
+			if err := ref.Start("main"); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := ref.Run(fuel); st != engine.StatusYielded {
+				t.Fatalf("Run(%d): %v %v", fuel, st, err)
+			}
+
+			p := newPool(Config{Workers: 1}, fuel, time.Hour)
+			defer p.Stop()
+			// With no idle poll a parked worker touches nothing a turn
+			// reads, so the lone hog's first turn runs here, on the test's
+			// goroutine, and its gas can be read when it ends.
+			waitFor(t, "the worker to park", func() bool { return p.nparked.Load() == 1 })
+			hog := newSpin(t, cm, len(req))
+			st := p.workers[0].turn(hog)
+			if st != sandbox.StateRunnable || hog.SchedFuel != 0 {
+				t.Fatalf("the lone hog's turn ended %s with %d fuel kept, want its quantum spent", st, hog.SchedFuel)
+			}
+			if hog.Gas() != ref.Gas {
+				t.Errorf("the lone hog's quantum ended at %d gas, one Run(%d) at %d", hog.Gas(), fuel, ref.Gas)
+			}
+		})
+	}
+}
