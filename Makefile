@@ -29,9 +29,10 @@ GO ?= go
 # replies and gas), and fuzz smokes, each a fixed number of executions so
 # two runs do the same work: a differential fuzz of the
 # check-elision pipeline (every bounds strategy with elision on/off, in
-# both metering modes, must produce identical results, traps, and gas) and
-# a hostile-input fuzz of the sledge.output handoff host call (arbitrary
-# ptr/len must trap or stay in bounds).
+# both metering modes, must produce identical results, traps, and gas), a
+# hostile-input fuzz of the sledge.output handoff host call (arbitrary
+# ptr/len must trap or stay in bounds), and a differential fuzz of the
+# request parser against net/http over pipelined requests.
 check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
 
 fmt:
@@ -134,9 +135,14 @@ bench-chain:
 # of FuzzDifferentialElision was anywhere from 0.58 to 1.07 M executions
 # between runs of one tree, which made "no divergence" incomparable across
 # changes. 800 000 and 400 000 are about what 30 s and 15 s bought.
+# FuzzReadRequest's 200 000 take 20–30 s with minimizing capped at 1 000
+# executions: ReadRequest allocates a declared Content-Length up front, so
+# shrinking an input that declares megabytes otherwise takes most of a
+# minute.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDifferentialElision -fuzztime=800000x ./internal/engine/
 	$(GO) test -run=NONE -fuzz=FuzzOutputHostCall -fuzztime=400000x ./internal/abi/
+	$(GO) test -run=NONE -fuzz=FuzzReadRequest -fuzztime=200000x -fuzzminimizetime=1000x ./internal/httpd/
 
 test:
 	$(GO) test ./...

@@ -184,7 +184,7 @@ func (r *Router) score(n *node, module string) (time.Duration, bool) {
 		est = r.cfg.DefaultEstimate
 	}
 	s := 2*n.cfg.Link + h.QueueWaitEstimate(module, int(n.pending.Load()), r.cfg.DefaultEstimate) + est
-	if mh.Tier != core.TierLabelCold {
+	if mh.Resident {
 		// Warm bonus: the compiled body is resident here; prefer it over an
 		// otherwise-equal peer that would recompile it first.
 		s -= est / 4

@@ -8,7 +8,6 @@ import (
 
 	"sledge/internal/admission"
 	"sledge/internal/core"
-	"sledge/internal/engine"
 	"sledge/internal/workloads/apps"
 )
 
@@ -214,34 +213,29 @@ func TestRateLimitNotOffloaded(t *testing.T) {
 
 // TestStickyWarmRouting: two nodes publish identical health except that the
 // module's compiled body is resident on one and cold (evicted by the bounded
-// cache) on the other. Whatever tier label the engine configuration gives
-// the resident body, pick must choose the resident node — in either
+// cache) on the other. pick must choose the resident node — in either
 // registration order, so the choice comes from the warm bonus, not from a
 // tie broken by position.
 func TestStickyWarmRouting(t *testing.T) {
 	r := newTestRouter(t, Config{})
-	snapshot := func(tier string) *core.HealthSnapshot {
+	snapshot := func(resident bool) *core.HealthSnapshot {
 		return &core.HealthSnapshot{
 			Workers: 1,
 			Modules: map[string]core.ModuleHealth{
-				"hot": {ServiceNanos: int64(time.Millisecond), Tier: tier},
+				"hot": {ServiceNanos: int64(time.Millisecond), Resident: resident},
 			},
 		}
 	}
-	for _, label := range []string{engine.TierLabelNaive, engine.TierLabelCheap, engine.TierLabelFull} {
-		t.Run(label, func(t *testing.T) {
-			resident := &node{cfg: NodeConfig{Name: "resident"}}
-			resident.health.Store(snapshot(label))
-			cold := &node{cfg: NodeConfig{Name: "cold"}}
-			cold.health.Store(snapshot(core.TierLabelCold))
-			for _, nodes := range [][]*node{{resident, cold}, {cold, resident}} {
-				got, _, known := r.pick(nodes, "hot", 0)
-				if !known || got != resident {
-					t.Errorf("order %s,%s: picked %v (known %v), want the resident node",
-						nodes[0].cfg.Name, nodes[1].cfg.Name, got, known)
-				}
-			}
-		})
+	resident := &node{cfg: NodeConfig{Name: "resident"}}
+	resident.health.Store(snapshot(true))
+	cold := &node{cfg: NodeConfig{Name: "cold"}}
+	cold.health.Store(snapshot(false))
+	for _, nodes := range [][]*node{{resident, cold}, {cold, resident}} {
+		got, _, known := r.pick(nodes, "hot", 0)
+		if !known || got != resident {
+			t.Errorf("order %s,%s: picked %v (known %v), want the resident node",
+				nodes[0].cfg.Name, nodes[1].cfg.Name, got, known)
+		}
 	}
 }
 

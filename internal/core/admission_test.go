@@ -155,7 +155,7 @@ export i32 main() {
 
 	// Redeploy a fixed version under the same name: circuit resets.
 	app, _ := apps.Get("ping")
-	cm, err := app.Compile(rt.cfg.Engine)
+	cm, err := app.Compile(rt.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestPriceDoesNotMoveBesideHog(t *testing.T) {
 	rt := newAdmissionRuntime(t, Config{Workers: 1, KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})
 	spin, _ := apps.Get("spin")
 	for name, app := range map[string]*apps.App{"short": spin, "hog": spin, "fetch": &apps.FetchApp} {
-		cm, err := app.Compile(rt.cfg.Engine)
+		cm, err := app.Compile(rt.EngineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

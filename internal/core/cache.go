@@ -25,7 +25,7 @@ package core
 // (stable Zipf hot set) regimes.
 //
 // The policy self-tunes p in bytes rather than entry counts because module
-// footprints span three orders of magnitude (a naive-tier toy vs a
+// footprints span three orders of magnitude (a toy module vs a
 // register-allocated app with a 256 KiB snapshot).
 //
 // The invoke hot path pays nothing for any of this: recency/frequency

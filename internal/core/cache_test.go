@@ -189,8 +189,8 @@ func TestCacheDemotionRungs(t *testing.T) {
 	if s3.ColdModules != 1 {
 		t.Fatalf("cold modules = %d, want 1 ghost", s3.ColdModules)
 	}
-	if got := rt.Health().Modules["coldy"].Tier; got != TierLabelCold {
-		t.Fatalf("health tier = %q, want %q", got, TierLabelCold)
+	if rt.Health().Modules["coldy"].Resident {
+		t.Fatal("health reports the dropped module resident")
 	}
 	if hot.Compiled() == nil {
 		t.Fatal("the recently used module was evicted before the LRU one")
@@ -311,7 +311,7 @@ func TestCachePinnedCompiledNeverCold(t *testing.T) {
 	if !ok {
 		t.Fatal("ping app missing")
 	}
-	cm, err := app.Compile(rt.cfg.Engine)
+	cm, err := app.Compile(rt.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,7 +500,7 @@ func TestConcurrentUnregisterReplaceInvoke(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		eng := rt.cfg.Engine
+		eng := rt.EngineConfig()
 		for i := 0; i < 60; i++ {
 			name := names[i%modules]
 			switch i % 3 {

@@ -203,7 +203,7 @@ func TestFetchBlocksOnItsOwnTimer(t *testing.T) {
 	store.Set("obj", []byte("stored-value"))
 	rt := New(Config{Workers: 1, KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})
 	defer rt.Close()
-	cm, err := apps.FetchApp.Compile(rt.cfg.Engine)
+	cm, err := apps.FetchApp.Compile(rt.EngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ import (
 )
 
 // ModuleHealth is one module's health: the price the node sheds against,
-// its breaker state, and the tier of its installed compiled
-// form (a router prefers nodes where the module is resident rather than
-// cold — a cold node must recompile before it can serve).
+// its breaker state, and whether its compiled body is resident (a router
+// prefers nodes where it is — a cold node must recompile before it can
+// serve).
 type ModuleHealth struct {
 	// ServiceNanos is the node's price of one request: the module's mean
 	// gas at the node's learned rate plus its mean blocked span (a
@@ -30,9 +30,10 @@ type ModuleHealth struct {
 	// "half-open"); empty without admission control or before the node
 	// has admitted a request for the module.
 	Breaker string `json:"breaker,omitempty"`
-	// Tier labels the installed compiled form ("naive", "cheap", "full"),
-	// or "cold" when the bounded cache dropped it.
-	Tier string `json:"tier"`
+	// Resident reports whether the compiled body is installed; false
+	// while the bounded cache has dropped it. A pipeline is resident when
+	// every stage is.
+	Resident bool `json:"resident"`
 }
 
 // HealthSnapshot is the node's compact health view.
@@ -82,25 +83,21 @@ func (rt *Runtime) Health() HealthSnapshot {
 	defer rt.mu.RUnlock()
 	h.Modules = make(map[string]ModuleHealth, len(rt.registry)+len(rt.pipelines))
 	for name, m := range rt.registry {
-		mh := ModuleHealth{
+		h.Modules[name] = ModuleHealth{
 			ServiceNanos: int64(m.cost(rate)),
 			Breaker:      ah.Breakers[name],
-			Tier:         TierLabelCold,
+			Resident:     m.Compiled() != nil,
 		}
-		if cm := m.Compiled(); cm != nil {
-			mh.Tier = cm.TierLabel()
-		}
-		h.Modules[name] = mh
 	}
 	// Pipelines appear under their reserved "p/<name>" keys so routers
 	// place whole chains like modules: priced as the sum of their stages,
-	// and only as warm as their coldest stage.
+	// and resident only when every stage is.
 	for name, p := range rt.pipelines {
 		key := PipelinePrefix + name
 		h.Modules[key] = ModuleHealth{
 			ServiceNanos: int64(rt.chainCostLocked(p, rate)),
 			Breaker:      ah.Breakers[key],
-			Tier:         chainTierLocked(rt, p),
+			Resident:     rt.chainResidentLocked(p),
 		}
 	}
 	return h

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sledge/internal/admission"
-	"sledge/internal/engine"
 	"sledge/internal/wcc"
 )
 
@@ -86,11 +85,11 @@ func TestHealthSnapshotFields(t *testing.T) {
 	if mh.Breaker != "closed" {
 		t.Errorf("sum breaker = %q, want closed", mh.Breaker)
 	}
-	// Registration compiles with the runtime's engine configuration, whose
-	// default is the full form; an idle module reports it too.
+	// Registration installs the compiled body; an idle module reports it
+	// resident too.
 	for _, name := range []string{"sum", "idle"} {
-		if got := h.Modules[name].Tier; got != engine.TierLabelFull {
-			t.Errorf("%s tier = %q, want %q", name, got, engine.TierLabelFull)
+		if !h.Modules[name].Resident {
+			t.Errorf("%s not resident after registration", name)
 		}
 	}
 }

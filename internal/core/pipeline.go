@@ -451,33 +451,15 @@ func (rt *Runtime) chainCostLocked(p *Pipeline, gasPerMS float64) time.Duration 
 	return sum
 }
 
-// chainTierLocked is the pipeline's weakest stage tier. Callers hold rt.mu.
-func chainTierLocked(rt *Runtime, p *Pipeline) string {
-	rank := func(label string) int {
-		switch label {
-		case TierLabelCold:
-			return 0
-		case "naive":
-			return 1
-		case "cheap":
-			return 2
-		default:
-			return 3
-		}
-	}
-	worst, worstRank := "", 4
+// chainResidentLocked reports whether every stage of the pipeline has its
+// compiled body installed. Callers hold rt.mu.
+func (rt *Runtime) chainResidentLocked(p *Pipeline) bool {
 	for _, s := range p.stages {
-		label := TierLabelCold
-		if m, ok := rt.registry[s]; ok {
-			if cm := m.Compiled(); cm != nil {
-				label = cm.TierLabel()
-			}
-		}
-		if r := rank(label); r < worstRank {
-			worst, worstRank = label, r
+		if m, ok := rt.registry[s]; !ok || m.Compiled() == nil {
+			return false
 		}
 	}
-	return worst
+	return true
 }
 
 // splitPipelineName reports whether an invocation name addresses a pipeline

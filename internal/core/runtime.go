@@ -72,20 +72,19 @@ type ModuleStats struct {
 	Failures    uint64        `json:"failures"`
 	MeanLatency time.Duration `json:"mean_latency_ns"`
 	// Gas is the module's cumulative deterministic execution cost
-	// (static charge-point gas, identical across engine tiers), the basis
-	// for per-tenant accounting.
+	// (static charge-point gas, identical across engine configurations),
+	// the basis for per-tenant accounting.
 	Gas uint64 `json:"gas"`
-	// Tier labels the installed compiled form ("naive", "cheap", "full",
-	// read from the engine configuration), or "cold" when the bounded cache
-	// dropped it.
-	Tier string `json:"tier"`
+	// Resident reports whether the compiled body is installed; false
+	// while the bounded cache has dropped it, until the next invoke
+	// recompiles it.
+	Resident bool `json:"resident"`
 	// Analysis is what the static-analysis pipeline proved about the
 	// module at registration time (check elision, devirtualization, stack
-	// certification); all zero when analysis was disabled.
+	// certification).
 	Analysis engine.AnalysisStats `json:"analysis"`
 	// Regalloc is the register-allocation summary for the module (register
-	// file size, three-address fusions, branch fusions); Enabled is false
-	// only when the module runs on the naive interpreter.
+	// file size, three-address fusions, branch fusions).
 	Regalloc engine.RegallocStats `json:"regalloc"`
 	// ResidentBytes is the module's reclaimable footprint (compiled code +
 	// snapshot + idle pool slabs) — what the bounded cache charges against
@@ -93,17 +92,12 @@ type ModuleStats struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
-// TierLabelCold names a module whose compiled body the bounded cache
-// evicted: still registered, lazily recompiled on the next invoke.
-const TierLabelCold = "cold"
-
 // Stats returns the module's accounting snapshot.
 func (m *Module) Stats() ModuleStats {
 	st := ModuleStats{
 		Invocations: m.invocations.Load(),
 		Failures:    m.failures.Load(),
 		Gas:         m.gas.Load(),
-		Tier:        TierLabelCold,
 	}
 	if st.Invocations > 0 {
 		st.MeanLatency = time.Duration(m.totalNanos.Load() / int64(st.Invocations))
@@ -111,7 +105,7 @@ func (m *Module) Stats() ModuleStats {
 	// A registered-but-cold module has no compiled form to describe; its
 	// analysis/regalloc stats return with the lazily recompiled body.
 	if cm := m.Compiled(); cm != nil {
-		st.Tier = cm.TierLabel()
+		st.Resident = true
 		st.Analysis = cm.Analysis()
 		st.Regalloc = cm.Regalloc()
 		st.ResidentBytes = cm.ResidentBytes()
@@ -166,10 +160,16 @@ type Config struct {
 	// Policy selects preemptive round-robin (default) or cooperative
 	// scheduling.
 	Policy sched.Policy
-	// Engine is the sandboxing configuration; the default uses the
-	// optimized tier with guard-based memory safety, like the paper's
-	// production configuration.
-	Engine engine.Config
+	// Bounds is the memory-safety mechanism every module is compiled
+	// with (§3.2). Default: engine.BoundsGuard, the paper's production
+	// configuration.
+	Bounds engine.BoundsStrategy
+	// MaxCallDepth bounds a sandbox's call stack. Default:
+	// engine.DefaultMaxCallDepth frames.
+	MaxCallDepth int
+	// MaxMemoryPages caps a sandbox's linear memory. Default:
+	// engine.DefaultMaxMemoryPages pages.
+	MaxMemoryPages uint32
 	// KV is the storage backend exposed to functions; nil disables it.
 	KV abi.KVStore
 	// RequestTimeout bounds one invocation end-to-end. Default 30 s.
@@ -228,6 +228,11 @@ type Runtime struct {
 	pool *sched.Pool
 	adm  *admission.Controller
 
+	// engine is the one configuration every module is compiled with,
+	// built from cfg and defaulted as engine.CompiledModule.Config
+	// reports it.
+	engine engine.Config
+
 	// hostReg is the shared host-function registry. It is built once and
 	// treated as read-only: rebuilding it per registration shows up in
 	// registration-storm profiles.
@@ -268,13 +273,17 @@ type Runtime struct {
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
-		cfg:      cfg,
+		cfg: cfg,
+		engine: engine.Config{
+			Bounds:         cfg.Bounds,
+			MaxCallDepth:   cfg.MaxCallDepth,
+			MaxMemoryPages: cfg.MaxMemoryPages,
+		}.WithDefaults(),
 		registry: make(map[string]*Module),
 		hostReg:  abi.WASIRegistry(),
 	}
-	// The quantum needs no start-up calibration for cfg.Engine: each worker
-	// learns gas per millisecond from the slices it runs, whatever tier and
-	// IR form the modules it is handed were compiled to.
+	// The quantum needs no start-up calibration: each worker learns gas
+	// per millisecond from the slices it runs.
 	rt.pool = sched.NewPool(sched.Config{
 		Workers: cfg.Workers,
 		Quantum: cfg.Quantum,
@@ -337,7 +346,7 @@ func (rt *Runtime) RegisterWasm(name string, bin []byte, entry string) (*Module,
 // registerBinary compiles bin with the runtime's engine configuration and
 // registers it.
 func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string) (*Module, error) {
-	cm, err := engine.CompileBinary(bin, rt.hostReg, rt.cfg.Engine)
+	cm, err := engine.CompileBinary(bin, rt.hostReg, rt.engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: register %s: %w", name, err)
 	}
@@ -356,14 +365,29 @@ func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string)
 
 // RegisterCompiled registers an already-compiled module. The runtime has no
 // binary to recompile from, so the module serves the given form forever:
-// the bounded cache never drops its body.
+// the bounded cache never drops its body. The module must have been
+// compiled with EngineConfig(); any other configuration is refused.
 func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
+	if err := rt.checkCompiled(name, cm); err != nil {
+		return nil, err
+	}
 	if entry == "" {
 		entry = "main"
 	}
 	m := &Module{Name: name, Entry: entry, Tenant: tenant}
 	m.cm.Store(cm)
 	return rt.register(m)
+}
+
+// checkCompiled refuses a module compiled with any configuration but the
+// runtime's. The pool needs block-metered code that yields: a naive-tier
+// module would trap at the end of its caller slice, and a NoBlockMeter one
+// would spend a quantum's gas as dispatches, about three times as long.
+func (rt *Runtime) checkCompiled(name string, cm *engine.CompiledModule) error {
+	if got := cm.Config(); got != rt.engine {
+		return fmt.Errorf("core: module %s: compiled with %+v, the runtime compiles with %+v", name, got, rt.engine)
+	}
+	return nil
 }
 
 // register inserts a fully constructed module into the registry.
@@ -419,8 +443,12 @@ func (rt *Runtime) Unregister(name string) bool {
 // path for a breaker-tripped or updated function — registering it fresh if
 // absent. The new deployment starts with a clean circuit and, being a new
 // *Module, an unpriced one; requests still in flight on the old deployment
-// record into the old module and the dropped breaker.
+// record into the old module and the dropped breaker. Like
+// RegisterCompiled, it refuses a module not compiled with EngineConfig().
 func (rt *Runtime) Replace(name string, cm *engine.CompiledModule, entry, tenant string) (*Module, error) {
+	if err := rt.checkCompiled(name, cm); err != nil {
+		return nil, err
+	}
 	if entry == "" {
 		entry = "main"
 	}
@@ -459,7 +487,7 @@ func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 	if m.source == nil {
 		return nil, fmt.Errorf("core: %s: module is cold and has no retained source", m.Name)
 	}
-	cm, err := engine.CompileBinary(m.source, rt.hostReg, rt.cfg.Engine)
+	cm, err := engine.CompileBinary(m.source, rt.hostReg, rt.engine)
 	if err != nil {
 		return nil, fmt.Errorf("core: revive %s: %w", m.Name, err)
 	}
@@ -878,4 +906,4 @@ func (rt *Runtime) Close() error {
 }
 
 // EngineConfig returns the engine configuration modules are compiled with.
-func (rt *Runtime) EngineConfig() engine.Config { return rt.cfg.Engine }
+func (rt *Runtime) EngineConfig() engine.Config { return rt.engine }

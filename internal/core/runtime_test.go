@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -33,7 +34,7 @@ func registerApp(t *testing.T, rt *Runtime, name string) {
 	if !ok {
 		t.Fatalf("app %s missing", name)
 	}
-	cm, err := app.Compile(rt.cfg.Engine)
+	cm, err := app.Compile(rt.EngineConfig())
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
@@ -275,17 +276,18 @@ func TestStatsEndpoint(t *testing.T) {
 	if ra.Spills != 0 {
 		t.Errorf("regalloc reported %d spills; the slab register file never spills", ra.Spills)
 	}
-	// The installed form's tier and the request's gas ride along too.
-	if ms := payload.PerModule["ping"]; ms.Tier != engine.TierLabelFull || ms.Gas == 0 {
-		t.Errorf("per-module tier %q, gas %d: want %q and a nonzero charge", ms.Tier, ms.Gas, engine.TierLabelFull)
+	// Whether the compiled body is installed, and the request's gas, ride
+	// along too.
+	if ms := payload.PerModule["ping"]; !ms.Resident || ms.Gas == 0 {
+		t.Errorf("per-module resident %v, gas %d: want resident and a nonzero charge", ms.Resident, ms.Gas)
 	}
 }
 
-// newEngineRuntime builds a one-worker runtime compiling with cfg, whose
+// newCacheRuntime builds a one-worker runtime compiling with bounds, whose
 // cache never evicts on its own: a test drops bodies with dropCompiled.
-func newEngineRuntime(t *testing.T, cfg engine.Config) *Runtime {
+func newCacheRuntime(t *testing.T, bounds engine.BoundsStrategy) *Runtime {
 	t.Helper()
-	rt := New(Config{Workers: 1, Engine: cfg, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	rt := New(Config{Workers: 1, Bounds: bounds, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
 	t.Cleanup(func() { rt.Close() })
 	return rt
 }
@@ -305,73 +307,63 @@ func dropCompiled(t *testing.T, rt *Runtime, m *Module) {
 }
 
 // TestAdaptiveRegistersCheapTier: registration compiles once, with the
-// runtime's one engine configuration, and the tier label reads back from
-// that configuration — the NoAnalysis form is "cheap", the naive engine
-// "naive", the default "full". Traffic never moves it: there is no ladder.
+// runtime's one engine configuration, and traffic never moves the body:
+// there is no ladder. Only the cache takes it away, and the next invoke
+// revives it. /__stats and /__health both report which.
 func TestAdaptiveRegistersCheapTier(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  engine.Config
-		tier string
-	}{
-		{"optimized-cheap", engine.Config{NoAnalysis: true}, engine.TierLabelCheap},
-		{"naive-start", engine.Config{Tier: engine.TierNaive}, engine.TierLabelNaive},
-		{"static", engine.Config{}, engine.TierLabelFull},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := newEngineRuntime(t, tc.cfg)
-			m := registerSum(t, rt, "sum")
-			if got := m.Stats().Tier; got != tc.tier {
-				t.Fatalf("registration tier = %q, want %q", got, tc.tier)
+	t.Run("static", func(t *testing.T) {
+		rt := newCacheRuntime(t, 0)
+		m := registerSum(t, rt, "sum")
+		resident := func(when string, want bool) {
+			t.Helper()
+			if got := m.Stats().Resident; got != want {
+				t.Fatalf("%s: stats resident = %v, want %v", when, got, want)
 			}
-			if got := rt.Health().Modules["sum"].Tier; got != tc.tier {
-				t.Fatalf("health tier = %q, want %q", got, tc.tier)
+			if got := rt.Health().Modules["sum"].Resident; got != want {
+				t.Fatalf("%s: health resident = %v, want %v", when, got, want)
 			}
-			for i := 0; i < 16; i++ {
-				invokeSum(t, rt, "sum", []byte{1, 2, byte(i)})
-			}
-			if got := m.Stats().Tier; got != tc.tier {
-				t.Fatalf("post-invoke tier = %q, want %q", got, tc.tier)
-			}
-		})
-	}
+		}
+		resident("registration", true)
+		for i := 0; i < 16; i++ {
+			invokeSum(t, rt, "sum", []byte{1, 2, byte(i)})
+		}
+		resident("traffic", true)
+		dropCompiled(t, rt, m)
+		resident("dropCompiled", false)
+		invokeSum(t, rt, "sum", []byte{1, 2, 3})
+		resident("revive", true)
+	})
 }
 
-// TestPromotionGasContinuity pins the cross-form gas contract through the
-// runtime: the same request charges bit-identical gas under the NoAnalysis
-// and naive engine configurations as under the default full one (gas is a
-// function of the source path, not the compiled form), and revive — the one
-// remaining swap of a module's compiled body — neither loses nor
-// double-counts gas.
+// TestPromotionGasContinuity pins the gas contract through the runtime:
+// the same request charges bit-identical gas under every bounds strategy
+// (gas is a function of the source path, not of how memory accesses are
+// checked), and revive — the one remaining swap of a module's compiled
+// body — neither loses nor double-counts gas.
 func TestPromotionGasContinuity(t *testing.T) {
 	payload := []byte{11, 22, 33, 44, 55}
-	full := newEngineRuntime(t, engine.Config{})
-	fm := registerSum(t, full, "sum")
-	invokeSum(t, full, "sum", payload)
-	gasFull := fm.Stats().Gas
-	if gasFull == 0 {
-		t.Fatal("full-form invocation charged no gas")
+	ref := newCacheRuntime(t, 0)
+	rm := registerSum(t, ref, "sum")
+	invokeSum(t, ref, "sum", payload)
+	gasRef := rm.Stats().Gas
+	if gasRef == 0 {
+		t.Fatal("the default configuration charged no gas")
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  engine.Config
-		tier string
-	}{
-		{"cheap-optimized", engine.Config{NoAnalysis: true}, engine.TierLabelCheap},
-		{"cheap-naive", engine.Config{Tier: engine.TierNaive}, engine.TierLabelNaive},
+	for _, bounds := range []engine.BoundsStrategy{
+		engine.BoundsGuard, engine.BoundsSoftware, engine.BoundsSoftwareFused, engine.BoundsMPX, engine.BoundsNone,
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rt := newEngineRuntime(t, tc.cfg)
+		t.Run(bounds.String(), func(t *testing.T) {
+			rt := newCacheRuntime(t, bounds)
 			m := registerSum(t, rt, "sum")
 
 			invokeSum(t, rt, "sum", payload)
-			gasCheap := m.Stats().Gas
-			if gasCheap != gasFull {
-				t.Fatalf("%s form charged %d, full form charged %d", tc.tier, gasCheap, gasFull)
+			gas := m.Stats().Gas
+			if gas != gasRef {
+				t.Fatalf("%s charged %d, the default configuration %d", bounds, gas, gasRef)
 			}
 			invokeSum(t, rt, "sum", payload)
-			if got := m.Stats().Gas; got != 2*gasCheap {
-				t.Fatalf("second invocation: profile gas %d, want %d", got, 2*gasCheap)
+			if got := m.Stats().Gas; got != 2*gas {
+				t.Fatalf("second invocation: profile gas %d, want %d", got, 2*gas)
 			}
 
 			before := m.Stats().Gas
@@ -381,21 +373,22 @@ func TestPromotionGasContinuity(t *testing.T) {
 				t.Fatalf("eviction changed profile gas: %d -> %d", before, got)
 			}
 			invokeSum(t, rt, "sum", payload)
-			if got := m.Stats().Tier; got != tc.tier {
-				t.Fatalf("tier after revive = %q, want %q", got, tc.tier)
+			if !m.Stats().Resident {
+				t.Fatal("not resident after revive")
 			}
-			if got := m.Stats().Gas - before; got != gasCheap {
-				t.Fatalf("gas discontinuity across revive: charged %d before, %d after", gasCheap, got)
+			if got := m.Stats().Gas - before; got != gas {
+				t.Fatalf("gas discontinuity across revive: charged %d before, %d after", gas, got)
 			}
 		})
 	}
 }
 
-// TestStatsEndpointReportsTiering: /__stats reports each module's installed
-// form and gas. The label follows the engine configuration, reads "cold"
-// while the cache has dropped the body, and there is no tiering block.
+// TestStatsEndpointReportsTiering: /__stats reports each module's gas and
+// whether its compiled body is resident: true once registered, false
+// while the cache has dropped the body, true again once an invoke revived
+// it. There is no tiering block.
 func TestStatsEndpointReportsTiering(t *testing.T) {
-	rt := newEngineRuntime(t, engine.Config{NoAnalysis: true})
+	rt := newCacheRuntime(t, 0)
 	m := registerSum(t, rt, "sum")
 	invokeSum(t, rt, "sum", []byte{5, 6})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -429,8 +422,8 @@ func TestStatsEndpointReportsTiering(t *testing.T) {
 	if _, ok := raw["tiering"]; ok {
 		t.Error("stats payload still carries a tiering block")
 	}
-	if ms.Tier != engine.TierLabelCheap {
-		t.Errorf("per-module tier = %q, want %q", ms.Tier, engine.TierLabelCheap)
+	if !ms.Resident {
+		t.Error("per-module resident = false after registration")
 	}
 	if ms.Gas == 0 {
 		t.Errorf("per-module gas = 0, want > 0")
@@ -438,8 +431,49 @@ func TestStatsEndpointReportsTiering(t *testing.T) {
 
 	gas := ms.Gas
 	dropCompiled(t, rt, m)
-	if _, ms = stats(); ms.Tier != TierLabelCold || ms.Gas != gas {
-		t.Errorf("evicted module: tier %q, gas %d; want %q and gas %d", ms.Tier, ms.Gas, TierLabelCold, gas)
+	if _, ms = stats(); ms.Resident || ms.Gas != gas {
+		t.Errorf("evicted module: resident %v, gas %d; want false and gas %d", ms.Resident, ms.Gas, gas)
+	}
+	invokeSum(t, rt, "sum", []byte{5, 6})
+	if _, ms = stats(); !ms.Resident || ms.Gas != 2*gas {
+		t.Errorf("revived module: resident %v, gas %d; want true and gas %d", ms.Resident, ms.Gas, 2*gas)
+	}
+}
+
+// TestRegisterCompiledRefusesOtherConfigs: a precompiled module reaches
+// the pool only if it was compiled with the runtime's configuration. The
+// naive tier (which traps where the pool expects a yield) and NoBlockMeter
+// (which spends a quantum's gas as dispatches) are refused by
+// RegisterCompiled and Replace alike, and the refusal names both configs.
+func TestRegisterCompiledRefusesOtherConfigs(t *testing.T) {
+	rt := New(Config{Workers: 1})
+	t.Cleanup(func() { rt.Close() })
+	app, ok := apps.Get("ping")
+	if !ok {
+		t.Fatal("ping app missing")
+	}
+	for _, cfg := range []engine.Config{
+		{Tier: engine.TierNaive},
+		{NoBlockMeter: true},
+	} {
+		cm, err := app.Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("compiled with %+v, the runtime compiles with %+v", cm.Config(), rt.EngineConfig())
+		if _, err := rt.RegisterCompiled("ping", cm, "main", ""); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("RegisterCompiled(%+v) = %v, want a refusal naming both configs", cfg, err)
+		}
+		if _, err := rt.Replace("ping", cm, "main", ""); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Replace(%+v) = %v, want a refusal naming both configs", cfg, err)
+		}
+	}
+	if mods := rt.Modules(); len(mods) != 0 {
+		t.Fatalf("refused modules were registered: %v", mods)
+	}
+	registerApp(t, rt, "ping")
+	if out, err := rt.Invoke("ping", nil); err != nil || len(out) == 0 {
+		t.Fatalf("a module compiled with EngineConfig(): %q, %v", out, err)
 	}
 }
 

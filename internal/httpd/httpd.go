@@ -296,7 +296,10 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 // Content-Length only: a request that names a Transfer-Encoding, or whose
 // Content-Length is not plain digits or is given twice with different
 // values, is malformed — read any other way, its body would be parsed as the
-// next request on the connection.
+// next request on the connection. So is a header name that is not a token
+// (a space before the colon, or a folded continuation line): a proxy that
+// reads it as a different header frames the body differently. A repeated
+// header's values are joined with ", ", as RFC 9110 §5.3 combines them.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	budget := MaxHeaderBytes
 	line, err := readLine(br, &budget)
@@ -304,7 +307,8 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		return nil, err
 	}
 	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/1.") {
+	if len(parts) != 3 || !isToken(parts[0]) || !validTarget(parts[1]) ||
+		parts[2] != "HTTP/1.1" && parts[2] != "HTTP/1.0" {
 		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformedRequest, line)
 	}
 	req := &Request{
@@ -322,27 +326,27 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 			break
 		}
 		colon := strings.IndexByte(line, ':')
-		if colon < 0 {
+		if colon < 0 || !isToken(line[:colon]) || !validValue(line[colon+1:]) {
 			return nil, fmt.Errorf("%w: bad header %q", ErrMalformedRequest, line)
 		}
-		key := strings.ToLower(strings.TrimSpace(line[:colon]))
-		val := strings.TrimSpace(line[colon+1:])
-		switch key {
-		case "transfer-encoding":
+		key := strings.ToLower(line[:colon])
+		val := strings.Trim(line[colon+1:], " \t")
+		if key == "transfer-encoding" {
 			return nil, fmt.Errorf("%w: transfer-encoding %q not supported", ErrMalformedRequest, val)
-		case "content-length":
-			if prev, dup := req.Header[key]; dup && prev != val {
-				return nil, fmt.Errorf("%w: conflicting content-length %q and %q", ErrMalformedRequest, prev, val)
+		}
+		if prev, dup := req.Header[key]; dup {
+			if key == "content-length" {
+				if prev != val {
+					return nil, fmt.Errorf("%w: conflicting content-length %q and %q", ErrMalformedRequest, prev, val)
+				}
+				continue
 			}
+			val = prev + ", " + val
 		}
 		req.Header[key] = val
 	}
-	if strings.EqualFold(req.Header["connection"], "close") {
-		req.Close = true
-	}
-	if req.Proto == "HTTP/1.0" && !strings.EqualFold(req.Header["connection"], "keep-alive") {
-		req.Close = true
-	}
+	conn := req.Header["connection"]
+	req.Close = hasToken(conn, "close") || req.Proto == "HTTP/1.0" && !hasToken(conn, "keep-alive")
 	if cl, ok := req.Header["content-length"]; ok {
 		// Digits only: Atoi alone would also take a sign.
 		n, err := strconv.Atoi(cl)
@@ -359,6 +363,71 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		req.Body = body
 	}
 	return req, nil
+}
+
+// isToken reports whether s is a non-empty RFC 9110 token: the syntax of a
+// method and of a header name.
+func isToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
+	}
+	return s != ""
+}
+
+// validValue reports whether s holds only header-value bytes: visible
+// characters, space, tab and obs-text. A stray CR or NUL is refused.
+func validValue(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// validTarget reports whether p is an origin-form request target the
+// standard library's URL parser would take: it starts with '/', holds no
+// control byte, and every '%' before the query is followed by two hex
+// digits. The path is routed on as it is, never decoded.
+func validTarget(p string) bool {
+	if p == "" || p[0] != '/' {
+		return false
+	}
+	query := false
+	for i := 0; i < len(p); i++ {
+		switch c := p[i]; {
+		case c < ' ' || c == 0x7f:
+			return false
+		case c == '?':
+			query = true
+		case c == '%' && !query:
+			if i+2 >= len(p) || !isHex(p[i+1]) || !isHex(p[i+2]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// hasToken reports whether the comma-separated list holds tok, compared
+// case-insensitively in ASCII.
+func hasToken(list, tok string) bool {
+	for list != "" {
+		var t string
+		t, list, _ = strings.Cut(list, ",")
+		if t = strings.Trim(t, " \t"); len(t) == len(tok) && strings.EqualFold(t, tok) {
+			return true
+		}
+	}
+	return false
 }
 
 // readLine reads one CRLF- or LF-terminated line and charges it, terminator

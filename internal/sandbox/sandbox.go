@@ -261,11 +261,6 @@ func (sb *Sandbox) ExitCode() (int32, error) {
 // stats.
 func (sb *Sandbox) Gas() uint64 { return sb.inst.Gas }
 
-// Preemptible reports whether the sandbox can be quantum-bounded and
-// resumed. Naive-tier instances cannot (their interpreter traps on fuel
-// exhaustion instead of yielding); the scheduler runs them unpreempted.
-func (sb *Sandbox) Preemptible() bool { return sb.inst.Module().Preemptible() }
-
 // ErrNotRunnable reports a RunQuantum call in the wrong state.
 var ErrNotRunnable = errors.New("sandbox: not runnable")
 

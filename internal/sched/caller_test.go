@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"sledge/internal/abi"
-	"sledge/internal/engine"
 	"sledge/internal/sandbox"
-	"sledge/internal/wcc"
 )
 
 // The tests in this file pin where Pool.Run executes a sandbox — in the
@@ -119,76 +117,6 @@ func TestRunAboveSliceMatchesUnpreempted(t *testing.T) {
 	if c, _ := workerCounts(p); c != 3 || p.Stats().Completed != 3 {
 		t.Errorf("workers completed %d of %d, want all 3", c, p.Stats().Completed)
 	}
-}
-
-// compileNaive compiles src to the naive tier, which cannot yield.
-func compileNaive(t *testing.T, src string) *engine.CompiledModule {
-	t.Helper()
-	res, err := wcc.Compile(src, wcc.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := engine.CompileBinary(res.Binary, abi.Registry(), engine.Config{Tier: engine.TierNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cm
-}
-
-// TestRunNaiveNeverOnCaller: the naive tier cannot yield, so a slice of it
-// would be a run to completion on the caller; Run hands it to a worker.
-func TestRunNaiveNeverOnCaller(t *testing.T) {
-	cm := compileNaive(t, spinSrc)
-	p := NewPool(Config{Workers: 1})
-	defer p.Stop()
-	sb := newSpin(t, cm, 0)
-	runAndWait(t, p, sb)
-	if sb.State() != sandbox.StateComplete || sb.LastWorker.Load() != 0 {
-		t.Errorf("state %s on worker %d, want complete on worker 0", sb.State(), sb.LastWorker.Load())
-	}
-	if !p.Quiesce(time.Second) {
-		t.Fatal("pool did not quiesce")
-	}
-	if c, _ := workerCounts(p); c != 1 {
-		t.Errorf("workers completed %d, want 1", c)
-	}
-}
-
-// TestRunNaiveOnWorkerUnpreempted: a worker runs the naive tier with no
-// fuel limit, since a slice's fuel would trap it rather than yield it. A
-// request several slices long completes unpreempted, with the reply, exit
-// code and gas of one unpreempted run.
-func TestRunNaiveOnWorkerUnpreempted(t *testing.T) {
-	cm := compileNaive(t, spinSrc)
-	p := newPool(Config{Workers: 1}, testSlice, 0)
-	defer p.Stop()
-	const reqLen = 100
-	ref := newSpin(t, cm, reqLen)
-	if st := ref.RunQuantum(0); st != sandbox.StateComplete {
-		t.Fatalf("reference run: %s (%v)", st, ref.Err)
-	}
-	if ref.Gas() < 4*testSlice {
-		t.Fatalf("the request burns %d gas, not several %d-gas slices", ref.Gas(), testSlice)
-	}
-	sb := newSpin(t, cm, reqLen)
-	runAndWait(t, p, sb)
-	if sb.State() != sandbox.StateComplete || sb.LastWorker.Load() != 0 {
-		t.Fatalf("state %s (%v) on worker %d, want complete on worker 0", sb.State(), sb.Err, sb.LastWorker.Load())
-	}
-	wantExit, _ := ref.ExitCode()
-	gotExit, _ := sb.ExitCode()
-	if string(sb.Response()) != string(ref.Response()) || gotExit != wantExit || sb.Gas() != ref.Gas() {
-		t.Errorf("response %q exit %d gas %d, want %q %d %d",
-			sb.Response(), gotExit, sb.Gas(), ref.Response(), wantExit, ref.Gas())
-	}
-	if !p.Quiesce(time.Second) {
-		t.Fatal("pool did not quiesce")
-	}
-	if st := p.Stats(); sb.Preemptions != 0 || st.Preemptions != 0 {
-		t.Errorf("preempted %d times (pool: %d), want 0", sb.Preemptions, st.Preemptions)
-	}
-	ref.Release()
-	sb.Release()
 }
 
 // TestRunBlockedResumesOnItsTimer: a sandbox that blocks on latent I/O

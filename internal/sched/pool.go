@@ -287,9 +287,9 @@ var ErrStopped = errors.New("sched: pool stopped")
 // workers' tenants is untouched.
 const callerSliceGas = 1024
 
-// Run is the request path's entry into the pool. For a preemptible sandbox
-// under the preemptive policy it first runs callerSliceGas of it on the
-// calling goroutine; a sandbox that completes or traps there is counted and
+// Run is the request path's entry into the pool. Under the preemptive
+// policy it first runs callerSliceGas of the sandbox on the calling
+// goroutine; a sandbox that completes or traps there is counted and
 // FinishNotify'd on the spot, with no worker, queue or wake-up involved. A
 // sandbox that blocks there waits on its own timer and is pushed when its
 // I/O is due, like one that blocked on a worker. What yields — and
@@ -308,7 +308,7 @@ func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 	}
 	p.submitted.Add(1)
 	p.inflight.Add(1)
-	if p.cfg.Policy != PolicyPreemptiveRR || !sb.Preemptible() {
+	if p.cfg.Policy != PolicyPreemptiveRR {
 		p.push(sb, affinity)
 		return
 	}
@@ -715,18 +715,14 @@ func (w *worker) loop() {
 // in sb.SchedFuel and goes through held like a preempted one, so the
 // arrival runs next. A stream of arrivals cannot stall it, as it always
 // runs a piece first, and its quantum ends at the same gas as with no
-// arrivals: each run's budget is the quantum's fuel still unspent, in the
-// engine's unit. On return sb.SchedFuel is non-zero only if the turn ended
+// arrivals: each run's budget is the quantum's gas still unspent. On return sb.SchedFuel is non-zero only if the turn ended
 // in a pause. The rate learner sees the whole turn as one slice.
 //
 //sledge:noalloc
 func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
 	left := sb.SchedFuel
 	sb.SchedFuel = 0
-	if w.fuel == 0 || !sb.Preemptible() {
-		// Cooperative; or the naive tier, which traps on fuel exhaustion
-		// instead of yielding: run it unpreempted rather than killing
-		// long requests.
+	if w.fuel == 0 { // cooperative
 		return sb.RunQuantum(0)
 	}
 	if left == 0 {
@@ -739,19 +735,14 @@ func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
 	var gas uint64
 	var d time.Duration
 	st := sandbox.StateRunnable
-	if stop != nil {
-		// The young part is a loop because under NoBlockMeter its budget,
-		// counted in gas, is spent in dispatches; under block metering one
-		// run reaches the bound or ends the quantum.
-		young := uint64(w.fuel / youngShare)
-		for st == sandbox.StateRunnable && left > 0 && sb.Gas() < young {
-			budget := min(int64(young-sb.Gas()), left)
-			var rest int64
-			st, rest = sb.RunQuantumUntil(budget, nil)
-			g, dd := sb.LastSlice()
-			gas, d = gas+g, d+dd
-			left -= budget - rest
-		}
+	if young := uint64(w.fuel / youngShare); stop != nil && sb.Gas() < young {
+		// Fuel is gas, so this one run reaches the young bound or ends
+		// the quantum.
+		budget := min(int64(young-sb.Gas()), left)
+		var rest int64
+		st, rest = sb.RunQuantumUntil(budget, nil)
+		gas, d = sb.LastSlice()
+		left -= budget - rest
 	}
 	if st == sandbox.StateRunnable && left > 0 {
 		st, left = sb.RunQuantumUntil(left, stop)

@@ -114,11 +114,11 @@ func TestFuelQuantumSeedUntilSampled(t *testing.T) {
 }
 
 // TestQuantumWallClockTolerance is the property temporal isolation rests
-// on: a slice lasts about Config.Quantum of wall time, however the module
-// was lowered — fused and unfused code burn gas at different rates on the
-// same loop, and nothing tells the scheduler which it is running. One hog of a few dozen slices teaches the
-// rate; the slices of a second one must then average within [0.5x, 2x] the
-// quantum. (The one-shot start-up probe this replaces was held to 5x.)
+// on: a slice lasts about Config.Quantum of wall time, on a rate the
+// scheduler learns rather than is told. One hog of a few dozen slices
+// teaches the rate; the slices of a second one must then average within
+// [0.5x, 2x] the quantum. (The one-shot start-up probe this replaces was
+// held to 5x.)
 func TestQuantumWallClockTolerance(t *testing.T) {
 	if raceEnabled {
 		// The instrumented interpreter runs below minGasPerMS, where the
@@ -134,7 +134,6 @@ func TestQuantumWallClockTolerance(t *testing.T) {
 		cfg  engine.Config
 	}{
 		{"fused", engine.Config{}},
-		{"unfused", engine.Config{NoFusion: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cm, err := engine.CompileBinary(res.Binary, abi.Registry(), tc.cfg)
@@ -160,12 +159,10 @@ func TestQuantumWallClockTolerance(t *testing.T) {
 	}
 }
 
-// TestLoneQuantumInEngineUnits: fuel is counted in the engine's unit, which
-// under NoBlockMeter is dispatches, not gas. A lone sandbox's turn spends
-// its quantum in several runs (the young part, then the polled rest), and
-// each must take off what the engine counted: the turn then ends exactly
-// where one Run(fuel) of the same module yields. Taking off the gas each
-// run burned instead ends the quantum at a different point.
+// TestLoneQuantumInEngineUnits: a lone sandbox's turn spends its quantum
+// in several runs (the young part, then the polled rest), and each must
+// take off the fuel the engine counted: the turn then ends exactly where
+// one Run(fuel) of the same module yields.
 func TestLoneQuantumInEngineUnits(t *testing.T) {
 	res, err := wcc.Compile(spinSrc, wcc.Options{})
 	if err != nil {
@@ -176,7 +173,6 @@ func TestLoneQuantumInEngineUnits(t *testing.T) {
 		cfg  engine.Config
 	}{
 		{"block-metered", engine.Config{}},
-		{"NoBlockMeter", engine.Config{NoBlockMeter: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cm, err := engine.CompileBinary(res.Binary, abi.Registry(), tc.cfg)

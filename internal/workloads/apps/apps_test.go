@@ -19,12 +19,12 @@ import (
 // at the same metered cost whichever form it was compiled to.
 func TestWasmMatchesNative(t *testing.T) {
 	configs := []struct {
-		name, tier string
-		cfg        engine.Config
+		name string
+		cfg  engine.Config
 	}{
-		{"full", engine.TierLabelFull, engine.Config{}},
-		{"cheap", engine.TierLabelCheap, engine.Config{NoAnalysis: true}},
-		{"naive-oracle", engine.TierLabelNaive, engine.Config{Tier: engine.TierNaive, NoBlockMeter: true}},
+		{"full", engine.Config{}},
+		{"cheap", engine.Config{NoAnalysis: true}},
+		{"naive-oracle", engine.Config{Tier: engine.TierNaive, NoBlockMeter: true}},
 	}
 	for i := range Apps {
 		a := &Apps[i]
@@ -36,9 +36,6 @@ func TestWasmMatchesNative(t *testing.T) {
 				cm, err := a.Compile(c.cfg)
 				if err != nil {
 					t.Fatalf("%s: Compile: %v", c.name, err)
-				}
-				if got := cm.TierLabel(); got != c.tier {
-					t.Errorf("%s: compiled as %q, want %q", c.name, got, c.tier)
 				}
 				inst := cm.Acquire()
 				ctx := abi.NewContext(req)

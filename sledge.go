@@ -69,15 +69,10 @@ const PipelinePrefix = core.PipelinePrefix
 // ErrNoPipeline reports an unknown pipeline name.
 var ErrNoPipeline = core.ErrNoPipeline
 
-// Engine configuration: sandboxing tiers and memory-safety strategies.
-type (
-	// EngineConfig selects the execution tier and bounds-check strategy.
-	EngineConfig = engine.Config
-	// BoundsStrategy selects the memory-safety mechanism.
-	BoundsStrategy = engine.BoundsStrategy
-	// Tier selects the compilation tier.
-	Tier = engine.Tier
-)
+// BoundsStrategy selects the memory-safety mechanism every module is
+// compiled with (Config.Bounds), the one sandboxing choice the paper
+// offers.
+type BoundsStrategy = engine.BoundsStrategy
 
 // Bounds-check strategies (see the paper's §3.2).
 const (
@@ -86,12 +81,6 @@ const (
 	BoundsSoftwareFused = engine.BoundsSoftwareFused
 	BoundsMPX           = engine.BoundsMPX
 	BoundsNone          = engine.BoundsNone
-)
-
-// Compilation tiers.
-const (
-	TierOptimized = engine.TierOptimized
-	TierNaive     = engine.TierNaive
 )
 
 // SchedPolicy selects preemptive vs cooperative scheduling.

@@ -48,7 +48,7 @@ func TestPublicAPIKVAndEngineConfig(t *testing.T) {
 	rt := sledge.New(sledge.Config{
 		Workers: 1,
 		KV:      &sledge.LatentKV{KVStore: kv, Delay: time.Millisecond},
-		Engine:  sledge.EngineConfig{Bounds: sledge.BoundsSoftware},
+		Bounds:  sledge.BoundsSoftware,
 	})
 	defer rt.Close()
 
