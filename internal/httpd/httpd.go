@@ -307,8 +307,7 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		return nil, err
 	}
 	parts := strings.SplitN(line, " ", 3)
-	if len(parts) != 3 || !isToken(parts[0]) || !validTarget(parts[1]) ||
-		parts[2] != "HTTP/1.1" && parts[2] != "HTTP/1.0" {
+	if len(parts) != 3 || !isToken(parts[0]) || parts[2] != "HTTP/1.1" && parts[2] != "HTTP/1.0" {
 		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformedRequest, line)
 	}
 	req := &Request{
@@ -387,34 +386,6 @@ func validValue(s string) bool {
 		}
 	}
 	return true
-}
-
-// validTarget reports whether p is an origin-form request target the
-// standard library's URL parser would take: it starts with '/', holds no
-// control byte, and every '%' before the query is followed by two hex
-// digits. The path is routed on as it is, never decoded.
-func validTarget(p string) bool {
-	if p == "" || p[0] != '/' {
-		return false
-	}
-	query := false
-	for i := 0; i < len(p); i++ {
-		switch c := p[i]; {
-		case c < ' ' || c == 0x7f:
-			return false
-		case c == '?':
-			query = true
-		case c == '%' && !query:
-			if i+2 >= len(p) || !isHex(p[i+1]) || !isHex(p[i+2]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // hasToken reports whether the comma-separated list holds tok, compared
