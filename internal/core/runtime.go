@@ -228,11 +228,6 @@ type Runtime struct {
 	pool *sched.Pool
 	adm  *admission.Controller
 
-	// engine is the one configuration every module is compiled with,
-	// built from cfg and defaulted as engine.CompiledModule.Config
-	// reports it.
-	engine engine.Config
-
 	// hostReg is the shared host-function registry. It is built once and
 	// treated as read-only: rebuilding it per registration shows up in
 	// registration-storm profiles.
@@ -273,12 +268,7 @@ type Runtime struct {
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
-		cfg: cfg,
-		engine: engine.Config{
-			Bounds:         cfg.Bounds,
-			MaxCallDepth:   cfg.MaxCallDepth,
-			MaxMemoryPages: cfg.MaxMemoryPages,
-		}.WithDefaults(),
+		cfg:      cfg,
 		registry: make(map[string]*Module),
 		hostReg:  abi.WASIRegistry(),
 	}
@@ -346,7 +336,7 @@ func (rt *Runtime) RegisterWasm(name string, bin []byte, entry string) (*Module,
 // registerBinary compiles bin with the runtime's engine configuration and
 // registers it.
 func (rt *Runtime) registerBinary(name string, bin []byte, entry, tenant string) (*Module, error) {
-	cm, err := engine.CompileBinary(bin, rt.hostReg, rt.engine)
+	cm, err := engine.CompileBinary(bin, rt.hostReg, rt.EngineConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: register %s: %w", name, err)
 	}
@@ -384,8 +374,8 @@ func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entr
 // module would trap at the end of its caller slice, and a NoBlockMeter one
 // would spend a quantum's gas as dispatches, about three times as long.
 func (rt *Runtime) checkCompiled(name string, cm *engine.CompiledModule) error {
-	if got := cm.Config(); got != rt.engine {
-		return fmt.Errorf("core: module %s: compiled with %+v, the runtime compiles with %+v", name, got, rt.engine)
+	if got, want := cm.Config(), rt.EngineConfig(); got != want {
+		return fmt.Errorf("core: module %s: compiled with %+v, the runtime compiles with %+v", name, got, want)
 	}
 	return nil
 }
@@ -487,7 +477,7 @@ func (rt *Runtime) revive(m *Module) (*engine.CompiledModule, error) {
 	if m.source == nil {
 		return nil, fmt.Errorf("core: %s: module is cold and has no retained source", m.Name)
 	}
-	cm, err := engine.CompileBinary(m.source, rt.hostReg, rt.engine)
+	cm, err := engine.CompileBinary(m.source, rt.hostReg, rt.EngineConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: revive %s: %w", m.Name, err)
 	}
@@ -905,5 +895,12 @@ func (rt *Runtime) Close() error {
 	return err
 }
 
-// EngineConfig returns the engine configuration modules are compiled with.
-func (rt *Runtime) EngineConfig() engine.Config { return rt.engine }
+// EngineConfig returns the one engine configuration modules are compiled
+// with, defaulted as engine.CompiledModule.Config reports it.
+func (rt *Runtime) EngineConfig() engine.Config {
+	return engine.Config{
+		Bounds:         rt.cfg.Bounds,
+		MaxCallDepth:   rt.cfg.MaxCallDepth,
+		MaxMemoryPages: rt.cfg.MaxMemoryPages,
+	}.WithDefaults()
+}

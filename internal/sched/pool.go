@@ -715,8 +715,9 @@ func (w *worker) loop() {
 // in sb.SchedFuel and goes through held like a preempted one, so the
 // arrival runs next. A stream of arrivals cannot stall it, as it always
 // runs a piece first, and its quantum ends at the same gas as with no
-// arrivals: each run's budget is the quantum's gas still unspent. On return sb.SchedFuel is non-zero only if the turn ended
-// in a pause. The rate learner sees the whole turn as one slice.
+// arrivals: each run's budget is the quantum's gas still unspent. On
+// return sb.SchedFuel is non-zero only if the turn ended in a pause. The
+// rate learner sees the whole turn as one slice.
 //
 //sledge:noalloc
 func (w *worker) turn(sb *sandbox.Sandbox) sandbox.State {
