@@ -71,7 +71,7 @@ func FuzzReadRequest(f *testing.F) {
 			ourNext := len(data) - ourSrc.Len() - ours.Buffered()
 			stdNext := len(data) - stdSrc.Len() - std.Buffered()
 			ourCL := int64(len(req.Body))
-			stdDeadline := strings.Join(sreq.Header.Values(deadlineHeader), ", ")
+			stdDeadline := sreq.Header.Get(deadlineHeader)
 			switch {
 			case req.Method != sreq.Method:
 				t.Fatalf("request %d: method %q, net/http %q", i, req.Method, sreq.Method)

@@ -298,8 +298,9 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 // values, is malformed — read any other way, its body would be parsed as the
 // next request on the connection. So is a header name that is not a token
 // (a space before the colon, or a folded continuation line): a proxy that
-// reads it as a different header frames the body differently. A repeated
-// header's values are joined with ", ", as RFC 9110 §5.3 combines them.
+// reads it as a different header frames the body differently. Of a repeated
+// header the first value is kept, the one net/http's Header.Get reads, and
+// Connection's tokens are read from every line.
 func ReadRequest(br *bufio.Reader) (*Request, error) {
 	budget := MaxHeaderBytes
 	line, err := readLine(br, &budget)
@@ -316,6 +317,7 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		Proto:  parts[2],
 		Header: make(map[string]string, 8),
 	}
+	var closeTok, keepAlive bool
 	for {
 		line, err := readLine(br, &budget)
 		if err != nil {
@@ -330,22 +332,22 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		}
 		key := strings.ToLower(line[:colon])
 		val := strings.Trim(line[colon+1:], " \t")
-		if key == "transfer-encoding" {
+		switch key {
+		case "transfer-encoding":
 			return nil, fmt.Errorf("%w: transfer-encoding %q not supported", ErrMalformedRequest, val)
+		case "connection":
+			closeTok = closeTok || hasToken(val, "close")
+			keepAlive = keepAlive || hasToken(val, "keep-alive")
 		}
 		if prev, dup := req.Header[key]; dup {
-			if key == "content-length" {
-				if prev != val {
-					return nil, fmt.Errorf("%w: conflicting content-length %q and %q", ErrMalformedRequest, prev, val)
-				}
-				continue
+			if key == "content-length" && prev != val {
+				return nil, fmt.Errorf("%w: conflicting content-length %q and %q", ErrMalformedRequest, prev, val)
 			}
-			val = prev + ", " + val
+			continue
 		}
 		req.Header[key] = val
 	}
-	conn := req.Header["connection"]
-	req.Close = hasToken(conn, "close") || req.Proto == "HTTP/1.0" && !hasToken(conn, "keep-alive")
+	req.Close = closeTok || req.Proto == "HTTP/1.0" && !keepAlive
 	if cl, ok := req.Header["content-length"]; ok {
 		// Digits only: Atoi alone would also take a sign.
 		n, err := strconv.Atoi(cl)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -140,6 +141,40 @@ func TestDuplicateContentLengthAgreeing(t *testing.T) {
 	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
 	if err != nil || string(req.Body) != "abc" {
 		t.Fatalf("ReadRequest = %+v, %v", req, err)
+	}
+}
+
+// TestRepeatedHeaders: the first value of a repeated header is kept, and a
+// close token on any Connection line closes the connection.
+func TestRepeatedHeaders(t *testing.T) {
+	raw := "GET / HTTP/1.1\r\nX-A: 1\r\nConnection: keep-alive\r\nX-A: 2\r\nConnection: close\r\n\r\n"
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	if err != nil {
+		t.Fatalf("ReadRequest: %v", err)
+	}
+	if req.Header["x-a"] != "1" || !req.Close {
+		t.Errorf("x-a %q, close %v; want \"1\", true", req.Header["x-a"], req.Close)
+	}
+}
+
+// TestRepeatedHeadersParseInLinearSpace: a header block that fills
+// MaxHeaderBytes with one short header repeated allocates a small multiple
+// of the block, not the square of its line count.
+func TestRepeatedHeadersParseInLinearSpace(t *testing.T) {
+	const head, line, tail = "GET / HTTP/1.1\n", "a:\n", "\n"
+	raw := head + strings.Repeat(line, (MaxHeaderBytes-len(head)-len(tail))/len(line)) + tail
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("ReadRequest: %v", err)
+	}
+	if _, ok := req.Header["a"]; !ok {
+		t.Fatal("header a missing")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8*MaxHeaderBytes {
+		t.Errorf("parsing %d header bytes allocated %d bytes, want at most %d", len(raw), got, 8*MaxHeaderBytes)
 	}
 }
 
