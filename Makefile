@@ -70,7 +70,8 @@ bench-smoke:
 # 0.51 MB once the memory-safety pass stopped cloning its state, 0.46 MB once
 # register lowering rewrote the lowered stream in place, 0.35 MB once the
 # pass ran only where a bounds strategy reads it and the lowering scratch was
-# pooled; limit 512 KiB.
+# pooled; limit 512 KiB. It also counts the runtime's slab recycler: every
+# first instantiation of a warmed cycle is a hit, none a miss.
 cold-smoke:
 	$(GO) test -run=TestColdDeploySmoke -count=1 -v .
 

@@ -352,7 +352,9 @@ func BenchmarkColdDeploy(b *testing.B) {
 // memory-safety pass stopped cloning its abstract state at every branch,
 // 0.35 MB since it runs only where a bounds strategy reads it and the
 // lowering scratch is pooled — and nothing in between but a regression that
-// sends cold starts back to the allocator.
+// sends cold starts back to the allocator. It also counts the runtime's
+// recycler hits and misses, so a recycler that modules cannot reach fails
+// by name and not only through the byte bound.
 func TestColdDeploySmoke(t *testing.T) {
 	const (
 		warm, cycles = 3, 30
@@ -363,15 +365,28 @@ func TestColdDeploySmoke(t *testing.T) {
 		d.cycle(t, i)
 	}
 	var before, after runtime.MemStats
+	slabs := d.rt.EngineConfig().Slabs
+	s0 := slabs.Stats()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < cycles; i++ {
 		d.cycle(t, warm+i)
 	}
 	runtime.ReadMemStats(&after)
+	s1 := slabs.Stats()
 	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
-	t.Logf("cold deploy: %d B/cycle", perCycle)
+	t.Logf("cold deploy: %d B/cycle; runtime's slab recycler %+v -> %+v", perCycle, s0, s1)
 	if perCycle > limit {
 		t.Errorf("cold deploy allocates %d B/cycle, limit %d", perCycle, limit)
+	}
+	// A warmed cycle's first instantiations all build on the slabs the
+	// previous cycle retired to the runtime's recycler: one hit each, no
+	// miss. A recycler not wired through EngineConfig() reads zero here.
+	if hits := s1.Hits - s0.Hits; hits < uint64(cycles*len(d.first)) {
+		t.Errorf("%d cycles of %d first instantiations took %d slabs from the runtime's recycler, want %d",
+			cycles, len(d.first), hits, cycles*len(d.first))
+	}
+	if misses := s1.Misses - s0.Misses; misses != 0 {
+		t.Errorf("warmed cycles missed the runtime's recycler %d times", misses)
 	}
 }
 

@@ -10,8 +10,8 @@ package core
 // over per-module resident bytes, and reclaims in demotion rungs so a
 // module sheds its cheapest-to-rebuild state first:
 //
-//	rung 0: shed the engine's recycled linear-memory slabs (process-wide,
-//	        no module pays: the next cold start allocates instead)
+//	rung 0: shed the runtime's recycled linear-memory slabs (no module
+//	        pays: the next cold start allocates instead)
 //	rung 1: purge idle pooled instances   (rebuilt by the next Acquire)
 //	rung 2: drop the post-init snapshot   (re-captured on recompile)
 //	rung 3: drop the compiled body        ("registered-but-cold": the next
@@ -40,8 +40,6 @@ import (
 	"container/list"
 	"sync"
 	"time"
-
-	"sledge/internal/engine"
 )
 
 // cacheWhere is a cache entry's list membership.
@@ -177,12 +175,10 @@ func (c *cacheController) loop(interval time.Duration) {
 }
 
 // resident is what the budget is held against: the modules' measured
-// footprints plus the retired linear memories the engine's slab recycler
-// retains for the next cold start. The recycler is process-wide, so a
-// budgeted runtime charges itself for (and sheds) slabs another runtime in
-// the same process donated. Caller holds mu.
+// footprints plus the retired linear memories the runtime's slab recycler
+// retains for the next cold start. Caller holds mu.
 func (c *cacheController) resident() int64 {
-	return c.t1Bytes + c.t2Bytes + engine.SlabRecyclerStats().HeldBytes
+	return c.t1Bytes + c.t2Bytes + c.rt.slabs.Stats().HeldBytes
 }
 
 // onRegister admits a freshly registered module into T1 (ARC: first
@@ -329,7 +325,7 @@ func (c *cacheController) scan() {
 		if over <= 0 {
 			break
 		}
-		if shed := engine.ShedSlabs(over); shed > 0 {
+		if shed := c.rt.slabs.Shed(over); shed > 0 {
 			c.evictedBytes += shed
 			continue
 		}
@@ -469,7 +465,7 @@ func (c *cacheController) dropBody(e *cacheEntry) {
 func (c *cacheController) Stats() CacheSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	slab := engine.SlabRecyclerStats().HeldBytes
+	slab := c.rt.slabs.Stats().HeldBytes
 	return CacheSnapshot{
 		BudgetBytes:      c.budget,
 		ResidentBytes:    c.t1Bytes + c.t2Bytes + slab,

@@ -103,8 +103,6 @@ func waitPooled(t *testing.T, m *Module) {
 // invoke. The scan interval is effectively infinite so every transition is
 // driven (and asserted) synchronously via the controller's scan.
 func TestCacheDemotionRungs(t *testing.T) {
-	// Slabs earlier tests retired would be shed before any rung is taken.
-	engine.ShedSlabs(math.MaxInt64)
 	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
 	t.Cleanup(func() { rt.Close() })
 	if _, err := rt.RegisterWCC("hot", cacheEchoSrc, wcc.Options{}); err != nil {
@@ -339,7 +337,6 @@ func TestCachePinnedCompiledNeverCold(t *testing.T) {
 // immediately, and an in-flight instance released afterwards must not be
 // re-pooled; in both cases the linear memory goes to the slab recycler.
 func TestUnregisterReleasesPooledSlabs(t *testing.T) {
-	engine.ShedSlabs(math.MaxInt64)
 	rt := newTestRuntime(t)
 	if _, err := rt.RegisterWCC("gone", cacheEchoSrc, wcc.Options{}); err != nil {
 		t.Fatal(err)
@@ -355,11 +352,11 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 	inflight := cm.Acquire() // simulates a request still running at unregister
 	cm.Release(cm.Acquire()) // and one that just finished
 	idle := cm.PooledInstances()
-	before := engine.SlabRecyclerStats()
+	before := rt.slabs.Stats()
 	if !rt.Unregister("gone") {
 		t.Fatal("Unregister returned false")
 	}
-	if got := engine.SlabRecyclerStats().Donated - before.Donated; got != uint64(idle) || idle == 0 {
+	if got := rt.slabs.Stats().Donated - before.Donated; got != uint64(idle) || idle == 0 {
 		t.Fatalf("Unregister donated %d slabs for %d idle instances", got, idle)
 	}
 	if n := cm.PooledInstances(); n != 0 {
@@ -372,7 +369,7 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 	if n := cm.PooledInstances(); n != 0 {
 		t.Fatalf("post-unregister Release re-pooled the instance (%d idle)", n)
 	}
-	if got := engine.SlabRecyclerStats().Donated - before.Donated; got != uint64(idle)+1 {
+	if got := rt.slabs.Stats().Donated - before.Donated; got != uint64(idle)+1 {
 		t.Fatalf("post-unregister Release did not donate its slab (%d donated, want %d)", got, idle+1)
 	}
 }
@@ -381,7 +378,6 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 // CacheBudgetBytes, and an over-budget scan gives them up before it touches
 // any module's pool, snapshot or body.
 func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
-	engine.ShedSlabs(math.MaxInt64)
 	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
 	t.Cleanup(func() { rt.Close() })
 	for _, name := range []string{"keep", "retire"} {
@@ -397,7 +393,7 @@ func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
 	rt.Unregister("retire")
 	rt.cache.scan()
 	s0 := rt.cache.Stats()
-	if s0.SlabBytes == 0 || s0.SlabBytes != engine.SlabRecyclerStats().HeldBytes {
+	if s0.SlabBytes == 0 || s0.SlabBytes != rt.slabs.Stats().HeldBytes {
 		t.Fatalf("retired module's slab is not on the cache's books: %+v", s0)
 	}
 	if s0.ResidentBytes != s0.T1Bytes+s0.T2Bytes+s0.SlabBytes {
@@ -421,12 +417,55 @@ func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
 	}
 
 	// With nothing left to shed, the same squeeze reaches rung 1.
-	engine.ShedSlabs(math.MaxInt64)
+	rt.slabs.Shed(math.MaxInt64)
 	rt.cache.scan()
 	setCacheBudget(rt, rt.cache.Stats().ResidentBytes-1)
 	rt.cache.scan()
 	if s2 := rt.cache.Stats(); s2.PurgedIdle != 1 {
 		t.Fatalf("empty recycler: expected the idle-pool rung, got %+v", s2)
+	}
+}
+
+// TestCacheChargesOnlyItsOwnSlabs: a budgeted runtime's books hold its own
+// recycler's slabs, not those of another runtime in the same process. B
+// retiring a module leaves A's slab gauge at zero, and squeezing A to its
+// own rungs leaves B's recycler whole for B's next cold start.
+func TestCacheChargesOnlyItsOwnSlabs(t *testing.T) {
+	a := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	t.Cleanup(func() { a.Close() })
+	b := newTestRuntime(t)
+	registerApp(t, b, "echo")
+	if _, err := b.Invoke("echo", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := b.Lookup("echo")
+	waitPooled(t, m)
+	b.Unregister("echo")
+	held := statsSlabs(t, b).HeldBytes
+	if held == 0 {
+		t.Fatal("B's retired module left no slab in B's recycler")
+	}
+	a.cache.scan()
+	if s := a.cache.Stats(); s.SlabBytes != 0 || s.ResidentBytes != 0 {
+		t.Fatalf("A has no module, but its books hold B's slabs: %+v", s)
+	}
+
+	if _, err := a.RegisterWCC("keep", cacheEchoSrc, wcc.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Invoke("keep", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	mk, _ := a.Lookup("keep")
+	waitPooled(t, mk)
+	a.cache.scan()
+	setCacheBudget(a, a.cache.Stats().ResidentBytes-1)
+	a.cache.scan()
+	if s := a.cache.Stats(); s.PurgedIdle != 1 || s.ResidentBytes > s.BudgetBytes {
+		t.Fatalf("squeezed A did not fit its budget through its own idle-pool rung: %+v", s)
+	}
+	if got := statsSlabs(t, b).HeldBytes; got != held {
+		t.Fatalf("squeezing A shed B's slabs: B holds %d bytes, held %d", got, held)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sledge/internal/engine"
+	"sledge/internal/wasm"
 	"sledge/internal/wcc"
 	"sledge/internal/workloads/apps"
 )
@@ -136,7 +137,7 @@ func TestColdChurnMatchesNative(t *testing.T) {
 		req := app.GenRequest()
 		suite = append(suite, deployable{name, res.Binary, req, app.Native(req)})
 	}
-	before := engine.SlabRecyclerStats()
+	before := rt.slabs.Stats()
 	const goroutines = 4
 	const rounds = 6
 	var wg sync.WaitGroup
@@ -178,7 +179,7 @@ func TestColdChurnMatchesNative(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	after := engine.SlabRecyclerStats()
+	after := rt.slabs.Stats()
 	if after.Hits == before.Hits || after.Donated == before.Donated {
 		t.Errorf("the churn never went through the recycler: %+v -> %+v", before, after)
 	}
@@ -204,10 +205,55 @@ func TestStatsReportsSlabs(t *testing.T) {
 	if payload.Slabs == nil {
 		t.Fatal("/__stats has no slabs block")
 	}
-	if got, want := *payload.Slabs, engine.SlabRecyclerStats(); got != want {
+	if got, want := *payload.Slabs, rt.slabs.Stats(); got != want {
 		t.Errorf("slabs block = %+v, recycler says %+v", got, want)
 	}
 	if payload.Slabs.HeldBytes == 0 || payload.Slabs.Donated == 0 {
 		t.Errorf("retired module's slab not visible: %+v", *payload.Slabs)
+	}
+}
+
+// statsSlabs reads the slabs block off the runtime's /__stats.
+func statsSlabs(t *testing.T, rt *Runtime) engine.SlabStats {
+	t.Helper()
+	var payload struct {
+		Slabs engine.SlabStats `json:"slabs"`
+	}
+	if err := json.Unmarshal(rt.statsResponse().Body, &payload); err != nil {
+		t.Fatal(err)
+	}
+	return payload.Slabs
+}
+
+// TestReleaseBeyondPoolDonates: an instance released into a full free list
+// donates its linear memory to the runtime's recycler, so every released
+// linear memory is on a book the cache budget reads — the module's
+// PooledBytes or the recycler's HeldBytes — and none is left to the
+// collector's schedule.
+func TestReleaseBeyondPoolDonates(t *testing.T) {
+	rt := newTestRuntime(t)
+	const n, pages = 100, 4
+	m := wasm.NewModule()
+	m.Memories = []wasm.Limits{{Min: pages}}
+	cm, err := engine.Compile(m, nil, rt.EngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := make([]*engine.Instance, n)
+	for i := range ins {
+		ins[i] = cm.Acquire()
+	}
+	for _, in := range ins {
+		cm.Release(in)
+	}
+	const slab = pages * wasm.PageSize
+	pooled := int64(cm.PooledInstances())
+	held := statsSlabs(t, rt).HeldBytes
+	if pooled*slab+held != n*slab {
+		t.Fatalf("%d pooled instances and %d recycled bytes account for %d of %d released bytes",
+			pooled, held, pooled*slab+held, n*slab)
+	}
+	if got := cm.PooledBytes(); got < pooled*slab {
+		t.Fatalf("PooledBytes %d does not count the %d pooled memories", got, pooled)
 	}
 }

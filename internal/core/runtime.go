@@ -164,12 +164,6 @@ type Config struct {
 	// with (§3.2). Default: engine.BoundsGuard, the paper's production
 	// configuration.
 	Bounds engine.BoundsStrategy
-	// MaxCallDepth bounds a sandbox's call stack. Default:
-	// engine.DefaultMaxCallDepth frames.
-	MaxCallDepth int
-	// MaxMemoryPages caps a sandbox's linear memory. Default:
-	// engine.DefaultMaxMemoryPages pages.
-	MaxMemoryPages uint32
 	// KV is the storage backend exposed to functions; nil disables it.
 	KV abi.KVStore
 	// RequestTimeout bounds one invocation end-to-end. Default 30 s.
@@ -232,6 +226,10 @@ type Runtime struct {
 	// treated as read-only: rebuilding it per registration shows up in
 	// registration-storm profiles.
 	hostReg engine.HostRegistry
+
+	// slabs is the linear-memory recycler of the modules compiled with
+	// EngineConfig(), charged to this runtime's cache budget alone.
+	slabs engine.Slabs
 
 	// cache is the bounded module cache (nil when Config.CacheBudgetBytes
 	// is 0): ARC eviction with staged demotion over the registry's
@@ -404,7 +402,7 @@ func (rt *Runtime) register(m *Module) (*Module, error) {
 // purged immediately, so pooled instances cannot outlive the registration:
 // without this, 64 idle instances per unregistered module would survive
 // until the last in-flight reference happened to be collected. Their linear
-// memories are cleared and handed to the engine's slab recycler, where the
+// memories are cleared and handed to the runtime's slab recycler, where the
 // next deployment's first instantiation finds them. It reports whether a
 // module was removed.
 func (rt *Runtime) Unregister(name string) bool {
@@ -779,7 +777,7 @@ func (rt *Runtime) statsResponse() httpd.Response {
 			Rejected: rt.server.Rejected.Load(),
 			TimedOut: rt.server.TimedOut.Load(),
 		},
-		Slabs: engine.SlabRecyclerStats(),
+		Slabs: rt.slabs.Stats(),
 	}
 	if rt.adm != nil {
 		snap := rt.adm.Stats()
@@ -896,11 +894,8 @@ func (rt *Runtime) Close() error {
 }
 
 // EngineConfig returns the one engine configuration modules are compiled
-// with, defaulted as engine.CompiledModule.Config reports it.
+// with, defaulted as engine.CompiledModule.Config reports it, and carrying
+// the runtime's slab recycler.
 func (rt *Runtime) EngineConfig() engine.Config {
-	return engine.Config{
-		Bounds:         rt.cfg.Bounds,
-		MaxCallDepth:   rt.cfg.MaxCallDepth,
-		MaxMemoryPages: rt.cfg.MaxMemoryPages,
-	}.WithDefaults()
+	return engine.Config{Bounds: rt.cfg.Bounds, Slabs: &rt.slabs}.WithDefaults()
 }

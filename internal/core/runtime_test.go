@@ -442,12 +442,16 @@ func TestStatsEndpointReportsTiering(t *testing.T) {
 
 // TestRegisterCompiledRefusesOtherConfigs: a precompiled module reaches
 // the pool only if it was compiled with the runtime's configuration. The
-// naive tier (which traps where the pool expects a yield) and NoBlockMeter
-// (which spends a quantum's gas as dispatches) are refused by
-// RegisterCompiled and Replace alike, and the refusal names both configs.
+// naive tier (which traps where the pool expects a yield), NoBlockMeter
+// (which spends a quantum's gas as dispatches) and another runtime's
+// EngineConfig() (whose instances would retire their memory to that
+// runtime's slab recycler) are refused by RegisterCompiled and Replace
+// alike, and the refusal names both configs.
 func TestRegisterCompiledRefusesOtherConfigs(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	t.Cleanup(func() { rt.Close() })
+	other := New(Config{Workers: 1})
+	t.Cleanup(func() { other.Close() })
 	app, ok := apps.Get("ping")
 	if !ok {
 		t.Fatal("ping app missing")
@@ -455,6 +459,7 @@ func TestRegisterCompiledRefusesOtherConfigs(t *testing.T) {
 	for _, cfg := range []engine.Config{
 		{Tier: engine.TierNaive},
 		{NoBlockMeter: true},
+		other.EngineConfig(),
 	} {
 		cm, err := app.Compile(cfg)
 		if err != nil {

@@ -141,6 +141,10 @@ type Config struct {
 	// MaxMemoryPages caps linear memory growth regardless of module
 	// limits. Default: 1024 pages (64 MiB).
 	MaxMemoryPages uint32
+	// Slabs is the recycler instances take their linear memory from and
+	// donate it back to when they retire (slab.go). Nil recycles nothing:
+	// memory comes from make and retires to the collector.
+	Slabs *Slabs
 }
 
 // Default limits applied when Config fields are zero.
@@ -159,7 +163,10 @@ func (c Config) readsAccessFacts() bool {
 	return c.Bounds == BoundsSoftware || c.Bounds == BoundsMPX
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with each zero field set to the value Compile
+// uses: the form CompiledModule.Config reports, so a configuration can be
+// compared with the one a module was compiled with.
+func (c Config) WithDefaults() Config {
 	if c.Bounds == 0 {
 		c.Bounds = BoundsGuard
 	}

@@ -137,7 +137,7 @@ func (cm *CompiledModule) Instantiate() *Instance {
 	}
 	if snap := cm.snap.Load(); snap != nil {
 		in.snap = snap
-		in.mem = takeSlab(snap.memLen)
+		in.mem = cm.cfg.Slabs.take(snap.memLen)
 		copy(in.mem, snap.image)
 		// memDirty tracks divergence from the baseline, and this instance's
 		// baseline IS the snapshot: nothing differs yet.
@@ -156,7 +156,7 @@ func (cm *CompiledModule) Instantiate() *Instance {
 		return in
 	}
 	if cm.minMemBytes > 0 {
-		in.mem = takeSlab(cm.minMemBytes)
+		in.mem = cm.cfg.Slabs.take(cm.minMemBytes)
 		for _, seg := range cm.dataSegs {
 			copy(in.mem[seg.offset:], seg.bytes)
 		}
@@ -446,12 +446,13 @@ func (in *Instance) growMemory(delta uint32) int32 {
 		// zeroed the dirty prefix, so re-exposed bytes are already zero.
 		in.mem = in.mem[:newBytes]
 	} else {
-		nm := takeSlab(newBytes)
+		slabs := in.mod.cfg.Slabs
+		nm := slabs.take(newBytes)
 		copy(nm, in.mem)
 		// The outgrown slab retires to the recycler. The interpreter loops
 		// keep the store watermark in a local until they exit, so memDirty
 		// is stale here: the whole visible length counts as written.
-		retireSlab(in.mem, uint64(len(in.mem)))
+		slabs.retire(in.mem, uint64(len(in.mem)))
 		in.mem = nm
 	}
 	in.mpxBounds[1] = uint64(len(in.mem))

@@ -400,6 +400,12 @@ type LowerStats struct {
 // Config returns the configuration the module was compiled with.
 func (cm *CompiledModule) Config() Config { return cm.cfg }
 
+// Preemptible reports whether instances of this module can be suspended at
+// an instruction boundary and resumed later. The naive tier's recursive
+// interpreter has no reified continuation: exhausting its fuel budget traps
+// instead of yielding.
+func (cm *CompiledModule) Preemptible() bool { return cm.cfg.Tier != TierNaive }
+
 // Stats returns compilation statistics.
 func (cm *CompiledModule) Stats() LowerStats { return cm.lowerStats }
 
@@ -464,7 +470,7 @@ type HostRegistry map[string]map[string]HostDef
 // (aWsm compilation + dlopen in the paper); instantiation afterwards is
 // microsecond-scale.
 func Compile(m *wasm.Module, host HostRegistry, cfg Config) (*CompiledModule, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := wasm.Validate(m); err != nil {
 		return nil, err
 	}

@@ -21,11 +21,11 @@ import (
 // they are derived from the immutable table, not from tenant state.
 //
 // The pool dies with its module (ClosePool). What outlives it is the linear
-// memory alone, handed to the cross-module slab recycler in slab.go under
-// the stronger form of the same contract: all-zero over its full capacity.
+// memory alone, handed to the module's slab recycler (slab.go) under the
+// stronger form of the same contract: all-zero over its full capacity.
 
-// maxFreeInstances bounds the per-module explicit free list. Overflow goes
-// to a sync.Pool, which the GC may reclaim under memory pressure.
+// maxFreeInstances bounds the per-module free list. An instance released
+// into a full list donates its linear memory to the slab recycler.
 const maxFreeInstances = 64
 
 // Per-element sizes for the pool's footprint gauge (sizeof frame and
@@ -36,15 +36,10 @@ const (
 )
 
 // instancePool recycles Instances for one CompiledModule: a small bounded
-// LIFO for the steady state plus a sync.Pool overflow tier.
+// LIFO for the steady state.
 type instancePool struct {
 	mu   sync.Mutex
 	free []*Instance
-	// sp is the overflow tier, behind an atomic pointer so PurgeIdle can
-	// swap the whole pool out without racing concurrent Put/Get — or a
-	// concurrent purge: the cache controller's demotion rung and
-	// Unregister/ClosePool may both purge the same module at once.
-	sp atomic.Pointer[sync.Pool]
 	// closed stops the pool from accepting or handing out instances:
 	// Unregister (and full cache eviction) must not let idle instances
 	// outlive the module. Acquire falls back to Instantiate; Release does
@@ -57,21 +52,6 @@ type instancePool struct {
 	// list, maintained on every put/take so the cache controller can read
 	// it without walking the list.
 	freeBytes int64
-}
-
-// overflow returns the current overflow sync.Pool, lazily creating it. The
-// pool-miss callers tolerate a purge swapping the pool under them: a Put
-// into a just-retired pool only makes that instance garbage.
-func (p *instancePool) overflow() *sync.Pool {
-	for {
-		if sp := p.sp.Load(); sp != nil {
-			return sp
-		}
-		sp := new(sync.Pool)
-		if p.sp.CompareAndSwap(nil, sp) {
-			return sp
-		}
-	}
 }
 
 // Acquire returns a reset, ready-to-Start Instance, reusing a recycled one
@@ -99,11 +79,6 @@ func (cm *CompiledModule) Acquire() *Instance {
 		return in
 	}
 	p.mu.Unlock()
-	if !p.closed.Load() {
-		if v := p.overflow().Get(); v != nil {
-			return v.(*Instance)
-		}
-	}
 	return cm.Instantiate()
 }
 
@@ -112,7 +87,7 @@ func (cm *CompiledModule) Acquire() *Instance {
 // (releasing live state would let a scheduled sandbox be handed to a second
 // owner). On a closed pool nothing is reset: the instance is finished for
 // good, so its linear memory is cleared to its dirty extent and donated to
-// the slab recycler.
+// the slab recycler. So does one the full free list has no room for.
 //
 //sledge:noalloc
 func (cm *CompiledModule) Release(in *Instance) {
@@ -136,8 +111,7 @@ func (cm *CompiledModule) Release(in *Instance) {
 	}
 	in.resetForReuse()
 	p.mu.Lock()
-	closed := p.closed.Load()
-	if !closed && len(p.free) < maxFreeInstances {
+	if !p.closed.Load() && len(p.free) < maxFreeInstances {
 		// Amortized: the free list grows to its 64-entry cap once and then
 		// stays allocated for the module's lifetime.
 		p.free = append(p.free, in) //sledge:coldpath
@@ -146,12 +120,9 @@ func (cm *CompiledModule) Release(in *Instance) {
 		return
 	}
 	p.mu.Unlock()
-	if closed {
-		// ClosePool ran between the test above and the push.
-		in.donateSlab() //sledge:coldpath
-		return
-	}
-	p.overflow().Put(in)
+	// The list is full, or ClosePool ran between the test above and the
+	// push.
+	in.donateSlab() //sledge:coldpath
 }
 
 // PooledInstances reports how many instances sit in the bounded free list
@@ -170,11 +141,10 @@ func (cm *CompiledModule) PooledBytes() int64 {
 	return cm.pool.freeBytes
 }
 
-// PurgeIdle drops every idle instance from the pool (free list and
-// sync.Pool overflow) to the collector and returns the bytes released from
-// the bounded free list. In-flight instances are unaffected; the pool keeps
-// working. This is the cache's first, cheapest demotion rung, taken to free
-// memory — so nothing is donated to the slab recycler here.
+// PurgeIdle drops every idle instance from the free list to the collector
+// and returns the bytes released. In-flight instances are unaffected; the
+// pool keeps working. This is the cache's first, cheapest demotion rung,
+// taken to free memory — so nothing is donated to the slab recycler here.
 func (cm *CompiledModule) PurgeIdle() int64 {
 	p := &cm.pool
 	p.mu.Lock()
@@ -185,10 +155,6 @@ func (cm *CompiledModule) PurgeIdle() int64 {
 	p.free = p.free[:0]
 	p.freeBytes = 0
 	p.mu.Unlock()
-	// Retire the overflow tier wholesale; outstanding Put/Get against the
-	// old pool are harmless (the old instances just become garbage) and the
-	// atomic store keeps concurrent purges off each other's toes.
-	p.sp.Store(nil)
 	return released
 }
 
@@ -206,7 +172,6 @@ func (cm *CompiledModule) ClosePool() {
 	idle := p.free
 	p.free, p.freeBytes = nil, 0
 	p.mu.Unlock()
-	p.sp.Store(nil)
 	for _, in := range idle {
 		in.donateSlab()
 	}

@@ -639,7 +639,7 @@ func TestLoweringRejectsMalformedBodies(t *testing.T) {
 	} {
 		for _, fuse := range []bool{true, false} {
 			m := &wasm.Module{Types: []wasm.FuncType{{}}, Funcs: []wasm.Func{{Body: body}}}
-			cm := &CompiledModule{cfg: Config{}.withDefaults()}
+			cm := &CompiledModule{cfg: Config{}.WithDefaults()}
 			cf := &compiledFunc{}
 			ra := &regalloc{cm: cm, m: m, fuse: fuse, thread: fuse}
 			if err := ra.run(cf, &m.Funcs[0], make([]uint32, len(body)), 0); err == nil {

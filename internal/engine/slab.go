@@ -14,10 +14,11 @@ import (
 // collector must later mark, sweep and scavenge, for a module that may be
 // unregistered milliseconds after its first request. The per-module
 // instance pool (pool.go) cannot help — it dies with its module — so retired
-// slabs are filed here, process-wide, and the next first instantiation of
-// any module with the same memory size takes one instead of calling make.
+// slabs are filed with the recycler in the module's Config.Slabs — one per
+// Runtime — and the next first instantiation of any module sharing it with
+// the same memory size takes one instead of calling make.
 //
-// Invariant: every slab held by the recycler is all-zero over its full
+// Invariant: every slab held by a recycler is all-zero over its full
 // capacity. The donor establishes it (Instance.donateSlab), clearing only
 // what its baseline or its last request could have written — the same
 // dirty-watermark argument as the per-module recycling reset, extended to
@@ -30,13 +31,17 @@ import (
 // collector the recycler exists to relieve: measured on the coldstart
 // workload it gives back part of the CPU gain and raises peak RSS above
 // the no-recycler baseline (docs/PERF.md §10). Both operations are
-// cold-path only; Acquire/Release on an open pool never reach them.
+// cold-path only; Acquire/Release on an open pool with room never reach
+// them.
 
-// slabBound caps the bytes the recycler holds. A donation that would
+// slabBound caps the bytes one recycler holds. A donation that would
 // exceed it is dropped to the collector.
 const slabBound = 64 << 20
 
-type slabRecycler struct {
+// Slabs is a bounded free list of retired, all-zero linear memories; the
+// zero value is empty and ready for use. A nil *Slabs recycles nothing:
+// take calls make and retire drops.
+type Slabs struct {
 	mu sync.Mutex
 	// free files slabs by exact capacity in Wasm pages, LIFO.
 	free map[int][][]byte
@@ -44,10 +49,6 @@ type slabRecycler struct {
 
 	hits, misses, donated, dropped uint64
 }
-
-// slabs is the process-wide recycler. Slabs carry no module or tenant
-// state (they are all-zero), so sharing across Runtimes is safe.
-var slabs = slabRecycler{free: map[int][][]byte{}}
 
 // slabTakeHook, when set, sees every recycled slab over its full capacity
 // before it is handed out. Tests install an all-zero assertion.
@@ -62,14 +63,16 @@ type SlabStats struct {
 	DroppedOverBound uint64 `json:"dropped_over_bound"`
 }
 
-// takeSlab returns n zeroed bytes: a recycled slab of exactly that capacity
+// take returns n zeroed bytes: a recycled slab of exactly that capacity
 // when one is filed, otherwise a fresh allocation.
-func takeSlab(n int) []byte {
+func (r *Slabs) take(n int) []byte {
 	if n == 0 {
 		return nil
 	}
+	if r == nil {
+		return make([]byte, n)
+	}
 	pages := n / wasm.PageSize
-	r := &slabs
 	r.mu.Lock()
 	list := r.free[pages]
 	if len(list) == 0 || n%wasm.PageSize != 0 {
@@ -89,21 +92,23 @@ func takeSlab(n int) []byte {
 	return s
 }
 
-// giveSlab files s with the recycler. The caller guarantees s is all-zero
-// over its full capacity and holds no other reference to it. Slabs that are
-// not a whole number of pages, or that would push the recycler past
-// slabBound, are dropped to the collector.
-func giveSlab(s []byte) {
+// give files s with the recycler. The caller guarantees s is all-zero over
+// its full capacity and holds no other reference to it. Slabs that are not
+// a whole number of pages, or that would push the recycler past slabBound,
+// are dropped to the collector.
+func (r *Slabs) give(s []byte) {
 	n := cap(s)
 	if n == 0 || n%wasm.PageSize != 0 {
 		return
 	}
-	r := &slabs
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.held+int64(n) > slabBound {
 		r.dropped++
 		return
+	}
+	if r.free == nil {
+		r.free = map[int][][]byte{}
 	}
 	pages := n / wasm.PageSize
 	r.free[pages] = append(r.free[pages], s[:n])
@@ -111,10 +116,9 @@ func giveSlab(s []byte) {
 	r.donated++
 }
 
-// SlabRecyclerStats snapshots the recycler's gauge and counters. The module
-// cache counts HeldBytes as resident against its budget.
-func SlabRecyclerStats() SlabStats {
-	r := &slabs
+// Stats snapshots the recycler's gauge and counters. The module cache
+// counts HeldBytes as resident against its budget.
+func (r *Slabs) Stats() SlabStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return SlabStats{
@@ -126,12 +130,11 @@ func SlabRecyclerStats() SlabStats {
 	}
 }
 
-// ShedSlabs drops recycled slabs to the collector until at least need bytes
-// are released or the recycler is empty, and returns the bytes released.
-// The module cache calls it before demoting any module: an idle slab is the
+// Shed drops recycled slabs to the collector until at least need bytes are
+// released or the recycler is empty, and returns the bytes released. The
+// module cache calls it before demoting any module: an idle slab is the
 // cheapest resident state to give up.
-func ShedSlabs(need int64) int64 {
-	r := &slabs
+func (r *Slabs) Shed(need int64) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	released := int64(0)
@@ -147,16 +150,19 @@ func ShedSlabs(need int64) int64 {
 	return released
 }
 
-// retireSlab clears the first dirty bytes of a slab nobody references any
-// more and files it with the recycler. dirty must cover every byte of the
-// slab that can be non-zero.
-func retireSlab(full []byte, dirty uint64) {
+// retire clears the first dirty bytes of a slab nobody references any more
+// and files it with the recycler. dirty must cover every byte of the slab
+// that can be non-zero. A nil recycler drops it uncleared.
+func (r *Slabs) retire(full []byte, dirty uint64) {
+	if r == nil {
+		return
+	}
 	full = full[:cap(full)]
 	if dirty > uint64(len(full)) {
 		dirty = uint64(len(full))
 	}
 	clear(full[:dirty])
-	giveSlab(full)
+	r.give(full)
 }
 
 // donateSlab retires the instance's linear memory into the recycler. Only
@@ -170,7 +176,7 @@ func retireSlab(full []byte, dirty uint64) {
 func (in *Instance) donateSlab() {
 	mem := in.mem
 	in.mem = nil
-	retireSlab(mem, max(in.memDirty, in.baselineExtent()))
+	in.mod.cfg.Slabs.retire(mem, max(in.memDirty, in.baselineExtent()))
 }
 
 // baselineExtent is one past the last byte the instance's baseline can hold

@@ -35,7 +35,11 @@ func firstNot(b []byte, v byte) int {
 
 func firstNonZero(b []byte) int { return firstNot(b, 0) }
 
-func drainSlabs() { ShedSlabs(math.MaxInt64) }
+// withSlabs returns cfg compiling against a fresh, empty recycler.
+func withSlabs(cfg Config) Config {
+	cfg.Slabs = new(Slabs)
+	return cfg
+}
 
 // fillLoop stores 0xA5A5A5A5 over the instance's whole current memory,
 // counting in the given (zero-initialized) local.
@@ -141,13 +145,14 @@ var dirtiers = []struct {
 	}},
 }
 
-// firstFromRecycler instantiates tenant B and checks that its memory came
-// from the recycler and reads all-zero outside B's own data segment.
+// firstFromRecycler instantiates tenant B, compiled against cfg's recycler,
+// and checks that its memory came from the recycler and reads all-zero
+// outside B's own data segment.
 func firstFromRecycler(t *testing.T, pages uint32, cfg Config) {
 	t.Helper()
-	before := SlabRecyclerStats()
+	before := cfg.Slabs.Stats()
 	b := mustCompile(t, takerModule(pages), cfg).Instantiate()
-	if after := SlabRecyclerStats(); after.Hits != before.Hits+1 {
+	if after := cfg.Slabs.Stats(); after.Hits != before.Hits+1 {
 		t.Fatalf("tenant B's %d-page memory did not come from the recycler: %+v -> %+v", pages, before, after)
 	}
 	want := make([]byte, int(pages)*wasm.PageSize)
@@ -175,7 +180,7 @@ func TestSlabHygieneAcrossModules(t *testing.T) {
 		for _, d := range dirtiers {
 			for _, inflight := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%s/%s/inflight=%v", cfg.Tier, cfg.Bounds, d.name, inflight)
-				drainSlabs()
+				cfg := withSlabs(cfg)
 				m, host := donorModule(1)
 				a, err := Compile(m, host, cfg)
 				if err != nil {
@@ -193,7 +198,7 @@ func TestSlabHygieneAcrossModules(t *testing.T) {
 					a.Release(in)
 					a.ClosePool()
 				}
-				if got := SlabRecyclerStats().HeldBytes; got != wasm.PageSize {
+				if got := cfg.Slabs.Stats().HeldBytes; got != wasm.PageSize {
 					t.Fatalf("%s: recycler holds %d bytes after retiring A, want one page", name, got)
 				}
 				firstFromRecycler(t, 1, cfg)
@@ -209,8 +214,11 @@ func TestSlabHygieneAcrossModules(t *testing.T) {
 func TestSlabHygieneSnapshotDonor(t *testing.T) {
 	for _, cfg := range snapshotFidelityConfigs() {
 		for _, ran := range []bool{false, true} {
+			cfg := withSlabs(cfg)
 			a := mustCompile(t, snapshotTestModule(t), cfg)
-			drainSlabs() // the compile-time probe's own grow retired a slab
+			// The compile-time probe's own grow retired a slab, and the probe
+			// donated its grown one.
+			cfg.Slabs.Shed(math.MaxInt64)
 			if a.Snapshot() == nil {
 				t.Fatal("module was not snapshotted")
 			}
@@ -226,10 +234,38 @@ func TestSlabHygieneSnapshotDonor(t *testing.T) {
 			}
 			a.Release(in)
 			a.ClosePool()
-			if got := SlabRecyclerStats().HeldBytes; got != 2*wasm.PageSize {
+			if got := cfg.Slabs.Stats().HeldBytes; got != 2*wasm.PageSize {
 				t.Fatalf("%s/%s ran=%v: recycler holds %d bytes, want two pages", cfg.Tier, cfg.Bounds, ran, got)
 			}
 			firstFromRecycler(t, 2, cfg)
+		}
+	}
+}
+
+// TestSnapshotProbeDonatesSlab: the compile-time probe never runs again, so
+// its post-init memory (the start function filled and grew it) goes to the
+// recycler, where the module's first instance, of the same post-init size,
+// finds it clean and materializes the snapshot on it.
+func TestSnapshotProbeDonatesSlab(t *testing.T) {
+	for _, cfg := range snapshotFidelityConfigs() {
+		cfg := withSlabs(cfg)
+		a := mustCompile(t, snapshotTestModule(t), cfg)
+		snap := a.Snapshot()
+		if snap == nil {
+			t.Fatal("module was not snapshotted")
+		}
+		before := cfg.Slabs.Stats()
+		if before.HeldBytes < int64(snap.MemLen()) {
+			t.Fatalf("%s/%s: the probe's %d-byte memory was not donated: %+v", cfg.Tier, cfg.Bounds, snap.MemLen(), before)
+		}
+		in := a.Instantiate()
+		if after := cfg.Slabs.Stats(); after.Hits != before.Hits+1 {
+			t.Fatalf("%s/%s: the first instance did not take the probe's slab: %+v -> %+v", cfg.Tier, cfg.Bounds, before, after)
+		}
+		want := make([]byte, snap.MemLen())
+		copy(want, snap.image)
+		if !bytes.Equal(in.mem, want) {
+			t.Fatalf("%s/%s: the first instance's memory is not the snapshot image", cfg.Tier, cfg.Bounds)
 		}
 	}
 }
@@ -239,19 +275,19 @@ func TestSlabHygieneSnapshotDonor(t *testing.T) {
 // grown instance's new memory must itself be a recycled slab.
 func TestSlabHygieneGrownDonor(t *testing.T) {
 	for _, cfg := range allConfigs {
-		drainSlabs()
-		giveSlab(make([]byte, 3*wasm.PageSize))
+		cfg := withSlabs(cfg)
+		cfg.Slabs.give(make([]byte, 3*wasm.PageSize))
 		m, host := donorModule(1)
 		a, err := Compile(m, host, cfg)
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
 		in := a.Acquire()
-		before := SlabRecyclerStats()
+		before := cfg.Slabs.Stats()
 		if v, err := in.Invoke("fillgrow", 2); err != nil || int32(v) != 1 {
 			t.Fatalf("fillgrow(2) = %d, %v", v, err)
 		}
-		if after := SlabRecyclerStats(); after.Hits != before.Hits+1 || after.Donated != before.Donated+1 {
+		if after := cfg.Slabs.Stats(); after.Hits != before.Hits+1 || after.Donated != before.Donated+1 {
 			t.Fatalf("%s/%s: grow did not take its new memory from, and retire its old one to, the recycler: %+v -> %+v",
 				cfg.Tier, cfg.Bounds, before, after)
 		}
@@ -278,47 +314,46 @@ func TestSlabHygieneGrownDonor(t *testing.T) {
 // what would exceed it, refuses slabs that are not whole pages, and sheds on
 // request.
 func TestSlabRecyclerBound(t *testing.T) {
-	drainSlabs()
+	var r Slabs
 	const slab = 8 << 20
-	before := SlabRecyclerStats()
 	for i := 0; i < slabBound/slab+3; i++ {
-		giveSlab(make([]byte, slab))
-		if held := SlabRecyclerStats().HeldBytes; held > slabBound {
+		r.give(make([]byte, slab))
+		if held := r.Stats().HeldBytes; held > slabBound {
 			t.Fatalf("recycler holds %d bytes, bound is %d", held, slabBound)
 		}
 	}
-	giveSlab(make([]byte, wasm.PageSize+1))
-	giveSlab(make([]byte, wasm.PageSize)[: 10 : wasm.PageSize/2])
-	st := SlabRecyclerStats()
+	r.give(make([]byte, wasm.PageSize+1))
+	r.give(make([]byte, wasm.PageSize)[: 10 : wasm.PageSize/2])
+	st := r.Stats()
 	if st.HeldBytes != slabBound {
 		t.Errorf("held %d, want the bound %d exactly", st.HeldBytes, slabBound)
 	}
-	if got := st.DroppedOverBound - before.DroppedOverBound; got != 3 {
+	if got := st.DroppedOverBound; got != 3 {
 		t.Errorf("dropped over bound = %d, want 3", got)
 	}
-	if got := st.Donated - before.Donated; got != slabBound/slab {
+	if got := st.Donated; got != slabBound/slab {
 		t.Errorf("donated = %d, want %d", got, slabBound/slab)
 	}
 	// A partial shed releases at least what was asked, in whole slabs.
-	if got := ShedSlabs(slab + 1); got != 2*slab {
-		t.Errorf("ShedSlabs(%d) released %d, want %d", slab+1, got, 2*slab)
+	if got := r.Shed(slab + 1); got != 2*slab {
+		t.Errorf("Shed(%d) released %d, want %d", slab+1, got, 2*slab)
 	}
-	if got := SlabRecyclerStats().HeldBytes; got != slabBound-2*slab {
+	if got := r.Stats().HeldBytes; got != slabBound-2*slab {
 		t.Errorf("held %d after the shed, want %d", got, slabBound-2*slab)
 	}
 	// Exact-size classes: another size misses while 8 MiB slabs are filed.
-	st = SlabRecyclerStats()
-	if s := takeSlab(slab / 2); len(s) != slab/2 {
-		t.Fatalf("takeSlab returned %d bytes", len(s))
+	st = r.Stats()
+	if s := r.take(slab / 2); len(s) != slab/2 {
+		t.Fatalf("take returned %d bytes", len(s))
 	}
-	if s := takeSlab(slab); len(s) != slab || cap(s) != slab {
-		t.Fatalf("takeSlab returned len %d cap %d", len(s), cap(s))
+	if s := r.take(slab); len(s) != slab || cap(s) != slab {
+		t.Fatalf("take returned len %d cap %d", len(s), cap(s))
 	}
-	if after := SlabRecyclerStats(); after.Misses != st.Misses+1 || after.Hits != st.Hits+1 {
+	if after := r.Stats(); after.Misses != st.Misses+1 || after.Hits != st.Hits+1 {
 		t.Errorf("want one miss and one hit: %+v -> %+v", st, after)
 	}
-	drainSlabs()
-	if got := SlabRecyclerStats().HeldBytes; got != 0 {
+	r.Shed(math.MaxInt64)
+	if got := r.Stats().HeldBytes; got != 0 {
 		t.Errorf("held %d after a full drain", got)
 	}
 }
@@ -327,9 +362,9 @@ func TestSlabRecyclerBound(t *testing.T) {
 // for (or leave behind) a reset — the instance is dead, only its memory is
 // of use to anyone.
 func TestSlabClosedReleaseSkipsReset(t *testing.T) {
-	drainSlabs()
+	cfg := withSlabs(Config{})
 	m, host := donorModule(1)
-	a, err := Compile(m, host, Config{})
+	a, err := Compile(m, host, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +384,7 @@ func TestSlabClosedReleaseSkipsReset(t *testing.T) {
 		t.Errorf("closed pool holds %d instances", n)
 	}
 	a.Release(in) // a second release has nothing left to donate
-	if got := SlabRecyclerStats().HeldBytes; got != wasm.PageSize {
+	if got := cfg.Slabs.Stats().HeldBytes; got != wasm.PageSize {
 		t.Errorf("recycler holds %d bytes, want one page", got)
 	}
 	// Acquire on the closed pool still works: straight to Instantiate.
@@ -363,7 +398,7 @@ func TestSlabClosedReleaseSkipsReset(t *testing.T) {
 // exactly its own data segment on an otherwise zero memory, whichever
 // tenant's slab it was built on. The TestMain hook checks every take.
 func TestSlabChurnRace(t *testing.T) {
-	drainSlabs()
+	cfg := withSlabs(Config{})
 	const goroutines = 8
 	const rounds = 40
 	var wg sync.WaitGroup
@@ -375,7 +410,7 @@ func TestSlabChurnRace(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				pages := uint32(1 + (g+i)%3)
 				m, host := donorModule(pages)
-				a, err := Compile(m, host, Config{})
+				a, err := Compile(m, host, cfg)
 				if err != nil {
 					errs <- err
 					return
@@ -397,7 +432,7 @@ func TestSlabChurnRace(t *testing.T) {
 				a.Release(idle)
 				a.ClosePool()
 				a.Release(held)
-				if n := SlabRecyclerStats().HeldBytes; n > slabBound {
+				if n := cfg.Slabs.Stats().HeldBytes; n > slabBound {
 					errs <- fmt.Errorf("recycler holds %d bytes, bound is %d", n, slabBound)
 					return
 				}
@@ -409,7 +444,7 @@ func TestSlabChurnRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if st := SlabRecyclerStats(); st.Hits == 0 {
+	if st := cfg.Slabs.Stats(); st.Hits == 0 {
 		t.Errorf("the churn never reused a slab: %+v", st)
 	}
 }

@@ -111,6 +111,9 @@ func (cm *CompiledModule) captureSnapshot() {
 		return
 	}
 	in := cm.Instantiate() // cm.snap is still nil: classic zero+replay path
+	// The probe never runs again: its memory goes to the recycler, where the
+	// module's first instantiation, of the same post-init size, finds it.
+	defer in.donateSlab()
 	st, err := in.startFunction(snapshotProbeFuel)
 	if err != nil || st != StatusDone {
 		// Trap, fuel exhaustion, or a blocked probe: fall back to replay,

@@ -357,13 +357,36 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 		if n > MaxBodyBytes {
 			return nil, fmt.Errorf("%w: body of %d bytes exceeds limit", ErrMalformedRequest, n)
 		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
+		body, err := readBody(br, n)
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated body", ErrMalformedRequest)
 		}
 		req.Body = body
 	}
 	return req, nil
+}
+
+// bodyChunk is the most ReadRequest allocates for a body before its bytes
+// arrive: a body costs in proportion to the bytes sent, not the length
+// declared.
+const bodyChunk = 64 << 10
+
+// readBody reads an n-byte body into a buffer of exactly n bytes. A body
+// larger than bodyChunk starts in a bodyChunk buffer that doubles, capped
+// at n, each time the bytes already read fill it.
+func readBody(br *bufio.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, bodyChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(br, body[got:]); err != nil {
+			return nil, err
+		}
+		if got = len(body); got == n {
+			return body, nil
+		}
+		grown := make([]byte, min(2*len(body), n))
+		copy(grown, body)
+		body = grown
+	}
 }
 
 // isToken reports whether s is a non-empty RFC 9110 token: the syntax of a

@@ -185,6 +185,37 @@ func TestReadRequestTruncatedBody(t *testing.T) {
 	}
 }
 
+// TestDeclaredBodyCostsWhatArrives: a request that declares a body near
+// MaxBodyBytes and sends three bytes allocates a small buffer, not the
+// declared length, and fails as truncated; a body of the full
+// MaxBodyBytes, sent, still parses byte for byte.
+func TestDeclaredBodyCostsWhatArrives(t *testing.T) {
+	raw := "POST / HTTP/1.1\r\nContent-Length: 8000000\r\n\r\nabc"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrMalformedRequest) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncated body", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Errorf("a 3-byte body declaring 8 000 000 bytes allocated %d bytes, want at most %d", got, 128<<10)
+	}
+
+	body := make([]byte, MaxBodyBytes)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	full := fmt.Sprintf("POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader(full)))
+	if err != nil {
+		t.Fatalf("full %d-byte body: %v", len(body), err)
+	}
+	if !bytes.Equal(req.Body, body) {
+		t.Fatalf("full body read back %d bytes, differs from the %d sent", len(req.Body), len(body))
+	}
+}
+
 // startServer runs a Server on a loopback listener.
 func startServer(t *testing.T, h Handler) (addr string, s *Server) {
 	t.Helper()
