@@ -12,7 +12,9 @@ GO ?= go
 # wasm-equals-native identity — the scheduler, the sandbox and the ABI,
 # whose pending I/O crosses to the sandbox's timer goroutine, the analysis
 # passes with their pooled scratch and the wasm decoder, all shuffled;
-# admission control shuffled five times, like the scheduler; HTTP drain), vet and
+# admission control shuffled five times, like the scheduler; the HTTP server,
+# whose connections have two writers once a reply is deferred, shuffled three
+# times), vet and
 # tests of the repo benchmark's own module (which compiles against the
 # scheduler, sandbox and runtime types and is outside `go test ./...`), a
 # short churn-benchmark smoke run (allocs/op regressions show up immediately in
@@ -50,7 +52,8 @@ build:
 test-race:
 	$(GO) test -race -shuffle=on ./internal/core/... ./internal/cluster/...
 	$(GO) test -race -shuffle=on ./internal/sandbox/... ./internal/abi/
-	$(GO) test -race ./internal/httpd/... ./internal/stats/...
+	$(GO) test -race -shuffle=on -count=3 ./internal/httpd/...
+	$(GO) test -race ./internal/stats/...
 	$(GO) test -race -shuffle=on -count=5 ./internal/admission/
 	$(GO) test -race -shuffle=on -count=5 ./internal/sched/
 	$(GO) test -race -shuffle=on ./internal/engine/ ./internal/workloads/apps/

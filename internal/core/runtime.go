@@ -372,10 +372,17 @@ func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entr
 // module would trap at the end of its caller slice, and a NoBlockMeter one
 // would spend a quantum's gas as dispatches, about three times as long.
 func (rt *Runtime) checkCompiled(name string, cm *engine.CompiledModule) error {
-	if got, want := cm.Config(), rt.EngineConfig(); got != want {
-		return fmt.Errorf("core: module %s: compiled with %+v, the runtime compiles with %+v", name, got, want)
+	got, want := cm.Config(), rt.EngineConfig()
+	if got == want {
+		return nil
 	}
-	return nil
+	if ours := got; ours.Slabs != nil {
+		if ours.Slabs = want.Slabs; ours == want {
+			// %+v would print two configs that differ only in an address.
+			return fmt.Errorf("core: module %s: compiled for another runtime", name)
+		}
+	}
+	return fmt.Errorf("core: module %s: compiled with %+v, the runtime compiles with %+v", name, got, want)
 }
 
 // register inserts a fully constructed module into the registry.
@@ -548,9 +555,23 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
 	}
+	ticket, err := rt.admit(m, deadline)
+	if err != nil {
+		return nil, err
+	}
+	out, outcome, err := rt.run(m, req)
+	if ticket != nil {
+		ticket.Done(outcome, 0)
+	}
+	return out, err
+}
+
+// admit passes one request of m through the admission controller: a nil
+// ticket without one, and an error wrapping the *admission.Rejection when
+// the request is shed.
+func (rt *Runtime) admit(m *Module, deadline time.Duration) (*admission.Ticket, error) {
 	if rt.adm == nil {
-		out, _, err := rt.run(m, req)
-		return out, err
+		return nil, nil
 	}
 	tenant := m.Tenant
 	if tenant == "" {
@@ -558,26 +579,37 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	}
 	ticket, rej := rt.adm.Admit(tenant, m.Name, deadline)
 	if rej != nil {
-		return nil, fmt.Errorf("core: %s: %w", name, rej)
+		return nil, fmt.Errorf("core: %s: %w", m.Name, rej)
 	}
-	out, outcome, err := rt.run(m, req)
-	ticket.Done(outcome, 0)
-	return out, err
+	return ticket, nil
 }
 
-// run executes one admitted request end-to-end: instantiate a sandbox, hand
-// it to the scheduler (which runs its first slice here), wait for completion
-// or timeout. It reports the admission outcome alongside the response.
-// The compiled form is loaded exactly once, here: a concurrent cache
-// eviction drops the module pointer for future requests while this one
-// finishes untouched on the code it started with.
+// run executes one admitted request end-to-end: start it, wait for
+// completion or timeout, and copy its reply out. It reports the admission
+// outcome alongside the response.
 func (rt *Runtime) run(m *Module, req []byte) (out []byte, outcome admission.Outcome, err error) {
+	sb, err := rt.start(m, req)
+	if err != nil {
+		return nil, admission.OutcomeTrap, err
+	}
+	return rt.wait(m, sb)
+}
+
+// start instantiates a sandbox for one request and hands it to the
+// scheduler, which runs its first slice here. Run finishes the sandbox
+// exactly once whatever happens (ErrStopped included), so one wait on Done,
+// or one Defer, covers every outcome. The compiled form is loaded exactly
+// once, here: a concurrent cache eviction drops the module pointer for
+// future requests while this one finishes untouched on the code it started
+// with.
+func (rt *Runtime) start(m *Module, req []byte) (*sandbox.Sandbox, error) {
 	cm := m.Compiled()
 	if cm == nil {
 		// Registered-but-cold: the bounded cache dropped the compiled body.
 		// Recompile it before serving.
+		var err error
 		if cm, err = rt.revive(m); err != nil {
-			return nil, admission.OutcomeTrap, err
+			return nil, err
 		}
 	}
 	sb, err := sandbox.New(cm, req, sandbox.Options{
@@ -587,45 +619,65 @@ func (rt *Runtime) run(m *Module, req []byte) (out []byte, outcome admission.Out
 		MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
 	})
 	if err != nil {
-		return nil, admission.OutcomeTrap, err
+		return nil, err
 	}
-	// Run finishes sb exactly once whatever happens (ErrStopped included),
-	// so this one wait covers every outcome.
 	rt.pool.Run(sb, -1)
+	return sb, nil
+}
+
+// wait waits for a started sandbox on Done, under the request timeout
+// unless the caller's slice finished it, copies its result out and
+// releases it.
+func (rt *Runtime) wait(m *Module, sb *sandbox.Sandbox) (out []byte, outcome admission.Outcome, err error) {
 	select {
 	case <-sb.Done():
 		// Finished in the caller's slice: no timer, no wake-up.
 	default:
 		if !rt.await(sb) {
-			rt.abandoned.Add(1)
-			m.failures.Add(1)
-			return nil, admission.OutcomeTimeout,
-				fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
+			return nil, admission.OutcomeTimeout, rt.timedOut(m)
 		}
 	}
+	body, outcome, err := m.complete(sb)
+	if len(body) > 0 {
+		// Copy out before the buffer returns to the pool.
+		out = append([]byte(nil), body...)
+	}
+	sb.Release()
+	return out, outcome, err
+}
+
+// complete accounts a finished sandbox and maps it to its result: the body
+// (aliasing the sandbox, so it must be copied before Release) or the
+// error, with the admission outcome. Both ways of waiting — Done, and the
+// finisher hook of a deferred HTTP reply — map a completion here.
+//
+//sledge:noalloc
+func (m *Module) complete(sb *sandbox.Sandbox) ([]byte, admission.Outcome, error) {
 	m.recordCompletion(sb)
 	if sb.State() == sandbox.StateTrapped {
 		m.failures.Add(1)
-		err := fmt.Errorf("core: %s: %w", m.Name, sb.Err)
-		sb.Release()
-		return nil, admission.OutcomeTrap, err
+		return nil, admission.OutcomeTrap, m.failed(sb.Err)
 	}
 	// Output, not Response: a function that declared a sledge.output
 	// region gets the same reply here as it hands a pipeline consumer —
 	// bit-identical results whether it runs alone or as a stage.
-	resp, oerr := sb.Output()
-	if oerr != nil {
+	body, err := sb.Output()
+	if err != nil {
 		m.failures.Add(1)
-		err := fmt.Errorf("core: %s: %w", m.Name, oerr)
-		sb.Release()
-		return nil, admission.OutcomeTrap, err
+		return nil, admission.OutcomeTrap, m.failed(err)
 	}
-	if len(resp) > 0 {
-		// Copy out before the buffer returns to the pool.
-		out = append([]byte(nil), resp...)
-	}
-	sb.Release()
-	return out, admission.OutcomeSuccess, nil
+	return body, admission.OutcomeSuccess, nil
+}
+
+// failed names the module in a request's error.
+func (m *Module) failed(err error) error { return fmt.Errorf("core: %s: %w", m.Name, err) }
+
+// timedOut accounts a request whose timeout disowned its sandbox and
+// returns its error.
+func (rt *Runtime) timedOut(m *Module) error {
+	rt.abandoned.Add(1)
+	m.failures.Add(1)
+	return fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
 }
 
 // await waits on a sandbox the pool holds, under the pooled request-timeout
@@ -659,8 +711,9 @@ func (rt *Runtime) await(sb *sandbox.Sandbox) bool {
 }
 
 // handle is the listener-core request path: demultiplex by URL, admit (or
-// shed), instantiate a sandbox, run its first slice and push the rest to a
-// worker's inbox, and reply with the function's stdout.
+// shed), instantiate a sandbox and run its first slice. A request that
+// finishes there replies here; the rest go to a worker's inbox and, on a
+// keep-alive connection, reply from wherever they finish (deferred.go).
 func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 	name := strings.TrimPrefix(req.Path, "/")
 	if i := strings.IndexByte(name, '?'); i >= 0 {
@@ -678,7 +731,49 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 			deadline = time.Duration(ms) * time.Millisecond
 		}
 	}
-	body, err := rt.InvokeWithDeadline(name, req.Body, deadline)
+	if _, isPipe := splitPipelineName(name); isPipe {
+		return httpResponse(rt.InvokeWithDeadline(name, req.Body, deadline))
+	}
+	m, ok := rt.Lookup(name)
+	if !ok {
+		return httpResponse(nil, fmt.Errorf("%w: %s", ErrNoModule, name))
+	}
+	ticket, err := rt.admit(m, deadline)
+	if err != nil {
+		return httpResponse(nil, err)
+	}
+	var out []byte
+	outcome := admission.OutcomeTrap
+	sb, err := rt.start(m, req.Body)
+	if err == nil {
+		// An empty Done means the pool still holds the sandbox. One the
+		// caller's slice finished (ping) replies here, as Invoke does.
+		if len(sb.Done()) == 0 {
+			if rep := req.Defer(); rep != nil {
+				rt.callOn(rep).begin(m, sb, ticket)
+				return httpd.Response{}
+			}
+		}
+		out, outcome, err = rt.wait(m, sb)
+	}
+	if ticket != nil {
+		ticket.Done(outcome, 0)
+	}
+	return httpResponse(out, err)
+}
+
+// httpResponse maps an invocation's result to its HTTP reply.
+func httpResponse(body []byte, err error) httpd.Response {
+	if err == nil {
+		return httpd.Response{Status: 200, Body: body}
+	}
+	return errorResponse(err)
+}
+
+// errorResponse maps a failed invocation to its HTTP reply. It is apart
+// from httpResponse because errors.As moves rej to the heap where it is
+// declared: a reply that succeeds allocates nothing.
+func errorResponse(err error) httpd.Response {
 	var rej *admission.Rejection
 	switch {
 	case errors.Is(err, ErrNoModule), errors.Is(err, ErrNoPipeline):
@@ -694,10 +789,8 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 			ContentType: "text/plain",
 			Body:        []byte(rej.Reason + "\n"),
 		}
-	case err != nil:
-		return httpd.Response{Status: 500, Body: []byte(err.Error() + "\n")}
 	}
-	return httpd.Response{Status: 200, Body: body}
+	return httpd.Response{Status: 500, Body: []byte(err.Error() + "\n")}
 }
 
 // statsResponse serves GET /__stats: scheduler counters, listener

@@ -446,7 +446,8 @@ func TestStatsEndpointReportsTiering(t *testing.T) {
 // (which spends a quantum's gas as dispatches) and another runtime's
 // EngineConfig() (whose instances would retire their memory to that
 // runtime's slab recycler) are refused by RegisterCompiled and Replace
-// alike, and the refusal names both configs.
+// alike. The refusal names both configs, or, when they differ only in the
+// recycler, says the module was compiled for another runtime.
 func TestRegisterCompiledRefusesOtherConfigs(t *testing.T) {
 	rt := New(Config{Workers: 1})
 	t.Cleanup(func() { rt.Close() })
@@ -466,11 +467,14 @@ func TestRegisterCompiledRefusesOtherConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("compiled with %+v, the runtime compiles with %+v", cm.Config(), rt.EngineConfig())
+		if cfg.Slabs != nil {
+			want = "core: module ping: compiled for another runtime"
+		}
 		if _, err := rt.RegisterCompiled("ping", cm, "main", ""); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("RegisterCompiled(%+v) = %v, want a refusal naming both configs", cfg, err)
+			t.Errorf("RegisterCompiled(%+v) = %v, want %q", cfg, err, want)
 		}
 		if _, err := rt.Replace("ping", cm, "main", ""); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Replace(%+v) = %v, want a refusal naming both configs", cfg, err)
+			t.Errorf("Replace(%+v) = %v, want %q", cfg, err, want)
 		}
 	}
 	if mods := rt.Modules(); len(mods) != 0 {

@@ -4,6 +4,11 @@
 // raw HTTP over TCP sockets from a dedicated listener core; this package is
 // that layer, kept deliberately small and allocation-light.
 //
+// A handler may defer a keep-alive request's reply (Request.Defer) and send
+// it later from any goroutine (Reply.Send): the runtime's worker that
+// finishes a sandbox writes its reply itself, as the paper's workers do,
+// while the connection's goroutine is already reading the next request.
+//
 // The server defends the accept side of the admission-control pipeline:
 // per-connection read deadlines bound how long a client may dribble a
 // request in (the slow-loris exposure), a concurrent-connection cap sheds
@@ -23,6 +28,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -35,6 +41,10 @@ type Request struct {
 	Body   []byte
 	// Close reports that the client requested connection close.
 	Close bool
+
+	// c is the connection the request was read from; nil for a request
+	// parsed outside a Server.
+	c *conn
 }
 
 // Response is the handler's reply.
@@ -50,8 +60,71 @@ type Response struct {
 }
 
 // Handler processes one request. Handlers may block; each connection is
-// served sequentially in order.
+// served sequentially in order. A handler that calls req.Defer replies with
+// Reply.Send instead, and its return value is ignored.
 type Handler func(*Request) Response
+
+// Settler is a handler's own state for one connection's deferred replies.
+type Settler interface {
+	// Settle runs on the connection's goroutine after a deferred reply has
+	// been sent, before the connection handles its next request or closes.
+	Settle()
+}
+
+// Reply is a connection's deferred reply: what Request.Defer returns.
+type Reply struct {
+	// Settler is the handler's state for this connection, kept across its
+	// requests: nil on a new connection. When set, its Settle runs after
+	// every deferred reply.
+	Settler Settler
+
+	c *conn
+}
+
+// Defer takes the reply to req off the handler's return: the handler (or
+// whoever it hands the returned Reply to) calls Send exactly once, from
+// any goroutine, and meanwhile the connection reads the next request. It
+// waits for this reply before it handles that request, so replies keep
+// their order. Defer returns nil — the handler then replies by returning,
+// as usual — for a request that closes its connection (Connection: close,
+// or HTTP/1.0 without keep-alive), while the server drains, and for a
+// request not read by a Server.
+func (req *Request) Defer() *Reply {
+	c := req.c
+	if c == nil || req.Close || c.srv.draining.Load() {
+		return nil
+	}
+	c.pending = true
+	if c.srv.ReadTimeout > 0 {
+		// The next request's read window opens when this reply is sent.
+		c.nc.SetReadDeadline(time.Time{})
+	}
+	return &c.rep
+}
+
+// Send writes resp as the reply Defer took over; resp.Body is copied
+// before Send returns. It never waits for the client: it formats the reply
+// into the connection's buffer and makes one non-blocking write, and what
+// the socket does not take at once a goroutine of its own writes under the
+// server's WriteTimeout.
+//
+//sledge:noalloc
+func (r *Reply) Send(resp Response) {
+	c := r.c
+	c.closeAfter = c.srv.draining.Load()
+	c.buf = appendResponse(c.buf[:0], resp, c.closeAfter)
+	c.off = 0
+	if c.raw != nil {
+		// An error (a closed conn, a lapsed write deadline) writes nothing,
+		// and writeRest reports it.
+		_ = c.raw.Write(c.writeFn)
+	}
+	if c.off < len(c.buf) {
+		go c.writeRest() //sledge:coldpath
+		return
+	}
+	c.wrote(nil)
+}
 
 // ErrMalformedRequest reports an unparseable request.
 var ErrMalformedRequest = errors.New("httpd: malformed request")
@@ -61,6 +134,92 @@ const MaxBodyBytes = 8 << 20
 
 // MaxHeaderBytes bounds the request line and header block together.
 const MaxHeaderBytes = 64 << 10
+
+// conn is one served connection's reply state.
+type conn struct {
+	srv *Server
+	nc  net.Conn
+	// raw is nc's descriptor for Send's non-blocking write (nil when nc has
+	// none), and writeFn that write, bound once.
+	raw     syscall.RawConn
+	writeFn func(uintptr) bool
+	rep     Reply
+
+	// The deferred reply: its bytes, how many are written, how the write
+	// ended, and whether the connection closes after it.
+	buf        []byte
+	off        int
+	err        error
+	closeAfter bool
+	// sent receives once per deferred reply, when it is written or failed.
+	sent chan struct{}
+	// pending is set while a deferred reply is owed; only the connection's
+	// goroutine reads or writes it.
+	pending bool
+}
+
+// maxKeptReply is the largest reply buffer a connection keeps between
+// deferred replies.
+const maxKeptReply = 64 << 10
+
+func newConn(s *Server, nc net.Conn) *conn {
+	c := &conn{srv: s, nc: nc, sent: make(chan struct{}, 1)}
+	c.rep.c = c
+	if sc, ok := nc.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			c.raw = raw
+			c.writeFn = c.writeNow
+		}
+	}
+	return c
+}
+
+// writeNow is Send's write: one write(2) of what is left of the reply,
+// which returns at once on Go's non-blocking descriptor.
+func (c *conn) writeNow(fd uintptr) bool {
+	c.off += writeFD(fd, c.buf[c.off:])
+	return true
+}
+
+// writeRest writes what Send's non-blocking write left, off the sender's
+// goroutine, under the server's WriteTimeout.
+func (c *conn) writeRest() {
+	if c.srv.WriteTimeout > 0 {
+		c.nc.SetWriteDeadline(time.Now().Add(c.srv.WriteTimeout))
+	}
+	_, err := c.nc.Write(c.buf[c.off:])
+	c.wrote(err)
+}
+
+// wrote ends a deferred reply's write: it opens the next request's read
+// window, or closes the connection when the reply was lost (which also ends
+// a read blocked on it), and then tells the connection's goroutine.
+func (c *conn) wrote(err error) {
+	c.err = err
+	if err != nil {
+		c.nc.Close()
+	} else if c.srv.ReadTimeout > 0 {
+		c.nc.SetReadDeadline(time.Now().Add(c.srv.ReadTimeout))
+	}
+	c.sent <- struct{}{}
+}
+
+// settle waits for the deferred reply owed, if any, and runs the handler's
+// Settle. It reports whether the connection may serve another request.
+func (c *conn) settle() bool {
+	if !c.pending {
+		return true
+	}
+	<-c.sent
+	c.pending = false
+	if c.rep.Settler != nil {
+		c.rep.Settler.Settle()
+	}
+	if cap(c.buf) > maxKeptReply {
+		c.buf = nil
+	}
+	return c.err == nil && !c.closeAfter
+}
 
 // connState tracks one connection's request lifecycle so drain can tell
 // idle connections (safe to close now) from ones mid-request (must be
@@ -231,13 +390,20 @@ func (s *Server) sweepConns() int {
 }
 
 func (s *Server) serveConn(conn net.Conn, st *connState) {
+	c := newConn(s, conn)
+	defer c.settle()
 	br := bufio.NewReaderSize(conn, 16<<10)
 	bw := bufio.NewWriterSize(conn, 16<<10)
 	for {
-		if s.ReadTimeout > 0 {
+		if s.ReadTimeout > 0 && !c.pending {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
 		req, err := ReadRequest(br)
+		// Nothing is written, and no request handled, before the reply
+		// owed is out.
+		if !c.settle() {
+			return
+		}
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				st.mu.Lock()
@@ -276,7 +442,17 @@ func (s *Server) serveConn(conn net.Conn, st *connState) {
 		st.active = true
 		st.mu.Unlock()
 		s.Served.Add(1)
+		req.c = c
 		resp := s.Handler(req)
+		if c.pending {
+			// A deferred reply: back to reading while it is made. Drain
+			// may retire the connection now; the reply still goes out
+			// before the connection closes.
+			st.mu.Lock()
+			st.active = false
+			st.mu.Unlock()
+			continue
+		}
 		closeAfter := req.Close || s.draining.Load()
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
@@ -466,7 +642,22 @@ var statusText = map[int]string{
 	503: "Service Unavailable",
 }
 
+// writeResponse writes resp, its header formatted in w's free buffer.
 func writeResponse(w *bufio.Writer, resp Response, close bool) error {
+	if _, err := w.Write(appendHeader(w.AvailableBuffer(), resp, close)); err != nil {
+		return err
+	}
+	_, err := w.Write(resp.Body)
+	return err
+}
+
+// appendResponse appends resp to dst: status line, headers and body.
+func appendResponse(dst []byte, resp Response, close bool) []byte {
+	return append(appendHeader(dst, resp, close), resp.Body...)
+}
+
+// appendHeader appends resp's status line and headers to dst.
+func appendHeader(dst []byte, resp Response, close bool) []byte {
 	status := resp.Status
 	if status == 0 {
 		status = 200
@@ -479,27 +670,23 @@ func writeResponse(w *bufio.Writer, resp Response, close bool) error {
 	if ct == "" {
 		ct = "application/octet-stream"
 	}
-	if _, err := fmt.Fprintf(w, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n",
-		status, text, ct, len(resp.Body)); err != nil {
-		return err
-	}
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, text...)
+	dst = append(dst, "\r\nContent-Type: "...)
+	dst = append(dst, ct...)
+	dst = append(dst, "\r\nContent-Length: "...)
+	dst = strconv.AppendInt(dst, int64(len(resp.Body)), 10)
+	dst = append(dst, "\r\n"...)
 	if resp.RetryAfter > 0 {
 		secs := int64((resp.RetryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		if _, err := fmt.Fprintf(w, "Retry-After: %d\r\n", secs); err != nil {
-			return err
-		}
+		dst = append(dst, "Retry-After: "...)
+		dst = strconv.AppendInt(dst, secs, 10)
+		dst = append(dst, "\r\n"...)
 	}
 	if close {
-		if _, err := io.WriteString(w, "Connection: close\r\n"); err != nil {
-			return err
-		}
+		dst = append(dst, "Connection: close\r\n"...)
 	}
-	if _, err := io.WriteString(w, "\r\n"); err != nil {
-		return err
-	}
-	_, err := w.Write(resp.Body)
-	return err
+	return append(dst, "\r\n"...)
 }

@@ -277,6 +277,60 @@ func TestServerKeepAlivePipelinedSequential(t *testing.T) {
 	}
 }
 
+// TestDeferredReplyKeepsOrder: a keep-alive request's reply, deferred and
+// sent from another goroutine, arrives before the reply of the request
+// pipelined behind it. Defer refuses a request that closes its connection
+// (Connection: close, HTTP/1.0) and one not read by a Server, which then
+// reply by returning.
+func TestDeferredReplyKeepsOrder(t *testing.T) {
+	req, err := ReadRequest(bufio.NewReader(strings.NewReader("GET /later HTTP/1.1\r\n\r\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if req.Defer() != nil {
+		t.Error("Defer accepted a request read outside a Server")
+	}
+	addr, s := startServer(t, func(req *Request) Response {
+		if req.Path != "/later" {
+			return Response{Body: []byte("now")}
+		}
+		rep := req.Defer()
+		if rep == nil {
+			return Response{Body: []byte("refused")}
+		}
+		go rep.Send(Response{Body: []byte("later")})
+		return Response{Body: []byte("ignored")}
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	io.WriteString(conn, "GET /later HTTP/1.1\r\n\r\nGET /now HTTP/1.1\r\n\r\nGET /later HTTP/1.1\r\nConnection: close\r\n\r\n")
+	br := bufio.NewReader(conn)
+	for _, want := range []string{"later", "now", "refused"} {
+		if status, body := readResponse(t, br); status != 200 || string(body) != want {
+			t.Fatalf("reply %d %q, want %q", status, body, want)
+		}
+	}
+	if n, err := br.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Errorf("the connection stayed open after Connection: close (%d, %v)", n, err)
+	}
+
+	old, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer old.Close()
+	io.WriteString(old, "GET /later HTTP/1.0\r\n\r\n")
+	if raw, _ := io.ReadAll(old); !strings.HasPrefix(string(raw), "HTTP/1.1 200") || !strings.HasSuffix(string(raw), "refused") {
+		t.Errorf("HTTP/1.0 reply %q, want refused", raw)
+	}
+	if got := s.Served.Load(); got != 4 {
+		t.Errorf("Served = %d, want 4", got)
+	}
+}
+
 func TestServerStatusCodes(t *testing.T) {
 	addr, _ := startServer(t, func(req *Request) Response {
 		if req.Path == "/missing" {

@@ -53,11 +53,15 @@ var idCounter atomic.Uint64
 // Ownership handoff states (Sandbox.rel). A pooled sandbox has two parties
 // racing at the end of its life: the worker that finishes it and the waiter
 // that may have timed out. Whoever loses the CAS on rel takes the recycling
-// action; the winner's side is already gone.
+// action; the winner's side is already gone. A waiter that handed the
+// completion to a finisher hook (Defer) moves the sandbox to relDeferred,
+// and the finisher that wins relDeferred → relFinished runs the hook
+// instead of signalling Done.
 const (
 	relLive      = int32(iota) // running; no completion observed yet
 	relAbandoned               // waiter timed out; worker recycles on finish
 	relFinished                // worker finished; waiter reads then releases
+	relDeferred                // running; the finisher runs the waiter's hook
 )
 
 // Sandbox is one in-flight function invocation.
@@ -82,6 +86,10 @@ type Sandbox struct {
 	// done is signalled (once) by FinishNotify; Invoke-style waiters select
 	// on it instead of registering an OnComplete closure.
 	done chan struct{}
+
+	// finisher is the hook a waiter handed the completion to (Defer). It
+	// is read only by the FinishNotify that wins relDeferred → relFinished.
+	finisher func(*Sandbox)
 
 	// Err records the trap or start failure for completed sandboxes.
 	Err error
@@ -194,6 +202,7 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	sb.Tenant = opts.Tenant
 	sb.Err = nil
 	sb.OnComplete = nil
+	sb.finisher = nil
 	sb.pending = nil
 	sb.SchedNext = nil
 	sb.SchedFuel = 0
@@ -353,26 +362,46 @@ func (sb *Sandbox) Done() <-chan struct{} { return sb.done }
 
 // Abandon is called by a timed-out waiter to disown the sandbox. It returns
 // true if the waiter won the race (the worker will recycle the sandbox when
-// it eventually finishes) and false if the sandbox already finished (the
-// waiter must consume Done and release as usual).
+// it eventually finishes, and a deferred hook never runs) and false if the
+// sandbox already finished (the waiter must consume Done and release as
+// usual, or the hook is replying).
 func (sb *Sandbox) Abandon() bool {
-	return sb.rel.CompareAndSwap(relLive, relAbandoned)
+	return sb.rel.CompareAndSwap(relLive, relAbandoned) ||
+		sb.rel.CompareAndSwap(relDeferred, relAbandoned)
+}
+
+// Defer hands the sandbox's completion to finish: the FinishNotify that
+// ends a sandbox a worker or an I/O timer holds calls finish(sb) there,
+// as its last touch of sb, instead of signalling Done. finish must not
+// block, and whoever it hands sb on to releases it. Defer reports false
+// when the sandbox has already finished: the waiter then consumes Done as
+// usual. A sandbox Abandon wins after Defer never runs the hook.
+func (sb *Sandbox) Defer(finish func(*Sandbox)) bool {
+	sb.finisher = finish
+	return sb.rel.CompareAndSwap(relLive, relDeferred)
 }
 
 // Abandoned reports whether a waiter has disowned the sandbox. The scheduler
 // checks this before spending a quantum on it.
 func (sb *Sandbox) Abandoned() bool { return sb.rel.Load() == relAbandoned }
 
-// FinishNotify publishes the sandbox's completion to its waiter. The
+// FinishNotify publishes the sandbox's completion to its waiter: it
+// signals Done, or runs the hook the waiter handed over with Defer. The
 // scheduler calls it exactly once, after all other touches of the sandbox —
 // for an abandoned sandbox this recycles it, after which the worker must not
 // use sb again.
+//
+//sledge:noalloc
 func (sb *Sandbox) FinishNotify() {
 	if sb.rel.CompareAndSwap(relLive, relFinished) {
 		select {
 		case sb.done <- struct{}{}:
 		default:
 		}
+		return
+	}
+	if sb.rel.CompareAndSwap(relDeferred, relFinished) {
+		sb.finisher(sb) // hands sb over: last touch
 		return
 	}
 	if sb.rel.Load() == relAbandoned {
@@ -394,6 +423,7 @@ func (sb *Sandbox) Release() {
 	inst := sb.inst
 	sb.inst = nil
 	sb.OnComplete = nil
+	sb.finisher = nil
 	sb.pending = nil
 	sb.resume = nil
 	sb.Err = nil

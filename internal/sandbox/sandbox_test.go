@@ -261,3 +261,67 @@ func TestStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferHandsCompletionToHook pins the three ends of a deferred
+// sandbox: the finisher runs the hook instead of signalling Done; a
+// sandbox that finished first refuses Defer and signals Done; and a waiter
+// that abandons after Defer wins, so the finisher recycles the sandbox and
+// the hook never runs.
+func TestDeferHandsCompletionToHook(t *testing.T) {
+	cm := compileSrc(t, echoSrc)
+	finish := func(sb *Sandbox) {
+		if st := sb.RunQuantum(0); st != StateComplete {
+			t.Fatalf("RunQuantum = %s (err %v)", st, sb.Err)
+		}
+		sb.FinishNotify()
+	}
+
+	sb, err := New(cm, []byte("abc"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooked []*Sandbox
+	if !sb.Defer(func(s *Sandbox) { hooked = append(hooked, s) }) {
+		t.Fatal("Defer refused a live sandbox")
+	}
+	finish(sb)
+	if len(hooked) != 1 || hooked[0] != sb {
+		t.Fatalf("hook ran with %v, want once with the sandbox", hooked)
+	}
+	select {
+	case <-sb.Done():
+		t.Fatal("Done signalled beside the hook")
+	default:
+	}
+	sb.Release()
+
+	sb, err = New(cm, []byte("abc"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish(sb)
+	if sb.Defer(func(*Sandbox) { t.Error("hook ran on a sandbox that finished first") }) {
+		t.Fatal("Defer accepted a finished sandbox")
+	}
+	select {
+	case <-sb.Done():
+	default:
+		t.Fatal("Done not signalled")
+	}
+	sb.Release()
+
+	sb, err = New(cm, []byte("abc"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sb.Defer(func(*Sandbox) { t.Error("hook ran on an abandoned sandbox") }) {
+		t.Fatal("Defer refused a live sandbox")
+	}
+	if !sb.Abandon() {
+		t.Fatal("Abandon lost to a finisher that has not run")
+	}
+	finish(sb)
+	if sb.inst != nil {
+		t.Error("the finisher did not recycle the abandoned sandbox")
+	}
+}
