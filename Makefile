@@ -123,14 +123,17 @@ warm-smoke:
 bench-warm:
 	$(GO) run ./cmd/sledge-bench -run warm -snapshot BENCH_warm.json
 
-# chain-smoke runs the function-composition benchmark at quick sizes (the
-# registered pipeline and the HTTP self-call chain return bit-identical
-# replies and per-stage gas, the zero-copy handoff path is exercised, and
-# the co-located pipeline clearly wins); the acceptance-grade number
-# (pipeline p50 >= 3x faster than HTTP self-call) comes from
-# `make bench-chain`, which regenerates BENCH_chain.json at full sizes.
+# chain-smoke runs the function-composition benchmark at quick sizes under
+# the race detector, as cluster-smoke does: the pipeline executor runs
+# in-process for the identity check and then under four concurrent
+# clients over HTTP (POST /p/imgchain), against the HTTP self-call chain;
+# both return bit-identical replies and per-stage gas, the zero-copy
+# handoff path is exercised, and the co-located pipeline clearly wins. The
+# acceptance-grade number (pipeline p50 >= 3x faster than HTTP self-call)
+# comes from `make bench-chain`, which regenerates BENCH_chain.json at full
+# sizes.
 chain-smoke:
-	$(GO) test -run=TestChainSmoke -count=1 ./internal/experiments/
+	$(GO) test -race -run=TestChainSmoke -count=1 ./internal/experiments/
 
 bench-chain:
 	$(GO) run ./cmd/sledge-bench -run chain -snapshot BENCH_chain.json

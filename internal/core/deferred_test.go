@@ -494,14 +494,11 @@ func TestDrainWithDeferredReplyInFlight(t *testing.T) {
 	}
 }
 
-// TestBlockingModuleBesideHogRepliesFromHook: a fetch that blocks on latent
-// storage, pushed beside a never-ending hog on the one worker, resumes on
-// that worker and replies through the finisher hook.
-func TestBlockingModuleBesideHogRepliesFromHook(t *testing.T) {
-	var sc serveCounts
-	rt := fetchRuntime(t, func(s abi.KVStore) abi.KVStore {
-		return &gatedKV{KVStore: s, wait: func(n int64) { untilHandled(&sc, n) }}
-	})
+// startForever registers a never-ending module and invokes it once, beside
+// the test: it holds a worker until the runtime closes, which closes the
+// returned channel's goroutine.
+func startForever(t *testing.T, rt *Runtime) <-chan struct{} {
+	t.Helper()
 	if _, err := rt.RegisterWCC("forever", `
 export i32 main() {
 	i32 x = 1;
@@ -522,6 +519,59 @@ export i32 main() {
 	for rt.Pool().Busy() == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
+	return hogDone
+}
+
+// TestIdleConnectionReleasesDeferredSandbox: a pushed request's sandbox is
+// back in its module's pool once the reply has been read, while the
+// keep-alive connection sits idle — with no next request and no close to
+// release it.
+func TestIdleConnectionReleasesDeferredSandbox(t *testing.T) {
+	rt := fetchRuntime(t, func(s abi.KVStore) abi.KVStore {
+		return &abi.LatentKV{KVStore: s, Delay: time.Millisecond}
+	})
+	m, _ := rt.Lookup("fetch")
+	cm := m.Compiled()
+	instances := func() uint64 { st := rt.slabs.Stats(); return st.Hits + st.Misses }
+	base, pooled0 := instances(), cm.PooledInstances()
+	var sc serveCounts
+	addr := serveCounting(t, rt, &sc, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	io.WriteString(conn, rawRequest("fetch", []byte("obj")))
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if status, body := readReply(t, bufio.NewReader(conn)); status != 200 || string(body) != "stored-value" {
+		t.Fatalf("fetch = %d %q", status, body)
+	}
+	if n := sc.deferred.Load(); n != 1 {
+		t.Fatalf("%d replies deferred, want 1", n)
+	}
+	// The hook releases just after the reply leaves: poll briefly, far
+	// below the connection's 30 s read timeout.
+	var want, pooled int
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		want, pooled = pooled0+int(instances()-base), cm.PooledInstances()
+		if pooled == want || time.Now().After(deadline) {
+			break
+		}
+	}
+	if pooled != want {
+		t.Errorf("idle connection: %d instances pooled, %d exist", pooled, want)
+	}
+}
+
+// TestBlockingModuleBesideHogRepliesFromHook: a fetch that blocks on latent
+// storage, pushed beside a never-ending hog on the one worker, resumes on
+// that worker and replies through the finisher hook.
+func TestBlockingModuleBesideHogRepliesFromHook(t *testing.T) {
+	var sc serveCounts
+	rt := fetchRuntime(t, func(s abi.KVStore) abi.KVStore {
+		return &gatedKV{KVStore: s, wait: func(n int64) { untilHandled(&sc, n) }}
+	})
+	hogDone := startForever(t, rt)
 	addr := serveCounting(t, rt, &sc, nil)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

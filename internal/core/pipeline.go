@@ -10,14 +10,14 @@ package core
 // stage's sledge.read. No serialization, no loopback hop, no per-stage
 // admission. See docs/PIPELINES.md for the contract.
 //
-// Scheduling: the executor acquires the next stage's pooled instance while
-// the current stage runs (overlapping instantiation with execution) and
-// submits each continuation with affinity for the worker that ran the
-// previous stage (the affinity argument of sched.Pool.Run, which runs a
-// stage's first short slice on the chain's own goroutine and places the rest
-// as SubmitAffine does), so the handoff buffer is consumed on
-// the core whose cache just wrote it. Stealing still applies to the
-// continuation, so affinity never defeats work conservation.
+// Every stage takes the single request's own path: admission (once, for
+// the chain), start, await and complete in runtime.go. On top of that the
+// executor acquires the next stage's pooled instance while the current
+// stage runs (overlapping instantiation with execution) and starts each
+// continuation with affinity for the worker that ran the previous stage
+// (sched.Pool.Run's affinity; measured to pay, docs/PIPELINES.md). Stealing
+// still applies to the continuation, so affinity never defeats work
+// conservation.
 //
 // Admission: one ticket under the reserved name "p/<name>" covers the whole
 // chain, and one deadline is threaded across it. The controller prices the
@@ -66,6 +66,9 @@ type Pipeline struct {
 	// the default tenant.
 	Tenant string
 
+	// route is the chain's invocation name, "p/<name>": its admission
+	// ticket and its errors go by it.
+	route  string
 	stages []string
 
 	invocations atomic.Uint64
@@ -141,7 +144,7 @@ func (rt *Runtime) RegisterPipeline(name string, stages ...string) (*Pipeline, e
 			return nil, fmt.Errorf("core: pipeline %s: stage %w: %s", name, ErrNoModule, s)
 		}
 	}
-	p := &Pipeline{Name: name, stages: append([]string(nil), stages...)}
+	p := &Pipeline{Name: name, route: PipelinePrefix + name, stages: append([]string(nil), stages...)}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.pipelines == nil {
@@ -188,17 +191,9 @@ func (rt *Runtime) InvokePipelineWithDeadline(name string, req []byte, deadline 
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoPipeline, name)
 	}
-	if rt.adm == nil {
-		out, _, err := rt.runPipeline(p, req, deadline)
-		return out, err
-	}
-	tenant := p.Tenant
-	if tenant == "" {
-		tenant = "default"
-	}
-	ticket, rej := rt.adm.Admit(tenant, PipelinePrefix+p.Name, deadline)
-	if rej != nil {
-		return nil, fmt.Errorf("core: %s%s: %w", PipelinePrefix, name, rej)
+	ticket, err := rt.admit(p.Tenant, p.route, deadline)
+	if err != nil {
+		return nil, err
 	}
 	if deadline <= 0 {
 		// The controller admitted against its default deadline; thread the
@@ -206,37 +201,10 @@ func (rt *Runtime) InvokePipelineWithDeadline(name string, req []byte, deadline 
 		deadline = rt.admDefaultDeadline
 	}
 	out, outcome, err := rt.runPipeline(p, req, deadline)
-	ticket.Done(outcome, 0)
+	if ticket != nil {
+		ticket.Done(outcome, 0)
+	}
 	return out, err
-}
-
-// stageModule resolves one stage to its module and installed compiled form,
-// reviving cold modules exactly like a direct invoke.
-func (rt *Runtime) stageModule(name string) (*Module, *engine.CompiledModule, error) {
-	m, ok := rt.Lookup(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", ErrNoModule, name)
-	}
-	cm := m.Compiled()
-	if cm == nil {
-		var err error
-		if cm, err = rt.revive(m); err != nil {
-			return nil, nil, err
-		}
-	}
-	return m, cm, nil
-}
-
-// handoff resolves a completed stage's result for the next stage: the
-// declared output region (aliasing the stage's linear memory) or the
-// Response buffer. On the steady-state path this allocates nothing — the
-// slice aliases memory owned by the sandbox, which the executor keeps alive
-// until the consumer finishes.
-//
-//sledge:noalloc
-func handoff(sb *sandbox.Sandbox) ([]byte, bool, error) {
-	out, err := sb.Output()
-	return out, sb.OutputDeclared(), err
 }
 
 // recordHandoff accounts one intermediate stage boundary.
@@ -252,137 +220,93 @@ func (p *Pipeline) recordHandoff(declared bool, n int) {
 }
 
 // runPipeline executes one admitted chain: for each stage, shed against the
-// remaining deadline budget, run the stage (with affinity for the previous
-// stage's worker), resolve its result region, and hand it to the next stage
-// as the request. The previous stage's sandbox is kept alive — not released
-// to the pool — until the consumer finishes, so the aliased handoff buffer
-// stays valid; at most two stages' instances are held at once, plus one
-// prefetched instance for the stage after.
+// remaining deadline budget, start the stage (with affinity for the previous
+// stage's worker), await and complete it, and hand its result region to the
+// next stage as the request. The previous stage's sandbox is kept alive —
+// not released to the pool — until the consumer finishes, so the aliased
+// handoff buffer stays valid; at most two stages' instances are held at
+// once, plus one prefetched instance for the stage after. One request timer
+// bounds the whole chain.
 func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) (out []byte, outcome admission.Outcome, err error) {
 	start := time.Now()
-	timer, _ := rt.timers.Get().(*time.Timer)
-	if timer == nil {
-		timer = time.NewTimer(rt.cfg.RequestTimeout)
-	} else {
-		timer.Reset(rt.cfg.RequestTimeout)
-	}
+	timer := rt.takeTimer()
 
 	input := req
 	var prev *sandbox.Sandbox // completed producer of input, held for its memory
 	var totalGas uint64
-	affinity := int32(-1)
+	affinity := -1
 
-	// Prefetched instance for the next stage (acquired while the current
-	// stage runs, consumed by the next iteration). Error paths funnel
-	// through chainCleanup — a plain method call, not a defer or closure,
-	// so the steady-state success path stays allocation-free.
-	var nextM *Module
-	var nextCM *engine.CompiledModule
+	// The next stage's module and, when its compiled form is resident, an
+	// instance of it, acquired while the current stage runs and consumed by
+	// the next iteration. Error paths funnel through chainCleanup — a plain
+	// method call, not a defer or closure, so the steady-state success path
+	// stays allocation-free.
+	var next *Module
 	var nextInst *engine.Instance
 
 	n := len(p.stages)
-	for i := 0; i < n; i++ {
-		var m *Module
-		var cm *engine.CompiledModule
-		var inst *engine.Instance
-		if nextInst != nil {
-			m, cm, inst = nextM, nextCM, nextInst
-			nextInst = nil
-		} else if m, cm, err = rt.stageModule(p.stages[i]); err != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, admission.OutcomeTrap, err
-		}
-
-		// Satellite fix: shed later stages against the *remaining* budget.
-		// The original deadline was fully consumed by admission's queueing
-		// check; by stage i the chain has already spent time.Since(start)
-		// of it, so comparing the stage's price to the full deadline would
-		// happily start a stage that cannot finish in time.
-		if i > 0 && deadline > 0 {
-			remaining := deadline - time.Since(start)
-			if est := m.cost(rt.pool.GasRate()); remaining <= 0 || est > remaining {
-				if inst != nil {
-					cm.Release(inst)
-				}
-				rt.chainCleanup(nil, timer, prev, nil, nil)
-				p.sheds.Add(1)
-				return nil, admission.OutcomeTimeout,
-					fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name,
-						&admission.Rejection{
-							Status:     503,
-							RetryAfter: retryHint(est),
-							Reason:     admission.ReasonDeadlineShed,
-						})
+	for i, name := range p.stages {
+		m, inst := next, nextInst
+		next, nextInst = nil, nil
+		if m == nil {
+			var ok bool
+			if m, ok = rt.Lookup(name); !ok {
+				rt.chainCleanup(p, timer, prev, nil)
+				return nil, admission.OutcomeTrap, fmt.Errorf("%w: %s", ErrNoModule, name)
 			}
 		}
 
-		sb, serr := sandbox.New(cm, input, sandbox.Options{
-			Entry:           m.Entry,
-			KV:              rt.cfg.KV,
-			Tenant:          m.Tenant,
-			Instance:        inst,
-			MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
-		})
+		// Shed later stages against the *remaining* budget. The original
+		// deadline was fully consumed by admission's queueing check; by
+		// stage i the chain has already spent time.Since(start) of it, so
+		// comparing the stage's price to the full deadline would happily
+		// start a stage that cannot finish in time.
+		if i > 0 && deadline > 0 {
+			remaining := deadline - time.Since(start)
+			if est := m.cost(rt.pool.GasRate()); remaining <= 0 || est > remaining {
+				rt.chainCleanup(nil, timer, prev, inst)
+				p.sheds.Add(1)
+				return nil, admission.OutcomeTimeout, m.failed(p, &admission.Rejection{
+					Status:     503,
+					RetryAfter: retryHint(est),
+					Reason:     admission.ReasonDeadlineShed,
+				})
+			}
+		}
+
+		sb, serr := rt.start(m, inst, input, affinity)
 		if serr != nil {
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
+			rt.chainCleanup(p, timer, prev, nil)
 			return nil, admission.OutcomeTrap, serr
 		}
-		// Continuations chase the previous stage's worker: the handoff
-		// buffer it just produced is hot in that core's cache. Stage 0, and
-		// a stage whose producer finished in the caller's slice, has no
-		// worker to chase and balances normally. Run finishes sb whatever
-		// happens (ErrStopped included), so the wait below covers it.
-		rt.pool.Run(sb, int(affinity))
 
 		// Overlap the next stage's instance acquisition with this stage's
 		// execution: by the time the stage completes, the consumer's linear
 		// memory is already reset and waiting.
 		if i+1 < n {
-			if nm, ncm, perr := rt.stageModule(p.stages[i+1]); perr == nil {
-				nextM, nextCM = nm, ncm
-				nextInst = ncm.Acquire()
+			if nm, ok := rt.Lookup(p.stages[i+1]); ok {
+				next = nm
+				if ncm := nm.Compiled(); ncm != nil {
+					nextInst = ncm.Acquire()
+				}
 			}
 		}
 
-		select {
-		case <-sb.Done():
-		case <-timer.C:
-			if sb.Abandon() {
-				rt.timers.Put(timer) // token consumed; channel known empty
-				rt.abandoned.Add(1)
-				m.failures.Add(1)
-				rt.chainCleanup(p, nil, prev, nextCM, nextInst)
-				return nil, admission.OutcomeTimeout,
-					fmt.Errorf("core: %s%s: stage %s: request timed out after %v",
-						PipelinePrefix, p.Name, m.Name, rt.cfg.RequestTimeout)
-			}
-			// Lost the race: the stage finished first. The token is
-			// consumed, so the timer can re-arm for the remaining stages.
-			<-sb.Done()
-			timer.Reset(rt.cfg.RequestTimeout)
+		if !rt.await(sb, timer) {
+			rt.putTimer(timer, true)
+			rt.chainCleanup(p, nil, prev, nextInst)
+			return nil, admission.OutcomeTimeout, rt.timedOut(m, p)
 		}
-
 		totalGas += sb.Gas()
-		m.recordCompletion(sb)
-		if sb.State() == sandbox.StateTrapped {
-			m.failures.Add(1)
-			terr := fmt.Errorf("core: %s%s: stage %s: %w", PipelinePrefix, p.Name, m.Name, sb.Err)
+		output, _, cerr := m.complete(sb, p)
+		if cerr != nil {
 			sb.Release()
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, admission.OutcomeTrap, terr
+			rt.chainCleanup(p, timer, prev, nextInst)
+			return nil, admission.OutcomeTrap, cerr
 		}
-
-		output, declared, oerr := handoff(sb)
-		if oerr != nil {
-			m.failures.Add(1)
-			sb.Release()
-			rt.chainCleanup(p, timer, prev, nextCM, nextInst)
-			return nil, admission.OutcomeTrap, fmt.Errorf("core: %s%s: stage %s: %w",
-				PipelinePrefix, p.Name, m.Name, oerr)
-		}
-		affinity = sb.LastWorker.Load()
+		affinity = int(sb.LastWorker.Load())
 		if i < n-1 {
-			p.recordHandoff(declared, len(output))
+			p.recordHandoff(sb.OutputDeclared(), len(output))
 		}
 
 		// The consumer of prev's memory (this stage) is done: recycle it.
@@ -401,29 +325,27 @@ func (rt *Runtime) runPipeline(p *Pipeline, req []byte, deadline time.Duration) 
 		out = append([]byte(nil), input...)
 	}
 	prev.Release()
-	if timer.Stop() {
-		rt.timers.Put(timer)
-	}
+	rt.putTimer(timer, false)
 	p.invocations.Add(1)
 	p.totalNanos.Add(int64(time.Since(start)))
 	p.gas.Add(totalGas)
 	return out, admission.OutcomeSuccess, nil
 }
 
-// chainCleanup reclaims chain resources on an error path: the prefetched
-// next-stage instance, the held producer sandbox, and the pooled timer
-// (nil timer means its token was already consumed and the timer returned).
-// The pipeline's failure counter is bumped when p is non-nil — deadline
-// sheds pass nil and account under Sheds instead.
-func (rt *Runtime) chainCleanup(p *Pipeline, timer *time.Timer, prev *sandbox.Sandbox, nextCM *engine.CompiledModule, nextInst *engine.Instance) {
-	if nextInst != nil {
-		nextCM.Release(nextInst)
+// chainCleanup reclaims chain resources on an error path: a prefetched
+// instance, the held producer sandbox, and the request timer (nil when
+// await already consumed its token and returned it). The pipeline's
+// failure counter is bumped when p is non-nil — deadline sheds pass nil
+// and account under Sheds instead.
+func (rt *Runtime) chainCleanup(p *Pipeline, timer *time.Timer, prev *sandbox.Sandbox, inst *engine.Instance) {
+	if inst != nil {
+		inst.Module().Release(inst)
 	}
 	if prev != nil {
 		prev.Release()
 	}
-	if timer != nil && timer.Stop() {
-		rt.timers.Put(timer)
+	if timer != nil {
+		rt.putTimer(timer, false)
 	}
 	if p != nil {
 		p.failures.Add(1)

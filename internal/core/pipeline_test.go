@@ -376,3 +376,83 @@ export i32 main() {
 			allocOne, allocThree, diff)
 	}
 }
+
+// TestPipelineBlockingStageBesideHog: a chain whose middle stage blocks on
+// latent storage completes on a one-worker runtime a never-ending hog holds,
+// with the reply and the per-stage gas of invoking its stages one by one
+// beside the same hog; and every instance the chain acquired, its prefetched
+// ones included, is back in its module's pool.
+func TestPipelineBlockingStageBesideHog(t *testing.T) {
+	store := abi.NewMapKV()
+	store.Set("obj", []byte("stored-value"))
+	rt := New(Config{Workers: 1, KV: &abi.LatentKV{KVStore: store, Delay: time.Millisecond}})
+	defer rt.Close()
+	registerApp(t, rt, "echo")
+	cm, err := apps.FetchApp.Compile(rt.EngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.RegisterCompiled("fetch", cm, "main", ""); err != nil {
+		t.Fatal(err)
+	}
+	// The last stage spins past the caller's slice, so a worker finishes it.
+	registerSrc(t, rt, "spinecho", spinEchoSrc)
+	stages := []string{"echo", "fetch", "spinecho"}
+	p, err := rt.RegisterPipeline("lookup", stages...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hogDone := startForever(t, rt)
+
+	gas := func() map[string]uint64 {
+		out := make(map[string]uint64)
+		for _, name := range stages {
+			m, _ := rt.Lookup(name)
+			out[name] = m.Stats().Gas
+		}
+		return out
+	}
+	pooled := func() (n int) {
+		for _, name := range stages {
+			m, _ := rt.Lookup(name)
+			n += m.Compiled().PooledInstances()
+		}
+		return n
+	}
+	instances := func() uint64 { st := rt.slabs.Stats(); return st.Hits + st.Misses }
+	base, pooled0 := instances(), pooled()
+
+	gas0 := gas()
+	seq := []byte("obj")
+	for _, name := range stages {
+		if seq, err = rt.Invoke(name, seq); err != nil {
+			t.Fatalf("%s beside the hog: %v", name, err)
+		}
+	}
+	gas1 := gas()
+	piped, err := rt.InvokePipeline("lookup", []byte("obj"))
+	if err != nil {
+		t.Fatalf("chain beside the hog: %v", err)
+	}
+	gas2 := gas()
+
+	if string(piped) != "stored-value" || !bytes.Equal(piped, seq) {
+		t.Errorf("chain = %q, stages one by one = %q, want stored-value", piped, seq)
+	}
+	for _, name := range stages {
+		if one, chained := gas1[name]-gas0[name], gas2[name]-gas1[name]; one != chained {
+			t.Errorf("gas for %s: one by one %d, chained %d", name, one, chained)
+		}
+	}
+	if st := p.Stats(); st.Invocations != 1 || st.Failures != 0 {
+		t.Errorf("chain stats = %+v, want 1 invocation and no failure", st)
+	}
+	if st := rt.Stats(); st.Blocked != 2 {
+		t.Errorf("Stats = %+v, want the fetch blocked once alone and once chained", st)
+	}
+	if got, want := pooled()-pooled0, int(instances()-base); got != want {
+		t.Errorf("%d instances returned to the stages' pools, %d made", got, want)
+	}
+	rt.Close()
+	<-hogDone
+}

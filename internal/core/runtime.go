@@ -190,11 +190,9 @@ type Config struct {
 	CacheScanInterval time.Duration
 
 	// HTTPReadTimeout bounds reading one request (slow-loris defense);
-	// 0 defaults to RequestTimeout, negative disables.
+	// 0 defaults to RequestTimeout, negative disables. Writing one
+	// response is bounded by RequestTimeout.
 	HTTPReadTimeout time.Duration
-	// HTTPWriteTimeout bounds writing one response; 0 defaults to
-	// RequestTimeout, negative disables.
-	HTTPWriteTimeout time.Duration
 	// MaxConns caps concurrent HTTP connections (0 = unlimited).
 	MaxConns int
 }
@@ -207,11 +205,6 @@ func (c Config) withDefaults() Config {
 		c.HTTPReadTimeout = c.RequestTimeout
 	} else if c.HTTPReadTimeout < 0 {
 		c.HTTPReadTimeout = 0
-	}
-	if c.HTTPWriteTimeout == 0 {
-		c.HTTPWriteTimeout = c.RequestTimeout
-	} else if c.HTTPWriteTimeout < 0 {
-		c.HTTPWriteTimeout = 0
 	}
 	return c
 }
@@ -303,7 +296,7 @@ func New(cfg Config) *Runtime {
 	rt.server = &httpd.Server{
 		Handler:      rt.handle,
 		ReadTimeout:  cfg.HTTPReadTimeout,
-		WriteTimeout: cfg.HTTPWriteTimeout,
+		WriteTimeout: cfg.RequestTimeout,
 		MaxConns:     cfg.MaxConns,
 	}
 	return rt
@@ -555,7 +548,7 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
 	}
-	ticket, err := rt.admit(m, deadline)
+	ticket, err := rt.admit(m.Tenant, m.Name, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -566,20 +559,20 @@ func (rt *Runtime) InvokeWithDeadline(name string, req []byte, deadline time.Dur
 	return out, err
 }
 
-// admit passes one request of m through the admission controller: a nil
-// ticket without one, and an error wrapping the *admission.Rejection when
-// the request is shed.
-func (rt *Runtime) admit(m *Module, deadline time.Duration) (*admission.Ticket, error) {
+// admit passes one request through the admission controller under the
+// invocation name — a module's, or a pipeline's "p/<name>" — and its
+// tenant: a nil ticket without a controller, and an error wrapping the
+// *admission.Rejection when the request is shed.
+func (rt *Runtime) admit(tenant, name string, deadline time.Duration) (*admission.Ticket, error) {
 	if rt.adm == nil {
 		return nil, nil
 	}
-	tenant := m.Tenant
 	if tenant == "" {
 		tenant = "default"
 	}
-	ticket, rej := rt.adm.Admit(tenant, m.Name, deadline)
+	ticket, rej := rt.adm.Admit(tenant, name, deadline)
 	if rej != nil {
-		return nil, fmt.Errorf("core: %s: %w", m.Name, rej)
+		return nil, fmt.Errorf("core: %s: %w", name, rej)
 	}
 	return ticket, nil
 }
@@ -588,23 +581,27 @@ func (rt *Runtime) admit(m *Module, deadline time.Duration) (*admission.Ticket, 
 // completion or timeout, and copy its reply out. It reports the admission
 // outcome alongside the response.
 func (rt *Runtime) run(m *Module, req []byte) (out []byte, outcome admission.Outcome, err error) {
-	sb, err := rt.start(m, req)
+	sb, err := rt.start(m, nil, req, -1)
 	if err != nil {
 		return nil, admission.OutcomeTrap, err
 	}
 	return rt.wait(m, sb)
 }
 
-// start instantiates a sandbox for one request and hands it to the
-// scheduler, which runs its first slice here. Run finishes the sandbox
-// exactly once whatever happens (ErrStopped included), so one wait on Done,
-// or one Defer, covers every outcome. The compiled form is loaded exactly
-// once, here: a concurrent cache eviction drops the module pointer for
-// future requests while this one finishes untouched on the code it started
-// with.
-func (rt *Runtime) start(m *Module, req []byte) (*sandbox.Sandbox, error) {
-	cm := m.Compiled()
-	if cm == nil {
+// start instantiates a sandbox for one request of m and hands it to the
+// scheduler, with affinity for one worker (negative: none), which runs its
+// first slice here. Run finishes the sandbox exactly once whatever happens
+// (ErrStopped included), so one wait on Done, or one Defer, covers every
+// outcome. inst, when not nil, is an instance of m's compiled form acquired
+// beforehand (a pipeline prefetches its next stage's) and the sandbox runs
+// on it. Otherwise the compiled form is loaded exactly once, here: a
+// concurrent cache eviction drops the module pointer for future requests
+// while this one finishes untouched on the code it started with.
+func (rt *Runtime) start(m *Module, inst *engine.Instance, req []byte, affinity int) (*sandbox.Sandbox, error) {
+	var cm *engine.CompiledModule
+	if inst != nil {
+		cm = inst.Module()
+	} else if cm = m.Compiled(); cm == nil {
 		// Registered-but-cold: the bounded cache dropped the compiled body.
 		// Recompile it before serving.
 		var err error
@@ -616,12 +613,13 @@ func (rt *Runtime) start(m *Module, req []byte) (*sandbox.Sandbox, error) {
 		Entry:           m.Entry,
 		KV:              rt.cfg.KV,
 		Tenant:          m.Tenant,
+		Instance:        inst,
 		MaxHandoffBytes: rt.cfg.MaxHandoffBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rt.pool.Run(sb, -1)
+	rt.pool.Run(sb, affinity)
 	return sb, nil
 }
 
@@ -633,11 +631,14 @@ func (rt *Runtime) wait(m *Module, sb *sandbox.Sandbox) (out []byte, outcome adm
 	case <-sb.Done():
 		// Finished in the caller's slice: no timer, no wake-up.
 	default:
-		if !rt.await(sb) {
-			return nil, admission.OutcomeTimeout, rt.timedOut(m)
+		timer := rt.takeTimer()
+		done := rt.await(sb, timer)
+		rt.putTimer(timer, !done)
+		if !done {
+			return nil, admission.OutcomeTimeout, rt.timedOut(m, nil)
 		}
 	}
-	body, outcome, err := m.complete(sb)
+	body, outcome, err := m.complete(sb, nil)
 	if len(body) > 0 {
 		// Copy out before the buffer returns to the pool.
 		out = append([]byte(nil), body...)
@@ -648,15 +649,17 @@ func (rt *Runtime) wait(m *Module, sb *sandbox.Sandbox) (out []byte, outcome adm
 
 // complete accounts a finished sandbox and maps it to its result: the body
 // (aliasing the sandbox, so it must be copied before Release) or the
-// error, with the admission outcome. Both ways of waiting — Done, and the
-// finisher hook of a deferred HTTP reply — map a completion here.
+// error, with the admission outcome. Every way of waiting — Done, the
+// finisher hook of a deferred HTTP reply, and a pipeline's stage, where p
+// names the chain in the error (nil for a lone request) — maps a
+// completion here.
 //
 //sledge:noalloc
-func (m *Module) complete(sb *sandbox.Sandbox) ([]byte, admission.Outcome, error) {
+func (m *Module) complete(sb *sandbox.Sandbox, p *Pipeline) ([]byte, admission.Outcome, error) {
 	m.recordCompletion(sb)
 	if sb.State() == sandbox.StateTrapped {
 		m.failures.Add(1)
-		return nil, admission.OutcomeTrap, m.failed(sb.Err)
+		return nil, admission.OutcomeTrap, m.failed(p, sb.Err)
 	}
 	// Output, not Response: a function that declared a sledge.output
 	// region gets the same reply here as it hands a pipeline consumer —
@@ -664,48 +667,65 @@ func (m *Module) complete(sb *sandbox.Sandbox) ([]byte, admission.Outcome, error
 	body, err := sb.Output()
 	if err != nil {
 		m.failures.Add(1)
-		return nil, admission.OutcomeTrap, m.failed(err)
+		return nil, admission.OutcomeTrap, m.failed(p, err)
 	}
 	return body, admission.OutcomeSuccess, nil
 }
 
-// failed names the module in a request's error.
-func (m *Module) failed(err error) error { return fmt.Errorf("core: %s: %w", m.Name, err) }
-
-// timedOut accounts a request whose timeout disowned its sandbox and
-// returns its error.
-func (rt *Runtime) timedOut(m *Module) error {
-	rt.abandoned.Add(1)
-	m.failures.Add(1)
-	return fmt.Errorf("core: %s: request timed out after %v", m.Name, rt.cfg.RequestTimeout)
+// failed names the module in a request's error, after the pipeline p when
+// the request was one of p's stages.
+func (m *Module) failed(p *Pipeline, err error) error {
+	if p != nil {
+		return fmt.Errorf("core: %s: stage %s: %w", p.route, m.Name, err)
+	}
+	return fmt.Errorf("core: %s: %w", m.Name, err)
 }
 
-// await waits on a sandbox the pool holds, under the pooled request-timeout
-// timer. It returns false when the timeout won and the waiter disowned the
-// sandbox (a worker reaps and recycles it when it next surfaces), true once
-// sb is done.
-func (rt *Runtime) await(sb *sandbox.Sandbox) bool {
+// timedOut accounts a request whose timeout disowned its sandbox and
+// returns its error, named as failed names it.
+func (rt *Runtime) timedOut(m *Module, p *Pipeline) error {
+	rt.abandoned.Add(1)
+	m.failures.Add(1)
+	return m.failed(p, fmt.Errorf("request timed out after %v", rt.cfg.RequestTimeout))
+}
+
+// takeTimer takes a request timer from the pool, armed for RequestTimeout.
+func (rt *Runtime) takeTimer() *time.Timer {
 	timer, _ := rt.timers.Get().(*time.Timer)
 	if timer == nil {
-		timer = time.NewTimer(rt.cfg.RequestTimeout)
-	} else {
-		timer.Reset(rt.cfg.RequestTimeout)
+		return time.NewTimer(rt.cfg.RequestTimeout)
 	}
+	timer.Reset(rt.cfg.RequestTimeout)
+	return timer
+}
+
+// putTimer returns a request timer to the pool. fired reports that await
+// consumed its token; any other timer is stopped first, and dropped if it
+// fired meanwhile, since its channel holds a stale token that would poison
+// the pool.
+func (rt *Runtime) putTimer(timer *time.Timer, fired bool) {
+	if fired || timer.Stop() {
+		rt.timers.Put(timer)
+	}
+}
+
+// await waits on a sandbox the pool holds, under a request timer the caller
+// owns. It returns false when the timer won and the waiter disowned the
+// sandbox (a worker reaps and recycles it when it next surfaces); the
+// timer's token is consumed. It returns true once sb is done, with the
+// timer armed — re-armed for a full RequestTimeout if it fired as sb
+// finished — so a pipeline holds one timer across its stages.
+func (rt *Runtime) await(sb *sandbox.Sandbox, timer *time.Timer) bool {
 	select {
 	case <-sb.Done():
-		if timer.Stop() {
-			rt.timers.Put(timer)
-		}
-		// else: the timer fired concurrently; its channel holds a stale
-		// token, so drop it rather than poison the pool.
 	case <-timer.C:
-		rt.timers.Put(timer) // token consumed; channel known empty
 		if sb.Abandon() {
 			return false
 		}
 		// Lost the race: the sandbox finished first. Consume its
 		// notification and proceed as a normal completion.
 		<-sb.Done()
+		timer.Reset(rt.cfg.RequestTimeout)
 	}
 	return true
 }
@@ -738,13 +758,13 @@ func (rt *Runtime) handle(req *httpd.Request) httpd.Response {
 	if !ok {
 		return httpResponse(nil, fmt.Errorf("%w: %s", ErrNoModule, name))
 	}
-	ticket, err := rt.admit(m, deadline)
+	ticket, err := rt.admit(m.Tenant, m.Name, deadline)
 	if err != nil {
 		return httpResponse(nil, err)
 	}
 	var out []byte
 	outcome := admission.OutcomeTrap
-	sb, err := rt.start(m, req.Body)
+	sb, err := rt.start(m, nil, req.Body, -1)
 	if err == nil {
 		// An empty Done means the pool still holds the sandbox. One the
 		// caller's slice finished (ping) replies here, as Invoke does.

@@ -8,9 +8,9 @@ import (
 	"sledge/internal/sandbox"
 )
 
-// TestAffinityWorkConservation is the satellite check for pipeline
-// continuation affinity: SubmitAffine biases a continuation toward one
-// worker's queue, but affinity is a hint, not a pin. When the preferred
+// TestAffinityWorkConservation is the check for pipeline continuation
+// affinity: Run's affinity biases a continuation toward one worker's queue,
+// but affinity is a hint, not a pin. When the preferred
 // worker is stuck in a long cooperative quantum, idle peers must steal the
 // queued continuations — affinity never defeats work conservation.
 func TestAffinityWorkConservation(t *testing.T) { t.Run(workStealing, testAffinityWorkConservation) }
@@ -18,7 +18,8 @@ func TestAffinityWorkConservation(t *testing.T) { t.Run(workStealing, testAffini
 func testAffinityWorkConservation(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
 	// Cooperative policy: the hog's quantum cannot be preempted, so its
-	// worker stays busy for the whole spin.
+	// worker stays busy for the whole spin, and Run pushes every sandbox
+	// with no caller slice.
 	p := NewPool(Config{Workers: 4, Policy: PolicyCooperative})
 	defer p.Stop()
 
@@ -61,9 +62,7 @@ func testAffinityWorkConservation(t *testing.T) {
 		wg.Add(1)
 		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
 		boxes[i] = sb
-		if err := p.SubmitAffine(sb, int(hogWorker)); err != nil {
-			t.Fatalf("SubmitAffine: %v", err)
-		}
+		p.Run(sb, int(hogWorker))
 	}
 
 	done := make(chan struct{})
@@ -90,11 +89,12 @@ func testAffinityWorkConservation(t *testing.T) {
 	}
 }
 
-// TestSubmitAffineFallbacks: an out-of-range hint must behave exactly like
-// Submit, and a stopped pool must refuse the sandbox.
-func TestSubmitAffineFallbacks(t *testing.T) {
+// TestRunAffinityFallbacks: an out-of-range hint must behave like no hint
+// (least-loaded placement), and a stopped pool must refuse the sandbox.
+func TestRunAffinityFallbacks(t *testing.T) {
 	cm := compileTestModule(t, spinSrc)
-	p := NewPool(Config{Workers: 2})
+	// Cooperative, so that Run pushes: no caller slice finishes the spin.
+	p := NewPool(Config{Workers: 2, Policy: PolicyCooperative})
 	var wg sync.WaitGroup
 	for _, hint := range []int{-1, 99} {
 		sb, err := sandbox.New(cm, make([]byte, 1), sandbox.Options{})
@@ -103,9 +103,7 @@ func TestSubmitAffineFallbacks(t *testing.T) {
 		}
 		wg.Add(1)
 		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-		if err := p.SubmitAffine(sb, hint); err != nil {
-			t.Fatalf("SubmitAffine(%d): %v", hint, err)
-		}
+		p.Run(sb, hint)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
@@ -119,7 +117,13 @@ func TestSubmitAffineFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SubmitAffine(sb, 0); err != ErrStopped {
-		t.Errorf("SubmitAffine after Stop = %v, want ErrStopped", err)
+	p.Run(sb, 0)
+	select {
+	case <-sb.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run after Stop never finished the sandbox")
+	}
+	if sb.Err != ErrStopped {
+		t.Errorf("Run after Stop: err %v, want ErrStopped", sb.Err)
 	}
 }

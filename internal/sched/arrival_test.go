@@ -42,6 +42,18 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// pushTo places sb in worker's inbox, counted as Run counts it but with no
+// caller slice, so the first slice it runs is a worker's.
+func pushTo(t *testing.T, p *Pool, sb *sandbox.Sandbox, worker int) {
+	t.Helper()
+	if !p.accept(sb) {
+		t.Fatal(ErrStopped)
+	}
+	if err := p.push(sb, worker); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // startHogs submits k never-ending hogs and returns them once each has
 // started a turn, i.e. all of them rotate on a worker's local queue.
 func startHogs(t *testing.T, p *Pool, cm *engine.CompiledModule, k int) []*sandbox.Sandbox {
@@ -270,9 +282,7 @@ func TestHoldingWorkerDoesNotSteal(t *testing.T) {
 	lone.OnComplete = func(sb *sandbox.Sandbox) {
 		stealsAtDone.Store(p.workers[sb.LastWorker.Load()].steals.Load())
 	}
-	if err := p.SubmitAffine(lone, 0); err != nil {
-		t.Fatal(err)
-	}
+	pushTo(t, p, lone, 0)
 	waitFor(t, "lone hog to start", func() bool { return lone.LastWorker.Load() >= 0 })
 	holder := p.workers[lone.LastWorker.Load()]
 	// Not necessarily zero: a peer still in its start-up round may have
@@ -285,9 +295,7 @@ func TestHoldingWorkerDoesNotSteal(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		sb := newSpin(t, cm, 4000)
 		boxes = append(boxes, sb)
-		if err := p.SubmitAffine(sb, 1-holder.id); err != nil {
-			t.Fatal(err)
-		}
+		pushTo(t, p, sb, 1-holder.id)
 	}
 	waitFor(t, "completion", func() bool { return p.Inflight() == 0 })
 

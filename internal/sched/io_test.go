@@ -59,9 +59,7 @@ const hogSlice = 3000 * testSlice
 func submitParked(t *testing.T, p *Pool, sb *sandbox.Sandbox) {
 	t.Helper()
 	waitFor(t, "every worker to park", func() bool { return p.nparked.Load() == int64(len(p.workers)) })
-	if err := p.SubmitAffine(sb, 0); err != nil {
-		t.Fatal(err)
-	}
+	pushTo(t, p, sb, 0)
 }
 
 // TestIOResumesBesideHog is the gate for a blocked sandbox that shares a

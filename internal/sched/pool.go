@@ -292,9 +292,9 @@ const callerSliceGas = 1024
 // goroutine; a sandbox that completes or traps there is counted and
 // FinishNotify'd on the spot, with no worker, queue or wake-up involved. A
 // sandbox that blocks there waits on its own timer and is pushed when its
-// I/O is due, like one that blocked on a worker. What yields — and
-// everything else — is handed off exactly as SubmitAffine(sb, affinity)
-// would (a negative affinity means none).
+// I/O is due, like one that blocked on a worker. What yields — and, under
+// the cooperative policy, everything — is pushed to the affinity worker's
+// inbox (see push; a negative affinity means none).
 //
 // Run always takes ownership: the sandbox finishes exactly once and its
 // Done channel fires, failed with ErrStopped if the pool is stopped, so the
@@ -302,12 +302,9 @@ const callerSliceGas = 1024
 //
 //sledge:noalloc
 func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
-	if p.stopped.Load() {
-		reject(sb)
+	if !p.accept(sb) {
 		return
 	}
-	p.submitted.Add(1)
-	p.inflight.Add(1)
 	if p.cfg.Policy != PolicyPreemptiveRR {
 		p.push(sb, affinity)
 		return
@@ -330,42 +327,38 @@ func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 	sb.FinishNotify() // may recycle sb: last touch
 }
 
-// Submit hands a sandbox to the pool. The sandbox's OnComplete callback
-// fires on a worker when it finishes. On ErrStopped the sandbox has been,
-// or will be, failed with ErrStopped and FinishNotify'd.
+// Submit hands a sandbox to the pool with no caller slice, placed on the
+// least-loaded worker. The sandbox's OnComplete callback fires on a worker
+// when it finishes. On ErrStopped the sandbox has been, or will be, failed
+// with ErrStopped and FinishNotify'd.
 func (p *Pool) Submit(sb *sandbox.Sandbox) error {
-	return p.SubmitAffine(sb, -1)
+	if !p.accept(sb) {
+		return ErrStopped
+	}
+	return p.push(sb, -1)
 }
 
-// SubmitAffine hands a sandbox to the pool with affinity for one worker's
-// queue: a pipeline's continuation goes to the worker that ran the previous
-// stage (sandbox.LastWorker), so the handoff buffer it just wrote is still
-// hot in that core's cache. Affinity is a placement hint, not a pin — the
-// continuation lands in the worker's ordinary inbox, where idle peers can
-// still steal it (see worker.steal), so work-conservation holds even when
-// the preferred worker is stuck in a long quantum. An out-of-range hint
-// means the previous stage never ran here and falls back to Submit's
-// least-loaded placement.
-func (p *Pool) SubmitAffine(sb *sandbox.Sandbox, worker int) error {
+// accept counts a sandbox into the pool. A stopped pool refuses it: the
+// sandbox is failed with ErrStopped and finished, so its waiter is released
+// like that of one Stop failed in a queue.
+//
+//sledge:noalloc
+func (p *Pool) accept(sb *sandbox.Sandbox) bool {
 	if p.stopped.Load() {
-		reject(sb)
-		return ErrStopped
+		sb.Fail(ErrStopped)
+		sb.FinishNotify()
+		return false
 	}
 	p.submitted.Add(1)
 	p.inflight.Add(1)
-	return p.push(sb, worker)
-}
-
-// reject fails a sandbox the pool never accepted, so its waiter is released
-// like that of one Stop failed in a queue.
-func reject(sb *sandbox.Sandbox) {
-	sb.Fail(ErrStopped)
-	sb.FinishNotify()
+	return true
 }
 
 // push places a counted sandbox in a worker's inbox — the affinity
-// worker's if the hint is in range (see SubmitAffine), else the least
-// loaded — and wakes a worker for it.
+// worker's if the hint is in range, else the least loaded — and wakes a
+// worker for it. Affinity is a placement hint, not a pin: idle peers still
+// steal from that inbox (see worker.steal), so a continuation queued
+// behind a worker stuck in a long quantum still runs.
 func (p *Pool) push(sb *sandbox.Sandbox, affinity int) error {
 	var w *worker
 	if affinity >= 0 && affinity < len(p.workers) {

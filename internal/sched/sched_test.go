@@ -278,9 +278,7 @@ func TestWorkConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
-		if err := p.SubmitAffine(sb, worker); err != nil {
-			t.Fatal(err)
-		}
+		pushTo(t, p, sb, worker)
 	}
 	for w := 1; w <= 3; w++ {
 		submit(4000, w)
@@ -336,9 +334,7 @@ func TestShortStolenBehindHogs(t *testing.T) {
 				// Everything is placed on worker 0 (a hint idle peers
 				// may override), so that which shorts sit behind the hog
 				// does not depend on how placement's ties happen to break.
-				if err := p.SubmitAffine(sb, 0); err != nil {
-					t.Fatal(err)
-				}
+				pushTo(t, p, sb, 0)
 			}
 
 			var hogDone, shortsDone atomic.Int64
