@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke cluster-smoke meter-smoke warm-smoke chain-smoke cold-bench test bench bench-cluster bench-meter bench-warm bench-chain
+.PHONY: check fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke fuzz-smoke cluster-smoke chain-smoke cold-bench test bench bench-cluster bench-chain
 
 # check is the pre-merge gate: formatting (gofmt -l prints nothing), static
 # analysis (go vet plus the project
@@ -22,11 +22,8 @@ GO ?= go
 # invoke / unregister cycle of the suite must allocate under 512 KiB: first
 # instantiations reuse retired linear memories through the slab recycler),
 # an overload smoke run (admission at 2x capacity
-# must shed cleanly: admitted error rate < 1%), a
-# metering smoke run (block-metered and per-instruction runs charge
-# bit-identical gas under preemptive slicing), a warm-start smoke run
-# (snapshot first invoke beats start replay, the bounded module cache
-# holds goodput while evicting), a function-composition smoke run (the
+# must shed cleanly: admitted error rate < 1%), a function-composition
+# smoke run (the
 # co-located pipeline beats the HTTP self-call chain with bit-identical
 # replies and gas), and fuzz smokes, each a fixed number of executions so
 # two runs do the same work: a differential fuzz of the
@@ -35,7 +32,7 @@ GO ?= go
 # hostile-input fuzz of the sledge.output handoff host call (arbitrary
 # ptr/len must trap or stay in bounds), and a differential fuzz of the
 # request parser against net/http over pipelined requests.
-check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke cluster-smoke meter-smoke warm-smoke chain-smoke fuzz-smoke
+check: fmt vet analyzers build test-race benchmark-check bench-smoke cold-smoke overload-smoke cluster-smoke chain-smoke fuzz-smoke
 
 fmt:
 	test -z "$$(gofmt -l .)"
@@ -99,29 +96,6 @@ cluster-smoke:
 
 bench-cluster:
 	$(GO) run ./cmd/sledge-bench -run cluster -snapshot BENCH_cluster.json
-
-# meter-smoke runs the basic-block fuel-metering ablation at quick sizes
-# (both metering modes complete every kernel under preemptive slicing with
-# bit-identical gas); the acceptance-grade number (PolyBench geomean
-# speedup > 1.0 over the per-instruction oracle) comes from
-# `make bench-meter`, which regenerates BENCH_meter.json at full sizes.
-meter-smoke:
-	$(GO) test -run=TestMeterSmoke -count=1 ./internal/experiments/
-
-bench-meter:
-	$(GO) run ./cmd/sledge-bench -run meter -snapshot BENCH_meter.json
-
-# warm-smoke runs the warm-start benchmark at quick sizes (snapshot first
-# invoke >= 5x over start-function replay, budgeted fleet churns its cache
-# without collapsing goodput, every reply validated); the acceptance-grade
-# numbers (>= 5x first invoke, budgeted goodput >= 0.9x unbounded over the
-# 10k-module fleet with steady RSS) come from `make bench-warm`, which
-# regenerates BENCH_warm.json at full sizes.
-warm-smoke:
-	$(GO) test -run=TestWarmSmoke -count=1 ./internal/experiments/
-
-bench-warm:
-	$(GO) run ./cmd/sledge-bench -run warm -snapshot BENCH_warm.json
 
 # chain-smoke runs the function-composition benchmark at quick sizes under
 # the race detector, as cluster-smoke does: the pipeline executor runs

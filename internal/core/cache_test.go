@@ -103,7 +103,7 @@ func waitPooled(t *testing.T, m *Module) {
 // invoke. The scan interval is effectively infinite so every transition is
 // driven (and asserted) synchronously via the controller's scan.
 func TestCacheDemotionRungs(t *testing.T) {
-	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	rt := newRuntime(Config{Workers: 1, CacheBudgetBytes: 1 << 40}, time.Hour)
 	t.Cleanup(func() { rt.Close() })
 	if _, err := rt.RegisterWCC("hot", cacheEchoSrc, wcc.Options{}); err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestCacheColdReviveServesIdentical(t *testing.T) {
 	// The budget is below a single compiled body (~300 object bytes for
 	// this module), so nothing can stay resident: every scan demotes down
 	// to registered-but-cold and every invoke revives.
-	rt := New(Config{Workers: 2, CacheBudgetBytes: 64, CacheScanInterval: time.Millisecond})
+	rt := newRuntime(Config{Workers: 2, CacheBudgetBytes: 64}, time.Millisecond)
 	t.Cleanup(func() { rt.Close() })
 	const modules = 6
 	names := make([]string, modules)
@@ -274,7 +274,7 @@ func TestCacheColdReviveServesIdentical(t *testing.T) {
 // price it had before eviction is the price it has after — eviction alone
 // does not move it, and neither does the reviving request.
 func TestRevivedModuleKeepsItsPrice(t *testing.T) {
-	rt := New(Config{Workers: 1, Admission: &admission.Config{}, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	rt := newRuntime(Config{Workers: 1, Admission: &admission.Config{}, CacheBudgetBytes: 1 << 40}, time.Hour)
 	t.Cleanup(func() { rt.Close() })
 	m := registerSum(t, rt, "sum")
 	payload := []byte{1, 2, 3}
@@ -303,7 +303,7 @@ func TestRevivedModuleKeepsItsPrice(t *testing.T) {
 // retained source, so the cache may shed its pool and snapshot but must
 // never drop the body — there is nothing to recompile from.
 func TestCachePinnedCompiledNeverCold(t *testing.T) {
-	rt := New(Config{Workers: 1, CacheBudgetBytes: 1, CacheScanInterval: time.Millisecond})
+	rt := newRuntime(Config{Workers: 1, CacheBudgetBytes: 1}, time.Millisecond)
 	t.Cleanup(func() { rt.Close() })
 	app, ok := apps.Get("ping")
 	if !ok {
@@ -378,7 +378,7 @@ func TestUnregisterReleasesPooledSlabs(t *testing.T) {
 // CacheBudgetBytes, and an over-budget scan gives them up before it touches
 // any module's pool, snapshot or body.
 func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
-	rt := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	rt := newRuntime(Config{Workers: 1, CacheBudgetBytes: 1 << 40}, time.Hour)
 	t.Cleanup(func() { rt.Close() })
 	for _, name := range []string{"keep", "retire"} {
 		if _, err := rt.RegisterWCC(name, cacheEchoSrc, wcc.Options{}); err != nil {
@@ -431,7 +431,7 @@ func TestCacheBudgetShedsSlabsFirst(t *testing.T) {
 // retiring a module leaves A's slab gauge at zero, and squeezing A to its
 // own rungs leaves B's recycler whole for B's next cold start.
 func TestCacheChargesOnlyItsOwnSlabs(t *testing.T) {
-	a := New(Config{Workers: 1, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	a := newRuntime(Config{Workers: 1, CacheBudgetBytes: 1 << 40}, time.Hour)
 	t.Cleanup(func() { a.Close() })
 	b := newTestRuntime(t)
 	registerApp(t, b, "echo")
@@ -475,7 +475,7 @@ func TestCacheChargesOnlyItsOwnSlabs(t *testing.T) {
 // ErrNoModule are the only acceptable outcomes, and the runtime must stay
 // serviceable afterwards.
 func TestConcurrentUnregisterReplaceInvoke(t *testing.T) {
-	rt := New(Config{Workers: 2, CacheBudgetBytes: 96 << 10, CacheScanInterval: time.Millisecond})
+	rt := newRuntime(Config{Workers: 2, CacheBudgetBytes: 96 << 10}, time.Millisecond)
 	t.Cleanup(func() { rt.Close() })
 	res, err := wcc.Compile(cacheEchoSrc, wcc.Options{})
 	if err != nil {

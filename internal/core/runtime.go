@@ -185,9 +185,6 @@ type Config struct {
 	// drop snapshot → drop compiled body, lazily recompiled on the next
 	// invoke). 0 keeps the registry unbounded (see cache.go).
 	CacheBudgetBytes int64
-	// CacheScanInterval is the cache controller's scan period.
-	// Default 25ms.
-	CacheScanInterval time.Duration
 
 	// HTTPReadTimeout bounds reading one request (slow-loris defense);
 	// 0 defaults to RequestTimeout, negative disables. Writing one
@@ -256,7 +253,11 @@ type Runtime struct {
 }
 
 // New starts a runtime with an empty module registry.
-func New(cfg Config) *Runtime {
+func New(cfg Config) *Runtime { return newRuntime(cfg, 0) }
+
+// newRuntime is New with the test hook for the cache controller's scan
+// period; 0 keeps the default (see newCacheController).
+func newRuntime(cfg Config, cacheScan time.Duration) *Runtime {
 	cfg = cfg.withDefaults()
 	rt := &Runtime{
 		cfg:      cfg,
@@ -291,7 +292,7 @@ func New(cfg Config) *Runtime {
 		rt.adm = admission.New(acfg)
 	}
 	if cfg.CacheBudgetBytes > 0 {
-		rt.cache = newCacheController(rt, cfg.CacheBudgetBytes, cfg.CacheScanInterval)
+		rt.cache = newCacheController(rt, cfg.CacheBudgetBytes, cacheScan)
 	}
 	rt.server = &httpd.Server{
 		Handler:      rt.handle,
@@ -362,8 +363,9 @@ func (rt *Runtime) RegisterCompiled(name string, cm *engine.CompiledModule, entr
 
 // checkCompiled refuses a module compiled with any configuration but the
 // runtime's. The pool needs block-metered code that yields: a naive-tier
-// module would trap at the end of its caller slice, and a NoBlockMeter one
-// would spend a quantum's gas as dispatches, about three times as long.
+// module would trap at the end of its caller slice, and one metered per
+// instruction would spend a quantum's gas as dispatches, about three times
+// as long.
 func (rt *Runtime) checkCompiled(name string, cm *engine.CompiledModule) error {
 	got, want := cm.Config(), rt.EngineConfig()
 	if got == want {

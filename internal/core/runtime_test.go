@@ -287,7 +287,7 @@ func TestStatsEndpoint(t *testing.T) {
 // cache never evicts on its own: a test drops bodies with dropCompiled.
 func newCacheRuntime(t *testing.T, bounds engine.BoundsStrategy) *Runtime {
 	t.Helper()
-	rt := New(Config{Workers: 1, Bounds: bounds, CacheBudgetBytes: 1 << 40, CacheScanInterval: time.Hour})
+	rt := newRuntime(Config{Workers: 1, Bounds: bounds, CacheBudgetBytes: 1 << 40}, time.Hour)
 	t.Cleanup(func() { rt.Close() })
 	return rt
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -195,6 +196,60 @@ func TestSnapshotFidelity(t *testing.T) {
 			if o.first != o.reused {
 				t.Errorf("%s nosnap=%v: pooled reuse diverged: %d then %d", name, noSnap, o.first, o.reused)
 			}
+		}
+	}
+}
+
+// TestSnapshotSkipsStartFunction counts start-function runs: the start
+// function adds one to a memory cell, so the cell read after Acquire and
+// again after the entry returns says how often it ran, and where. An
+// instance materialised from the post-init snapshot holds the compile-time
+// probe's one run before Start and runs it no more; the replay oracle runs
+// it once per instantiation, inside Start.
+func TestSnapshotSkipsStartFunction(t *testing.T) {
+	m := buildModule(t, 1,
+		fnDef{name: "boot", body: []wasm.Instr{
+			{Op: wasm.OpI32Const, Imm: 0},
+			{Op: wasm.OpI32Const, Imm: 0},
+			{Op: wasm.OpI32Load, Imm2: 2},
+			{Op: wasm.OpI32Const, Imm: 1},
+			{Op: wasm.OpI32Add},
+			{Op: wasm.OpI32Store, Imm2: 2},
+		}},
+		fnDef{name: "main", results: []wasm.ValType{wasm.ValI32}, body: []wasm.Instr{
+			{Op: wasm.OpI32Const, Imm: 0},
+			{Op: wasm.OpI32Load, Imm2: 2},
+		}},
+	)
+	m.Start = 0
+	const instances = 4
+	for _, tc := range []struct {
+		noSnapshot       bool
+		atAcquire, inRun int // count in the cell after Acquire; runs Start added
+	}{
+		{false, 1, 0},
+		{true, 0, instances},
+	} {
+		cm := mustCompile(t, m, Config{NoSnapshot: tc.noSnapshot})
+		runs := 0
+		for i := 0; i < instances; i++ {
+			in := cm.Acquire()
+			before := int(binary.LittleEndian.Uint32(in.mem))
+			if before != tc.atAcquire {
+				t.Errorf("NoSnapshot=%v instance %d: cell = %d after Acquire, want %d", tc.noSnapshot, i, before, tc.atAcquire)
+			}
+			v, err := in.Invoke("main")
+			if err != nil {
+				t.Fatalf("NoSnapshot=%v: %v", tc.noSnapshot, err)
+			}
+			if v != 1 {
+				t.Errorf("NoSnapshot=%v instance %d: main = %d, want 1", tc.noSnapshot, i, v)
+			}
+			runs += int(v) - before
+			cm.Release(in)
+		}
+		if runs != tc.inRun {
+			t.Errorf("NoSnapshot=%v: start function ran %d times over %d instances, want %d", tc.noSnapshot, runs, instances, tc.inRun)
 		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"sledge/internal/abi"
-	"sledge/internal/core"
 	"sledge/internal/engine"
-	"sledge/internal/nuclio"
 	"sledge/internal/sandbox"
 	"sledge/internal/stats"
 	"sledge/internal/wcc"
@@ -135,90 +133,6 @@ func RunAblationStartup(o Options) ([]*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("decoupling makes startup %.0fx cheaper", float64(cs.Mean)/float64(ds.Mean)),
 		},
-	}
-	return []*Table{tbl}, nil
-}
-
-// RunAblationWarm strengthens the baseline with warm (pre-forked, reused)
-// worker processes that skip fork+exec and pay only pipe IPC. On this
-// reproduction the warm-native path wins on sequential mean latency —
-// an honest consequence of the interpreter substitution (the paper's Wasm
-// ran at ~1.1x native; ours is interpreter-scale). The cold-vs-warm gap
-// itself, and the fact that Sledge sits within the warm baseline's order
-// of magnitude while providing in-process multi-tenant isolation, are the
-// reproducible observations.
-func RunAblationWarm(o Options) ([]*Table, error) {
-	iters := 400
-	if o.Quick {
-		iters = 40
-	}
-	rt := core.New(core.Config{Workers: 1})
-	defer rt.Close()
-	for _, name := range []string{"ping", "gps-ekf"} {
-		app, _ := apps.Get(name)
-		cm, err := app.Compile(rt.EngineConfig())
-		if err != nil {
-			return nil, err
-		}
-		if _, err := rt.RegisterCompiled(name, cm, "main", ""); err != nil {
-			return nil, err
-		}
-	}
-	cold, err := nuclio.New(nuclio.Config{MaxWorkers: 1})
-	if err != nil {
-		return nil, err
-	}
-	warm, err := nuclio.NewWarmPool(1)
-	if err != nil {
-		return nil, err
-	}
-	defer warm.Close()
-
-	tbl := &Table{
-		ID:      "ablation-warm",
-		Title:   "Baseline hardening: Sledge vs cold-spawn vs warm process workers (mean latency)",
-		Headers: []string{"function", "sledge sandbox", "warm process", "cold fork+exec"},
-		Notes: []string{
-			"warm workers run native code and skip fork+exec; they beat the interpreted sandbox on raw latency — with the paper's near-native Wasm codegen the comparison flips (see EXPERIMENTS.md)",
-		},
-	}
-	for _, name := range []string{"ping", "gps-ekf"} {
-		app, _ := apps.Get(name)
-		req := app.GenRequest()
-
-		measure := func(fn func() error, n int) (time.Duration, error) {
-			// warm-up
-			for i := 0; i < 3; i++ {
-				if err := fn(); err != nil {
-					return 0, err
-				}
-			}
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				if err := fn(); err != nil {
-					return 0, err
-				}
-			}
-			return time.Since(t0) / time.Duration(n), nil
-		}
-		sl, err := measure(func() error { _, err := rt.Invoke(name, req); return err }, iters)
-		if err != nil {
-			return nil, fmt.Errorf("ablation-warm sledge %s: %w", name, err)
-		}
-		wm, err := measure(func() error { _, err := warm.Invoke(name, req); return err }, iters)
-		if err != nil {
-			return nil, fmt.Errorf("ablation-warm warm %s: %w", name, err)
-		}
-		coldIters := iters / 10
-		if coldIters < 5 {
-			coldIters = 5
-		}
-		cd, err := measure(func() error { _, err := cold.Invoke(name, req); return err }, coldIters)
-		if err != nil {
-			return nil, fmt.Errorf("ablation-warm cold %s: %w", name, err)
-		}
-		tbl.Rows = append(tbl.Rows, []string{name, sl.String(), wm.String(), cd.String()})
-		o.logf("ablation-warm: %s sledge=%v warm=%v cold=%v", name, sl, wm, cd)
 	}
 	return []*Table{tbl}, nil
 }

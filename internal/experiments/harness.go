@@ -105,13 +105,11 @@ var Registry = map[string]func(Options) ([]*Table, error){
 	"cpubound": RunCPUBound,
 	"overload": RunOverload,
 	"cluster":  RunContinuum,
-	"meter":    RunMeterAblation,
-	"warm":     RunWarm,
 	"chain":    RunChain,
 	"ablation": func(o Options) ([]*Table, error) {
 		var out []*Table
 		for _, fn := range []func(Options) ([]*Table, error){
-			RunAblationBounds, RunAblationStartup, RunAblationWarm,
+			RunAblationBounds, RunAblationStartup,
 		} {
 			ts, err := fn(o)
 			if err != nil {
@@ -125,5 +123,5 @@ var Registry = map[string]func(Options) ([]*Table, error){
 
 // IDs lists experiment IDs in paper order.
 func IDs() []string {
-	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "meter", "warm", "chain", "ablation"}
+	return []string{"fig5", "table1", "fig6", "fig7", "fig8", "table2", "table3", "memfoot", "cpubound", "overload", "cluster", "chain", "ablation"}
 }

@@ -44,9 +44,6 @@ const NoopFunction = "__noop"
 // stdout, and exits. It returns false (without side effects) in ordinary
 // processes.
 func MaybeWorkerMain() bool {
-	if maybeWarmWorkerMain() {
-		return true
-	}
 	name := os.Getenv(workerEnv)
 	if name == "" {
 		return false

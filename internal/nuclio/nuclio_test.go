@@ -144,80 +144,6 @@ func TestHTTPServing(t *testing.T) {
 	}
 }
 
-func TestWarmPoolReusesWorkers(t *testing.T) {
-	pool, err := NewWarmPool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	for i := 0; i < 10; i++ {
-		resp, err := pool.Invoke("ping", nil)
-		if err != nil {
-			t.Fatalf("warm invoke %d: %v", i, err)
-		}
-		if string(resp) != "p" {
-			t.Errorf("warm ping = %q", resp)
-		}
-	}
-	if got := pool.Started(); got != 1 {
-		t.Errorf("Started = %d, want 1 (sequential calls reuse one worker)", got)
-	}
-	// Payload round trip through framed IPC.
-	payload := apps.EchoPayload(64 * 1024)
-	resp, err := pool.Invoke("echo", payload)
-	if err != nil {
-		t.Fatalf("warm echo: %v", err)
-	}
-	if !bytes.Equal(resp, payload) {
-		t.Error("warm echo mangled payload")
-	}
-	// Unknown function yields an empty response, not a dead worker.
-	if resp, err := pool.Invoke("ghost", nil); err != nil || len(resp) != 0 {
-		t.Errorf("ghost = %q, %v", resp, err)
-	}
-	if _, err := pool.Invoke("ping", nil); err != nil {
-		t.Errorf("worker unhealthy after unknown function: %v", err)
-	}
-}
-
-func TestWarmPoolConcurrent(t *testing.T) {
-	pool, err := NewWarmPool(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	var wg sync.WaitGroup
-	errCh := make(chan error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := pool.Invoke("ping", nil); err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Error(err)
-	}
-}
-
-func TestWarmPoolClose(t *testing.T) {
-	pool, err := NewWarmPool(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Invoke("ping", nil); err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	if _, err := pool.Invoke("ping", nil); err == nil {
-		t.Error("Invoke after Close accepted")
-	}
-}
-
 func TestInvokeTimeoutKillsWorker(t *testing.T) {
 	rt, err := New(Config{MaxWorkers: 1, InvokeTimeout: 50 * time.Millisecond})
 	if err != nil {

@@ -83,8 +83,9 @@ type Sandbox struct {
 	// rel is the completion-ownership state machine; see the rel* consts.
 	rel atomic.Int32
 
-	// done is signalled (once) by FinishNotify; Invoke-style waiters select
-	// on it instead of registering an OnComplete closure.
+	// done is signalled (once) by FinishNotify unless a waiter handed the
+	// completion to a finisher hook (Defer); Invoke-style waiters select on
+	// it.
 	done chan struct{}
 
 	// finisher is the hook a waiter handed the completion to (Defer). It
@@ -93,10 +94,6 @@ type Sandbox struct {
 
 	// Err records the trap or start failure for completed sandboxes.
 	Err error
-
-	// OnComplete, if set, runs on the worker when the sandbox finishes
-	// (successfully or trapped). It must not block.
-	OnComplete func(*Sandbox)
 
 	// pending is the in-flight async host operation while blocked.
 	pending *abi.Pending
@@ -201,7 +198,6 @@ func New(cm *engine.CompiledModule, req []byte, opts Options) (*Sandbox, error) 
 	sb.Module = entry
 	sb.Tenant = opts.Tenant
 	sb.Err = nil
-	sb.OnComplete = nil
 	sb.finisher = nil
 	sb.pending = nil
 	sb.SchedNext = nil
@@ -289,8 +285,8 @@ var errBlockedNoPending = errors.New("sandbox: blocked host call without pending
 // run early, within engine.Instance.RunUntil's piece; left is the fuel not
 // spent, in the engine's unit, when the sandbox is runnable again: positive
 // after such an early end, <= 0 when the fuel ran out. The call takes one
-// pair of clock reads however many pieces it runs. On completion or trap
-// the OnComplete callback fires exactly once.
+// pair of clock reads however many pieces it runs. Completion and trap are
+// published by the caller's FinishNotify, not here.
 //
 //sledge:noalloc
 func (sb *Sandbox) RunQuantumUntil(fuel int64, stop *atomic.Int64) (State, int64) {
@@ -314,7 +310,6 @@ func (sb *Sandbox) RunQuantumUntil(fuel int64, stop *atomic.Int64) (State, int64
 		sb.DoneAt = time.Now()
 		sb.sliceEnd = sb.DoneAt
 		sb.state.Store(int32(StateComplete))
-		sb.complete()
 	case engine.StatusYielded:
 		sb.sliceEnd = time.Now()
 		sb.state.Store(int32(StateRunnable))
@@ -326,7 +321,6 @@ func (sb *Sandbox) RunQuantumUntil(fuel int64, stop *atomic.Int64) (State, int64
 			sb.Err = errBlockedNoPending
 			sb.DoneAt = time.Now()
 			sb.state.Store(int32(StateTrapped))
-			sb.complete()
 			return sb.State(), left
 		}
 		sb.blockedFor += sb.pending.Wait
@@ -336,21 +330,13 @@ func (sb *Sandbox) RunQuantumUntil(fuel int64, stop *atomic.Int64) (State, int64
 			// WASI proc_exit(0) is a successful completion.
 			sb.DoneAt = time.Now()
 			sb.state.Store(int32(StateComplete))
-			sb.complete()
 			break
 		}
 		sb.Err = err
 		sb.DoneAt = time.Now()
 		sb.state.Store(int32(StateTrapped))
-		sb.complete()
 	}
 	return sb.State(), left
-}
-
-func (sb *Sandbox) complete() {
-	if sb.OnComplete != nil {
-		sb.OnComplete(sb)
-	}
 }
 
 // ErrAbandoned reports a sandbox whose waiter timed out before completion.
@@ -422,7 +408,6 @@ func (sb *Sandbox) Release() {
 	}
 	inst := sb.inst
 	sb.inst = nil
-	sb.OnComplete = nil
 	sb.finisher = nil
 	sb.pending = nil
 	sb.resume = nil
@@ -497,8 +482,8 @@ func (sb *Sandbox) Latency() time.Duration {
 
 // Fail force-completes the sandbox with an error (used by the scheduler
 // when a blocked completion cannot be delivered, a waiter is gone or the
-// pool stopped). The OnComplete callback still fires so waiters are
-// released, and the instance is aborted so that Release recycles it.
+// pool stopped). The caller's FinishNotify then releases the waiter, and
+// the instance is aborted so that Release recycles it.
 func (sb *Sandbox) Fail(err error) {
 	if s := State(sb.state.Load()); s == StateComplete || s == StateTrapped {
 		return
@@ -507,5 +492,4 @@ func (sb *Sandbox) Fail(err error) {
 	sb.Err = err
 	sb.DoneAt = time.Now()
 	sb.state.Store(int32(StateTrapped))
-	sb.complete()
 }

@@ -35,20 +35,22 @@ export i32 main() {
 
 func TestLifecycleComplete(t *testing.T) {
 	cm := compileSrc(t, echoSrc)
-	var completed *Sandbox
 	sb, err := New(cm, []byte("abc"), Options{Tenant: "t1"})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sb.OnComplete = func(s *Sandbox) { completed = s }
 	if sb.State() != StateRunnable {
 		t.Errorf("initial state %s", sb.State())
 	}
 	if st := sb.RunQuantum(0); st != StateComplete {
 		t.Fatalf("RunQuantum = %s (err %v)", st, sb.Err)
 	}
-	if completed != sb {
-		t.Error("OnComplete not fired with the sandbox")
+	if sb.State() != StateComplete {
+		t.Errorf("State = %s after completion", sb.State())
+	}
+	sb.FinishNotify()
+	if n := drainDone(sb); n != 1 {
+		t.Errorf("Done signalled %d times after completion, want 1", n)
 	}
 	if string(sb.Response()) != "abc" {
 		t.Errorf("Response = %q", sb.Response())
@@ -127,17 +129,19 @@ export i32 main() {
 	return 0;
 }
 `)
-	fired := false
 	sb, err := New(cm, nil, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	sb.OnComplete = func(*Sandbox) { fired = true }
 	if st := sb.RunQuantum(0); st != StateTrapped {
 		t.Fatalf("state %s", st)
 	}
-	if !fired {
-		t.Error("OnComplete not fired on trap")
+	if sb.State() != StateTrapped {
+		t.Errorf("State = %s after trap", sb.State())
+	}
+	sb.FinishNotify()
+	if n := drainDone(sb); n != 1 {
+		t.Errorf("Done signalled %d times after trap, want 1", n)
 	}
 	var trap *engine.Trap
 	if !errors.As(sb.Err, &trap) {
@@ -215,16 +219,31 @@ func TestFailReleasesWaiter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	fired := 0
-	sb.OnComplete = func(*Sandbox) { fired++ }
 	sentinel := errors.New("abandoned")
 	sb.Fail(sentinel)
 	if sb.State() != StateTrapped || !errors.Is(sb.Err, sentinel) {
 		t.Errorf("state %s err %v", sb.State(), sb.Err)
 	}
-	sb.Fail(sentinel) // idempotent
-	if fired != 1 {
-		t.Errorf("OnComplete fired %d times", fired)
+	doneAt := sb.DoneAt
+	sb.Fail(errors.New("second")) // idempotent
+	if !errors.Is(sb.Err, sentinel) || sb.DoneAt != doneAt {
+		t.Errorf("second Fail rewrote the completion: err %v", sb.Err)
+	}
+	sb.FinishNotify()
+	sb.FinishNotify()
+	if n := drainDone(sb); n != 1 {
+		t.Errorf("Done signalled %d times, want 1", n)
+	}
+}
+
+// drainDone counts the values waiting on sb.Done.
+func drainDone(sb *Sandbox) int {
+	for n := 0; ; n++ {
+		select {
+		case <-sb.Done():
+		default:
+			return n
+		}
 	}
 }
 

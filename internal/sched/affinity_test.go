@@ -32,7 +32,7 @@ func testAffinityWorkConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hog.OnComplete = func(*sandbox.Sandbox) { hogWG.Done() }
+	hog.Defer(func(*sandbox.Sandbox) { hogWG.Done() })
 	if err := p.Submit(hog); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func testAffinityWorkConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+		sb.Defer(func(*sandbox.Sandbox) { wg.Done() })
 		boxes[i] = sb
 		p.Run(sb, int(hogWorker))
 	}
@@ -102,7 +102,7 @@ func TestRunAffinityFallbacks(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+		sb.Defer(func(*sandbox.Sandbox) { wg.Done() })
 		p.Run(sb, hint)
 	}
 	done := make(chan struct{})

@@ -98,10 +98,10 @@ func TestArrivalRunsWithinOneRound(t *testing.T) {
 		ran := make(chan seen, 1)
 		short := newSpin(t, cm, 1)
 		// Runs on the worker that ran the hog, inside the short's turn.
-		short.OnComplete = func(*sandbox.Sandbox) {
+		short.Defer(func(*sandbox.Sandbox) {
 			st := p.Stats()
 			ran <- seen{st.Preemptions, st.Pauses, hog.Gas()}
-		}
+		})
 		if err := p.Submit(short); err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestArrivalRunsWithinOneRound(t *testing.T) {
 			short := newSpin(t, cm, 1)
 			// Runs on the worker, inside the short's first quantum:
 			// an exact count of the slices that ended before it.
-			short.OnComplete = func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions }
+			short.Defer(func(*sandbox.Sandbox) { ran <- p.Stats().Preemptions })
 			before := p.Stats().Preemptions
 			if err := p.Submit(short); err != nil {
 				t.Fatal(err)
@@ -190,10 +190,10 @@ func youngRequestTrial(t *testing.T, cm *engine.CompiledModule, fuel int64, shor
 	// Runs on the worker, at the end of the short's turn: the next
 	// request, queued or not, has not run yet if the short was not paused
 	// for it.
-	short.OnComplete = func(*sandbox.Sandbox) {
+	short.Defer(func(*sandbox.Sandbox) {
 		st := p.Stats()
 		ran <- seen{st.Preemptions, st.Pauses, short.Gas(), next.Gas(), next.LastWorker.Load() >= 0}
-	}
+	})
 	if err := p.Submit(short); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func testHogNotStarvedByArrivals(t *testing.T) {
 
 	hog := newSpin(t, cm, hogLen)
 	var hogDone atomic.Bool
-	hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
+	hog.Defer(func(*sandbox.Sandbox) { hogDone.Store(true) })
 	if err := p.Submit(hog); err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +279,9 @@ func TestHoldingWorkerDoesNotSteal(t *testing.T) {
 	// Runs on the worker that ran the hog's last slice, before that worker
 	// looks for more work.
 	var stealsAtDone atomic.Uint64
-	lone.OnComplete = func(sb *sandbox.Sandbox) {
+	lone.Defer(func(sb *sandbox.Sandbox) {
 		stealsAtDone.Store(p.workers[sb.LastWorker.Load()].steals.Load())
-	}
+	})
 	pushTo(t, p, lone, 0)
 	waitFor(t, "lone hog to start", func() bool { return lone.LastWorker.Load() >= 0 })
 	holder := p.workers[lone.LastWorker.Load()]

@@ -96,11 +96,11 @@ func TestIOResumesBesideHog(t *testing.T) {
 		ran := make(chan seen, 1)
 		// Runs on worker 0, which also runs the hog, so the hog's last run
 		// (the one its pause ended) is settled.
-		read.OnComplete = func(*sandbox.Sandbox) {
+		read.Defer(func(*sandbox.Sandbox) {
 			st := p.Stats()
 			g, _ := hog.LastSlice()
 			ran <- seen{st.Preemptions, st.Pauses, hog.Gas(), g}
-		}
+		})
 		submitParked(t, p, hog)
 		waitFor(t, "the hog to start", func() bool { return hog.LastWorker.Load() >= 0 })
 		p.Run(read, -1)
@@ -156,14 +156,14 @@ func TestIOResumesBesideHog(t *testing.T) {
 				preemptions uint64
 			}
 			ran := make(chan seen, 1)
-			read.OnComplete = func(*sandbox.Sandbox) {
+			read.Defer(func(*sandbox.Sandbox) {
 				ran <- seen{hogDone.Load(), p.workers[0].preemptions.Load()}
-			}
+			})
 			submitParked(t, p, read)
 			waitFor(t, "the read to block", func() bool { return p.Stats().Blocked == 1 })
 
 			hog := newSpin(t, cm, 20_000)
-			hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
+			hog.Defer(func(*sandbox.Sandbox) { hogDone.Store(true) })
 			submitParked(t, p, hog)
 
 			var s seen

@@ -328,9 +328,9 @@ func (p *Pool) Run(sb *sandbox.Sandbox, affinity int) {
 }
 
 // Submit hands a sandbox to the pool with no caller slice, placed on the
-// least-loaded worker. The sandbox's OnComplete callback fires on a worker
-// when it finishes. On ErrStopped the sandbox has been, or will be, failed
-// with ErrStopped and FinishNotify'd.
+// least-loaded worker. The worker that finishes it calls FinishNotify, which
+// signals Done or runs the hook handed to Defer. On ErrStopped the sandbox
+// has been, or will be, failed with ErrStopped and FinishNotify'd.
 func (p *Pool) Submit(sb *sandbox.Sandbox) error {
 	if !p.accept(sb) {
 		return ErrStopped

@@ -53,7 +53,7 @@ func runBatch(t *testing.T, p *Pool, cm *engine.CompiledModule, n int, reqLen in
 		if err != nil {
 			t.Fatalf("sandbox.New: %v", err)
 		}
-		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+		sb.Defer(func(*sandbox.Sandbox) { wg.Done() })
 		out[i] = sb
 		if err := p.Submit(sb); err != nil {
 			t.Fatalf("Submit: %v", err)
@@ -88,9 +88,8 @@ func testPoolCompletesWork(t *testing.T) {
 			t.Errorf("sandbox %d response %q", sb.ID, sb.Response())
 		}
 	}
-	// OnComplete (what runBatch waits on) fires inside the last quantum,
-	// before the worker counts the completion: quiesce first, then read the
-	// counter.
+	// The hook runBatch waits on runs after the worker counts the
+	// completion, so the counter is settled; the pool must be idle too.
 	if !p.Quiesce(time.Second) {
 		t.Error("pool did not quiesce")
 	}
@@ -147,7 +146,7 @@ func TestTemporalIsolation(t *testing.T) {
 			defer p.Stop()
 			hog := newSpin(t, cm, hogLen)
 			var hogDone atomic.Bool
-			hog.OnComplete = func(*sandbox.Sandbox) { hogDone.Store(true) }
+			hog.Defer(func(*sandbox.Sandbox) { hogDone.Store(true) })
 			if err := p.Submit(hog); err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +163,7 @@ func TestTemporalIsolation(t *testing.T) {
 				ran := make(chan seen, 1)
 				short := newSpin(t, cm, 1)
 				// Runs on the worker as the short completes.
-				short.OnComplete = func(*sandbox.Sandbox) { ran <- seen{p.Stats().Preemptions, hogDone.Load()} }
+				short.Defer(func(*sandbox.Sandbox) { ran <- seen{p.Stats().Preemptions, hogDone.Load()} })
 				before := p.Stats().Preemptions
 				if err := p.Submit(short); err != nil {
 					t.Fatal(err)
@@ -225,7 +224,7 @@ func TestBlockedIOCompletesViaEventLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	sb.OnComplete = func(*sandbox.Sandbox) { close(done) }
+	sb.Defer(func(*sandbox.Sandbox) { close(done) })
 	start := time.Now()
 	if err := p.Submit(sb); err != nil {
 		t.Fatal(err)
@@ -277,7 +276,7 @@ func TestWorkConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+		sb.Defer(func(*sandbox.Sandbox) { wg.Done() })
 		pushTo(t, p, sb, worker)
 	}
 	for w := 1; w <= 3; w++ {
@@ -325,12 +324,12 @@ func TestShortStolenBehindHogs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sb.OnComplete = func(*sandbox.Sandbox) {
+				sb.Defer(func(*sandbox.Sandbox) {
 					if onDone != nil {
 						onDone()
 					}
 					wg.Done()
-				}
+				})
 				// Everything is placed on worker 0 (a hint idle peers
 				// may override), so that which shorts sit behind the hog
 				// does not depend on how placement's ties happen to break.
@@ -390,7 +389,7 @@ func testNoLostWakeup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sb.OnComplete = func(*sandbox.Sandbox) { wg.Done() }
+			sb.Defer(func(*sandbox.Sandbox) { wg.Done() })
 			if err := p.Submit(sb); err != nil {
 				t.Fatal(err)
 			}
@@ -420,7 +419,7 @@ func TestQuiesceEventDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneAt atomic.Int64
-	sb.OnComplete = func(*sandbox.Sandbox) { doneAt.Store(time.Now().UnixNano()); wg.Done() }
+	sb.Defer(func(*sandbox.Sandbox) { doneAt.Store(time.Now().UnixNano()); wg.Done() })
 	if err := p.Submit(sb); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package polybench
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"sledge/internal/abi"
 	"sledge/internal/engine"
 )
 
@@ -35,7 +37,8 @@ func TestWasmMatchesNative(t *testing.T) {
 }
 
 // TestConfigsAgree verifies that every bounds strategy and tier computes the
-// same result for a representative subset.
+// same result for a representative subset, and that the two metering modes
+// agree on checksum and gas for kernels preempted in fixed slices.
 func TestConfigsAgree(t *testing.T) {
 	configs := []engine.Config{
 		{Bounds: engine.BoundsGuard, Tier: engine.TierOptimized},
@@ -64,6 +67,63 @@ func TestConfigsAgree(t *testing.T) {
 			if !closeEnough(got, want) {
 				t.Errorf("%s (%s/%s): %v != %v", name, cfg.Tier, cfg.Bounds, got, want)
 			}
+		}
+	}
+	// Run in 1 Mi-gas slices, resumed on every yield as the scheduler runs
+	// them: block metering and the per-dispatch oracle must reach the
+	// native checksum and charge bit-identical gas. DefaultN, as at TestN
+	// every kernel finishes inside its first slice.
+	for _, name := range []string{"gemm", "jacobi-2d", "trisolv", "atax"} {
+		k, ok := Get(name)
+		if !ok {
+			t.Fatalf("kernel %s missing", name)
+		}
+		want := k.Native(k.DefaultN)
+		var gas [2]uint64
+		for i, cfg := range []engine.Config{{}, {NoBlockMeter: true}} {
+			cm, err := k.Compile(k.DefaultN, cfg)
+			if err != nil {
+				t.Fatalf("%s (NoBlockMeter=%v): %v", name, cfg.NoBlockMeter, err)
+			}
+			got, g, slices, err := runSliced(cm, k.DefaultN, 1<<20)
+			if err != nil {
+				t.Fatalf("%s (NoBlockMeter=%v): %v", name, cfg.NoBlockMeter, err)
+			}
+			if !closeEnough(got, want) {
+				t.Errorf("%s (NoBlockMeter=%v) sliced: %v != %v", name, cfg.NoBlockMeter, got, want)
+			}
+			if !cfg.NoBlockMeter && slices < 2 {
+				t.Errorf("%s finished in %d slice: nothing was resumed", name, slices)
+			}
+			gas[i] = g
+		}
+		if gas[0] != gas[1] {
+			t.Errorf("%s sliced: gas %d under block metering, %d under NoBlockMeter", name, gas[0], gas[1])
+		}
+	}
+}
+
+// runSliced runs kernel(n) to completion in slices of fuel, resuming on
+// every yield, and returns the checksum, the gas and the slice count.
+func runSliced(cm *engine.CompiledModule, n int, fuel int64) (float64, uint64, int, error) {
+	inst := cm.Acquire()
+	defer cm.Release(inst)
+	inst.HostData = abi.NewContext(nil)
+	if err := inst.Start("kernel", uint64(uint32(n))); err != nil {
+		return 0, 0, 0, err
+	}
+	for slices := 1; ; slices++ {
+		st, err := inst.Run(fuel)
+		if err != nil {
+			return 0, 0, slices, err
+		}
+		switch st {
+		case engine.StatusDone:
+			bits, err := inst.Result()
+			return math.Float64frombits(bits), inst.Gas, slices, err
+		case engine.StatusYielded:
+		default:
+			return 0, 0, slices, fmt.Errorf("status %s", st)
 		}
 	}
 }
